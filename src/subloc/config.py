@@ -26,8 +26,10 @@ class Limits:
     # Bounds for down-set lattice constructions.
     max_downset_ground: int = 16
     max_downsets: int = 4096
-    # Families are quantified exhaustively (all 2^n subsets) up to this many
-    # elements; beyond it the binary fold, equivalent by induction, is used.
+    # Family quantifiers (lattice.families) range over all 2^n subsets of
+    # frames with up to this many elements, and over the empty and binary
+    # families beyond it, which folding makes equivalent.  Each frame
+    # witness tables the meet and exactness flags of those families once.
     exhaustive_family_elements: int = 12
 
     def with_(self, **kw) -> "Limits":

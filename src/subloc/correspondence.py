@@ -19,7 +19,6 @@ existing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +26,7 @@ from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .corpus import downset_masks
 from .errors import NotProper, SizeLimit
-from .lattice import (FrameWitness, Lattice, is_exact_meet, join_irreducibles)
+from .lattice import FrameWitness, Lattice, fold_families, join_irreducibles
 from .sublocales import SublocaleCoframe, is_sublocale, nucleus_element
 from .subcolocales import (Subcolocale, conucleus, delta, fit_image, is_codense,
                            is_essential, is_proper, sb)
@@ -77,22 +76,18 @@ class FrameMap:
 def is_exact_map(f: FrameMap, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Whether the map sends exact meets to exact meets, preserving them.
 
-    Exhaustive over source families when small, binary plus empty
-    otherwise (equivalent by folding).
+    The families are those of the source frame's family table; the
+    target's table answers exactness of their images.
     """
-    ls, lt = f.source.lattice, f.target.lattice
-    n = ls.n
-    if n <= limits.exhaustive_family_elements:
-        fams = range(1 << n)
-    else:
-        fams = itertools.chain((0,), (bit(a) | bit(b) for a in range(n) for b in range(n)))
-    for fam in fams:
-        if not is_exact_meet(ls, fam):
-            continue
-        img = mask_of(f.mapping[x] for x in bits(fam))
-        if f.mapping[ls.big_meet(fam)] != lt.big_meet(img):
-            return False
-        if not is_exact_meet(lt, img):
+    src = f.source.family_table(limits)
+    dst = f.target.family_table(limits)
+    mp = f.mapping
+    tmeet = f.target.lattice.meet_table
+    # value of a family: (its image as a target mask, the meet of that image)
+    folds = fold_families(src.fams, (0, f.target.lattice.top),
+                          lambda v, x: (v[0] | bit(mp[x]), tmeet[v[1]][mp[x]]))
+    for fam, (img, img_meet) in folds:
+        if src.exact[fam] and (mp[src.meet[fam]] != img_meet or not dst.is_exact(img)):
             return False
     return True
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
@@ -252,26 +252,51 @@ def is_complemented(lat: Lattice, c: int) -> bool:
 def is_linear(lat: Lattice, c: int, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Whether meeting with ``c`` distributes over arbitrary joins.
 
-    Exhaustive over all families when the lattice is small; otherwise the
-    binary instances are checked, which is equivalent by folding.  The
-    empty family holds trivially (``bottom ^ c = bottom``).
+    Quantifies over :func:`families`; the empty family holds trivially
+    (``bottom ^ c = bottom``).
     """
-    meet, join = lat.meet_table, lat.join_table
-    if lat.n <= limits.exhaustive_family_elements:
-        for fam in range(1 << lat.n):
-            acc = lat.bottom
-            for a in bits(fam):
-                acc = join[acc][meet[a][c]]
-            if acc != meet[lat.big_join(fam)][c]:
-                return False
-        return True
-    mc = meet[c]
-    for a in range(lat.n):
-        ja = join[a]
-        for b in range(lat.n):
-            if mc[ja[b]] != join[mc[a]][mc[b]]:
-                return False
-    return True
+    join, mc = lat.join_table, lat.meet_table[c]
+    # value of a family: (its join, the join of its members' meets with c)
+    folds = fold_families(families(lat.n, limits), (lat.bottom, lat.bottom),
+                          lambda v, a: (join[v[0]][a], join[v[1]][mc[a]]))
+    return all(mc[j] == acc for _, (j, acc) in folds)
+
+
+def families(n: int, limits: Limits = DEFAULT_LIMITS) -> Sequence[int]:
+    """The families of ``0..n-1`` that a family quantifier visits, in order.
+
+    Every subset, in increasing mask order, when ``n`` is at most
+    ``limits.exhaustive_family_elements``.  Above that, the empty family
+    and then ``{a, b}`` for every ``a`` and ``b`` in row-major order (so
+    singletons appear once and pairs twice); folding binary meets and joins
+    makes this equivalent for every law checked over families.  This is
+    the only copy of that rule.
+    """
+    if n <= limits.exhaustive_family_elements:
+        return range(1 << n)
+    return (0,) + tuple(bit(a) | bit(b) for a in range(n) for b in range(n))
+
+
+def fold_families(fams: Iterable[int], empty, extend: Callable) -> Iterator[tuple[int, Any]]:
+    """Yield ``(fam, value)`` once for every distinct family in ``fams``.
+
+    The empty family gets ``empty``; a non-empty family ``fam`` gets
+    ``extend(value of fam & (fam - 1), x)`` where ``x`` is its lowest
+    element, so each family costs one ``extend``.  The walk is depth-first
+    from the empty family, so only a few values are held at a time.  The
+    rest of every family must itself be in ``fams``, which holds for
+    :func:`families`.
+    """
+    children: dict[int, list[int]] = {}
+    for fam in set(fams):
+        if fam:
+            children.setdefault(fam & (fam - 1), []).append(fam)
+    stack = [(0, empty)]
+    while stack:
+        fam, value = stack.pop()
+        yield fam, value
+        for child in children.get(fam, ()):
+            stack.append((child, extend(value, (child ^ fam).bit_length() - 1)))
 
 
 @dataclass(frozen=True)
@@ -282,6 +307,9 @@ class FrameWitness:
     distributive: bool
     frame_law_checked: bool
     heyting_table: tuple[tuple[int, ...], ...] = field(repr=False)
+    # family tables by family sequence; they live and die with the witness
+    _family_tables: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
 
     @classmethod
     def of(cls, lat: Lattice) -> "FrameWitness":
@@ -310,6 +338,54 @@ class FrameWitness:
     def pseudocomplement(self, a: int) -> int:
         return self.heyting_table[a][self.lattice.bottom]
 
+    def family_table(self, limits: Limits = DEFAULT_LIMITS) -> "FamilyTable":
+        """The :class:`FamilyTable` of ``families(n, limits)``, built once."""
+        fams = families(self.lattice.n, limits)
+        tab = self._family_tables.get(fams)
+        if tab is None:
+            tab = self._family_tables[fams] = FamilyTable(self, fams)
+        return tab
+
+
+class FamilyTable:
+    """Big meet and exactness flags of every family in ``fams``.
+
+    Built by :func:`fold_families`, so each family costs one extension of
+    its rest instead of a fold from scratch.  ``exact[fam]`` is
+    :func:`is_exact_meet` and ``strongly_exact[fam]`` is
+    :func:`is_strongly_exact_meet`; the tests hold them to those.
+    """
+
+    def __init__(self, fw: FrameWitness, fams: Sequence[int]):
+        lat = fw.lattice
+        n = lat.n
+        meet, join = lat.meet_table, lat.join_table
+        hey = fw.heyting_table
+        fixed = [mask_of(y for y in range(n) if hey[x][y] == y) for x in range(n)]
+
+        # value of a family: (its meet, the meets of x v y over its members x
+        # for each y, the Heyting fixpoints shared by all its members)
+        def extend(v, x):
+            m, row, fix = v
+            return (meet[m][x], tuple([meet[a][b] for a, b in zip(row, join[x])]),
+                    fix & fixed[x])
+
+        self.lattice = lat
+        self.fams = fams
+        self.meet: dict[int, int] = {}
+        self.exact: dict[int, bool] = {}
+        self.strongly_exact: dict[int, bool] = {}
+        for fam, (m, row, fix) in fold_families(fams, (lat.top, join[lat.top], lat.full_mask),
+                                                extend):
+            self.meet[fam] = m
+            self.exact[fam] = row == join[m]
+            self.strongly_exact[fam] = fix & ~fixed[m] == 0
+
+    def is_exact(self, fam: int) -> bool:
+        """Exactness of any family: read from the table when it is there."""
+        got = self.exact.get(fam)
+        return is_exact_meet(self.lattice, fam) if got is None else got
+
 
 def heyting(fw: FrameWitness, x: int, y: int) -> int:
     return fw.heyting_table[x][y]
@@ -319,10 +395,15 @@ def pseudocomplement(fw: FrameWitness, a: int) -> int:
     return fw.pseudocomplement(a)
 
 
-@functools.lru_cache(maxsize=None)
 def primes(fw: FrameWitness) -> int:
     """Bitmask of prime elements; the top is never prime."""
-    lat = fw.lattice
+    return _primes(fw.lattice)
+
+
+# keyed by the lattice, not the witness, so that the cache keeps no
+# witness (and none of its family tables) alive
+@functools.lru_cache(maxsize=None)
+def _primes(lat: Lattice) -> int:
     meet = lat.meet_table
     out = 0
     for p in range(lat.n):
@@ -344,7 +425,6 @@ def primes(fw: FrameWitness) -> int:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def covered_primes(fw: FrameWitness) -> int:
     """Primes whose strict up-set meets strictly above them.
 

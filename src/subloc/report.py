@@ -10,17 +10,16 @@ dict with one entry per check and counterexamples capped to a few items.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
 
-from .bits import bit, bits, mask_of
+from .bits import bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .correspondence import (SZDBF, downset_frame, is_exact_map, is_smooth,
                              raney_lift_check, right_adjoint_image,
                              surjection_of, szdbf_lift_check, to_raney, to_szdbf)
 from .errors import NotProper, SizeLimit
 from .lattice import (CoframeWitness, FrameWitness, covered_primes, covers,
-                      is_exact_meet, is_strongly_exact_meet, primes)
+                      fold_families, primes)
 from .subcolocales import (Subcolocale, adjunction_check, conucleus, delta,
                            enumerate_subcolocales, fit_image, is_codense,
                            is_essential, is_proper, is_subcolocale,
@@ -56,12 +55,6 @@ class _Checks:
     @property
     def ok(self) -> bool:
         return all(item["ok"] for item in self.items)
-
-
-def _families(n: int, limits: Limits):
-    if n <= limits.exhaustive_family_elements:
-        return range(1 << n)
-    return itertools.chain((0,), (bit(a) | bit(b) for a in range(n) for b in range(n)))
 
 
 def frame_report(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> dict:
@@ -120,8 +113,9 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
                     "covered": sorted(bits(covered_primes(fw)))})
     checks.add("covered-primes-equal-primes", bad)
 
-    bad = [fam for fam in _families(n, limits)
-           if not (is_exact_meet(lat, fam) and is_strongly_exact_meet(fw, fam))]
+    tab = fw.family_table(limits)
+    fams = tab.fams
+    bad = [fam for fam in fams if not (tab.exact[fam] and tab.strongly_exact[fam])]
     checks.add("all-meets-exact-and-strongly-exact", bad)
 
     bot, top = 0, k - 1
@@ -137,26 +131,20 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
            or sl.join(sl.open_of(a), sl.closed_of(a)) != top]
     checks.add("open-closed-complement", bad)
 
-    bad = []
-    for fam in _families(n, limits):
-        acc = bot
-        for a in bits(fam):
-            acc = sl.join(acc, sl.open_of(a))
-        if acc != sl.open_of(lat.big_join(fam)):
-            bad.append(sorted(bits(fam)))
+    # value of a family: (its join, the join of its opens, the meet of its closeds)
+    folds = dict(fold_families(fams, (lat.bottom, bot, top), lambda v, a: (
+        lat.join_table[v[0]][a], sl.join(v[1], sl.open_of(a)), sl.meet(v[2], sl.closed_of(a)))))
+
+    bad = [sorted(bits(fam)) for fam in fams
+           if folds[fam][1] != sl.open_of(folds[fam][0])]
     for a in range(n):
         for b in range(n):
             if sl.meet(sl.open_of(a), sl.open_of(b)) != sl.open_of(lat.meet_table[a][b]):
                 bad.append((a, b))
     checks.add("open-join-and-meet-laws", bad)
 
-    bad = []
-    for fam in _families(n, limits):
-        acc = top
-        for a in bits(fam):
-            acc = sl.meet(acc, sl.closed_of(a))
-        if acc != sl.closed_of(lat.big_join(fam)):
-            bad.append(sorted(bits(fam)))
+    bad = [sorted(bits(fam)) for fam in fams
+           if folds[fam][2] != sl.closed_of(folds[fam][0])]
     for a in range(n):
         for b in range(n):
             if sl.join(sl.closed_of(a), sl.closed_of(b)) != sl.closed_of(lat.meet_table[a][b]):

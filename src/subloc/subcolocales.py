@@ -18,13 +18,12 @@ between proper collections and the codense subcolocales that are
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Union
+from typing import Union
 
 from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .errors import NotProper, SizeLimit
-from .lattice import CoframeWitness, Lattice, primes
+from .lattice import CoframeWitness, Lattice, families, fold_families, primes
 from .sublocales import (SublocaleCoframe, b_mask, fit_mask, is_exact_sublocale,
                          is_precongruence, open_mask)
 
@@ -39,7 +38,9 @@ def _host_coframe(host: Host) -> CoframeWitness:
     return host if isinstance(host, CoframeWitness) else host.coframe
 
 
-def _is_subcolocale_raw(lat: Lattice, diff_table, members: int) -> bool:
+def _is_subcolocale_raw(cw: CoframeWitness, members: int) -> bool:
+    """Bottom membership, then closure under binary joins and differences."""
+    lat = cw.lattice
     if not (members >> lat.bottom) & 1:
         return False
     elems = list(bits(members))
@@ -49,10 +50,10 @@ def _is_subcolocale_raw(lat: Lattice, diff_table, members: int) -> bool:
         for b in elems[pos:]:
             if not (members >> ja[b]) & 1:
                 return False
+    diff = cw.difference_table
     for d in elems:
-        dd = diff_table[d]
-        for c in range(lat.n):
-            if not (members >> dd[c]) & 1:
+        for v in diff[d]:
+            if not (members >> v) & 1:
                 return False
     return True
 
@@ -61,7 +62,7 @@ def is_subcolocale(host: Host, members: int) -> bool:
     """Check the join/difference closure; on sublocale hosts also check the
     intersection-stability characterizations and insist they agree."""
     cw = _host_coframe(host)
-    generic = _is_subcolocale_raw(cw.lattice, cw.difference_table, members)
+    generic = _is_subcolocale_raw(cw, members)
     if isinstance(host, SublocaleCoframe):
         special = _is_subcolocale_characterized(host, members)
         assert special == generic, "subcolocale characterizations disagree"
@@ -179,40 +180,18 @@ def enumerate_subcolocales(host: Host, which: str = "all",
         raise ValueError("the proper filter needs a fitted sublocale host")
     bottombit = bit(lat.bottom)
     topbit = bit(lat.top)
-    join = [list(row) for row in lat.join_table]
-    diff = [list(row) for row in cw.difference_table]
     out = []
     for m in range(1 << k):
         if not m & bottombit:
             continue
         if which == "codense" and not m & topbit:
             continue
-        if not _is_subcolocale_raw_fast(k, join, diff, m):
+        if not _is_subcolocale_raw(cw, m):
             continue
         if which == "proper" and not is_proper(host, m, limits):
             continue
         out.append(m)
     return tuple(out)
-
-
-def _is_subcolocale_raw_fast(k: int, join, diff, m: int) -> bool:
-    elems = []
-    rem = m
-    while rem:
-        low = rem & -rem
-        elems.append(low.bit_length() - 1)
-        rem ^= low
-    for pos, a in enumerate(elems):
-        ja = join[a]
-        for b in elems[pos:]:
-            if not (m >> ja[b]) & 1:
-                return False
-    for d in elems:
-        dd = diff[d]
-        for c in range(k):
-            if not (m >> dd[c]) & 1:
-                return False
-    return True
 
 
 class Subcolocale:
@@ -306,32 +285,38 @@ def is_proper(sl_o: SublocaleCoframe, members: int,
     opens = mask_of(sl_o.open_index)
     if opens & ~members:
         return False
-    n = sl_o.ambient.lattice.n
-    if n <= limits.exhaustive_family_elements:
-        fams: Iterable[int] = range(1 << n)
-    else:
-        fams = itertools.chain((0,), (bit(a) | bit(b) for a in range(n) for b in range(n)))
-    exact = True
-    for fam in fams:
-        xs = list(bits(fam))
-        j = 0
-        for x in xs:
-            j = sl_o.join(j, sl_o.open_index[x])
-        for g in bits(members):
-            lhs = conucleus(sl_o, members, sl_o.meet(j, g))
-            rhs = 0
-            for x in xs:
-                rhs = sl_o.join(rhs, conucleus(sl_o, members, sl_o.meet(sl_o.open_index[x], g)))
-            if lhs != rhs:
-                exact = False
-                break
-        if not exact:
-            break
+    exact = _open_joins_exact(sl_o, members, limits)
     via_precongruence = all(
         is_precongruence(sl_o.ambient, leq_f(sl_o, members, f))
         for f in bits(members))
     assert exact == via_precongruence, "properness criteria disagree"
     return exact
+
+
+def _open_joins_exact(sl_o: SublocaleCoframe, members: int, limits: Limits) -> bool:
+    """Whether trimming the join of each family of opens by each member ``g``
+    and taking the conucleus gives the join of the trimmed opens' conuclei.
+
+    The families are those of the ambient frame's elements; their values
+    come from :func:`fold_families` over a conucleus table built once.
+    """
+    lat = sl_o.as_lattice
+    meet, join = lat.meet_table, lat.join_table
+    con = [conucleus(sl_o, members, c) for c in range(lat.n)]
+    gs = tuple(bits(members))
+    trimmed = [tuple([con[meet[c][g]] for g in gs]) for c in range(lat.n)]
+    opens = sl_o.open_index
+
+    # value of a family: (the join of its opens, the joins of the trimmed
+    # opens' conuclei, one per member g)
+    def extend(v, x):
+        j, row = v
+        return (join[j][opens[x]],
+                tuple([join[a][b] for a, b in zip(row, trimmed[opens[x]])]))
+
+    folds = fold_families(families(len(opens), limits),
+                          (lat.bottom, (lat.bottom,) * len(gs)), extend)
+    return all(row == trimmed[j] for _, (j, row) in folds)
 
 
 def sigma(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int, f: int) -> int:

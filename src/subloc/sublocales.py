@@ -21,11 +21,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bits import bit, bits, mask_of, submasks
+from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .errors import SizeLimit
-from .lattice import (CoframeWitness, FrameWitness, Lattice, is_exact_meet,
-                      is_strongly_exact_meet)
+from .lattice import CoframeWitness, FrameWitness, Lattice, fold_families
 
 
 def open_mask(fw: FrameWitness, a: int) -> int:
@@ -311,62 +310,48 @@ class FilterSet:
 
 
 def all_filters(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> tuple[int, ...]:
-    """Every filter of the frame: up-closed, top in, binary meets in."""
-    lat = fw.lattice
-    n = lat.n
-    if n > limits.scan_frame_elements:
-        raise SizeLimit(f"filter scan over {n} elements exceeds the configured bound")
-    topbit = bit(lat.top)
-    out = []
-    for m in range(1 << n):
-        if not m & topbit:
-            continue
-        elems = list(bits(m))
-        if any(lat.up[x] & ~m for x in elems):
-            continue
-        meet = lat.meet_table
-        if all((m >> meet[x][y]) & 1 for x in elems for y in elems):
-            out.append(m)
-    out.sort(key=lambda m: (bin(m).count("1"), m))
-    return tuple(out)
+    """Every filter of the frame, sorted by (size, mask).
+
+    A filter of a finite lattice holds the meet of its members, so it is
+    the up-set of that meet: the filters are the principal up-sets, and no
+    subset scan (hence no size budget from ``limits``) is needed.
+    """
+    return tuple(sorted(fw.lattice.up, key=lambda m: (bin(m).count("1"), m)))
 
 
-def _meet_stable_filters(fw: FrameWitness, predicate, limits: Limits) -> FilterSet:
-    keep = []
-    lat = fw.lattice
-    for f in all_filters(fw, limits):
-        ok = True
-        for sub in submasks(f):
-            if predicate(sub) and not (f >> lat.big_meet(sub)) & 1:
-                ok = False
-                break
-        if ok:
-            keep.append(f)
-    return FilterSet(fw, tuple(keep))
+def _meet_stable_filters(fw: FrameWitness, stable: dict[int, bool],
+                         limits: Limits) -> FilterSet:
+    """Filters holding the meet of each family of their members that the
+    family-table flags ``stable`` admit."""
+    tab = fw.family_table(limits)
+    keep = tuple(f for f in all_filters(fw, limits)
+                 if all((f >> tab.meet[fam]) & 1 for fam in tab.fams
+                        if fam & ~f == 0 and stable[fam]))
+    return FilterSet(fw, keep)
 
 
 def strongly_exact_filters(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> FilterSet:
     """Filters closed under strongly exact meets of their members."""
-    return _meet_stable_filters(fw, lambda sub: is_strongly_exact_meet(fw, sub), limits)
+    return _meet_stable_filters(fw, fw.family_table(limits).strongly_exact, limits)
 
 
 def exact_filters(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> FilterSet:
     """Filters closed under exact meets of their members."""
-    return _meet_stable_filters(fw, lambda sub: is_exact_meet(fw.lattice, sub), limits)
-
-
-def phi(sl_o: SublocaleCoframe, i: int) -> int:
-    """The filter of elements whose open contains the fitted sublocale ``i``."""
-    fw = sl_o.ambient
-    m = sl_o.elems[i]
-    return mask_of(x for x in range(fw.lattice.n) if m & ~open_mask(fw, x) == 0)
+    return _meet_stable_filters(fw, fw.family_table(limits).exact, limits)
 
 
 def ker(sl: SublocaleCoframe, i: int) -> int:
-    """The filter of elements whose open contains sublocale ``i``."""
+    """The filter of elements whose open contains sublocale ``i``.
+
+    On the fitted host this is the map ``phi`` onto the strongly exact
+    filters; on the full host, the kernel of the sublocale.
+    """
     fw = sl.ambient
     m = sl.elems[i]
     return mask_of(x for x in range(fw.lattice.n) if m & ~open_mask(fw, x) == 0)
+
+
+phi = ker
 
 
 # ---------------------------------------------------------------------------
@@ -457,41 +442,30 @@ def precongruence_to_sublocale(fw: FrameWitness, r: Precongruence) -> int:
 # exactness of sublocales
 
 
-def _exact_in_sublocale(fw: FrameWitness, members: int, img: list[int]) -> bool:
-    """Whether a family inside a sublocale is exact for the sublocale's ops."""
-    lat = fw.lattice
-    bm = lat.big_meet(mask_of(img))
-    for t in bits(members):
-        acc = lat.top
-        for y in img:
-            acc = lat.meet_table[acc][nucleus_element(fw, members, lat.join_table[y][t])]
-        if acc != nucleus_element(fw, members, lat.join_table[bm][t]):
-            return False
-    return True
-
-
 def is_exact_sublocale(fw: FrameWitness, members: int,
                        limits: Limits = DEFAULT_LIMITS) -> bool:
     """Whether the quotient surjection onto the sublocale preserves exact meets.
 
     For every exact meet of an ambient family, the nucleus image family
     must meet to the nucleus of the meet, and must itself be exact inside
-    the sublocale.  Exhaustive over all families on small frames; binary
-    and empty families otherwise, which folding makes equivalent.
+    the sublocale: meeting ``nu(y v t)`` over the image members ``y`` must
+    give ``nu(m v t)`` for their meet ``m`` and every member ``t``.  The
+    families are those of the frame's family table.
     """
     lat = fw.lattice
-    n = lat.n
-    nu = [nucleus_element(fw, members, a) for a in range(n)]
-    if n <= limits.exhaustive_family_elements:
-        fams: Iterable[int] = range(1 << n)
-    else:
-        fams = itertools.chain((0,), (bit(a) | bit(b) for a in range(n) for b in range(n)))
-    for fam in fams:
-        if not is_exact_meet(lat, fam):
-            continue
-        img = [nu[x] for x in bits(fam)]
-        if nu[lat.big_meet(fam)] != lat.big_meet(mask_of(img)):
-            return False
-        if not _exact_in_sublocale(fw, members, img):
+    meet, join = lat.meet_table, lat.join_table
+    tab = fw.family_table(limits)
+    nu = [nucleus_element(fw, members, a) for a in range(lat.n)]
+    ts = tuple(bits(members))
+    nu_join = [tuple([nu[join[z][t]] for t in ts]) for z in range(lat.n)]
+
+    # value of a family: (the meet of its image, the meets of nu(nu(x) v t)
+    # over its members x, one per member t of the sublocale)
+    def extend(v, x):
+        m, row = v
+        return meet[m][nu[x]], tuple([meet[a][b] for a, b in zip(row, nu_join[nu[x]])])
+
+    for fam, (m, row) in fold_families(tab.fams, (lat.top, nu_join[lat.top]), extend):
+        if tab.exact[fam] and (nu[tab.meet[fam]] != m or row != nu_join[m]):
             return False
     return True

@@ -1,12 +1,21 @@
 """Naive reference implementations used as independent oracles.
 
-Everything here recomputes operations from the raw order relation by
+Most of this recomputes operations from the raw order relation by
 exhaustive scanning, deliberately avoiding the package's cached tables
 and closure algorithms, so a table bug and an oracle bug would have to
-coincide to slip through.
+coincide to slip through.  The family scans at the end are the other
+kind: they quantify over the same families as the package but fold every
+family from scratch with the generic helpers, where the package extends
+each family's value from a smaller family's through a per-frame table.
 """
 
 from itertools import combinations
+
+from subloc.bits import bits, mask_of, submasks
+from subloc.config import DEFAULT_LIMITS
+from subloc.lattice import families, is_exact_meet
+from subloc.subcolocales import conucleus
+from subloc.sublocales import nucleus_element
 
 
 def leq(up, x: int, y: int) -> bool:
@@ -229,3 +238,80 @@ def naive_primes(up) -> frozenset:
                for x, y in combinations(range(n), 2)):
             out.add(p)
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# family quantifiers, one family at a time
+
+
+def scan_exact_sublocale(fw, members: int, limits=DEFAULT_LIMITS) -> bool:
+    """``is_exact_sublocale`` with every family and nucleus recomputed."""
+    lat = fw.lattice
+    nu = [nucleus_element(fw, members, a) for a in range(lat.n)]
+    for fam in families(lat.n, limits):
+        if not is_exact_meet(lat, fam):
+            continue
+        img = [nu[x] for x in bits(fam)]
+        bm = lat.big_meet(mask_of(img))
+        if nu[lat.big_meet(fam)] != bm:
+            return False
+        for t in bits(members):
+            acc = lat.top
+            for y in img:
+                acc = lat.meet_table[acc][nucleus_element(fw, members, lat.join_table[y][t])]
+            if acc != nucleus_element(fw, members, lat.join_table[bm][t]):
+                return False
+    return True
+
+
+def scan_open_joins_exact(sl_o, members: int, limits=DEFAULT_LIMITS) -> bool:
+    """The family half of ``is_proper``: joins of opens stay exact."""
+    for fam in families(sl_o.ambient.lattice.n, limits):
+        xs = list(bits(fam))
+        j = 0
+        for x in xs:
+            j = sl_o.join(j, sl_o.open_index[x])
+        for g in bits(members):
+            lhs = conucleus(sl_o, members, sl_o.meet(j, g))
+            rhs = 0
+            for x in xs:
+                rhs = sl_o.join(rhs, conucleus(sl_o, members, sl_o.meet(sl_o.open_index[x], g)))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def scan_exact_map(f, limits=DEFAULT_LIMITS) -> bool:
+    """``is_exact_map`` with every meet and exactness test recomputed."""
+    ls, lt = f.source.lattice, f.target.lattice
+    for fam in families(ls.n, limits):
+        if not is_exact_meet(ls, fam):
+            continue
+        img = mask_of(f.mapping[x] for x in bits(fam))
+        if f.mapping[ls.big_meet(fam)] != lt.big_meet(img):
+            return False
+        if not is_exact_meet(lt, img):
+            return False
+    return True
+
+
+def scan_filters(lat) -> tuple:
+    """Every filter, by scanning all 2^n subsets, sorted by (size, mask)."""
+    out = []
+    for m in range(1 << lat.n):
+        if not (m >> lat.top) & 1:
+            continue
+        elems = list(bits(m))
+        if any(lat.up[x] & ~m for x in elems):
+            continue
+        if all((m >> lat.meet_table[x][y]) & 1 for x in elems for y in elems):
+            out.append(m)
+    out.sort(key=lambda m: (bin(m).count("1"), m))
+    return tuple(out)
+
+
+def scan_meet_stable_filters(lat, stable) -> tuple:
+    """Filters holding the meet of every subfamily that ``stable`` admits."""
+    return tuple(f for f in scan_filters(lat)
+                 if all((f >> lat.big_meet(sub)) & 1
+                        for sub in submasks(f) if stable(sub)))

@@ -7,13 +7,14 @@ from subloc import (DEFAULT_LIMITS, SizeLimit, Sublocale, b_sublocale,
                     strongly_exact_filters, sublocale_join,
                     sublocale_to_precongruence)
 from subloc.bits import bits
-from subloc.corpus import gen_chain
+from subloc.corpus import gen_chain, gen_opens_of_topology
+from subloc.report import laws_suite
 from subloc.lattice import FrameWitness
 from subloc.sublocales import (Precongruence, all_filters, b_mask, closed_mask,
                                fit_mask, nucleus_element, open_mask,
                                sublocale_closure)
 
-from oracles import NaiveOps
+from oracles import NaiveOps, scan_filters
 
 
 def members_set(mask: int) -> frozenset:
@@ -149,14 +150,19 @@ def test_all_filters_are_principal(corpus):
     for cf in corpus:
         lat = cf.frame.lattice
         filters = all_filters(cf.frame)
+        assert filters == scan_filters(lat)
         assert len(filters) == lat.n
         assert set(filters) == {lat.up[a] for a in range(lat.n)}
 
 
-def test_filters_size_limit():
-    fw = FrameWitness.of(gen_chain(13))
-    with pytest.raises(SizeLimit):
-        all_filters(fw)
+def test_laws_suite_ok_on_discrete_four_point_topology():
+    # 16 elements: above the subset-scan bound, which the filter scan used
+    # to refuse with SizeLimit
+    fw = FrameWitness.of(gen_opens_of_topology(4, range(16)))
+    assert fw.lattice.n > DEFAULT_LIMITS.scan_frame_elements
+    assert len(all_filters(fw)) == 16
+    result = laws_suite("top4-discrete", fw)
+    assert result["ok"], [c for c in result["checks"] if not c["ok"]]
 
 
 def test_exact_and_strongly_exact_filters_collapse(corpus):
