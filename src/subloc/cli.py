@@ -13,8 +13,7 @@ from pathlib import Path
 
 from .bits import bits
 from .config import DEFAULT_LIMITS, Limits
-from .corpus import (CorpusFrame, gen_opens_of_topology, sample_topologies,
-                     standard_corpus)
+from .corpus import standard_corpus
 from .errors import NotAFrame, NotACoframe, SizeLimit
 from .lattice import FrameWitness
 from .latfile import parse_lattice, serialize_lattice
@@ -131,13 +130,7 @@ def cmd_report(args, limits: Limits) -> int:
 def cmd_corpus(args, limits: Limits) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    frames = list(standard_corpus())
-    if args.points4:
-        for j, opens in enumerate(sample_topologies(4, args.points4, args.seed)):
-            lat = gen_opens_of_topology(4, opens)
-            frames.append(CorpusFrame(f"top4_s{args.seed}_{j}",
-                                      FrameWitness.of(lat)))
-    for cf in frames:
+    for cf in standard_corpus(args.points4, args.seed):
         path = out / f"{cf.name}.lat"
         path.write_text(serialize_lattice(cf.frame.lattice))
         print(path)

@@ -12,10 +12,11 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Limits:
-    # Largest frame whose sublocales are found by scanning all 2^n subsets;
-    # above this the generated-closure construction is used instead.
+    # Largest frame the command line accepts.  S(L) is built from the
+    # primes, so this field bounds no construction.
     scan_frame_elements: int = 12
-    # Cap on the number of sublocales a coframe construction may produce.
+    # Cap on the number of sublocales, 2^p for a frame with p primes; a
+    # larger S(L) is refused before it is built.
     max_sublocales: int = 4096
     # Largest host (coframe of sublocales) whose subcolocales are enumerated
     # by brute force over all 2^|host| bit-sets.

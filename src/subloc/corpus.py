@@ -207,5 +207,10 @@ STANDARD_SPEC = CorpusSpec(
 )
 
 
-def standard_corpus() -> tuple[CorpusFrame, ...]:
-    return tuple(STANDARD_SPEC.frames())
+def standard_corpus(points4: int = 0, seed: int = 0) -> tuple[CorpusFrame, ...]:
+    """The standard frames, plus ``points4`` topologies on four points
+    sampled with ``seed`` and named ``top4s<seed>-<index>``."""
+    gens = STANDARD_SPEC.generators
+    if points4:
+        gens += (("topology_sample", 4, points4, seed),)
+    return tuple(CorpusSpec(gens).frames())

@@ -4,16 +4,14 @@ Elements are dense integer indices ``0..n-1``; subsets are int bitmasks
 (bit ``i`` set iff element ``i`` belongs).  A :class:`Lattice` stores one
 up-set bitmask per element plus cached binary meet/join tables, so every
 downstream computation is table lookup.  :class:`FrameWitness` and
-:class:`CoframeWitness` wrap a lattice once distributivity has been
-verified and cache the Heyting arrow, respectively the co-Heyting
-difference.  On a finite lattice binary distributivity already implies the
-complete frame and coframe laws, and both witnesses record that the check
-ran.
+:class:`CoframeWitness` wrap a lattice and cache the Heyting arrow,
+respectively the co-Heyting difference; their ``of`` constructors refuse a
+lattice that is not distributive.  On a finite lattice binary
+distributivity already implies the complete frame and coframe laws.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
@@ -144,11 +142,11 @@ class Lattice:
                        self.join_table, self.meet_table)
 
     def is_distributive(self) -> bool:
-        return _distributive(self)
+        return next(distributivity_violations(self), None) is None
 
 
-@functools.lru_cache(maxsize=None)
-def _distributive(lat: Lattice) -> bool:
+def distributivity_violations(lat: Lattice) -> Iterator[tuple[int, int, int]]:
+    """Every ``(x, y, z)`` with ``x ^ (y v z) != (x ^ y) v (x ^ z)``."""
     meet, join = lat.meet_table, lat.join_table
     for x in range(lat.n):
         mx = meet[x]
@@ -157,11 +155,9 @@ def _distributive(lat: Lattice) -> bool:
             mxy = mx[y]
             for z in range(lat.n):
                 if mx[jy[z]] != join[mxy][mx[z]]:
-                    return False
-    return True
+                    yield x, y, z
 
 
-@functools.lru_cache(maxsize=None)
 def covers(lat: Lattice) -> tuple[tuple[int, int], ...]:
     """Covering pairs ``(i, j)`` of the order (its transitive reduction)."""
     out = []
@@ -173,14 +169,13 @@ def covers(lat: Lattice) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def lower_covers(lat: Lattice, j: int) -> int:
-    return mask_of(i for i, k in covers(lat) if k == j)
-
-
 def join_irreducibles(lat: Lattice) -> tuple[int, ...]:
     """Elements with exactly one lower cover; they join-generate the lattice."""
+    lower = [0] * lat.n
+    for i, j in covers(lat):
+        lower[j] |= bit(i)
     return tuple(j for j in range(lat.n)
-                 if j != lat.bottom and bin(lower_covers(lat, j)).count("1") == 1)
+                 if j != lat.bottom and bin(lower[j]).count("1") == 1)
 
 
 @dataclass(frozen=True)
@@ -301,12 +296,12 @@ def fold_families(fams: Iterable[int], empty, extend: Callable) -> Iterator[tupl
 
 @dataclass(frozen=True)
 class FrameWitness:
-    """A lattice together with evidence that it satisfies the frame law."""
+    """A distributive lattice with its Heyting arrow table and its primes."""
 
     lattice: Lattice
-    distributive: bool
-    frame_law_checked: bool
     heyting_table: tuple[tuple[int, ...], ...] = field(repr=False)
+    # bitmask of the prime elements, see :func:`prime_mask`
+    primes: int
     # family tables by family sequence; they live and die with the witness
     _family_tables: dict = field(default_factory=dict, init=False, repr=False,
                                  compare=False)
@@ -326,7 +321,7 @@ class FrameWitness:
                 cand = mask_of(z for z in range(n) if (dn_y[y] >> mx[z]) & 1)
                 row.append(lat.big_join(cand))
             hey.append(tuple(row))
-        return cls(lat, True, True, tuple(hey))
+        return cls(lat, tuple(hey), prime_mask(lat))
 
     @property
     def n(self) -> int:
@@ -397,13 +392,12 @@ def pseudocomplement(fw: FrameWitness, a: int) -> int:
 
 def primes(fw: FrameWitness) -> int:
     """Bitmask of prime elements; the top is never prime."""
-    return _primes(fw.lattice)
+    return fw.primes
 
 
-# keyed by the lattice, not the witness, so that the cache keeps no
-# witness (and none of its family tables) alive
-@functools.lru_cache(maxsize=None)
-def _primes(lat: Lattice) -> int:
+def prime_mask(lat: Lattice) -> int:
+    """Bitmask of the elements ``p`` other than the top with ``x ^ y <= p``
+    only when ``x <= p`` or ``y <= p``."""
     meet = lat.meet_table
     out = 0
     for p in range(lat.n):
@@ -442,11 +436,9 @@ def covered_primes(fw: FrameWitness) -> int:
 
 @dataclass(frozen=True)
 class CoframeWitness:
-    """A lattice together with evidence that it satisfies the coframe law."""
+    """A distributive lattice with its co-Heyting difference table."""
 
     lattice: Lattice
-    distributive: bool
-    coframe_law_checked: bool
     difference_table: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @classmethod
@@ -464,7 +456,7 @@ class CoframeWitness:
                 cand = mask_of(z for z in range(n) if (up_x >> jy[z]) & 1)
                 row.append(lat.big_meet(cand))
             diff.append(tuple(row))
-        return cls(lat, True, True, tuple(diff))
+        return cls(lat, tuple(diff))
 
     @property
     def n(self) -> int:

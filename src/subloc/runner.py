@@ -12,7 +12,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 from .config import DEFAULT_LIMITS, Limits
-from .corpus import CorpusFrame, gen_opens_of_topology, sample_topologies, standard_corpus
+from .corpus import standard_corpus
 from .lattice import FrameWitness
 from .latfile import parse_lattice, serialize_lattice
 from .report import SCHEMA_VERSION, run_suite
@@ -33,12 +33,7 @@ def corpus_report(suites=ALL_SUITES, limits: Limits = DEFAULT_LIMITS,
     ``points4`` adds that many seed-sampled 4-point topologies.  ``jobs``
     defaults to the machine's CPU count; 1 runs serially in-process.
     """
-    frames = list(standard_corpus())
-    if points4:
-        for j, opens in enumerate(sample_topologies(4, points4, seed)):
-            lat = gen_opens_of_topology(4, opens)
-            frames.append(CorpusFrame(f"top4s{seed}-{j:02d}", FrameWitness.of(lat)))
-    frames.sort(key=lambda cf: cf.name)
+    frames = sorted(standard_corpus(points4, seed), key=lambda cf: cf.name)
     payloads = [(cf.name, serialize_lattice(cf.frame.lattice), tuple(suites), limits)
                 for cf in frames]
 

@@ -4,20 +4,20 @@ A sublocale of a frame ``L`` is a subset closed under all meets (hence
 containing the top) and under Heyting arrows from arbitrary elements.
 Sublocales are represented as bitmasks over the ambient elements.  The
 collection of all of them, ordered by inclusion, is a coframe: meets are
-intersections and joins are closures of unions.  :class:`SublocaleCoframe`
-materializes that coframe with dense indices sorted by (size, mask), so
-index 0 is the bottom ``{top}`` and the last index is the whole frame, and
-cross-checks its meet/join tables against the set-theoretic definitions at
-construction time.
+intersections and joins are closures of unions.  A finite frame is
+spatial, so a sublocale is fixed by the primes it contains, and every set
+of primes is the prime part of exactly one sublocale (Birkhoff's
+representation).  :class:`SublocaleCoframe` builds the coframe from the
+sets of primes, with dense indices sorted by (size, mask), so index 0 is
+the bottom ``{top}`` and the last index is the whole frame.
 
-The fitted sublocales (intersections of opens) form a further coframe
-whose joins are fittings of sublocale joins; :func:`fitted_subcoframe`
-builds it from an existing :class:`SublocaleCoframe`.
+The fitted sublocales (intersections of opens) are the down-closed sets
+of primes; :func:`fitted_subcoframe` builds their coframe from an
+existing :class:`SublocaleCoframe`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -138,51 +138,46 @@ def nucleus(s: Sublocale, a: int) -> int:
 class SublocaleCoframe:
     """The coframe of (all, or all fitted) sublocales of a finite frame.
 
-    ``elems[i]`` is the member bitmask of sublocale ``i`` over the ambient
-    frame; indices are sorted by (member count, mask), so 0 is the bottom.
-    ``as_lattice`` carries the inclusion order with meet/join tables that
-    are verified against intersections and (fitted) closures of unions.
-    Instances are immutable after construction.
+    ``points[i]`` is the set of primes of sublocale ``i`` (bit ``j`` for the
+    ``j``-th prime in element order) and ``elems[i]`` its member bitmask
+    over the ambient frame; indices are sorted by (member count, mask), so
+    0 is the bottom.  Inclusion of sublocales is inclusion of prime sets,
+    so ``as_lattice`` takes its meet table from ``&`` and its join table
+    from ``|``, and ``coframe`` its difference table from ``& ~``; on the
+    fitted host the difference is down-closed.  ``tests/oracles.py`` builds
+    the same tables from the member masks by the generic constructions,
+    and the laws suite compares them with intersections and (fitted)
+    closures of unions.  Instances are immutable after construction.
     """
 
-    def __init__(self, ambient: FrameWitness, elems: Sequence[int],
+    def __init__(self, ambient: FrameWitness, points: Iterable[int],
                  fitted: bool, parent: "SublocaleCoframe | None" = None):
         self.ambient = ambient
-        self.elems = tuple(sorted(elems, key=lambda m: (bin(m).count("1"), m)))
         self.fitted = fitted
         self.parent = parent
+        self._members, self._down = (_prime_sets(ambient) if parent is None
+                                     else (parent._members, parent._down))
+        members, down = self._members, self._down
+        pts = self.points = tuple(sorted(points, key=lambda q: (bin(members[q]).count("1"),
+                                                               members[q])))
+        self.elems = tuple(members[q] for q in pts)
         self.index = {m: i for i, m in enumerate(self.elems)}
-        if len(self.index) != len(self.elems):
-            raise ValueError("duplicate sublocales")
-        k = len(self.elems)
-        up_rows = [mask_of(j for j, mj in enumerate(self.elems) if mi & ~mj == 0)
-                   for mi in self.elems]
-        self.as_lattice = Lattice.from_up(up_rows)
-        self._check_tables()
-        self.coframe = CoframeWitness.of(self.as_lattice)
+        pos = {q: i for i, q in enumerate(pts)}
+        k = len(pts)
+        up = tuple(mask_of(j for j, r in enumerate(pts) if q & ~r == 0) for q in pts)
+        dn = tuple(mask_of(j for j, r in enumerate(pts) if r & ~q == 0) for q in pts)
+        self.as_lattice = Lattice(k, up, dn, 0, k - 1,
+                                  tuple(tuple(pos[q & r] for r in pts) for q in pts),
+                                  tuple(tuple(pos[q | r] for r in pts) for q in pts))
+        # the difference q & ~r, down-closed on the fitted host
+        close = down if fitted else range(len(members))
+        self.coframe = CoframeWitness(self.as_lattice, tuple(
+            tuple(pos[close[q & ~r]] for r in pts) for q in pts))
         n = ambient.lattice.n
         self.open_index = tuple(self.index[open_mask(ambient, a)] for a in range(n))
         self.closed_index = tuple(self.index.get(ambient.lattice.up[a]) for a in range(n))
-        self.fit_index = tuple(self.index[fit_mask(ambient, m)] for m in self.elems)
+        self.fit_index = tuple(pos[down[q]] for q in pts)
         self._fitted_sub: SublocaleCoframe | None = None
-
-    def _check_tables(self):
-        # the order-theoretic tables must agree with the set-theoretic ops
-        k = len(self.elems)
-        meet_t, join_t = self.as_lattice.meet_table, self.as_lattice.join_table
-        for i in range(k):
-            mi = self.elems[i]
-            for j in range(i, k):
-                mj = self.elems[j]
-                got = self.index.get(mi & mj)
-                if got is None or meet_t[i][j] != got:
-                    raise ValueError("sublocale collection not closed under intersection")
-                u = sublocale_closure(self.ambient, mi | mj)
-                if self.fitted:
-                    u = fit_mask(self.ambient, u)
-                got = self.index.get(u)
-                if got is None or join_t[i][j] != got:
-                    raise ValueError("sublocale collection not closed under join")
 
     @property
     def size(self) -> int:
@@ -226,55 +221,46 @@ class SublocaleCoframe:
         return self._fitted_sub
 
 
-def enumerate_sublocales(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> SublocaleCoframe:
-    """Build the coframe of all sublocales.
+def _prime_sets(fw: FrameWitness) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The member mask and the down-closure of every set of primes.
 
-    Small frames are scanned subset-by-subset; larger ones are generated by
-    closing the closed-meet-open rectangles under joins and intersections,
-    which reaches everything because every sublocale here is a join of
-    such rectangles.
+    A set ``Q`` of primes gives the sublocale of the ``x`` that are the
+    meet of the primes of ``Q`` above them.  Both tuples are indexed by
+    ``Q`` and filled by the subset recurrence: ``Q`` extends
+    ``Q & (Q - 1)`` by its lowest prime.
     """
     lat = fw.lattice
-    n = lat.n
-    if n <= limits.scan_frame_elements:
-        topbit = bit(lat.top)
-        found = [m for m in range(1 << n) if m & topbit and is_sublocale(fw, m)]
-    else:
-        basis = {bit(lat.top)}
-        for x in range(n):
-            cx = lat.up[x]
-            for y in range(n):
-                basis.add(cx & open_mask(fw, y))
-        found_set = set(basis)
-        frontier = list(basis)
-        while frontier:
-            if len(found_set) > limits.max_sublocales:
-                raise SizeLimit("sublocale generation exceeded the configured bound")
-            fresh = []
-            for a, b in itertools.product(frontier, list(found_set)):
-                for c in (sublocale_closure(fw, a | b), a & b):
-                    if c not in found_set:
-                        found_set.add(c)
-                        fresh.append(c)
-            frontier = fresh
-        found = sorted(found_set)
-    if len(found) > limits.max_sublocales:
-        raise SizeLimit(f"{len(found)} sublocales exceed the configured bound")
-    return SublocaleCoframe(fw, found, fitted=False)
+    meet = lat.meet_table
+    pts = tuple(bits(fw.primes))
+    above = [mask_of(j for j, q in enumerate(pts) if lat.leq(x, q)) for x in range(lat.n)]
+    below = [mask_of(j for j, r in enumerate(pts) if lat.leq(r, q)) for q in pts]
+    meet_of, down = [lat.top], [0]
+    for q in range(1, 1 << len(pts)):
+        low = q & -q
+        j = low.bit_length() - 1
+        meet_of.append(meet[meet_of[q ^ low]][pts[j]])
+        down.append(down[q ^ low] | below[j])
+    members = tuple(mask_of(x for x in range(lat.n) if meet_of[q & above[x]] == x)
+                    for q in range(len(meet_of)))
+    return members, tuple(down)
+
+
+def enumerate_sublocales(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> SublocaleCoframe:
+    """Build the coframe of all sublocales, one for each set of primes.
+
+    Raises :class:`SizeLimit` before building anything when the ``2^p``
+    sublocales of a frame with ``p`` primes exceed ``limits.max_sublocales``.
+    """
+    count = 1 << bin(fw.primes).count("1")
+    if count > limits.max_sublocales:
+        raise SizeLimit(f"{count} sublocales exceed the configured bound")
+    return SublocaleCoframe(fw, range(count), fitted=False)
 
 
 def fitted_subcoframe(sl: SublocaleCoframe) -> SublocaleCoframe:
-    """The coframe of fitted sublocales (intersections of opens)."""
-    fw = sl.ambient
-    opens = {open_mask(fw, a) for a in range(fw.lattice.n)}
-    closed = set(opens)
-    closed.add(fw.lattice.full_mask)
-    while True:
-        extra = {a & b for a, b in itertools.combinations(closed, 2)} - closed
-        if not extra:
-            break
-        closed |= extra
-    return SublocaleCoframe(fw, sorted(closed), fitted=True, parent=sl)
+    """The coframe of fitted sublocales: those with down-closed sets of primes."""
+    return SublocaleCoframe(sl.ambient, (q for i, q in enumerate(sl.points) if sl.fit(i) == i),
+                            fitted=True, parent=sl)
 
 
 def sublocale_join(sl: SublocaleCoframe, idxs: Iterable[int]) -> int:

@@ -7,15 +7,19 @@ coincide to slip through.  The family scans at the end are the other
 kind: they quantify over the same families as the package but fold every
 family from scratch with the generic helpers, where the package extends
 each family's value from a smaller family's through a per-frame table.
+The sublocale coframes at the very end are built from member masks by the
+generic constructions the package builds from sets of primes instead.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
-from subloc.bits import bits, mask_of, submasks
+from subloc.bits import bit, bits, mask_of, submasks
 from subloc.config import DEFAULT_LIMITS
-from subloc.lattice import families, is_exact_meet
+from subloc.errors import SizeLimit
+from subloc.lattice import CoframeWitness, Lattice, families, is_exact_meet
 from subloc.subcolocales import conucleus
-from subloc.sublocales import nucleus_element
+from subloc.sublocales import (fit_mask, is_sublocale, nucleus_element, open_mask,
+                               sublocale_closure)
 
 
 def leq(up, x: int, y: int) -> bool:
@@ -315,3 +319,105 @@ def scan_meet_stable_filters(lat, stable) -> tuple:
     return tuple(f for f in scan_filters(lat)
                  if all((f >> lat.big_meet(sub)) & 1
                         for sub in submasks(f) if stable(sub)))
+
+
+# ---------------------------------------------------------------------------
+# sublocale coframes from member masks
+
+
+def scan_sublocales(fw) -> list:
+    """Every sublocale, by testing all 2^n subsets of the frame."""
+    lat = fw.lattice
+    return [m for m in range(1 << lat.n) if (m >> lat.top) & 1 and is_sublocale(fw, m)]
+
+
+def generate_sublocales(fw, limits=DEFAULT_LIMITS) -> list:
+    """Every sublocale, by closing the closed-meet-open rectangles under
+    joins and intersections; each sublocale of a finite frame is a join
+    of such rectangles."""
+    lat = fw.lattice
+    basis = {bit(lat.top)}
+    for x in range(lat.n):
+        for y in range(lat.n):
+            basis.add(lat.up[x] & open_mask(fw, y))
+    found = set(basis)
+    frontier = list(basis)
+    while frontier:
+        if len(found) > limits.max_sublocales:
+            raise SizeLimit("sublocale generation exceeded the configured bound")
+        fresh = []
+        for a, b in product(frontier, list(found)):
+            for c in (sublocale_closure(fw, a | b), a & b):
+                if c not in found:
+                    found.add(c)
+                    fresh.append(c)
+        frontier = fresh
+    return sorted(found)
+
+
+def intersections_of_opens(fw) -> list:
+    """The fitted sublocales: the opens and the whole frame, closed under
+    pairwise intersection."""
+    lat = fw.lattice
+    closed = {open_mask(fw, a) for a in range(lat.n)} | {lat.full_mask}
+    while True:
+        extra = {a & b for a, b in combinations(closed, 2)} - closed
+        if not extra:
+            return sorted(closed)
+        closed |= extra
+
+
+class TableHost:
+    """A sublocale coframe built from its member masks.
+
+    The order tables come from ``Lattice.from_up`` over inclusion, are
+    checked against intersection and (fitted) closure of union, and the
+    difference table comes from ``CoframeWitness.of``; the indices are
+    looked up by member mask.  The attributes mirror
+    :class:`subloc.sublocales.SublocaleCoframe`.
+    """
+
+    def __init__(self, fw, elems, fitted: bool):
+        self.elems = tuple(sorted(elems, key=lambda m: (bin(m).count("1"), m)))
+        self.index = {m: i for i, m in enumerate(self.elems)}
+        if len(self.index) != len(self.elems):
+            raise ValueError("duplicate sublocales")
+        self.as_lattice = Lattice.from_up(
+            [mask_of(j for j, mj in enumerate(self.elems) if mi & ~mj == 0)
+             for mi in self.elems])
+        # explicit raises rather than asserts, so that this holds under -O
+        meet, join = self.as_lattice.meet_table, self.as_lattice.join_table
+        for i, mi in enumerate(self.elems):
+            for j in range(i, len(self.elems)):
+                mj = self.elems[j]
+                if meet[i][j] != self.index.get(mi & mj):
+                    raise ValueError("sublocale collection not closed under intersection")
+                u = sublocale_closure(fw, mi | mj)
+                if fitted:
+                    u = fit_mask(fw, u)
+                if join[i][j] != self.index.get(u):
+                    raise ValueError("sublocale collection not closed under join")
+        self.coframe = CoframeWitness.of(self.as_lattice)
+        n = fw.lattice.n
+        self.open_index = tuple(self.index[open_mask(fw, a)] for a in range(n))
+        self.closed_index = tuple(self.index.get(fw.lattice.up[a]) for a in range(n))
+        self.fit_index = tuple(self.index[fit_mask(fw, m)] for m in self.elems)
+
+
+def table_hosts(fw, limits=DEFAULT_LIMITS) -> tuple:
+    """``S(L)`` and ``S_o(L)`` as :class:`TableHost` s: subsets scanned up
+    to ``limits.scan_frame_elements`` elements, rectangles closed above."""
+    found = (scan_sublocales(fw) if fw.lattice.n <= limits.scan_frame_elements
+             else generate_sublocales(fw, limits))
+    return TableHost(fw, found, False), TableHost(fw, intersections_of_opens(fw), True)
+
+
+def host_mismatches(host, oracle) -> list:
+    """Names of the tables and indices on which two hosts differ."""
+    names = [name for name in ("elems", "open_index", "closed_index", "fit_index")
+             if getattr(host, name) != getattr(oracle, name)]
+    if host.as_lattice != oracle.as_lattice:
+        names.append("as_lattice")
+    if host.coframe.difference_table != oracle.coframe.difference_table:
+        names.append("difference_table")
+    return names

@@ -123,6 +123,6 @@ def test_spec_generator_dispatch():
 
 def test_corpus_frames_are_validated():
     for cf in standard_corpus():
-        assert cf.frame.distributive
+        assert cf.frame.lattice.is_distributive()
         with pytest.raises(NotAFrame):
             FrameWitness.of(gen_diamond())

@@ -20,7 +20,7 @@ from subloc import (DEFAULT_LIMITS, FrameMap, FrameWitness, Lattice,
 from subloc.bits import mask_of
 from subloc.corpus import gen_boolean, gen_chain, gen_product
 from subloc.report import run_suite
-from subloc.lattice import FamilyTable, families, fold_families
+from subloc.lattice import FamilyTable, families, fold_families, prime_mask
 from subloc.subcolocales import _open_joins_exact
 
 from oracles import (scan_exact_map, scan_exact_sublocale, scan_meet_stable_filters,
@@ -40,7 +40,7 @@ def raw_witness(lat: Lattice) -> FrameWitness:
     hey = tuple(tuple(lat.big_join(mask_of(z for z in range(n)
                                            if lat.leq(lat.meet_table[z][x], y)))
                       for y in range(n)) for x in range(n))
-    return FrameWitness(lat, False, False, hey)
+    return FrameWitness(lat, hey, prime_mask(lat))
 
 
 M3 = Lattice.from_up([0b11111, 0b10010, 0b10100, 0b11000, 0b10000])
@@ -53,7 +53,7 @@ def non_frames() -> list[FrameWitness]:
     that every combination of inexact and strongly inexact occurs."""
     made_up = tuple(tuple(M3.top if x == M3.bottom else y for y in range(M3.n))
                     for x in range(M3.n))
-    return [raw_witness(M3), raw_witness(N5), FrameWitness(M3, False, False, made_up)]
+    return [raw_witness(M3), raw_witness(N5), FrameWitness(M3, made_up, prime_mask(M3))]
 
 
 def test_family_rule():

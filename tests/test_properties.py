@@ -17,6 +17,8 @@ from subloc.subcolocales import (generated_closed_form, generated_subcolocale,
                                  is_subcolocale)
 from subloc.sublocales import fit_mask, sublocale_closure
 
+from oracles import host_mismatches, table_hosts
+
 
 @st.composite
 def posets(draw, max_points=4):
@@ -131,3 +133,13 @@ def test_precongruence_roundtrip(up_rows, seed_bits):
     s = sublocale_closure(fw, seed_bits & fw.lattice.full_mask)
     r = sublocale_to_precongruence(fw, s)
     assert precongruence_to_sublocale(fw, r) == s
+
+
+@given(posets())
+@settings(max_examples=30, deadline=None)
+def test_prime_set_hosts_match_table_oracle(up_rows):
+    fw = frame_of(up_rows)
+    sl = enumerate_sublocales(fw)
+    table_sl, table_slo = table_hosts(fw)
+    assert host_mismatches(sl, table_sl) == []
+    assert host_mismatches(sl.fitted_subcoframe(), table_slo) == []

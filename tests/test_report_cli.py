@@ -1,15 +1,26 @@
+import copy
+import gc
+import hashlib
 import json
+import weakref
 
 import pytest
 
 from subloc.cli import main
-from subloc.corpus import gen_chain
+from subloc.corpus import gen_chain, gen_diamond
+from subloc.lattice import FrameWitness
 from subloc.latfile import serialize_lattice
 from subloc.report import (FINITE_NOTE, SCHEMA_VERSION, frame_report,
-                           render_suite_text, run_suite)
+                           host_law_violations, laws_suite, render_suite_text,
+                           run_suite)
 from subloc.runner import corpus_report
 
 C3_TEXT = "lattice 3\nbottom 0\ntop 2\n0 < 1\n1 < 2\n"
+
+# sha256 of json.dumps(corpus_report(jobs=1), indent=2, sort_keys=True) over
+# the standard corpus; `subloc report --json --jobs 1` prints the same text
+# plus a newline.  A change to any report byte has to update it on purpose.
+CORPUS_REPORT_SHA256 = "775d532a663e6943d60e060f30f75bc53bf8d88bc841acad68b961acd272aac1"
 
 
 @pytest.fixture()
@@ -117,7 +128,7 @@ def test_cli_corpus(tmp_path, capsys):
                  "--seed", "3"]) == 0
     files = sorted(p.name for p in out.iterdir())
     assert len(files) == 41
-    assert "chain6.lat" in files and "top4_s3_1.lat" in files
+    assert "chain6.lat" in files and "top4s3-01.lat" in files
     again = tmp_path / "again"
     assert main(["corpus", "--out", str(again), "--points4", "2",
                  "--seed", "3"]) == 0
@@ -166,3 +177,29 @@ def test_cli_report_command(capsys):
     assert rep["ok"] and len(rep["results"]) == 39
     assert main(["report", "--suite", "laws", "--jobs", "1"]) == 0
     assert "[ok]" in capsys.readouterr().out
+
+
+def test_corpus_report_bytes_are_pinned():
+    text = json.dumps(corpus_report(jobs=1), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_REPORT_SHA256
+
+
+def test_host_law_violations_are_reported_not_raised(hosts):
+    sl = hosts["chain5"]
+    slo = sl.fitted_subcoframe()
+    assert host_law_violations(sl) == [] and host_law_violations(slo) == []
+    # the fitted host of chain5 is a 5-element chain; give it M3's tables
+    broken = copy.copy(slo)
+    broken.as_lattice = gen_diamond()
+    found = host_law_violations(broken)
+    assert {v[0] for v in found} == {"SoL"}
+    assert {v[1] for v in found} == {"meet", "join", "distributive"}
+
+
+def test_lattice_is_freed_after_the_laws_suite():
+    lat = gen_chain(4)
+    ref = weakref.ref(lat)
+    assert laws_suite("chain4", FrameWitness.of(lat))["ok"]
+    del lat
+    gc.collect()
+    assert ref() is None

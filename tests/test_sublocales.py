@@ -7,14 +7,16 @@ from subloc import (DEFAULT_LIMITS, SizeLimit, Sublocale, b_sublocale,
                     strongly_exact_filters, sublocale_join,
                     sublocale_to_precongruence)
 from subloc.bits import bits
-from subloc.corpus import gen_chain, gen_opens_of_topology
+from subloc import sublocales
+from subloc.corpus import gen_boolean, gen_chain, gen_opens_of_topology, gen_product
 from subloc.report import laws_suite
 from subloc.lattice import FrameWitness
 from subloc.sublocales import (Precongruence, all_filters, b_mask, closed_mask,
                                fit_mask, nucleus_element, open_mask,
                                sublocale_closure)
 
-from oracles import NaiveOps, scan_filters
+from oracles import (NaiveOps, generate_sublocales, host_mismatches, scan_filters,
+                     scan_sublocales, table_hosts)
 
 
 def members_set(mask: int) -> frozenset:
@@ -55,19 +57,42 @@ def test_enumeration_matches_naive_oracle(corpus, hosts):
         assert got == ops.sublocales(), cf.name
 
 
-def test_generation_path_agrees_with_scan(corpus, hosts):
-    forced = DEFAULT_LIMITS.with_(scan_frame_elements=0)
+def oracle_frames(corpus):
+    """The corpus, chain8, the grids 3x3 and 3x4, and two 16-element frames
+    (c2 x c2 x c4 and bool4) that the table oracle reaches by generation."""
+    extra = {"chain8": gen_chain(8),
+             "grid3x3": gen_product(gen_chain(3), gen_chain(3)),
+             "grid3x4": gen_product(gen_chain(3), gen_chain(4)),
+             "c2xc2xc4": gen_product(gen_boolean(2), gen_chain(4)),
+             "bool4": gen_boolean(4)}
+    return ([(cf.name, cf.frame) for cf in corpus]
+            + [(name, FrameWitness.of(lat)) for name, lat in extra.items()])
+
+
+def test_prime_set_hosts_match_table_oracle(corpus):
+    for name, fw in oracle_frames(corpus):
+        sl = enumerate_sublocales(fw)
+        table_sl, table_slo = table_hosts(fw)
+        assert host_mismatches(sl, table_sl) == [], name
+        assert host_mismatches(sl.fitted_subcoframe(), table_slo) == [], name
+
+
+def test_generation_oracle_agrees_with_scan_oracle(corpus):
     for cf in corpus:
-        if cf.frame.lattice.n > 6:
-            continue
-        assert enumerate_sublocales(cf.frame, forced).elems == hosts[cf.name].elems
+        if cf.frame.lattice.n <= 6:
+            assert generate_sublocales(cf.frame) == scan_sublocales(cf.frame), cf.name
 
 
-def test_generation_path_respects_budget(c3):
-    fw = FrameWitness.of(gen_chain(5))
-    tight = DEFAULT_LIMITS.with_(scan_frame_elements=0, max_sublocales=3)
+def test_max_sublocales_bound_refuses_before_building(monkeypatch):
+    fw = FrameWitness.of(gen_chain(5))  # 4 primes, 16 sublocales
+    assert enumerate_sublocales(fw, DEFAULT_LIMITS.with_(max_sublocales=16)).size == 16
+
+    def build(*args, **kwargs):
+        raise AssertionError("S(L) was built past its bound")
+
+    monkeypatch.setattr(sublocales, "SublocaleCoframe", build)
     with pytest.raises(SizeLimit):
-        enumerate_sublocales(fw, tight)
+        enumerate_sublocales(fw, DEFAULT_LIMITS.with_(max_sublocales=15))
 
 
 def test_nucleus_of_closed_is_join(corpus):
