@@ -8,13 +8,16 @@ latter requires the fitted collection to be proper).
 
 Morphism checks search for coframe maps between the chosen subcolocales
 that extend the action of a given frame map on opens (Raney side) or on
-closeds (zero-dimensional side).  The search assigns values to the join
-irreducibles of the source in index order, prunes by monotonicity,
-interval bounds from the pinned values, and incremental meet consistency,
-and reports the lexicographically least witnesses first.  Smoothness of a
-sublocale (membership in the smallest codense subcolocale) is equivalent
-to the zero-dimensional lift existing, and exactness to the Raney lift
-existing.
+closeds (zero-dimensional side).  A chosen subcolocale becomes a lattice by
+restricting its host's tables (``subcolocale_lattice``), once per structure:
+each structure keeps that lattice in a field filled on first use.  The
+search assigns values to the join irreducibles of the source in index
+order, takes the candidates of a step as one bitmask (the interval between
+the bounds from the pinned values, above the values of the irreducibles
+below), checks meet consistency incrementally, and reports the
+lexicographically least witnesses first.  Smoothness of a sublocale
+(membership in the smallest codense subcolocale) is equivalent to the
+zero-dimensional lift existing, and exactness to the Raney lift existing.
 """
 
 from __future__ import annotations
@@ -138,6 +141,7 @@ class RaneyExtension:
         self.frame = frame
         self.f_sub = f_sub
         self.proper = is_proper(host, f_sub.members, limits)
+        self._lattice: tuple[Lattice, tuple[int, ...]] | None = None
 
 
 class SZDBF:
@@ -151,9 +155,20 @@ class SZDBF:
             raise ValueError("the subcolocale must be codense (contain the whole frame)")
         self.frame = frame
         self.d_sub = d_sub
+        self._lattice: tuple[Lattice, tuple[int, ...]] | None = None
 
     def is_essential(self) -> bool:
         return is_essential(self.d_sub.host, self.d_sub.members)
+
+
+def _sub_lattice(s: RaneyExtension | SZDBF, sub: Subcolocale
+                 ) -> tuple[Lattice, tuple[int, ...]]:
+    """The structure's subcolocale ``sub`` as an abstract lattice, built on
+    first use and kept in the structure, so that every lift check from or
+    into the structure reuses it."""
+    if s._lattice is None:
+        s._lattice = subcolocale_lattice(sub.host, sub.members)
+    return s._lattice
 
 
 def to_raney(b: SZDBF) -> RaneyExtension:
@@ -205,20 +220,25 @@ class LiftVerdict:
 def subcolocale_lattice(host: SublocaleCoframe, members: int) -> tuple[Lattice, tuple[int, ...]]:
     """A subcolocale as an abstract lattice, plus its backing host indices.
 
-    Joins are the host's; meets are conuclei.  The host order is already
-    topologically sorted, so the local indices are too.
+    The lattice is the host's restricted to the members: order rows are
+    compressed to member positions, joins are the host's (a subcolocale is
+    closed under them) and meets are conuclei of the host's meets.  The host
+    order is topologically sorted, so the local indices are too.  The whole
+    host is its own lattice.
     """
+    lat = host.as_lattice
+    if members == lat.full_mask:
+        return lat, tuple(range(lat.n))
     idxs = tuple(bits(members))
     pos = {e: p for p, e in enumerate(idxs)}
-    k = len(idxs)
-    up_rows = [mask_of(pos[j] for j in idxs if host.leq(i, j)) for i in idxs]
-    lat = Lattice.from_up(up_rows)
-    for a in range(k):
-        for b in range(a, k):
-            assert idxs[lat.join_table[a][b]] == host.join(idxs[a], idxs[b])
-            assert idxs[lat.meet_table[a][b]] == conucleus(
-                host, members, host.meet(idxs[a], idxs[b]))
-    return lat, idxs
+    con = [conucleus(host, members, c) for c in range(lat.n)]
+    join, meet = lat.join_table, lat.meet_table
+    return Lattice(len(idxs),
+                   tuple(mask_of(pos[j] for j in bits(lat.up[i] & members)) for i in idxs),
+                   tuple(mask_of(pos[j] for j in bits(lat.dn[i] & members)) for i in idxs),
+                   pos[lat.bottom], pos[con[lat.top]],
+                   tuple(tuple(pos[con[meet[a][b]]] for b in idxs) for a in idxs),
+                   tuple(tuple(pos[join[a][b]] for b in idxs) for a in idxs)), idxs
 
 
 def extend_to_coframe_map(src: Lattice, dst: Lattice, fixed: dict[int, int],
@@ -237,9 +257,11 @@ def extend_to_coframe_map(src: Lattice, dst: Lattice, fixed: dict[int, int],
         if src.up[i] >> i << i != src.up[i]:
             raise ValueError("source order must be topologically sorted")
     irr = join_irreducibles(src)
-    jpos = {j: k for k, j in enumerate(irr)}
     nj = len(irr)
-    jbelow = [mask_of(jpos[j] for j in irr if src.leq(j, e)) for e in range(src.n)]
+    jbelow = [0] * src.n
+    for k, j in enumerate(irr):
+        for e in bits(src.up[j]):
+            jbelow[e] |= bit(k)
     last_step = [jb.bit_length() - 1 for jb in jbelow]
 
     # elements with no irreducibles below are exactly the bottom
@@ -259,6 +281,27 @@ def extend_to_coframe_map(src: Lattice, dst: Lattice, fixed: dict[int, int],
             if src.leq(s, j):
                 lb[k] = dst.join_table[lb[k]][t]
 
+    # per step: the pinned interval as a candidate mask, the earlier
+    # irreducibles below this one (their values bound the candidates from
+    # below), the elements whose decomposition completes here, and the
+    # meets with the other earlier irreducibles (their images must be the
+    # meets; for one below, candidates above its value pass already).  A
+    # completed element's value is the join of its decomposition's values;
+    # when the decomposition less this step's irreducible is that of an
+    # earlier element ``prev``, it is ``prev``'s value joined with this
+    # step's, else the decomposition is folded afresh.
+    window = [dst.up[lb[k]] & dst.dn[ub[k]] for k in range(nj)]
+    below = [tuple(k2 for k2 in range(k) if src.leq(irr[k2], j)) for k, j in enumerate(irr)]
+    of_jbelow = {jb: e for e, jb in enumerate(jbelow)}
+    done: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(nj)]
+    for e in range(src.n):
+        if jbelow[e]:
+            prev = of_jbelow.get(jbelow[e] ^ bit(last_step[e]), -1)
+            done[last_step[e]].append((e, prev, () if prev >= 0 else tuple(bits(jbelow[e]))))
+    pairs = [tuple((k2, src.meet_table[irr[k2]][j]) for k2 in range(k) if k2 not in below[k])
+             for k, j in enumerate(irr)]
+
+    dup, dmeet, djoin = dst.up, dst.meet_table, dst.join_table
     val = [0] * nj
     hval = [dst.bottom] * src.n
     witnesses: list[tuple[int, ...]] = []
@@ -266,21 +309,22 @@ def extend_to_coframe_map(src: Lattice, dst: Lattice, fixed: dict[int, int],
     budget = limits.lift_node_budget
     capped = False
 
-    def fill(step: int) -> bool:
-        for e in range(src.n):
-            if last_step[e] == step:
-                acc = dst.bottom
-                for k in bits(jbelow[e]):
-                    acc = dst.join_table[acc][val[k]]
-                hval[e] = acc
+    def fill(step: int, c: int) -> bool:
+        jc = djoin[c]
+        for e, prev, dec in done[step]:
+            if prev >= 0:
+                hval[e] = jc[hval[prev]]
+                continue
+            acc = dst.bottom
+            for k in dec:
+                acc = djoin[acc][val[k]]
+            hval[e] = acc
         for s, t in fixed_at[step]:
             if hval[s] != t:
                 return False
-        jk = irr[step]
-        c = val[step]
-        for k2 in range(step):
-            m = src.meet_table[irr[k2]][jk]
-            if dst.meet_table[val[k2]][c] != hval[m]:
+        mc = dmeet[c]
+        for k2, m in pairs[step]:
+            if mc[val[k2]] != hval[m]:
                 return False
         return True
 
@@ -296,10 +340,10 @@ def extend_to_coframe_map(src: Lattice, dst: Lattice, fixed: dict[int, int],
                 return None
         for a in range(src.n):
             ha = h[a]
+            ma, ja = dmeet[ha], djoin[ha]
+            smeet, sjoin = src.meet_table[a], src.join_table[a]
             for b in range(a, src.n):
-                if h[src.meet_table[a][b]] != dst.meet_table[ha][h[b]]:
-                    return None
-                if h[src.join_table[a][b]] != dst.join_table[ha][h[b]]:
+                if h[smeet[b]] != ma[h[b]] or h[sjoin[b]] != ja[h[b]]:
                     return None
         return tuple(h)
 
@@ -314,22 +358,19 @@ def extend_to_coframe_map(src: Lattice, dst: Lattice, fixed: dict[int, int],
                     capped = True
                     return True
             return False
-        for c in range(dst.n):
-            if not (dst.leq(lb[step], c) and dst.leq(c, ub[step])):
-                continue
-            ok = True
-            for k2 in range(step):
-                if src.leq(irr[k2], irr[step]) and not dst.leq(val[k2], c):
-                    ok = False
-                    break
-            if not ok:
-                continue
+        cand = window[step]
+        for k2 in below[step]:
+            cand &= dup[val[k2]]
+        while cand:              # candidates in increasing order
+            low = cand & -cand
+            cand ^= low
+            c = low.bit_length() - 1
             nodes += 1
             if nodes > budget:
                 capped = True
                 return True
             val[step] = c
-            if fill(step) and search(step + 1):
+            if fill(step, c) and search(step + 1):
                 return True
         return False
 
@@ -356,8 +397,8 @@ def raney_lift_check(f: FrameMap, r1: RaneyExtension, r2: RaneyExtension,
     """
     if f.source != r1.frame or f.target != r2.frame:
         raise ValueError("the map's frames must match the structures")
-    src_lat, src_idxs = subcolocale_lattice(r1.f_sub.host, r1.f_sub.members)
-    dst_lat, dst_idxs = subcolocale_lattice(r2.f_sub.host, r2.f_sub.members)
+    src_lat, src_idxs = _sub_lattice(r1, r1.f_sub)
+    dst_lat, dst_idxs = _sub_lattice(r2, r2.f_sub)
     pins = [(r1.f_sub.host.open_index[x], r2.f_sub.host.open_index[f(x)])
             for x in range(f.source.lattice.n)]
     fixed = _local_fixed(src_idxs, dst_idxs, pins)
@@ -374,8 +415,8 @@ def szdbf_lift_check(f: FrameMap, b1: SZDBF, b2: SZDBF,
     """
     if f.source != b1.frame or f.target != b2.frame:
         raise ValueError("the map's frames must match the structures")
-    src_lat, src_idxs = subcolocale_lattice(b1.d_sub.host, b1.d_sub.members)
-    dst_lat, dst_idxs = subcolocale_lattice(b2.d_sub.host, b2.d_sub.members)
+    src_lat, src_idxs = _sub_lattice(b1, b1.d_sub)
+    dst_lat, dst_idxs = _sub_lattice(b2, b2.d_sub)
     pins = [(b1.d_sub.host.closed_of(x), b2.d_sub.host.closed_of(f(x)))
             for x in range(f.source.lattice.n)]
     fixed = _local_fixed(src_idxs, dst_idxs, pins)

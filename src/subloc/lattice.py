@@ -170,12 +170,13 @@ def covers(lat: Lattice) -> tuple[tuple[int, int], ...]:
 
 
 def join_irreducibles(lat: Lattice) -> tuple[int, ...]:
-    """Elements with exactly one lower cover; they join-generate the lattice."""
-    lower = [0] * lat.n
-    for i, j in covers(lat):
-        lower[j] |= bit(i)
-    return tuple(j for j in range(lat.n)
-                 if j != lat.bottom and bin(lower[j]).count("1") == 1)
+    """Elements with exactly one lower cover; they join-generate the lattice.
+
+    Those are the elements that are not the join of the elements strictly
+    below them: one lower cover is that join, two lower covers already join
+    to the element, and the bottom is the empty join.
+    """
+    return tuple(j for j in range(lat.n) if lat.big_join(lat.dn[j] & ~bit(j)) != j)
 
 
 @dataclass(frozen=True)

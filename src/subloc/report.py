@@ -14,7 +14,7 @@ from typing import Any
 
 from .bits import bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
-from .correspondence import (SZDBF, downset_frame, is_exact_map, is_smooth,
+from .correspondence import (SZDBF, downset_frame, is_exact_map,
                              raney_lift_check, right_adjoint_image,
                              surjection_of, szdbf_lift_check, to_raney, to_szdbf)
 from .errors import NotProper, SizeLimit
@@ -416,7 +416,7 @@ def correspondence_suite(name: str, fw: FrameWitness,
         except SizeLimit:
             budgets.append(i)
             continue
-        if v_s.exists != is_smooth(sl, i):
+        if v_s.exists != bool((sb_m >> i) & 1):
             smooth_bad.append(i)
         if v_r.exists != bool((se_m >> i) & 1):
             exact_bad.append(i)

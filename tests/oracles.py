@@ -7,8 +7,11 @@ coincide to slip through.  The family scans at the end are the other
 kind: they quantify over the same families as the package but fold every
 family from scratch with the generic helpers, where the package extends
 each family's value from a smaller family's through a per-frame table.
-The sublocale coframes at the very end are built from member masks by the
-generic constructions the package builds from sets of primes instead.
+The sublocale coframes are built from member masks by the generic
+constructions the package builds from sets of primes instead.  At the very
+end, subcolocales become lattices through ``Lattice.from_up`` where the
+package restricts its host's tables, and lift searches become a scan of
+every map.
 """
 
 from itertools import combinations, product
@@ -229,6 +232,18 @@ def naive_is_exact_meet(up, items) -> bool:
     return True
 
 
+def naive_join_irreducibles(up) -> tuple:
+    """Elements with exactly one lower cover: an ``x`` below them with
+    nothing strictly between."""
+    n = len(up)
+
+    def covers(x, j):
+        return x != j and leq(up, x, j) and not any(
+            z not in (x, j) and leq(up, x, z) and leq(up, z, j) for z in range(n))
+
+    return tuple(j for j in range(n) if sum(covers(x, j) for x in range(n)) == 1)
+
+
 def naive_primes(up) -> frozenset:
     """Meet-irreducible proper elements: p below a binary meet forces p
     below a factor, and p is not the top."""
@@ -421,3 +436,39 @@ def host_mismatches(host, oracle) -> list:
     if host.coframe.difference_table != oracle.coframe.difference_table:
         names.append("difference_table")
     return names
+
+
+# ---------------------------------------------------------------------------
+# subcolocale lattices and lift searches
+
+
+def table_subcolocale_lattice(host, members: int) -> tuple:
+    """A subcolocale as a lattice, plus its host indices, by ``Lattice.from_up``
+    over the host order on the members; its joins are checked against the
+    host's and its meets against conuclei of the host's meets."""
+    idxs = tuple(bits(members))
+    pos = {e: p for p, e in enumerate(idxs)}
+    lat = Lattice.from_up([mask_of(pos[j] for j in idxs if host.leq(i, j)) for i in idxs])
+    # explicit raises rather than asserts, so that this holds under -O
+    for a, b in combinations(range(len(idxs)), 2):
+        if idxs[lat.join_table[a][b]] != host.join(idxs[a], idxs[b]):
+            raise ValueError("subcolocale join is not the host's")
+        if idxs[lat.meet_table[a][b]] != conucleus(host, members, host.meet(idxs[a], idxs[b])):
+            raise ValueError("subcolocale meet is not the conucleus of the host's")
+    return lat, idxs
+
+
+def scan_coframe_maps(src, dst, fixed) -> list:
+    """Every map ``src -> dst`` that keeps the pins ``fixed``, the bounds,
+    and binary meets and joins, in lexicographic order, by trying each of
+    the ``dst.n ** src.n`` maps that agree with the pins and the bounds."""
+    pins = dict(fixed)
+    for s, t in ((src.bottom, dst.bottom), (src.top, dst.top)):
+        if pins.setdefault(s, t) != t:
+            return []
+    choices = [(pins[x],) if x in pins else range(dst.n) for x in range(src.n)]
+    pairs = list(combinations(range(src.n), 2))
+    return [h for h in product(*choices)
+            if all(h[src.meet_table[a][b]] == dst.meet_table[h[a]][h[b]]
+                   and h[src.join_table[a][b]] == dst.join_table[h[a]][h[b]]
+                   for a, b in pairs)]

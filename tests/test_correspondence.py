@@ -1,5 +1,10 @@
+import hashlib
+import json
+import random
+
 import pytest
 
+from subloc import correspondence
 from subloc import (DEFAULT_LIMITS, FrameMap, FrameWitness, NotProper, SZDBF,
                     SizeLimit, Subcolocale, RaneyExtension, downset_frame,
                     enumerate_sublocales, extend_to_coframe_map,
@@ -7,9 +12,12 @@ from subloc import (DEFAULT_LIMITS, FrameMap, FrameWitness, NotProper, SZDBF,
                     right_adjoint_image, sb, subcolocale_lattice,
                     sublocale_frame, surjection_of, szdbf_lift_check,
                     to_raney, to_szdbf)
-from subloc.corpus import gen_boolean, gen_chain
+from subloc.bits import bits
+from subloc.corpus import gen_boolean, gen_chain, gen_diamond, gen_downsets_of_poset
 from subloc.lattice import Lattice
-from subloc.subcolocales import se
+from subloc.subcolocales import enumerate_subcolocales, se
+
+from oracles import scan_coframe_maps, table_subcolocale_lattice
 
 
 def test_frame_map_validation(c3, b2):
@@ -103,11 +111,72 @@ def test_lift_verdict_json():
                  "nodes_explored": v.nodes_explored, "exhausted": False}
 
 
+def test_extension_search_matches_the_map_scan():
+    n5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    lats = (gen_chain(2), gen_chain(3), gen_chain(4), gen_boolean(2), n5, gen_diamond())
+    rng = random.Random(4)
+    seen = set()
+    for src in lats:
+        for dst in lats:
+            maps = scan_coframe_maps(src, dst, {})
+            for trial in range(8):
+                pinned = rng.sample(range(src.n), rng.randint(0, min(3, src.n)))
+                if trial % 2 and maps:   # pins some map keeps, so that lifts exist
+                    h = rng.choice(maps)
+                    fixed = {s: h[s] for s in pinned}
+                else:
+                    fixed = {s: rng.randrange(dst.n) for s in pinned}
+                want = scan_coframe_maps(src, dst, fixed)
+                v = extend_to_coframe_map(src, dst, fixed, max_witnesses=3)
+                assert v.exists == bool(want)
+                assert list(v.witnesses) == want[:3]
+                assert v.exhausted == (len(want) < 3)
+                every = extend_to_coframe_map(src, dst, fixed, max_witnesses=10 ** 9)
+                assert every.exhausted and list(every.witnesses) == want
+                seen.add(v.exists)
+    assert seen == {True, False}
+
+
 def test_subcolocale_lattice_of_full_host(hosts):
     sl = hosts["chain4"]
     lat, idxs = subcolocale_lattice(sl, (1 << sl.size) - 1)
     assert idxs == tuple(range(sl.size))
-    assert lat.n == sl.size and lat.top == sl.size - 1
+    assert lat is sl.as_lattice
+
+
+def test_subcolocale_lattice_matches_table_oracle(corpus, hosts):
+    # the down-sets of a point below two others, beside a fourth: some
+    # subcolocales of its fitted host miss a meet of their members, and the
+    # conucleus of that meet is not always the bottom
+    vee = enumerate_sublocales(FrameWitness.of(gen_downsets_of_poset((1, 14, 4, 8))))
+    checked = restricted = not_meet_closed = 0
+    for sl in [hosts[cf.name] for cf in corpus] + [vee]:
+        for host in (sl, sl.fitted_subcoframe()):
+            full = (1 << host.size) - 1
+            subs = (enumerate_subcolocales(host) if host.size <= 10
+                    else {full, sb(sl) if host is sl else full})
+            for m in subs:
+                assert subcolocale_lattice(host, m) == table_subcolocale_lattice(host, m)
+                checked += 1
+                restricted += m != full
+                not_meet_closed += any(not (m >> host.meet(a, b)) & 1
+                                       for a in bits(m) for b in bits(m))
+    assert checked >= 490 and restricted >= 400 and not_meet_closed >= 1
+
+
+def test_lift_checks_build_each_lattice_once(c3, hosts, monkeypatch):
+    built = []
+    real = correspondence.subcolocale_lattice
+    monkeypatch.setattr(correspondence, "subcolocale_lattice",
+                        lambda host, members: built.append(members) or real(host, members))
+    sl = hosts["chain3"]
+    b = SZDBF(c3, Subcolocale(sl, sb(sl)))
+    r = to_raney(b)
+    ident = FrameMap.of(c3, c3, (0, 1, 2))
+    for _ in range(3):
+        assert szdbf_lift_check(ident, b, b).exists
+        assert raney_lift_check(ident, r, r).exists
+    assert len(built) == 2
 
 
 def test_raney_and_szdbf_structures_validate(c3, hosts):
@@ -180,6 +249,28 @@ def test_lift_agreement_with_smooth_and_exact(hosts):
             r2 = to_raney(b2)
             assert szdbf_lift_check(f, b1, b2).exists == is_smooth(sl, i)
             assert raney_lift_check(f, r1, r2).exists == bool((se_m >> i) & 1)
+
+
+def test_lift_verdicts_are_pinned(corpus, hosts):
+    """Witnesses, node counts and exhaustion of both lifts along every
+    quotient map of the corpus; the report JSON carries only the verdicts.
+    The hash was taken from the search that tried every target element in
+    index order, before candidates became bitmasks."""
+    rows = []
+    for cf in corpus:
+        sl = hosts[cf.name]
+        b1 = SZDBF(cf.frame, Subcolocale(sl, sb(sl)))
+        r1 = to_raney(b1)
+        for i in range(sl.size):
+            f = surjection_of(sl, i)
+            sub_sl = enumerate_sublocales(f.target)
+            b2 = SZDBF(f.target, Subcolocale(sub_sl, sb(sub_sl)))
+            r2 = to_raney(b2)
+            rows.append((cf.name, i, szdbf_lift_check(f, b1, b2, max_witnesses=3).to_json(),
+                         raney_lift_check(f, r1, r2, max_witnesses=3).to_json()))
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert len(rows) == 268
+    assert digest == "e0c984c5af231c7d09b7f742c2b97f3c760074044ce2e2908dbd7c3ec2f32b69"
 
 
 def test_downset_frame_of_chain2_is_chain3():

@@ -10,7 +10,7 @@ from subloc.corpus import gen_boolean, gen_chain
 from subloc.lattice import family
 
 from oracles import (naive_difference, naive_heyting, naive_is_exact_meet,
-                     naive_meet, naive_join, naive_primes)
+                     naive_join_irreducibles, naive_meet, naive_join, naive_primes)
 
 
 def test_chain_tables_are_min_max(c3):
@@ -160,6 +160,14 @@ def test_join_irreducibles_and_covers(c3, b2):
     assert join_irreducibles(b2.lattice) == (1, 2)
     assert covers(c3.lattice) == ((0, 1), (1, 2))
     assert set(covers(b2.lattice)) == {(0, 1), (0, 2), (1, 3), (2, 3)}
+
+
+def test_join_irreducibles_match_the_cover_count(corpus, hosts, m3):
+    n5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    lats = [cf.frame.lattice for cf in corpus] + [m3, n5, gen_chain(1)]
+    lats += [hosts[name].as_lattice for name in ("chain5", "top3-16", "bool3")]
+    for lat in lats:
+        assert join_irreducibles(lat) == naive_join_irreducibles(lat.up)
 
 
 def test_from_relation_matches_from_up():

@@ -12,12 +12,13 @@ from subloc import (CoframeWitness, FrameWitness, enumerate_sublocales,
                     is_exact_meet, is_strongly_exact_meet, is_sublocale,
                     parse_lattice, precongruence_to_sublocale,
                     serialize_lattice, sublocale_to_precongruence)
+from subloc.correspondence import subcolocale_lattice
 from subloc.corpus import gen_downsets_of_poset
-from subloc.subcolocales import (generated_closed_form, generated_subcolocale,
-                                 is_subcolocale)
+from subloc.subcolocales import (enumerate_subcolocales, generated_closed_form,
+                                 generated_subcolocale, is_subcolocale)
 from subloc.sublocales import fit_mask, sublocale_closure
 
-from oracles import host_mismatches, table_hosts
+from oracles import host_mismatches, table_hosts, table_subcolocale_lattice
 
 
 @st.composite
@@ -143,3 +144,18 @@ def test_prime_set_hosts_match_table_oracle(up_rows):
     table_sl, table_slo = table_hosts(fw)
     assert host_mismatches(sl, table_sl) == []
     assert host_mismatches(sl.fitted_subcoframe(), table_slo) == []
+
+
+@given(posets(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_subcolocale_lattice_matches_table_oracle(up_rows, data):
+    fw = frame_of(up_rows)
+    sl = enumerate_sublocales(fw)
+    for host in (sl, sl.fitted_subcoframe()):
+        if host.size <= 10:
+            subs = enumerate_subcolocales(host)
+        else:   # few generators, so that most draws are proper subcolocales
+            gens = data.draw(st.sets(st.integers(0, host.size - 1), max_size=2))
+            subs = (generated_subcolocale(host, sum(1 << g for g in gens)),)
+        for m in subs:
+            assert subcolocale_lattice(host, m) == table_subcolocale_lattice(host, m)
