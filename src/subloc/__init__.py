@@ -2,23 +2,20 @@
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import NotAFrame, NotACoframe, NotProper, SizeLimit
-from .lattice import (CoframeWitness, ElementFamily, FrameWitness, Lattice,
-                      big_meet, big_join, coframe_difference, covered_primes,
-                      covers, heyting, is_complemented, is_exact_meet,
-                      is_linear, is_strongly_exact_meet, join_irreducibles,
-                      primes, pseudocomplement, supplement)
+from .lattice import (CoframeWitness, FrameWitness, Lattice, covered_primes,
+                      covers, is_exact_meet, is_strongly_exact_meet,
+                      join_irreducibles, primes)
 from .latfile import parse_lattice, serialize_lattice
 from .corpus import (CorpusFrame, CorpusSpec, all_topologies, gen_boolean,
                      gen_chain, gen_diamond, gen_downsets_of_poset,
                      gen_opens_of_topology, gen_product, sample_topologies,
                      standard_corpus)
-from .sublocales import (FilterSet, Precongruence, Sublocale, SublocaleCoframe,
-                         b_sublocale, closed_sublocale, enumerate_sublocales,
-                         exact_filters, fit, fitted_subcoframe,
+from .sublocales import (FilterSet, Precongruence, SublocaleCoframe,
+                         enumerate_sublocales, exact_filters, fitted_subcoframe,
                          is_exact_sublocale, is_precongruence, is_sublocale,
-                         ker, nucleus, open_sublocale, phi,
-                         precongruence_to_sublocale, strongly_exact_filters,
-                         sublocale_join, sublocale_to_precongruence)
+                         ker, phi, precongruence_to_sublocale,
+                         strongly_exact_filters, sublocale_join,
+                         sublocale_to_precongruence)
 from .subcolocales import (Subcolocale, adjunction_check, conucleus, delta,
                            enumerate_subcolocales, fit_image,
                            generated_subcolocale, is_codense, is_essential,

@@ -21,9 +21,8 @@ class Limits:
     # Largest host (coframe of sublocales) whose subcolocales are enumerated
     # by brute force over all 2^|host| bit-sets.
     max_subcolocale_host: int = 16
-    # Node budget and witness cap for the lifting searches.
+    # Node budget for the lifting searches.
     lift_node_budget: int = 1_000_000
-    lift_max_witnesses: int = 64
     # Bounds for down-set lattice constructions.
     max_downset_ground: int = 16
     max_downsets: int = 4096

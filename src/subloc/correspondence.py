@@ -381,12 +381,6 @@ def extend_to_coframe_map(src: Lattice, dst: Lattice, fixed: dict[int, int],
                        exhausted=not stopped)
 
 
-def _local_fixed(src_idxs, dst_idxs, pins: Sequence[tuple[int, int]]) -> dict[int, int]:
-    spos = {e: p for p, e in enumerate(src_idxs)}
-    dpos = {e: p for p, e in enumerate(dst_idxs)}
-    return {spos[s]: dpos[t] for s, t in pins}
-
-
 def raney_lift_check(f: FrameMap, r1: RaneyExtension, r2: RaneyExtension,
                      limits: Limits = DEFAULT_LIMITS,
                      max_witnesses: int = 1) -> LiftVerdict:
@@ -395,15 +389,8 @@ def raney_lift_check(f: FrameMap, r1: RaneyExtension, r2: RaneyExtension,
     The lift must send the open of ``x`` to the open of ``f(x)``; its
     values elsewhere are searched for.
     """
-    if f.source != r1.frame or f.target != r2.frame:
-        raise ValueError("the map's frames must match the structures")
-    src_lat, src_idxs = _sub_lattice(r1, r1.f_sub)
-    dst_lat, dst_idxs = _sub_lattice(r2, r2.f_sub)
-    pins = [(r1.f_sub.host.open_index[x], r2.f_sub.host.open_index[f(x)])
-            for x in range(f.source.lattice.n)]
-    fixed = _local_fixed(src_idxs, dst_idxs, pins)
-    verdict = extend_to_coframe_map(src_lat, dst_lat, fixed, limits, max_witnesses)
-    return _globalize(verdict, dst_idxs)
+    return _lift_check(f, r1, r1.f_sub, r2, r2.f_sub, SublocaleCoframe.open_of,
+                       limits, max_witnesses)
 
 
 def szdbf_lift_check(f: FrameMap, b1: SZDBF, b2: SZDBF,
@@ -413,19 +400,25 @@ def szdbf_lift_check(f: FrameMap, b1: SZDBF, b2: SZDBF,
 
     The lift must send the closed of ``x`` to the closed of ``f(x)``.
     """
-    if f.source != b1.frame or f.target != b2.frame:
+    return _lift_check(f, b1, b1.d_sub, b2, b2.d_sub, SublocaleCoframe.closed_of,
+                       limits, max_witnesses)
+
+
+def _lift_check(f: FrameMap, s1: RaneyExtension | SZDBF, sub1: Subcolocale,
+                s2: RaneyExtension | SZDBF, sub2: Subcolocale, pin,
+                limits: Limits, max_witnesses: int) -> LiftVerdict:
+    """Search for a lift of ``f`` between the subcolocales ``sub1`` of
+    ``s1`` and ``sub2`` of ``s2`` that sends ``pin(host1, x)`` to
+    ``pin(host2, f(x))``; witness values are target host indices."""
+    if f.source != s1.frame or f.target != s2.frame:
         raise ValueError("the map's frames must match the structures")
-    src_lat, src_idxs = _sub_lattice(b1, b1.d_sub)
-    dst_lat, dst_idxs = _sub_lattice(b2, b2.d_sub)
-    pins = [(b1.d_sub.host.closed_of(x), b2.d_sub.host.closed_of(f(x)))
-            for x in range(f.source.lattice.n)]
-    fixed = _local_fixed(src_idxs, dst_idxs, pins)
+    src_lat, src_idxs = _sub_lattice(s1, sub1)
+    dst_lat, dst_idxs = _sub_lattice(s2, sub2)
+    spos = {e: p for p, e in enumerate(src_idxs)}
+    dpos = {e: p for p, e in enumerate(dst_idxs)}
+    fixed = {spos[pin(sub1.host, x)]: dpos[pin(sub2.host, f(x))]
+             for x in range(f.source.lattice.n)}
     verdict = extend_to_coframe_map(src_lat, dst_lat, fixed, limits, max_witnesses)
-    return _globalize(verdict, dst_idxs)
-
-
-def _globalize(verdict: LiftVerdict, dst_idxs: tuple[int, ...]) -> LiftVerdict:
-    """Re-express witness values as host indices of the target coframe."""
     return LiftVerdict(verdict.exists,
                        tuple(tuple(dst_idxs[v] for v in w) for w in verdict.witnesses),
                        verdict.nodes_explored, verdict.exhausted)

@@ -13,7 +13,7 @@ distributivity already implies the complete frame and coframe laws.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
@@ -179,83 +179,32 @@ def join_irreducibles(lat: Lattice) -> tuple[int, ...]:
     return tuple(j for j in range(lat.n) if lat.big_join(lat.dn[j] & ~bit(j)) != j)
 
 
-@dataclass(frozen=True)
-class ElementFamily:
-    """A (possibly empty) subset of a lattice, used to state meet/join laws."""
-
-    lattice: Lattice
-    members: int
-
-    def __post_init__(self):
-        if self.members & ~self.lattice.full_mask:
-            raise ValueError("family members outside the lattice")
-
-    def __iter__(self):
-        return bits(self.members)
-
-
-def family(lat: Lattice, items: Iterable[int]) -> ElementFamily:
-    return ElementFamily(lat, mask_of(items))
-
-
-def _members(fam: Union[ElementFamily, int]) -> int:
-    return fam.members if isinstance(fam, ElementFamily) else fam
-
-
-def big_meet(lat: Lattice, fam: Union[ElementFamily, int]) -> int:
-    return lat.big_meet(_members(fam))
-
-
-def big_join(lat: Lattice, fam: Union[ElementFamily, int]) -> int:
-    return lat.big_join(_members(fam))
-
-
-def is_exact_meet(lat: Lattice, fam: Union[ElementFamily, int]) -> bool:
+def is_exact_meet(lat: Lattice, fam: int) -> bool:
     """Whether joining any ``y`` distributes over the meet of the family.
 
     The empty family has meet top, and ``top v y = top`` always, so the
     empty family is exact.
     """
-    m = _members(fam)
-    bm = lat.big_meet(m)
+    bm = lat.big_meet(fam)
     join, meet = lat.join_table, lat.meet_table
     for y in range(lat.n):
         acc = lat.top
-        for x in bits(m):
+        for x in bits(fam):
             acc = meet[acc][join[x][y]]
         if acc != join[bm][y]:
             return False
     return True
 
 
-def is_strongly_exact_meet(fw: "FrameWitness", fam: Union[ElementFamily, int]) -> bool:
+def is_strongly_exact_meet(fw: "FrameWitness", fam: int) -> bool:
     """Whether the family's meet inherits every Heyting fixpoint of its members."""
-    m = _members(fam)
     lat = fw.lattice
-    bm = lat.big_meet(m)
+    bm = lat.big_meet(fam)
     hey = fw.heyting_table
     for y in range(lat.n):
-        if all(hey[x][y] == y for x in bits(m)) and hey[bm][y] != y:
+        if all(hey[x][y] == y for x in bits(fam)) and hey[bm][y] != y:
             return False
     return True
-
-
-def is_complemented(lat: Lattice, c: int) -> bool:
-    meet, join = lat.meet_table[c], lat.join_table[c]
-    return any(meet[d] == lat.bottom and join[d] == lat.top for d in range(lat.n))
-
-
-def is_linear(lat: Lattice, c: int, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Whether meeting with ``c`` distributes over arbitrary joins.
-
-    Quantifies over :func:`families`; the empty family holds trivially
-    (``bottom ^ c = bottom``).
-    """
-    join, mc = lat.join_table, lat.meet_table[c]
-    # value of a family: (its join, the join of its members' meets with c)
-    folds = fold_families(families(lat.n, limits), (lat.bottom, lat.bottom),
-                          lambda v, a: (join[v[0]][a], join[v[1]][mc[a]]))
-    return all(mc[j] == acc for _, (j, acc) in folds)
 
 
 def families(n: int, limits: Limits = DEFAULT_LIMITS) -> Sequence[int]:
@@ -328,12 +277,6 @@ class FrameWitness:
     def n(self) -> int:
         return self.lattice.n
 
-    def heyting(self, x: int, y: int) -> int:
-        return self.heyting_table[x][y]
-
-    def pseudocomplement(self, a: int) -> int:
-        return self.heyting_table[a][self.lattice.bottom]
-
     def family_table(self, limits: Limits = DEFAULT_LIMITS) -> "FamilyTable":
         """The :class:`FamilyTable` of ``families(n, limits)``, built once."""
         fams = families(self.lattice.n, limits)
@@ -381,14 +324,6 @@ class FamilyTable:
         """Exactness of any family: read from the table when it is there."""
         got = self.exact.get(fam)
         return is_exact_meet(self.lattice, fam) if got is None else got
-
-
-def heyting(fw: FrameWitness, x: int, y: int) -> int:
-    return fw.heyting_table[x][y]
-
-
-def pseudocomplement(fw: FrameWitness, a: int) -> int:
-    return fw.pseudocomplement(a)
 
 
 def primes(fw: FrameWitness) -> int:
@@ -463,17 +398,3 @@ class CoframeWitness:
     def n(self) -> int:
         return self.lattice.n
 
-    def difference(self, x: int, y: int) -> int:
-        """Least ``z`` with ``x <= y v z``."""
-        return self.difference_table[x][y]
-
-    def supplement(self, c: int) -> int:
-        return self.difference_table[self.lattice.top][c]
-
-
-def coframe_difference(cw: CoframeWitness, x: int, y: int) -> int:
-    return cw.difference_table[x][y]
-
-
-def supplement(cw: CoframeWitness, c: int) -> int:
-    return cw.supplement(c)

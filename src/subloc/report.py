@@ -209,7 +209,6 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
 
     bad = []
     for fi, fm in enumerate(sl_o.elems):
-        f_sl = sl.index[fm]
         for x in range(n):
             fitted = sl.fit(sl.index[fm & closed_mask(fw, x)])
             lhs = sl_o.index[sl.elems[fitted]]
@@ -303,14 +302,14 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
         except NotProper:
             bad.append(f)
             continue
-        if sl_o.index[sl.elems[sl.fit(s)]] != f:
+        if sl_o.fit_of[s] != f:
             bad.append(f)
     checks.add("fit-after-sigma-is-identity", bad)
 
     bad = []
     sb_image = fit_image(sl, sl_o, sb_m)
     for d in range(k):
-        fit_d = sl_o.index[sl.elems[sl.fit(d)]]
+        fit_d = sl_o.fit_of[d]
         nu_d = conucleus(sl, sb_m, sl.fit(d))
         if nu_d != sigma(sl, sl_o, sb_image, fit_d):
             bad.append(d)
@@ -360,7 +359,7 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
         fm = fit_image(sl, sl_o, dm)
         for d in bits(dm):
             for f in bits(fm):
-                left = sl_o.leq(sl_o.index[sl.elems[sl.fit(d)]], f)
+                left = sl_o.leq(sl_o.fit_of[d], f)
                 right = sl.leq(d, sigma(sl, sl_o, fm, f))
                 if left != right:
                     bad.append((d, f))

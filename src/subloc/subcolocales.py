@@ -2,45 +2,43 @@
 
 A subcolocale of a coframe is a subset closed under all joins (hence
 containing the bottom) and under differences ``d - c`` with arbitrary
-``c``.  Subcolocales of a :class:`~subloc.sublocales.SublocaleCoframe`
-are bitmasks over its indices.
+``c``.  Its host is a :class:`~subloc.sublocales.SublocaleCoframe`, and a
+subcolocale is a bitmask over the host indices.
 
-The calculus implemented here connects two hosts: collections ``F`` of
-fitted sublocales that are *proper* (contain all opens, with exact joins
-of opens) and codense subcolocales ``D`` of the full sublocale coframe.
-``sigma`` realizes a fitted member of ``F`` as a canonical sublocale,
-``delta`` generates a codense subcolocale from a proper ``F``, and
-``fit_image`` maps a subcolocale of sublocales back down to fitted ones.
-``delta`` is left adjoint to ``fit_image`` and restricts to a bijection
-between proper collections and the codense subcolocales that are
-*essential* (generated by their saturated elements).
+Everything here reads the host tables.  Trimming a sublocale by an open
+or a closed is a host meet with an entry of ``open_index`` or
+``closed_index``; :func:`closed_trims` joins up the closed trims of a set
+of members, which gives ``sb``, ``delta``, the closed form of the
+generated subcolocale and the essentiality test.  Crossing from ``S(L)``
+to ``S_o(L)`` and back is a lookup in the fitted host's translation table
+``fit_of`` / ``full_index``.  Only ``se`` reads sublocales as sets of
+frame elements, because exactness is a property of the quotient onto
+them.
+
+The calculus connects two hosts: collections ``F`` of fitted sublocales
+that are *proper* (contain all opens, with exact joins of opens) and
+codense subcolocales ``D`` of the full sublocale coframe.  ``sigma``
+realizes a fitted member of ``F`` as a canonical sublocale, ``delta``
+generates a codense subcolocale from a proper ``F``, and ``fit_image``
+maps a subcolocale of sublocales back down to fitted ones.  ``delta`` is
+left adjoint to ``fit_image`` and restricts to a bijection between proper
+collections and the codense subcolocales that are *essential* (generated
+by their saturated elements).
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Sequence
 
 from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .errors import NotProper, SizeLimit
-from .lattice import CoframeWitness, Lattice, families, fold_families, primes
-from .sublocales import (SublocaleCoframe, b_mask, fit_mask, is_exact_sublocale,
-                         is_precongruence, open_mask)
-
-Host = Union[CoframeWitness, SublocaleCoframe]
+from .lattice import Lattice, families, fold_families
+from .sublocales import SublocaleCoframe, is_exact_sublocale, is_precongruence
 
 
-def _host_lattice(host: Host) -> Lattice:
-    return host.lattice if isinstance(host, CoframeWitness) else host.as_lattice
-
-
-def _host_coframe(host: Host) -> CoframeWitness:
-    return host if isinstance(host, CoframeWitness) else host.coframe
-
-
-def _is_subcolocale_raw(cw: CoframeWitness, members: int) -> bool:
-    """Bottom membership, then closure under binary joins and differences."""
-    lat = cw.lattice
+def _join_closed(lat: Lattice, members: int) -> bool:
+    """Bottom membership and closure under binary joins."""
     if not (members >> lat.bottom) & 1:
         return False
     elems = list(bits(members))
@@ -50,63 +48,65 @@ def _is_subcolocale_raw(cw: CoframeWitness, members: int) -> bool:
         for b in elems[pos:]:
             if not (members >> ja[b]) & 1:
                 return False
-    diff = cw.difference_table
-    for d in elems:
+    return True
+
+
+def _is_subcolocale_raw(host: SublocaleCoframe, members: int) -> bool:
+    """Bottom membership, then closure under binary joins and differences."""
+    if not _join_closed(host.as_lattice, members):
+        return False
+    diff = host.coframe.difference_table
+    for d in bits(members):
         for v in diff[d]:
             if not (members >> v) & 1:
                 return False
     return True
 
 
-def is_subcolocale(host: Host, members: int) -> bool:
-    """Check the join/difference closure; on sublocale hosts also check the
-    intersection-stability characterizations and insist they agree."""
-    cw = _host_coframe(host)
-    generic = _is_subcolocale_raw(cw, members)
-    if isinstance(host, SublocaleCoframe):
-        special = _is_subcolocale_characterized(host, members)
-        assert special == generic, "subcolocale characterizations disagree"
+def is_subcolocale(host: SublocaleCoframe, members: int) -> bool:
+    """Check the join/difference closure and the intersection-stability
+    characterization, and insist they agree."""
+    generic = _is_subcolocale_raw(host, members)
+    special = _is_subcolocale_characterized(host, members)
+    assert special == generic, "subcolocale characterizations disagree"
     return generic
 
 
 def _is_subcolocale_characterized(sl: SublocaleCoframe, members: int) -> bool:
     """Join closure plus stability under meeting with opens and closeds
     (full host), or under fitted meets with closeds (fitted host)."""
-    lat = sl.as_lattice
-    if not (members >> lat.bottom) & 1:
+    if not _join_closed(sl.as_lattice, members):
         return False
-    elems = list(bits(members))
-    join = lat.join_table
-    for pos, a in enumerate(elems):
-        ja = join[a]
-        for b in elems[pos:]:
-            if not (members >> ja[b]) & 1:
-                return False
-    fw = sl.ambient
-    n = fw.lattice.n
-    for i in elems:
-        mi = sl.elems[i]
-        for x in range(n):
-            if sl.fitted:
-                probe = sl.index[fit_mask(fw, mi & fw.lattice.up[x])]
-                if not (members >> probe) & 1:
-                    return False
-            else:
-                for probe_mask in (mi & open_mask(fw, x), mi & fw.lattice.up[x]):
-                    if not (members >> sl.index[probe_mask]) & 1:
-                        return False
-    return True
+    if sl.fitted:
+        full = sl.parent
+        trimmed = _trims(full, mask_of(sl.full_index[i] for i in bits(members)),
+                         full.closed_index)
+        probes = mask_of(sl.fit_of[t] for t in bits(trimmed))
+    else:
+        probes = _trims(sl, members, sl.open_index + sl.closed_index)
+    return probes & ~members == 0
 
 
-def conucleus(host: Host, members: int, c: int) -> int:
+def _trims(sl: SublocaleCoframe, members: int, by: Sequence[int]) -> int:
+    """Host meets of every member with every index in ``by``."""
+    meet = sl.as_lattice.meet_table
+    return mask_of(meet[i][t] for i in bits(members) for t in by)
+
+
+def closed_trims(sl: SublocaleCoframe, members: int) -> int:
+    """Join closure of the members' meets with every closed of the full host."""
+    return join_closure(sl, _trims(sl, members, sl.closed_index))
+
+
+def conucleus(host: SublocaleCoframe, members: int, c: int) -> int:
     """Largest member of the subcolocale below ``c``."""
-    lat = _host_lattice(host)
+    lat = host.as_lattice
     return lat.big_join(members & lat.dn[c])
 
 
-def join_closure(host: Host, members: int) -> int:
+def join_closure(host: SublocaleCoframe, members: int) -> int:
     """Close a subset under all joins, including the empty join."""
-    lat = _host_lattice(host)
+    lat = host.as_lattice
     m = members | bit(lat.bottom)
     join = lat.join_table
     while True:
@@ -121,12 +121,11 @@ def join_closure(host: Host, members: int) -> int:
         m = new
 
 
-def generated_subcolocale(host: Host, members: int) -> int:
+def generated_subcolocale(host: SublocaleCoframe, members: int) -> int:
     """Smallest subcolocale containing the given members (join/difference
     closure computed as an alternating fixpoint)."""
-    cw = _host_coframe(host)
-    lat = cw.lattice
-    diff = cw.difference_table
+    lat = host.as_lattice
+    diff = host.coframe.difference_table
     m = members | bit(lat.bottom)
     while True:
         new = join_closure(host, m)
@@ -143,24 +142,14 @@ def generated_closed_form(sl: SublocaleCoframe, members: int) -> int:
     """On a full sublocale host, the generated subcolocale in closed form:
     joins of open-and-closed trims of the generators."""
     assert not sl.fitted
-    fw = sl.ambient
-    n = fw.lattice.n
-    basics = 0
-    for i in bits(members):
-        mi = sl.elems[i]
-        for a in range(n):
-            mo = mi & open_mask(fw, a)
-            for b in range(n):
-                basics |= bit(sl.index[mo & fw.lattice.up[b]])
-    return join_closure(sl, basics)
+    return closed_trims(sl, _trims(sl, members, sl.open_index))
 
 
-def is_codense(host: Host, members: int) -> bool:
-    lat = _host_lattice(host)
-    return bool((members >> lat.top) & 1)
+def is_codense(host: SublocaleCoframe, members: int) -> bool:
+    return bool((members >> host.as_lattice.top) & 1)
 
 
-def enumerate_subcolocales(host: Host, which: str = "all",
+def enumerate_subcolocales(host: SublocaleCoframe, which: str = "all",
                            limits: Limits = DEFAULT_LIMITS) -> tuple[int, ...]:
     """All subcolocale bitmasks of the host, in increasing mask order.
 
@@ -170,13 +159,12 @@ def enumerate_subcolocales(host: Host, which: str = "all",
     """
     if which not in ("all", "codense", "proper"):
         raise ValueError(f"unknown filter {which!r}")
-    cw = _host_coframe(host)
-    lat = cw.lattice
+    lat = host.as_lattice
     k = lat.n
     if k > limits.max_subcolocale_host:
         raise SizeLimit(f"host of size {k} exceeds the subcolocale enumeration bound "
                         f"{limits.max_subcolocale_host}")
-    if which == "proper" and not (isinstance(host, SublocaleCoframe) and host.fitted):
+    if which == "proper" and not host.fitted:
         raise ValueError("the proper filter needs a fitted sublocale host")
     bottombit = bit(lat.bottom)
     topbit = bit(lat.top)
@@ -186,7 +174,7 @@ def enumerate_subcolocales(host: Host, which: str = "all",
             continue
         if which == "codense" and not m & topbit:
             continue
-        if not _is_subcolocale_raw(cw, m):
+        if not _is_subcolocale_raw(host, m):
             continue
         if which == "proper" and not is_proper(host, m, limits):
             continue
@@ -227,23 +215,18 @@ class Subcolocale:
 def sb(sl: SublocaleCoframe) -> int:
     """Join closure of the closed-meet-open rectangles: the smallest codense
     subcolocale of the full sublocale coframe."""
-    fw = sl.ambient
-    n = fw.lattice.n
-    gens = 0
-    for x in range(n):
-        cx = fw.lattice.up[x]
-        for y in range(n):
-            gens |= bit(sl.index[cx & open_mask(fw, y)])
-    return join_closure(sl, gens)
+    return closed_trims(sl, mask_of(sl.open_index))
+
+
+def point_sublocales(sl: SublocaleCoframe) -> int:
+    """The point sublocales ``b(p)``, the smallest sublocales of the primes:
+    on the full host, those of the singleton prime sets."""
+    return mask_of(i for i, q in enumerate(sl.points) if q and not q & (q - 1))
 
 
 def ssp(sl: SublocaleCoframe) -> int:
-    """Join closure of the point sublocales (smallest sublocales of primes)."""
-    fw = sl.ambient
-    gens = 0
-    for p in bits(primes(fw)):
-        gens |= bit(sl.index[b_mask(fw, p)])
-    return join_closure(sl, gens)
+    """Join closure of the point sublocales."""
+    return join_closure(sl, point_sublocales(sl))
 
 
 def se(sl: SublocaleCoframe, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -257,11 +240,10 @@ def se(sl: SublocaleCoframe, limits: Limits = DEFAULT_LIMITS) -> int:
 
 
 def fit_image(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int) -> int:
-    """Fittings of the members, as a bitmask over the fitted host."""
-    out = 0
-    for i in bits(members):
-        out |= bit(sl_o.index[sl.elems[sl.fit(i)]])
-    return out
+    """Fittings of the members of ``sl``, as a bitmask over its fitted host
+    ``sl_o``."""
+    fit_of = sl_o.fit_of
+    return mask_of(fit_of[i] for i in bits(members))
 
 
 def leq_f(sl_o: SublocaleCoframe, members: int, f: int) -> tuple[int, ...]:
@@ -329,18 +311,16 @@ def sigma(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int, f: int) ->
     """
     if not (members >> f) & 1:
         raise ValueError("f is not a member of the subcolocale")
-    fw = sl.ambient
-    n = fw.lattice.n
+    n = sl.ambient.lattice.n
+    meet, join = sl.as_lattice.meet_table, sl.as_lattice.join_table
     rel = leq_f(sl_o, members, f)
-    acc = fw.lattice.full_mask
+    s = sl.as_lattice.top
     for x in range(n):
-        cx = sl.closed_index[x]
+        jx = join[sl.closed_index[x]]
         for y in bits(rel[x]):
-            acc &= sl.elems[sl.join(cx, sl.open_index[y])]
-    s = sl.index[acc]
+            s = meet[s][jx[sl.open_index[y]]]
     for x in range(n):
-        fitted = sl.fit(sl.index[acc & open_mask(fw, x)])
-        lhs = sl_o.index[sl.elems[fitted]]
+        lhs = sl_o.fit_of[meet[s][sl.open_index[x]]]
         rhs = conucleus(sl_o, members, sl_o.meet(f, sl_o.open_index[x]))
         if lhs != rhs:
             raise NotProper(f"meet identity fails at element {x}: "
@@ -354,16 +334,8 @@ def delta(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int) -> int:
     Computed as joins of closed trims of the sigma images and checked
     against the generic generated subcolocale.
     """
-    fw = sl.ambient
-    n = fw.lattice.n
-    sigmas = 0
-    basics = 0
-    for f in bits(members):
-        s = sigma(sl, sl_o, members, f)
-        sigmas |= bit(s)
-        for x in range(n):
-            basics |= bit(sl.index[sl.elems[s] & fw.lattice.up[x]])
-    out = join_closure(sl, basics)
+    sigmas = mask_of(sigma(sl, sl_o, members, f) for f in bits(members))
+    out = closed_trims(sl, sigmas)
     assert out == generated_subcolocale(sl, sigmas), \
         "closed-form delta disagrees with the generated subcolocale"
     return out
@@ -392,15 +364,8 @@ def is_essential(sl: SublocaleCoframe, members: int,
     """
     if sl_o is None:
         sl_o = sl.fitted_subcoframe()
-    fw = sl.ambient
-    n = fw.lattice.n
     sat = saturated_elements(sl, members)
-    basics = 0
-    for i in bits(sat):
-        mi = sl.elems[i]
-        for z in range(n):
-            basics |= bit(sl.index[mi & fw.lattice.up[z]])
-    regenerated = join_closure(sl, basics)
+    regenerated = closed_trims(sl, sat)
     assert regenerated == generated_subcolocale(sl, sat), \
         "closed-form saturation closure disagrees with the generic one"
     direct = regenerated == members

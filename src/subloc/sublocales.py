@@ -99,42 +99,6 @@ def fit_mask(fw: FrameWitness, members: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class Sublocale:
-    """A validated sublocale of a fixed frame."""
-
-    frame: FrameWitness
-    members: int
-
-    @classmethod
-    def of(cls, frame: FrameWitness, members: int) -> "Sublocale":
-        if not is_sublocale(frame, members):
-            raise ValueError("not a sublocale: fails meet or arrow closure")
-        return cls(frame, members)
-
-    def contains(self, x: int) -> bool:
-        return bool((self.members >> x) & 1)
-
-    def nucleus(self, a: int) -> int:
-        return nucleus_element(self.frame, self.members, a)
-
-
-def open_sublocale(fw: FrameWitness, a: int) -> Sublocale:
-    return Sublocale(fw, open_mask(fw, a))
-
-
-def closed_sublocale(fw: FrameWitness, a: int) -> Sublocale:
-    return Sublocale(fw, closed_mask(fw, a))
-
-
-def b_sublocale(fw: FrameWitness, a: int) -> Sublocale:
-    return Sublocale(fw, b_mask(fw, a))
-
-
-def nucleus(s: Sublocale, a: int) -> int:
-    return s.nucleus(a)
-
-
 class SublocaleCoframe:
     """The coframe of (all, or all fitted) sublocales of a finite frame.
 
@@ -144,10 +108,12 @@ class SublocaleCoframe:
     0 is the bottom.  Inclusion of sublocales is inclusion of prime sets,
     so ``as_lattice`` takes its meet table from ``&`` and its join table
     from ``|``, and ``coframe`` its difference table from ``& ~``; on the
-    fitted host the difference is down-closed.  ``tests/oracles.py`` builds
-    the same tables from the member masks by the generic constructions,
-    and the laws suite compares them with intersections and (fitted)
-    closures of unions.  Instances are immutable after construction.
+    fitted host the difference is down-closed.  A fitted host also carries
+    ``fit_of`` and ``full_index``, which translate indices from and to its
+    parent, the full host.  ``tests/oracles.py`` builds the same tables
+    from the member masks by the generic constructions, and the laws suite
+    compares them with intersections and (fitted) closures of unions.
+    Instances are immutable after construction.
     """
 
     def __init__(self, ambient: FrameWitness, points: Iterable[int],
@@ -177,6 +143,12 @@ class SublocaleCoframe:
         self.open_index = tuple(self.index[open_mask(ambient, a)] for a in range(n))
         self.closed_index = tuple(self.index.get(ambient.lattice.up[a]) for a in range(n))
         self.fit_index = tuple(pos[down[q]] for q in pts)
+        # the translation table of a fitted host: fit_of[i] is the index here
+        # of the fit of parent index i, full_index[j] the parent index of j
+        self.fit_of = self.full_index = None
+        if parent is not None:
+            self.fit_of = tuple(pos[down[q]] for q in parent.points)
+            self.full_index = tuple(parent.index[m] for m in self.elems)
         self._fitted_sub: SublocaleCoframe | None = None
 
     @property
@@ -194,12 +166,6 @@ class SublocaleCoframe:
 
     def diff(self, i: int, j: int) -> int:
         return self.coframe.difference_table[i][j]
-
-    def join_fold(self, idx_mask: int) -> int:
-        return self.as_lattice.big_join(idx_mask)
-
-    def meet_fold(self, idx_mask: int) -> int:
-        return self.as_lattice.big_meet(idx_mask)
 
     def open_of(self, a: int) -> int:
         return self.open_index[a]
@@ -279,10 +245,6 @@ def sublocale_join(sl: SublocaleCoframe, idxs: Iterable[int]) -> int:
     return got
 
 
-def fit(sl: SublocaleCoframe, i: int) -> int:
-    return sl.fit_index[i]
-
-
 # ---------------------------------------------------------------------------
 # filters
 
@@ -305,25 +267,19 @@ def all_filters(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> tuple[int,
     return tuple(sorted(fw.lattice.up, key=lambda m: (bin(m).count("1"), m)))
 
 
-def _meet_stable_filters(fw: FrameWitness, stable: dict[int, bool],
-                         limits: Limits) -> FilterSet:
-    """Filters holding the meet of each family of their members that the
-    family-table flags ``stable`` admit."""
-    tab = fw.family_table(limits)
-    keep = tuple(f for f in all_filters(fw, limits)
-                 if all((f >> tab.meet[fam]) & 1 for fam in tab.fams
-                        if fam & ~f == 0 and stable[fam]))
-    return FilterSet(fw, keep)
-
-
 def strongly_exact_filters(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> FilterSet:
-    """Filters closed under strongly exact meets of their members."""
-    return _meet_stable_filters(fw, fw.family_table(limits).strongly_exact, limits)
+    """Filters closed under strongly exact meets of their members.
+
+    Every filter of a finite lattice is principal, so it holds the meet of
+    every subset of its members, exact or not: these are all the filters.
+    """
+    return FilterSet(fw, all_filters(fw, limits))
 
 
 def exact_filters(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> FilterSet:
-    """Filters closed under exact meets of their members."""
-    return _meet_stable_filters(fw, fw.family_table(limits).exact, limits)
+    """Filters closed under exact meets of their members: all the filters,
+    for the reason given in :func:`strongly_exact_filters`."""
+    return FilterSet(fw, all_filters(fw, limits))
 
 
 def ker(sl: SublocaleCoframe, i: int) -> int:

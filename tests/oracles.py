@@ -8,10 +8,11 @@ kind: they quantify over the same families as the package but fold every
 family from scratch with the generic helpers, where the package extends
 each family's value from a smaller family's through a per-frame table.
 The sublocale coframes are built from member masks by the generic
-constructions the package builds from sets of primes instead.  At the very
-end, subcolocales become lattices through ``Lattice.from_up`` where the
-package restricts its host's tables, and lift searches become a scan of
-every map.
+constructions the package builds from sets of primes instead, and the
+host-index reads of the subcolocale calculus are held to the mask
+operations they stand for.  At the very end, subcolocales become lattices
+through ``Lattice.from_up`` where the package restricts its host's
+tables, and lift searches become a scan of every map.
 """
 
 from itertools import combinations, product
@@ -20,9 +21,9 @@ from subloc.bits import bit, bits, mask_of, submasks
 from subloc.config import DEFAULT_LIMITS
 from subloc.errors import SizeLimit
 from subloc.lattice import CoframeWitness, Lattice, families, is_exact_meet
-from subloc.subcolocales import conucleus
-from subloc.sublocales import (fit_mask, is_sublocale, nucleus_element, open_mask,
-                               sublocale_closure)
+from subloc.subcolocales import conucleus, point_sublocales
+from subloc.sublocales import (b_mask, closed_mask, fit_mask, is_sublocale,
+                               nucleus_element, open_mask, sublocale_closure)
 
 
 def leq(up, x: int, y: int) -> bool:
@@ -436,6 +437,45 @@ def host_mismatches(host, oracle) -> list:
     if host.coframe.difference_table != oracle.coframe.difference_table:
         names.append("difference_table")
     return names
+
+
+def host_read_mismatches(sl) -> tuple:
+    """Where the host-index reads of the subcolocale calculus differ from
+    the member-mask operations they stand for, and how many were compared.
+
+    On the full host ``sl`` and its fitted host: ``fit_of`` against
+    ``fit_mask``, ``full_index`` against the fitted members, the open and
+    closed trims (host meets) against ``& open_mask`` and ``& closed_mask``,
+    the fitted closed probe against the fit of ``& closed_mask``, and the
+    point sublocales against ``b_mask`` of the primes.
+    """
+    fw = sl.ambient
+    n = fw.lattice.n
+    sl_o = sl.fitted_subcoframe()
+    bad = []
+    cases = 0
+
+    def compare(got, want, *where):
+        nonlocal cases
+        cases += 1
+        if got != want:
+            bad.append(where)
+
+    for i, m in enumerate(sl.elems):
+        compare(sl_o.fit_of[i], sl_o.index[fit_mask(fw, m)], "fit_of", i)
+        for x in range(n):
+            compare(sl.meet(i, sl.open_index[x]), sl.index[m & open_mask(fw, x)],
+                    "open trim", i, x)
+            compare(sl.meet(i, sl.closed_index[x]), sl.index[m & closed_mask(fw, x)],
+                    "closed trim", i, x)
+    for j, m in enumerate(sl_o.elems):
+        compare(sl_o.full_index[j], sl.index[m], "full_index", j)
+        for x in range(n):
+            compare(sl_o.fit_of[sl.meet(sl_o.full_index[j], sl.closed_index[x])],
+                    sl_o.index[fit_mask(fw, m & closed_mask(fw, x))], "fitted probe", j, x)
+    compare(point_sublocales(sl), mask_of(sl.index[b_mask(fw, p)] for p in bits(fw.primes)),
+            "point sublocales")
+    return bad, cases
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,9 @@ def test_criterion_1_coframe_laws(corpus, hosts):
                     failures.append((cf.name, "closed-join", a, b))
         for fam in range(1 << n):
             j = lat.big_join(fam)
-            if sl.join_fold(mask_of(opens[a] for a in bits(fam))) != opens[j]:
+            if host.big_join(mask_of(opens[a] for a in bits(fam))) != opens[j]:
                 failures.append((cf.name, "open-join-family", fam))
-            if sl.meet_fold(mask_of(closeds[a] for a in bits(fam))) != closeds[j]:
+            if host.big_meet(mask_of(closeds[a] for a in bits(fam))) != closeds[j]:
                 failures.append((cf.name, "closed-meet-family", fam))
         for a in range(n):
             if sl.meet(opens[a], closeds[a]) != 0:

@@ -1,13 +1,10 @@
 import pytest
 
 from subloc import (CoframeWitness, FrameWitness, Lattice, NotACoframe,
-                    NotAFrame, big_join, big_meet, coframe_difference,
-                    covered_primes, covers, heyting, is_complemented,
-                    is_exact_meet, is_linear, is_strongly_exact_meet,
-                    join_irreducibles, primes, pseudocomplement, supplement)
+                    NotAFrame, covered_primes, covers, is_exact_meet,
+                    is_strongly_exact_meet, join_irreducibles, primes)
 from subloc.bits import bits
 from subloc.corpus import gen_boolean, gen_chain
-from subloc.lattice import family
 
 from oracles import (naive_difference, naive_heyting, naive_is_exact_meet,
                      naive_join_irreducibles, naive_meet, naive_join, naive_primes)
@@ -38,7 +35,7 @@ def test_chain_heyting_frozen(c3):
 def test_boolean_heyting_is_relative_complement(b2):
     for x in range(4):
         for y in range(4):
-            assert heyting(b2, x, y) == (~x | y) & 3
+            assert b2.heyting_table[x][y] == (~x | y) & 3
 
 
 def test_heyting_against_naive_oracle(corpus):
@@ -47,7 +44,7 @@ def test_heyting_against_naive_oracle(corpus):
         n = cf.frame.lattice.n
         for x in range(n):
             for y in range(n):
-                assert cf.frame.heyting(x, y) == naive_heyting(up, x, y)
+                assert cf.frame.heyting_table[x][y] == naive_heyting(up, x, y)
 
 
 def test_meet_join_tables_against_naive_oracle(corpus):
@@ -65,7 +62,7 @@ def test_difference_against_naive_oracle(corpus):
         cw = CoframeWitness.of(lat)
         for x in range(lat.n):
             for y in range(lat.n):
-                assert cw.difference(x, y) == naive_difference(lat.up, x, y)
+                assert cw.difference_table[x][y] == naive_difference(lat.up, x, y)
 
 
 def test_duality_swaps_heyting_and_difference(corpus):
@@ -75,19 +72,21 @@ def test_duality_swaps_heyting_and_difference(corpus):
         dual_fw = FrameWitness.of(lat.dual())
         for x in range(lat.n):
             for y in range(lat.n):
-                assert dual_fw.heyting(x, y) == coframe_difference(cw, y, x)
+                assert dual_fw.heyting_table[x][y] == cw.difference_table[y][x]
         assert lat.dual().dual() == lat
 
 
 def test_pseudocomplement_frozen(c3, b2):
-    assert [pseudocomplement(c3, a) for a in range(3)] == [2, 0, 0]
-    assert [pseudocomplement(b2, a) for a in range(4)] == [3, 2, 1, 0]
+    # the pseudocomplement of a is the arrow a -> bottom
+    assert [c3.heyting_table[a][0] for a in range(3)] == [2, 0, 0]
+    assert [b2.heyting_table[a][0] for a in range(4)] == [3, 2, 1, 0]
 
 
 def test_supplement_on_boolean_is_complement(b2):
     cw = CoframeWitness.of(b2.lattice)
     for c in range(4):
-        assert supplement(cw, c) == (~c) & 3
+        # the supplement of c is the difference top - c
+        assert cw.difference_table[3][c] == (~c) & 3
 
 
 def test_primes_frozen(c3, b2):
@@ -106,15 +105,6 @@ def test_primes_against_naive_oracle(corpus):
 def test_covered_primes_equal_primes(corpus):
     for cf in corpus:
         assert covered_primes(cf.frame) == primes(cf.frame)
-
-
-def test_big_meet_and_join_accept_families_and_masks(b2):
-    lat = b2.lattice
-    assert big_meet(lat, family(lat, [1, 2])) == 0
-    assert big_join(lat, family(lat, [1, 2])) == 3
-    assert big_meet(lat, 0b110) == 0
-    assert big_join(lat, 0) == lat.bottom
-    assert big_meet(lat, 0) == lat.top
 
 
 def test_exact_meets_hold_on_distributive_frames(corpus):
@@ -137,22 +127,8 @@ def test_diamond_is_not_distributive(m3):
 
 
 def test_diamond_has_an_inexact_meet(m3):
-    fam = family(m3, [1, 2])
-    assert not is_exact_meet(m3, fam)
+    assert not is_exact_meet(m3, 0b110)
     assert not naive_is_exact_meet(m3.up, [1, 2])
-
-
-def test_diamond_atom_complemented_but_not_linear(m3):
-    assert is_complemented(m3, 1)
-    assert not is_linear(m3, 1)
-
-
-def test_complemented_implies_linear_on_distributive(corpus):
-    for cf in corpus:
-        lat = cf.frame.lattice
-        for c in range(lat.n):
-            if is_complemented(lat, c):
-                assert is_linear(lat, c)
 
 
 def test_join_irreducibles_and_covers(c3, b2):
@@ -189,13 +165,8 @@ def test_from_up_rejects_order_without_meets():
         Lattice.from_up([0b0101, 0b0110, 0b0100, 0b1100])
 
 
-def test_family_rejects_out_of_range(b2):
-    with pytest.raises(ValueError):
-        family(b2.lattice, [0, 9])
-
-
 def test_one_element_frame_degenerate():
     fw = FrameWitness.of(gen_chain(1))
     assert fw.lattice.bottom == fw.lattice.top == 0
     assert primes(fw) == 0
-    assert heyting(fw, 0, 0) == 0
+    assert fw.heyting_table[0][0] == 0

@@ -18,7 +18,8 @@ from subloc.subcolocales import (enumerate_subcolocales, generated_closed_form,
                                  generated_subcolocale, is_subcolocale)
 from subloc.sublocales import fit_mask, sublocale_closure
 
-from oracles import host_mismatches, table_hosts, table_subcolocale_lattice
+from oracles import (host_mismatches, host_read_mismatches, table_hosts,
+                     table_subcolocale_lattice)
 
 
 @st.composite
@@ -144,6 +145,13 @@ def test_prime_set_hosts_match_table_oracle(up_rows):
     table_sl, table_slo = table_hosts(fw)
     assert host_mismatches(sl, table_sl) == []
     assert host_mismatches(sl.fitted_subcoframe(), table_slo) == []
+
+
+@given(posets())
+@settings(max_examples=30, deadline=None)
+def test_host_reads_match_the_member_masks(up_rows):
+    bad, cases = host_read_mismatches(enumerate_sublocales(frame_of(up_rows)))
+    assert bad == [] and cases > 0
 
 
 @given(posets(), st.data())

@@ -1,6 +1,6 @@
 import pytest
 
-from subloc import (CoframeWitness, DEFAULT_LIMITS, NotProper, SizeLimit,
+from subloc import (DEFAULT_LIMITS, NotProper, SizeLimit,
                     Subcolocale, adjunction_check, conucleus, delta,
                     enumerate_subcolocales, fit_image, generated_subcolocale,
                     is_codense, is_essential, is_proper, is_subcolocale,
@@ -9,7 +9,7 @@ from subloc.bits import bits, mask_of
 from subloc.corpus import gen_chain
 from subloc.subcolocales import generated_closed_form
 
-from oracles import NaiveOps
+from oracles import NaiveOps, host_read_mismatches
 
 
 def host_naive_ops(host):
@@ -23,13 +23,15 @@ def idx_set(mask: int) -> frozenset:
     return frozenset(bits(mask))
 
 
-def test_subcolocales_of_chain_coframe():
-    cw = CoframeWitness.of(gen_chain(3))
-    found = enumerate_subcolocales(cw)
+def test_subcolocales_of_chain_coframe(hosts):
+    # the fitted host of chain3 is a 3-chain
+    host = hosts["chain3"].fitted_subcoframe()
+    assert host.as_lattice == gen_chain(3)
+    found = enumerate_subcolocales(host)
     # any subset containing the bottom works on a chain
     assert len(found) == 4
     assert all(m & 1 for m in found)
-    assert len(enumerate_subcolocales(cw, "codense")) == 2
+    assert len(enumerate_subcolocales(host, "codense")) == 2
 
 
 def test_subcolocale_counts_on_boolean_hosts(hosts):
@@ -251,3 +253,12 @@ def test_enumeration_size_limit(hosts):
     tight = DEFAULT_LIMITS.with_(max_subcolocale_host=8)
     with pytest.raises(SizeLimit):
         enumerate_subcolocales(hosts["chain5"], "all", tight)
+
+
+def test_host_reads_match_the_member_masks(corpus, hosts):
+    total = 0
+    for cf in corpus:
+        bad, cases = host_read_mismatches(hosts[cf.name])
+        assert bad == [], cf.name
+        total += cases
+    assert total > 1000

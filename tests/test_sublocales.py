@@ -1,9 +1,8 @@
 import pytest
 
-from subloc import (DEFAULT_LIMITS, SizeLimit, Sublocale, b_sublocale,
-                    closed_sublocale, enumerate_sublocales, exact_filters,
-                    is_exact_sublocale, is_precongruence, is_sublocale, ker,
-                    nucleus, open_sublocale, phi, precongruence_to_sublocale,
+from subloc import (DEFAULT_LIMITS, SizeLimit, enumerate_sublocales,
+                    exact_filters, is_exact_sublocale, is_precongruence,
+                    is_sublocale, ker, phi, precongruence_to_sublocale,
                     strongly_exact_filters, sublocale_join,
                     sublocale_to_precongruence)
 from subloc.bits import bits
@@ -103,18 +102,7 @@ def test_nucleus_of_closed_is_join(corpus):
             om = open_mask(cf.frame, a)
             for x in range(lat.n):
                 assert nucleus_element(cf.frame, cm, x) == lat.join_table[x][a]
-                assert nucleus_element(cf.frame, om, x) == cf.frame.heyting(a, x)
-
-
-def test_sublocale_wrapper_and_validation(c3):
-    s = Sublocale.of(c3, 5)
-    assert s.contains(0) and not s.contains(1)
-    assert nucleus(s, 1) == 2
-    with pytest.raises(ValueError):
-        Sublocale.of(c3, 0b011)
-    assert open_sublocale(c3, 1).members == 5
-    assert closed_sublocale(c3, 1).members == 6
-    assert b_sublocale(c3, 0).members == 5
+                assert nucleus_element(cf.frame, om, x) == cf.frame.heyting_table[a][x]
 
 
 def test_closure_is_least_sublocale_around(corpus, hosts):
