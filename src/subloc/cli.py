@@ -145,7 +145,8 @@ def main(argv=None) -> int:
     parser.add_argument("--limit", action="append", default=[],
                         metavar="NAME=VALUE",
                         help="override a size limit, e.g. "
-                             "--limit max_subcolocale_host=20")
+                             "--limit lift_node_budget=5000000; "
+                             "unknown names exit 2")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="summary statistics of a frame")

@@ -16,15 +16,13 @@ class Limits:
     # primes, so this field bounds no construction.
     scan_frame_elements: int = 12
     # Cap on the number of sublocales, 2^p for a frame with p primes; a
-    # larger S(L) is refused before it is built.
+    # larger S(L) is refused before it is built.  Each host of S(L) or
+    # S_o(L) has 2^p subcolocales too, so this also bounds their count.
     max_sublocales: int = 4096
-    # Largest host (coframe of sublocales) whose subcolocales are enumerated
-    # by brute force over all 2^|host| bit-sets.
-    max_subcolocale_host: int = 16
     # Node budget for the lifting searches.
     lift_node_budget: int = 1_000_000
-    # Bounds for down-set lattice constructions.
-    max_downset_ground: int = 16
+    # Cap on the number of down-sets a down-set lattice may have; they are
+    # built point by point and refused once they pass it.
     max_downsets: int = 4096
     # Family quantifiers (lattice.families) range over all 2^n subsets of
     # frames with up to this many elements, and over the empty and binary

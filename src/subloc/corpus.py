@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .bits import bits, mask_of
+from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .errors import NotAFrame, SizeLimit
 from .lattice import FrameWitness, Lattice
@@ -55,17 +55,21 @@ def gen_product(a: Lattice, b: Lattice) -> Lattice:
 
 
 def downset_masks(up_rows: Sequence[int], limits: Limits = DEFAULT_LIMITS) -> tuple[int, ...]:
-    """All down-closed subsets of a poset, sorted by (size, mask value)."""
+    """All down-closed subsets of a poset, sorted by (size, mask value).
+
+    Points are added in a linear extension, by the size of their down-set;
+    a point joins every down-set built so far that holds its strict
+    down-set.  Raises :class:`SizeLimit` once the count passes
+    ``limits.max_downsets``.
+    """
     n = len(up_rows)
-    if n > limits.max_downset_ground:
-        raise SizeLimit(f"down-set scan over {n} points exceeds {limits.max_downset_ground}")
     dn = [mask_of(i for i in range(n) if (up_rows[i] >> j) & 1) for j in range(n)]
-    out = []
-    for m in range(1 << n):
-        if all(dn[i] & ~m == 0 for i in bits(m)):
-            out.append(m)
-            if len(out) > limits.max_downsets:
-                raise SizeLimit("too many down-sets")
+    out = [0]
+    for j in sorted(range(n), key=lambda j: bin(dn[j]).count("1")):
+        below = dn[j] & ~bit(j)
+        out += [m | bit(j) for m in out if below & ~m == 0]
+        if len(out) > limits.max_downsets:
+            raise SizeLimit("too many down-sets")
     out.sort(key=lambda m: (bin(m).count("1"), m))
     return tuple(out)
 

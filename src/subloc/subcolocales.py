@@ -13,7 +13,8 @@ generated subcolocale and the essentiality test.  Crossing from ``S(L)``
 to ``S_o(L)`` and back is a lookup in the fitted host's translation table
 ``fit_of`` / ``full_index``.  Only ``se`` reads sublocales as sets of
 frame elements, because exactness is a property of the quotient onto
-them.
+them.  The subcolocales of a host are the sublocales of its dual frame,
+so :func:`enumerate_subcolocales` builds them as ``S(L)`` is built.
 
 The calculus connects two hosts: collections ``F`` of fitted sublocales
 that are *proper* (contain all opens, with exact joins of opens) and
@@ -32,9 +33,10 @@ from typing import Sequence
 
 from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
-from .errors import NotProper, SizeLimit
-from .lattice import Lattice, families, fold_families
-from .sublocales import SublocaleCoframe, is_exact_sublocale, is_precongruence
+from .errors import NotProper
+from .lattice import Lattice, families, fold_families, join_irreducibles
+from .sublocales import (SublocaleCoframe, _prime_sets, is_exact_sublocale,
+                         is_precongruence)
 
 
 def _join_closed(lat: Lattice, members: int) -> bool:
@@ -153,33 +155,25 @@ def enumerate_subcolocales(host: SublocaleCoframe, which: str = "all",
                            limits: Limits = DEFAULT_LIMITS) -> tuple[int, ...]:
     """All subcolocale bitmasks of the host, in increasing mask order.
 
-    ``which`` filters to ``codense`` (contains the host top) or ``proper``
-    (fitted hosts only).  Brute force over all subsets, pruned by bottom
-    membership and join closure before the difference scan.
+    The subcolocales of a finite coframe are the sublocales of its dual
+    frame (Birkhoff), whose primes are the host's join-irreducibles, so
+    the prime-set construction of ``S(L)`` builds them on the host's
+    indices: one per set of join-irreducibles, ``2^p`` for a frame with
+    ``p`` primes, a count ``limits.max_sublocales`` bounded when the host
+    was built.  ``which`` filters to ``codense`` (contains the host top)
+    or ``proper`` (fitted hosts only).
     """
     if which not in ("all", "codense", "proper"):
         raise ValueError(f"unknown filter {which!r}")
-    lat = host.as_lattice
-    k = lat.n
-    if k > limits.max_subcolocale_host:
-        raise SizeLimit(f"host of size {k} exceeds the subcolocale enumeration bound "
-                        f"{limits.max_subcolocale_host}")
     if which == "proper" and not host.fitted:
         raise ValueError("the proper filter needs a fitted sublocale host")
-    bottombit = bit(lat.bottom)
-    topbit = bit(lat.top)
-    out = []
-    for m in range(1 << k):
-        if not m & bottombit:
-            continue
-        if which == "codense" and not m & topbit:
-            continue
-        if not _is_subcolocale_raw(host, m):
-            continue
-        if which == "proper" and not is_proper(host, m, limits):
-            continue
-        out.append(m)
-    return tuple(out)
+    lat = host.as_lattice
+    found, _ = _prime_sets(lat.dual(), mask_of(join_irreducibles(lat)))
+    if which == "codense":
+        found = (m for m in found if is_codense(host, m))
+    elif which == "proper":
+        found = (m for m in found if is_proper(host, m, limits))
+    return tuple(sorted(found))
 
 
 class Subcolocale:

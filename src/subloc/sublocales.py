@@ -121,8 +121,8 @@ class SublocaleCoframe:
         self.ambient = ambient
         self.fitted = fitted
         self.parent = parent
-        self._members, self._down = (_prime_sets(ambient) if parent is None
-                                     else (parent._members, parent._down))
+        self._members, self._down = (_prime_sets(ambient.lattice, ambient.primes)
+                                     if parent is None else (parent._members, parent._down))
         members, down = self._members, self._down
         pts = self.points = tuple(sorted(points, key=lambda q: (bin(members[q]).count("1"),
                                                                members[q])))
@@ -187,17 +187,18 @@ class SublocaleCoframe:
         return self._fitted_sub
 
 
-def _prime_sets(fw: FrameWitness) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _prime_sets(lat: Lattice, primes: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The member mask and the down-closure of every set of primes.
 
-    A set ``Q`` of primes gives the sublocale of the ``x`` that are the
-    meet of the primes of ``Q`` above them.  Both tuples are indexed by
-    ``Q`` and filled by the subset recurrence: ``Q`` extends
-    ``Q & (Q - 1)`` by its lowest prime.
+    A set ``Q`` of the primes in ``primes`` gives the sublocale of the
+    ``x`` that are the meet of the primes of ``Q`` above them.  Both
+    tuples are indexed by ``Q`` and filled by the subset recurrence: ``Q``
+    extends ``Q & (Q - 1)`` by its lowest prime.  On a frame's primes this
+    builds ``S(L)``; on the dual of a coframe, with its join-irreducibles
+    as the primes, it builds the subcolocales.
     """
-    lat = fw.lattice
     meet = lat.meet_table
-    pts = tuple(bits(fw.primes))
+    pts = tuple(bits(primes))
     above = [mask_of(j for j, q in enumerate(pts) if lat.leq(x, q)) for x in range(lat.n)]
     below = [mask_of(j for j, r in enumerate(pts) if lat.leq(r, q)) for q in pts]
     meet_of, down = [lat.top], [0]
@@ -389,25 +390,20 @@ def is_exact_sublocale(fw: FrameWitness, members: int,
     """Whether the quotient surjection onto the sublocale preserves exact meets.
 
     For every exact meet of an ambient family, the nucleus image family
-    must meet to the nucleus of the meet, and must itself be exact inside
-    the sublocale: meeting ``nu(y v t)`` over the image members ``y`` must
-    give ``nu(m v t)`` for their meet ``m`` and every member ``t``.  The
-    families are those of the frame's family table.
+    must meet to the nucleus of the meet.  The families are those of the
+    frame's family table.
+
+    The image family is then exact inside the sublocale too, so that needs
+    no test.  On a sublocale ``nu`` is a nucleus: it preserves finite
+    meets and has ``nu(nu(x) v t) = nu(x v t)``, so meeting ``nu(nu(x) v t)`` over an
+    exact family with meet ``M`` gives ``nu(M v t)``, which is
+    ``nu(m v t)`` once ``nu(M) = m`` for the meet ``m`` of the image.
     """
     lat = fw.lattice
-    meet, join = lat.meet_table, lat.join_table
+    meet = lat.meet_table
     tab = fw.family_table(limits)
     nu = [nucleus_element(fw, members, a) for a in range(lat.n)]
-    ts = tuple(bits(members))
-    nu_join = [tuple([nu[join[z][t]] for t in ts]) for z in range(lat.n)]
-
-    # value of a family: (the meet of its image, the meets of nu(nu(x) v t)
-    # over its members x, one per member t of the sublocale)
-    def extend(v, x):
-        m, row = v
-        return meet[m][nu[x]], tuple([meet[a][b] for a, b in zip(row, nu_join[nu[x]])])
-
-    for fam, (m, row) in fold_families(tab.fams, (lat.top, nu_join[lat.top]), extend):
-        if tab.exact[fam] and (nu[tab.meet[fam]] != m or row != nu_join[m]):
+    for fam, m in fold_families(tab.fams, lat.top, lambda m, x: meet[m][nu[x]]):
+        if tab.exact[fam] and nu[tab.meet[fam]] != m:
             return False
     return True

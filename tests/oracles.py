@@ -10,9 +10,10 @@ each family's value from a smaller family's through a per-frame table.
 The sublocale coframes are built from member masks by the generic
 constructions the package builds from sets of primes instead, and the
 host-index reads of the subcolocale calculus are held to the mask
-operations they stand for.  At the very end, subcolocales become lattices
-through ``Lattice.from_up`` where the package restricts its host's
-tables, and lift searches become a scan of every map.
+operations they stand for.  Subcolocales and down-sets are found by
+testing every subset where the package generates them.  At the very end,
+subcolocales become lattices through ``Lattice.from_up`` where the package
+restricts its host's tables, and lift searches become a scan of every map.
 """
 
 from itertools import combinations, product
@@ -21,7 +22,8 @@ from subloc.bits import bit, bits, mask_of, submasks
 from subloc.config import DEFAULT_LIMITS
 from subloc.errors import SizeLimit
 from subloc.lattice import CoframeWitness, Lattice, families, is_exact_meet
-from subloc.subcolocales import conucleus, point_sublocales
+from subloc.subcolocales import (_is_subcolocale_raw, conucleus, is_proper,
+                                 point_sublocales)
 from subloc.sublocales import (b_mask, closed_mask, fit_mask, is_sublocale,
                                nucleus_element, open_mask, sublocale_closure)
 
@@ -476,6 +478,39 @@ def host_read_mismatches(sl) -> tuple:
     compare(point_sublocales(sl), mask_of(sl.index[b_mask(fw, p)] for p in bits(fw.primes)),
             "point sublocales")
     return bad, cases
+
+
+# ---------------------------------------------------------------------------
+# subsets found by scanning
+
+
+def scan_subcolocales(host, which: str = "all") -> tuple:
+    """``enumerate_subcolocales`` by testing all 2^k masks of a k-element
+    host, pruned by bottom membership before the closure test."""
+    lat = host.as_lattice
+    k = lat.n
+    bottombit = bit(lat.bottom)
+    topbit = bit(lat.top)
+    out = []
+    for m in range(1 << k):
+        if not m & bottombit:
+            continue
+        if which == "codense" and not m & topbit:
+            continue
+        if not _is_subcolocale_raw(host, m):
+            continue
+        if which == "proper" and not is_proper(host, m):
+            continue
+        out.append(m)
+    return tuple(out)
+
+
+def scan_downset_masks(up_rows) -> tuple:
+    """``downset_masks`` by testing all 2^n subsets of the points."""
+    n = len(up_rows)
+    dn = [mask_of(i for i in range(n) if (up_rows[i] >> j) & 1) for j in range(n)]
+    out = [m for m in range(1 << n) if all(dn[i] & ~m == 0 for i in bits(m))]
+    return tuple(sorted(out, key=lambda m: (bin(m).count("1"), m)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
+import random
+
 import pytest
 
 from subloc import FrameWitness, NotAFrame, SizeLimit
+from subloc.bits import bits, mask_of
 from subloc.config import DEFAULT_LIMITS
-from subloc.corpus import (CorpusSpec, all_topologies, gen_boolean, gen_chain,
-                           gen_diamond, gen_downsets_of_poset,
+from subloc.correspondence import downset_frame
+from subloc.corpus import (CorpusSpec, all_topologies, downset_masks,
+                           gen_boolean, gen_chain, gen_diamond,
+                           gen_downsets_of_poset,
                            gen_opens_of_topology, gen_product,
                            sample_topologies, standard_corpus)
+
+from oracles import scan_downset_masks
 
 
 def test_chain_sizes_and_validation():
@@ -43,6 +50,28 @@ def test_downsets_size_limit():
     tight = DEFAULT_LIMITS.with_(max_downsets=3)
     with pytest.raises(SizeLimit):
         gen_downsets_of_poset([0b01, 0b10], tight)
+
+
+def test_downsets_match_the_scan(corpus):
+    # the element orders of the corpus, and each relabeled so that index
+    # order is not a linear extension
+    rng = random.Random(6)
+    for cf in corpus:
+        up = cf.frame.lattice.up
+        perm = list(range(len(up)))
+        rng.shuffle(perm)
+        shuffled = [0] * len(up)
+        for i, row in enumerate(up):
+            shuffled[perm[i]] = mask_of(perm[j] for j in bits(row))
+        for rows in (up, shuffled):
+            assert downset_masks(rows) == scan_downset_masks(rows), cf.name
+
+
+def test_downset_frame_of_a_long_chain():
+    # 17 points were over the ground bound of the subset scan
+    dl, eps = downset_frame(FrameWitness.of(gen_chain(17)))
+    assert dl.lattice == gen_chain(18)
+    assert eps.mapping == (0,) + tuple(range(17))
 
 
 def test_sierpinski_is_three_chain():

@@ -18,8 +18,8 @@ from subloc.subcolocales import (enumerate_subcolocales, generated_closed_form,
                                  generated_subcolocale, is_subcolocale)
 from subloc.sublocales import fit_mask, sublocale_closure
 
-from oracles import (host_mismatches, host_read_mismatches, table_hosts,
-                     table_subcolocale_lattice)
+from oracles import (host_mismatches, host_read_mismatches, scan_subcolocales,
+                     table_hosts, table_subcolocale_lattice)
 
 
 @st.composite
@@ -152,6 +152,17 @@ def test_prime_set_hosts_match_table_oracle(up_rows):
 def test_host_reads_match_the_member_masks(up_rows):
     bad, cases = host_read_mismatches(enumerate_sublocales(frame_of(up_rows)))
     assert bad == [] and cases > 0
+
+
+@given(posets())
+@settings(max_examples=20, deadline=None)
+def test_enumeration_matches_the_scan(up_rows):
+    # at most four points, so both hosts have at most 16 elements; a
+    # 16-element host costs the scan 65,536 masks
+    sl = enumerate_sublocales(frame_of(up_rows))
+    for host in (sl, sl.fitted_subcoframe()):
+        for which in ("all", "codense", "proper") if host.fitted else ("all", "codense"):
+            assert enumerate_subcolocales(host, which) == scan_subcolocales(host, which)
 
 
 @given(posets(), st.data())

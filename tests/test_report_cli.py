@@ -109,6 +109,15 @@ def test_cli_subcolocales(c3_file, capsys):
     assert main(["subcolocales", c3_file, "--filter", "proper"]) == 2
 
 
+def test_cli_subcolocales_above_sixteen(tmp_path, capsys):
+    # chain6 has 32 sublocales, past the bound of the old 2^k scan
+    p = tmp_path / "c6.lat"
+    p.write_text(serialize_lattice(gen_chain(6)))
+    assert main(["subcolocales", str(p)]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 32 and err.strip() == "total: 32"
+
+
 def test_cli_check_suites(c3_file, capsys):
     for suite in ("laws", "adjunction", "correspondence"):
         assert main(["check", c3_file, "--suite", suite]) == 0
@@ -151,6 +160,10 @@ def test_cli_limit_overrides(c3_file, capsys):
     assert main(["--limit", "bogus", "analyze", c3_file]) == 2
     assert main(["--limit", "no_such_limit=5", "analyze", c3_file]) == 2
     assert "unknown limit" in capsys.readouterr().err
+    # deleted limits are unknown names now
+    for name in ("max_subcolocale_host", "max_downset_ground"):
+        assert main(["--limit", f"{name}=20", "analyze", c3_file]) == 2
+        assert "unknown limit" in capsys.readouterr().err
     # tightening the element bound turns a fine input into an input error
     assert main(["--limit", "scan_frame_elements=2", "analyze", c3_file]) == 2
     assert main(["--limit", "scan_frame_elements=3", "analyze", c3_file]) == 0

@@ -1,15 +1,16 @@
 import pytest
 
-from subloc import (DEFAULT_LIMITS, NotProper, SizeLimit,
+from subloc import (FrameWitness, NotProper,
                     Subcolocale, adjunction_check, conucleus, delta,
-                    enumerate_subcolocales, fit_image, generated_subcolocale,
+                    enumerate_subcolocales, enumerate_sublocales, fit_image,
+                    generated_subcolocale,
                     is_codense, is_essential, is_proper, is_subcolocale,
                     join_closure, leq_f, saturated_elements, sb, se, sigma, ssp)
 from subloc.bits import bits, mask_of
-from subloc.corpus import gen_chain
+from subloc.corpus import gen_chain, gen_product, standard_corpus
 from subloc.subcolocales import generated_closed_form
 
-from oracles import NaiveOps, host_read_mismatches
+from oracles import NaiveOps, host_read_mismatches, scan_subcolocales
 
 
 def host_naive_ops(host):
@@ -247,12 +248,36 @@ def test_subcolocale_wrapper_validates(hosts):
         Subcolocale(host, 0b0110)
 
 
-def test_enumeration_size_limit(hosts):
-    with pytest.raises(SizeLimit):
-        enumerate_subcolocales(hosts["chain6"])
-    tight = DEFAULT_LIMITS.with_(max_subcolocale_host=8)
-    with pytest.raises(SizeLimit):
-        enumerate_subcolocales(hosts["chain5"], "all", tight)
+def test_enumeration_matches_the_scan():
+    # both hosts of every frame up to 16 elements, order included
+    cases = 0
+    for cf in standard_corpus(20, 0):
+        sl = enumerate_sublocales(cf.frame)
+        for host in (sl, sl.fitted_subcoframe()):
+            if host.size > 16:
+                continue
+            for which in ("all", "codense", "proper") if host.fitted else ("all", "codense"):
+                assert enumerate_subcolocales(host, which) == scan_subcolocales(host, which), \
+                    (cf.name, host.fitted, which)
+                cases += 1
+    # 59 frames; chain6 has the one full host above 16 (32 sublocales)
+    assert cases == 2 * 58 + 3 * 59
+
+
+def test_enumeration_above_sixteen():
+    # hosts the 2^k scan could not reach: each has 2^p subcolocales
+    for lat in (gen_chain(6), gen_chain(8), gen_product(gen_chain(3), gen_chain(4))):
+        fw = FrameWitness.of(lat)
+        p = bin(fw.primes).count("1")
+        sl = enumerate_sublocales(fw)
+        sl_o = sl.fitted_subcoframe()
+        assert sl.size > 16
+        for host in (sl, sl_o):
+            found = enumerate_subcolocales(host)
+            assert len(found) == 2 ** p
+            assert all(is_subcolocale(host, m) for m in found)
+        assert enumerate_subcolocales(sl, "codense") == (sl.as_lattice.full_mask,)
+        assert enumerate_subcolocales(sl_o, "codense") == scan_subcolocales(sl_o, "codense")
 
 
 def test_host_reads_match_the_member_masks(corpus, hosts):
