@@ -25,8 +25,7 @@ from .correspondence import (FrameMap, LiftVerdict, RaneyExtension, SZDBF,
                              downset_frame, extend_to_coframe_map,
                              is_exact_map, is_smooth, raney_lift_check,
                              right_adjoint_image, subcolocale_lattice,
-                             sublocale_frame, surjection_of, szdbf_lift_check,
-                             to_raney, to_szdbf)
+                             surjection_of, szdbf_lift_check, to_raney, to_szdbf)
 from .report import (adjunction_suite, correspondence_suite, frame_report,
                      laws_suite, run_suite)
 

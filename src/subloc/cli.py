@@ -24,13 +24,9 @@ from .sublocales import enumerate_sublocales
 from .viz import hasse_dot
 
 
-def _load_frame(path: str, limits: Limits) -> FrameWitness:
-    text = Path(path).read_text()
-    lat = parse_lattice(text)
-    if lat.n > limits.scan_frame_elements:
-        raise SizeLimit(f"frame has {lat.n} elements, limit is "
-                        f"{limits.scan_frame_elements}")
-    return FrameWitness.of(lat)
+def _load_frame(path: str) -> FrameWitness:
+    """Parse a frame; ``enumerate_sublocales`` bounds it by its primes."""
+    return FrameWitness.of(parse_lattice(Path(path).read_text()))
 
 
 def _apply_limit_overrides(pairs: list[str]) -> Limits:
@@ -54,7 +50,7 @@ def _host_of(fw: FrameWitness, which: str, limits: Limits):
 
 
 def cmd_analyze(args, limits: Limits) -> int:
-    fw = _load_frame(args.file, limits)
+    fw = _load_frame(args.file)
     rep = frame_report(Path(args.file).stem, fw, limits)
     if args.json:
         print(json.dumps(rep, indent=2, sort_keys=True))
@@ -65,7 +61,7 @@ def cmd_analyze(args, limits: Limits) -> int:
 
 
 def cmd_sublocales(args, limits: Limits) -> int:
-    fw = _load_frame(args.file, limits)
+    fw = _load_frame(args.file)
     host = _host_of(fw, args.host, limits)
     if args.dot:
         print(hasse_dot(host), end="")
@@ -80,7 +76,7 @@ def cmd_sublocales(args, limits: Limits) -> int:
 
 
 def cmd_subcolocales(args, limits: Limits) -> int:
-    fw = _load_frame(args.file, limits)
+    fw = _load_frame(args.file)
     host = _host_of(fw, args.host, limits)
     if args.filter == "proper" and args.host != "SoL":
         print("proper filtering needs the fitted host (--host SoL)",
@@ -94,7 +90,7 @@ def cmd_subcolocales(args, limits: Limits) -> int:
 
 
 def cmd_check(args, limits: Limits) -> int:
-    fw = _load_frame(args.file, limits)
+    fw = _load_frame(args.file)
     result = run_suite(args.suite, Path(args.file).stem, fw, limits)
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))

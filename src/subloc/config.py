@@ -12,13 +12,10 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Limits:
-    # Largest frame the command line accepts.  S(L) is built from the
-    # primes, so this field bounds no construction.
-    scan_frame_elements: int = 12
-    # Cap on the number of sublocales, 2^p for a frame with p primes; a
-    # larger S(L) is refused before it is built.  Each host of S(L) or
-    # S_o(L) has 2^p subcolocales too, so this also bounds their count.
-    max_sublocales: int = 4096
+    # Cap on the number of sublocales, 2^p for a frame with p primes, and so
+    # on command-line input: a larger S(L) is refused before it is built.
+    # Each host of S(L) or S_o(L) has 2^p subcolocales, so it bounds them too.
+    max_sublocales: int = 2048
     # Node budget for the lifting searches.
     lift_node_budget: int = 1_000_000
     # Cap on the number of down-sets a down-set lattice may have; they are

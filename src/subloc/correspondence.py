@@ -8,9 +8,9 @@ latter requires the fitted collection to be proper).
 
 Morphism checks search for coframe maps between the chosen subcolocales
 that extend the action of a given frame map on opens (Raney side) or on
-closeds (zero-dimensional side).  A chosen subcolocale becomes a lattice by
-restricting its host's tables (``subcolocale_lattice``), once per structure:
-each structure keeps that lattice in a field filled on first use.  The
+closeds (zero-dimensional side).  A chosen subcolocale is its host's retract
+by its conucleus (``subcolocale_lattice``), built once per structure: each
+structure keeps that lattice in a field filled on first use.  The
 search assigns values to the join irreducibles of the source in index
 order, takes the candidates of a step as one bitmask (the interval between
 the bounds from the pinned values, above the values of the irreducibles
@@ -23,11 +23,12 @@ zero-dimensional lift existing, and exactness to the Raney lift existing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
-from .corpus import downset_masks
+from .corpus import downset_masks, gen_downsets_of_poset
 from .errors import NotProper, SizeLimit
 from .lattice import FrameWitness, Lattice, fold_families, join_irreducibles
 from .sublocales import SublocaleCoframe, is_sublocale, nucleus_element
@@ -95,28 +96,22 @@ def is_exact_map(f: FrameMap, limits: Limits = DEFAULT_LIMITS) -> bool:
     return True
 
 
-def sublocale_frame(sl: SublocaleCoframe, i: int) -> tuple[FrameWitness, tuple[int, ...]]:
-    """The sublocale at index ``i`` as a frame in its own right.
+def surjection_of(sl: SublocaleCoframe, i: int) -> FrameMap:
+    """The quotient map of the frame onto sublocale ``i`` (the nucleus).
 
-    Returns the frame and the ambient elements backing its indices, in
-    increasing ambient order.
+    A sublocale is closed under the ambient meets and Heyting arrows, so
+    the target is the ambient retract by the nucleus, with the ambient
+    Heyting rows restricted and the ambient primes it contains as its
+    primes (Picado & Pultr, *Frames and Locales*, 2012).
     """
-    fw = sl.ambient
-    members = sl.elems[i]
+    fw, members = sl.ambient, sl.elems[i]
+    nu = tuple(nucleus_element(fw, members, a) for a in range(fw.lattice.n))
     elems = tuple(bits(members))
     pos = {e: p for p, e in enumerate(elems)}
-    up_rows = [mask_of(pos[y] for y in bits(fw.lattice.up[x] & members)) for x in elems]
-    return FrameWitness.of(Lattice.from_up(up_rows)), elems
-
-
-def surjection_of(sl: SublocaleCoframe, i: int) -> FrameMap:
-    """The quotient map of the frame onto sublocale ``i`` (the nucleus)."""
-    sub_fw, elems = sublocale_frame(sl, i)
-    pos = {e: p for p, e in enumerate(elems)}
-    fw = sl.ambient
-    members = sl.elems[i]
-    mapping = tuple(pos[nucleus_element(fw, members, a)] for a in range(fw.lattice.n))
-    return FrameMap.of(fw, sub_fw, mapping)
+    hey = tuple(tuple(pos[fw.heyting_table[a][b]] for b in elems) for a in elems)
+    target = FrameWitness(fw.lattice.retract(nu), hey,
+                          mask_of(pos[p] for p in bits(fw.primes & members)))
+    return FrameMap.of(fw, target, tuple(pos[v] for v in nu))
 
 
 def is_smooth(sl: SublocaleCoframe, i: int) -> bool:
@@ -140,8 +135,13 @@ class RaneyExtension:
             raise ValueError("a Raney extension must contain every open")
         self.frame = frame
         self.f_sub = f_sub
-        self.proper = is_proper(host, f_sub.members, limits)
+        self._limits = limits
         self._lattice: tuple[Lattice, tuple[int, ...]] | None = None
+
+    @cached_property
+    def proper(self) -> bool:
+        """Whether the fitted collection is proper, tested on first read."""
+        return is_proper(self.f_sub.host, self.f_sub.members, self._limits)
 
 
 class SZDBF:
@@ -218,27 +218,11 @@ class LiftVerdict:
 
 
 def subcolocale_lattice(host: SublocaleCoframe, members: int) -> tuple[Lattice, tuple[int, ...]]:
-    """A subcolocale as an abstract lattice, plus its backing host indices.
-
-    The lattice is the host's restricted to the members: order rows are
-    compressed to member positions, joins are the host's (a subcolocale is
-    closed under them) and meets are conuclei of the host's meets.  The host
-    order is topologically sorted, so the local indices are too.  The whole
-    host is its own lattice.
-    """
+    """A subcolocale as a lattice, the host's retract by the conucleus, plus its
+    host indices; the host order is topologically sorted, so the local one is too."""
     lat = host.as_lattice
-    if members == lat.full_mask:
-        return lat, tuple(range(lat.n))
-    idxs = tuple(bits(members))
-    pos = {e: p for p, e in enumerate(idxs)}
-    con = [conucleus(host, members, c) for c in range(lat.n)]
-    join, meet = lat.join_table, lat.meet_table
-    return Lattice(len(idxs),
-                   tuple(mask_of(pos[j] for j in bits(lat.up[i] & members)) for i in idxs),
-                   tuple(mask_of(pos[j] for j in bits(lat.dn[i] & members)) for i in idxs),
-                   pos[lat.bottom], pos[con[lat.top]],
-                   tuple(tuple(pos[con[meet[a][b]]] for b in idxs) for a in idxs),
-                   tuple(tuple(pos[join[a][b]] for b in idxs) for a in idxs)), idxs
+    return (lat.retract([conucleus(host, members, c) for c in range(lat.n)]),
+            tuple(bits(members)))
 
 
 def extend_to_coframe_map(src: Lattice, dst: Lattice, fixed: dict[int, int],
@@ -436,9 +420,7 @@ def downset_frame(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS
     whose right adjoint picks out principal down-sets.
     """
     masks = downset_masks(fw.lattice.up, limits)
-    pos = {m: i for i, m in enumerate(masks)}
-    up_rows = [mask_of(pos[mj] for mj in masks if mi & ~mj == 0) for mi in masks]
-    dl = FrameWitness.of(Lattice.from_up(up_rows))
+    dl = FrameWitness.of(gen_downsets_of_poset(fw.lattice.up, limits))
     eps = FrameMap.of(dl, fw, tuple(fw.lattice.big_join(m) for m in masks))
     return dl, eps
 

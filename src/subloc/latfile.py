@@ -12,10 +12,10 @@ A file lists the element count and the covering relation::
 
 Elements are the integers ``0..n-1``.  ``#`` starts a comment; blank lines
 are ignored.  ``bottom``/``top`` lines are optional unless ``strict`` is
-set, in which case they are required and verified against the order.
-Serialization emits the canonical form: header, bottom, top, then the
-covering pairs in sorted order, so ``parse(serialize(L)) == L`` and
-serialization is idempotent on canonical text.
+set, in which case they are required and verified against the order, and
+every ``a < b`` pair must be a cover.  Serialization emits the canonical
+form: header, bottom, top, then the covering pairs in sorted order, so
+``parse(serialize(L)) == L`` and serialization is idempotent on canonical text.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def parse_lattice(text: str, strict: bool = False) -> Lattice:
     n = None
     declared_bottom = None
     declared_top = None
-    pairs: list[tuple[int, int]] = []
+    pairs: dict[tuple[int, int], int] = {}   # each pair with its first line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -48,7 +48,7 @@ def parse_lattice(text: str, strict: bool = False) -> Lattice:
             i, j = _int(parts[0], lineno), _int(parts[2], lineno)
             if i == j:
                 raise ValueError(f"line {lineno}: strict order pair {i} < {j}")
-            pairs.append((i, j))
+            pairs.setdefault((i, j), lineno)
         else:
             raise ValueError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
@@ -63,6 +63,11 @@ def parse_lattice(text: str, strict: bool = False) -> Lattice:
         raise ValueError(f"declared bottom {declared_bottom}, computed {lat.bottom}")
     if declared_top is not None and declared_top != lat.top:
         raise ValueError(f"declared top {declared_top}, computed {lat.top}")
+    if strict:
+        cover = set(covers(lat))
+        for (i, j), lineno in pairs.items():
+            if (i, j) not in cover:
+                raise ValueError(f"line {lineno}: {i} < {j} is not a covering pair")
     return lat
 
 

@@ -141,6 +141,24 @@ class Lattice:
         return Lattice(self.n, self.dn, self.up, self.top, self.bottom,
                        self.join_table, self.meet_table)
 
+    def retract(self, r: Sequence[int]) -> "Lattice":
+        """The image of the nucleus or conucleus with table ``r``, as a lattice.
+
+        A nucleus image is closed under meets and a conucleus image under
+        joins; in both, meets and joins are ``r`` of this lattice's.  Local
+        indices follow this lattice's, and the identity gives this lattice.
+        """
+        idxs = [x for x in range(self.n) if r[x] == x]
+        if len(idxs) == self.n:
+            return self
+        pos = {e: p for p, e in enumerate(idxs)}
+        rp, members = [pos[r[x]] for x in range(self.n)], mask_of(idxs)
+        up, dn = (tuple(mask_of(rp[j] for j in bits(rows[i] & members)) for i in idxs)
+                  for rows in (self.up, self.dn))
+        meet, join = (tuple(tuple(rp[op[i][j]] for j in idxs) for i in idxs)
+                      for op in (self.meet_table, self.join_table))
+        return Lattice(len(idxs), up, dn, rp[self.bottom], rp[self.top], meet, join)
+
     def is_distributive(self) -> bool:
         return next(distributivity_violations(self), None) is None
 

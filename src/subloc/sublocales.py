@@ -220,7 +220,8 @@ def enumerate_sublocales(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> S
     """
     count = 1 << bin(fw.primes).count("1")
     if count > limits.max_sublocales:
-        raise SizeLimit(f"{count} sublocales exceed the configured bound")
+        raise SizeLimit(f"{count} sublocales exceed max_sublocales={limits.max_sublocales}; "
+                        f"override with --limit max_sublocales=N")
     return SublocaleCoframe(fw, range(count), fitted=False)
 
 

@@ -12,8 +12,10 @@ constructions the package builds from sets of primes instead, and the
 host-index reads of the subcolocale calculus are held to the mask
 operations they stand for.  Subcolocales and down-sets are found by
 testing every subset where the package generates them.  At the very end,
-subcolocales become lattices through ``Lattice.from_up`` where the package
-restricts its host's tables, and lift searches become a scan of every map.
+subcolocales and quotient frames become lattices through ``Lattice.from_up``
+(the frames then through ``FrameWitness.of``) where the package retracts
+the host by a conucleus or a nucleus, and lift searches become a scan of
+every map.
 """
 
 from itertools import combinations, product
@@ -21,7 +23,7 @@ from itertools import combinations, product
 from subloc.bits import bit, bits, mask_of, submasks
 from subloc.config import DEFAULT_LIMITS
 from subloc.errors import SizeLimit
-from subloc.lattice import CoframeWitness, Lattice, families, is_exact_meet
+from subloc.lattice import CoframeWitness, FrameWitness, Lattice, families, is_exact_meet
 from subloc.subcolocales import (_is_subcolocale_raw, conucleus, is_proper,
                                  point_sublocales)
 from subloc.sublocales import (b_mask, closed_mask, fit_mask, is_sublocale,
@@ -424,8 +426,9 @@ class TableHost:
 
 def table_hosts(fw, limits=DEFAULT_LIMITS) -> tuple:
     """``S(L)`` and ``S_o(L)`` as :class:`TableHost` s: subsets scanned up
-    to ``limits.scan_frame_elements`` elements, rectangles closed above."""
-    found = (scan_sublocales(fw) if fw.lattice.n <= limits.scan_frame_elements
+    to 12 elements, rectangles closed above."""
+    scan_elements = 12
+    found = (scan_sublocales(fw) if fw.lattice.n <= scan_elements
              else generate_sublocales(fw, limits))
     return TableHost(fw, found, False), TableHost(fw, intersections_of_opens(fw), True)
 
@@ -514,7 +517,19 @@ def scan_downset_masks(up_rows) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# subcolocale lattices and lift searches
+# quotient frames, subcolocale lattices and lift searches
+
+
+def table_sublocale_frame(sl, i: int) -> tuple:
+    """Sublocale ``i`` as a frame in its own right, by ``Lattice.from_up`` over
+    the ambient order on its members and ``FrameWitness.of``, plus the
+    ambient elements backing its indices, in increasing ambient order."""
+    fw = sl.ambient
+    members = sl.elems[i]
+    elems = tuple(bits(members))
+    pos = {e: p for p, e in enumerate(elems)}
+    up_rows = [mask_of(pos[y] for y in bits(fw.lattice.up[x] & members)) for x in elems]
+    return FrameWitness.of(Lattice.from_up(up_rows)), elems
 
 
 def table_subcolocale_lattice(host, members: int) -> tuple:

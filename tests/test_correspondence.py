@@ -10,14 +10,15 @@ from subloc import (DEFAULT_LIMITS, FrameMap, FrameWitness, NotProper, SZDBF,
                     enumerate_sublocales, extend_to_coframe_map,
                     is_exact_map, is_smooth, raney_lift_check,
                     right_adjoint_image, sb, subcolocale_lattice,
-                    sublocale_frame, surjection_of, szdbf_lift_check,
-                    to_raney, to_szdbf)
+                    surjection_of, szdbf_lift_check, to_raney, to_szdbf)
 from subloc.bits import bits
-from subloc.corpus import gen_boolean, gen_chain, gen_diamond, gen_downsets_of_poset
+from subloc.corpus import (gen_boolean, gen_chain, gen_diamond, gen_downsets_of_poset,
+                           standard_corpus)
 from subloc.lattice import Lattice
 from subloc.subcolocales import enumerate_subcolocales, se
+from subloc.sublocales import nucleus_element
 
-from oracles import scan_coframe_maps, table_subcolocale_lattice
+from oracles import scan_coframe_maps, table_sublocale_frame, table_subcolocale_lattice
 
 
 def test_frame_map_validation(c3, b2):
@@ -50,9 +51,29 @@ def test_exact_maps_on_identity_and_squash(c3):
 
 def test_sublocale_frame_of_closed_chain(hosts):
     sl = hosts["chain3"]
-    sub_fw, elems = sublocale_frame(sl, sl.closed_index[1])
-    assert elems == (1, 2)
-    assert sub_fw.lattice == gen_chain(2)
+    f = surjection_of(sl, sl.closed_index[1])
+    assert f.target.lattice == gen_chain(2)
+    assert f.mapping == (0, 0, 1)
+
+
+def test_surjection_targets_match_the_table_oracle():
+    # every sublocale of the sampled corpus, whose 4-point topologies reach
+    # 16 elements; the oracle rebuilds each target with FrameWitness.of
+    checked = restricted = 0
+    for cf in standard_corpus(20, 0):
+        fw = cf.frame
+        sl = enumerate_sublocales(fw)
+        for i, members in enumerate(sl.elems):
+            f = surjection_of(sl, i)
+            want, elems = table_sublocale_frame(sl, i)
+            assert f.target.lattice == want.lattice, (cf.name, i)
+            assert f.target.heyting_table == want.heyting_table, (cf.name, i)
+            assert f.target.primes == want.primes, (cf.name, i)
+            assert [elems[v] for v in f.mapping] == \
+                [nucleus_element(fw, members, a) for a in range(fw.lattice.n)]
+            checked += 1
+            restricted += f.target.lattice is not fw.lattice
+    assert checked == 540 and restricted == checked - 59
 
 
 def test_surjections_are_validated_frame_maps(corpus, hosts):

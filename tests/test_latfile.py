@@ -40,6 +40,13 @@ def test_strict_requires_bottom_and_top():
         parse_lattice(text, strict=True)
 
 
+def test_strict_rejects_non_cover_pairs():
+    text = "lattice 3\nbottom 0\ntop 2\n0 < 1\n1 < 2\n0 < 2\n"
+    assert parse_lattice(text) == gen_chain(3)
+    with pytest.raises(ValueError, match="line 6: 0 < 2 is not a covering pair"):
+        parse_lattice(text, strict=True)
+
+
 def test_declared_extremes_verified():
     with pytest.raises(ValueError, match="declared bottom"):
         parse_lattice("lattice 2\nbottom 1\n0 < 1\n")

@@ -12,14 +12,14 @@ from subloc import (CoframeWitness, FrameWitness, enumerate_sublocales,
                     is_exact_meet, is_strongly_exact_meet, is_sublocale,
                     parse_lattice, precongruence_to_sublocale,
                     serialize_lattice, sublocale_to_precongruence)
-from subloc.correspondence import subcolocale_lattice
+from subloc.correspondence import subcolocale_lattice, surjection_of
 from subloc.corpus import gen_downsets_of_poset
 from subloc.subcolocales import (enumerate_subcolocales, generated_closed_form,
                                  generated_subcolocale, is_subcolocale)
 from subloc.sublocales import fit_mask, sublocale_closure
 
 from oracles import (host_mismatches, host_read_mismatches, scan_subcolocales,
-                     table_hosts, table_subcolocale_lattice)
+                     table_hosts, table_sublocale_frame, table_subcolocale_lattice)
 
 
 @st.composite
@@ -178,3 +178,14 @@ def test_subcolocale_lattice_matches_table_oracle(up_rows, data):
             subs = (generated_subcolocale(host, sum(1 << g for g in gens)),)
         for m in subs:
             assert subcolocale_lattice(host, m) == table_subcolocale_lattice(host, m)
+
+
+@given(posets())
+@settings(max_examples=150, deadline=None)
+def test_surjection_targets_match_the_table_oracle(up_rows):
+    sl = enumerate_sublocales(frame_of(up_rows))
+    for i in range(sl.size):
+        got = surjection_of(sl, i).target
+        want, _ = table_sublocale_frame(sl, i)
+        assert (got.lattice, got.heyting_table, got.primes) == \
+            (want.lattice, want.heyting_table, want.primes)

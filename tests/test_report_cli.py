@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from subloc.cli import main
-from subloc.corpus import gen_chain, gen_diamond
+from subloc.corpus import gen_boolean, gen_chain, gen_diamond
 from subloc.lattice import FrameWitness
 from subloc.latfile import serialize_lattice
 from subloc.report import (FINITE_NOTE, SCHEMA_VERSION, frame_report,
@@ -161,12 +161,22 @@ def test_cli_limit_overrides(c3_file, capsys):
     assert main(["--limit", "no_such_limit=5", "analyze", c3_file]) == 2
     assert "unknown limit" in capsys.readouterr().err
     # deleted limits are unknown names now
-    for name in ("max_subcolocale_host", "max_downset_ground"):
+    for name in ("max_subcolocale_host", "max_downset_ground", "scan_frame_elements"):
         assert main(["--limit", f"{name}=20", "analyze", c3_file]) == 2
         assert "unknown limit" in capsys.readouterr().err
-    # tightening the element bound turns a fine input into an input error
-    assert main(["--limit", "scan_frame_elements=2", "analyze", c3_file]) == 2
-    assert main(["--limit", "scan_frame_elements=3", "analyze", c3_file]) == 0
+    # tightening the sublocale bound turns a fine input into an input error
+    # (chain3 has 2 primes, so 4 sublocales)
+    assert main(["--limit", "max_sublocales=2", "analyze", c3_file]) == 2
+    assert "--limit max_sublocales=N" in capsys.readouterr().err
+    assert main(["--limit", "max_sublocales=4", "analyze", c3_file]) == 0
+
+
+def test_cli_bounds_input_by_primes_not_elements(tmp_path, capsys):
+    # bool4 has 16 elements but 4 primes, so 16 sublocales
+    path = tmp_path / "bool4.lat"
+    path.write_text(serialize_lattice(gen_boolean(4)))
+    assert main(["analyze", str(path)]) == 0
+    assert "sublocales: 16" in capsys.readouterr().out
 
 
 def test_cli_rejects_unknown_command(c3_file):

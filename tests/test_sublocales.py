@@ -172,7 +172,7 @@ def test_laws_suite_ok_on_discrete_four_point_topology():
     # 16 elements: above the subset-scan bound, which the filter scan used
     # to refuse with SizeLimit
     fw = FrameWitness.of(gen_opens_of_topology(4, range(16)))
-    assert fw.lattice.n > DEFAULT_LIMITS.scan_frame_elements
+    assert fw.lattice.n > 12
     assert len(all_filters(fw)) == 16
     result = laws_suite("top4-discrete", fw)
     assert result["ok"], [c for c in result["checks"] if not c["ok"]]
