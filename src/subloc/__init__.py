@@ -1,7 +1,8 @@
 """Finite frames, sublocale coframes, and the subcolocale adjunction."""
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import NotAFrame, NotACoframe, NotProper, SizeLimit
+from .errors import (InternalInconsistency, NotAFrame, NotACoframe, NotProper,
+                     SizeLimit)
 from .lattice import (CoframeWitness, FrameWitness, Lattice, covered_primes,
                       covers, is_exact_meet, is_strongly_exact_meet,
                       join_irreducibles, primes)

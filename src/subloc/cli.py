@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 all checks passed, 1 a checked law failed, 2 bad input
-(unparseable file, not a frame, or a size limit was hit).
+Exit codes: 0 all checks passed, 1 a checked law failed or two internal
+computations disagreed, 2 bad input (unparseable file, not a frame, or a
+size limit was hit).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 from .bits import bits
 from .config import DEFAULT_LIMITS, Limits
 from .corpus import standard_corpus
-from .errors import NotAFrame, NotACoframe, SizeLimit
+from .errors import InternalInconsistency, NotAFrame, NotACoframe, SizeLimit
 from .lattice import FrameWitness
 from .latfile import parse_lattice, serialize_lattice
 from .report import frame_report, render_suite_text, run_suite
@@ -24,9 +25,21 @@ from .sublocales import enumerate_sublocales
 from .viz import hasse_dot
 
 
-def _load_frame(path: str) -> FrameWitness:
-    """Parse a frame; ``enumerate_sublocales`` bounds it by its primes."""
-    return FrameWitness.of(parse_lattice(Path(path).read_text()))
+def _load_frame(path: str, limits: Limits) -> FrameWitness:
+    """Parse a frame, refusing it before any table is built when it has
+    more elements than ``limits.max_sublocales``.
+
+    A finite distributive lattice with ``p`` primes has at most ``2^p``
+    elements, so such a frame also has more than ``max_sublocales``
+    sublocales, and ``enumerate_sublocales`` would refuse it anyway, but
+    only after the cubic ``FrameWitness.of``.
+    """
+    lat = parse_lattice(Path(path).read_text())
+    if lat.n > limits.max_sublocales:
+        raise SizeLimit(f"{lat.n} elements exceed max_sublocales={limits.max_sublocales} "
+                        f"(a frame has at least as many sublocales as elements); "
+                        f"override with --limit max_sublocales=N")
+    return FrameWitness.of(lat)
 
 
 def _apply_limit_overrides(pairs: list[str]) -> Limits:
@@ -50,7 +63,7 @@ def _host_of(fw: FrameWitness, which: str, limits: Limits):
 
 
 def cmd_analyze(args, limits: Limits) -> int:
-    fw = _load_frame(args.file)
+    fw = _load_frame(args.file, limits)
     rep = frame_report(Path(args.file).stem, fw, limits)
     if args.json:
         print(json.dumps(rep, indent=2, sort_keys=True))
@@ -61,7 +74,7 @@ def cmd_analyze(args, limits: Limits) -> int:
 
 
 def cmd_sublocales(args, limits: Limits) -> int:
-    fw = _load_frame(args.file)
+    fw = _load_frame(args.file, limits)
     host = _host_of(fw, args.host, limits)
     if args.dot:
         print(hasse_dot(host), end="")
@@ -76,7 +89,7 @@ def cmd_sublocales(args, limits: Limits) -> int:
 
 
 def cmd_subcolocales(args, limits: Limits) -> int:
-    fw = _load_frame(args.file)
+    fw = _load_frame(args.file, limits)
     host = _host_of(fw, args.host, limits)
     if args.filter == "proper" and args.host != "SoL":
         print("proper filtering needs the fitted host (--host SoL)",
@@ -90,7 +103,7 @@ def cmd_subcolocales(args, limits: Limits) -> int:
 
 
 def cmd_check(args, limits: Limits) -> int:
-    fw = _load_frame(args.file)
+    fw = _load_frame(args.file, limits)
     result = run_suite(args.suite, Path(args.file).stem, fw, limits)
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
@@ -200,6 +213,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, NotAFrame, NotACoframe, SizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalInconsistency as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

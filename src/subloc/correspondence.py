@@ -29,7 +29,7 @@ from typing import Sequence
 from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .corpus import downset_masks, gen_downsets_of_poset
-from .errors import NotProper, SizeLimit
+from .errors import InternalInconsistency, NotProper, SizeLimit
 from .lattice import FrameWitness, Lattice, fold_families, join_irreducibles
 from .sublocales import SublocaleCoframe, is_sublocale, nucleus_element
 from .subcolocales import (Subcolocale, conucleus, delta, fit_image, is_codense,
@@ -429,5 +429,6 @@ def right_adjoint_image(f: FrameMap) -> int:
     """The sublocale of the source induced by a frame map: the image of its
     right adjoint, as a bitmask of source elements."""
     out = mask_of(f.right_adjoint(a) for a in range(f.target.lattice.n))
-    assert is_sublocale(f.source, out)
+    if not is_sublocale(f.source, out):
+        raise InternalInconsistency("right adjoint image is not a sublocale")
     return out

@@ -15,3 +15,11 @@ class NotProper(ValueError):
 
 class SizeLimit(RuntimeError):
     """An enumeration or search exceeded its configured bound."""
+
+
+class InternalInconsistency(RuntimeError):
+    """Two computations of the same thing disagree: a bug, not bad input.
+
+    Raised explicitly rather than asserted, so the cross-checks also run
+    under ``python -O``.
+    """

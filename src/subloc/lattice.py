@@ -163,17 +163,61 @@ class Lattice:
         return next(distributivity_violations(self), None) is None
 
 
-def distributivity_violations(lat: Lattice) -> Iterator[tuple[int, int, int]]:
-    """Every ``(x, y, z)`` with ``x ^ (y v z) != (x ^ y) v (x ^ z)``."""
-    meet, join = lat.meet_table, lat.join_table
+def distributivity_violations(lat: Lattice) -> Iterator[tuple[int, int]]:
+    """Every ``(x, y)``, ``x < y`` as indices, with ``J(x v y) != J(x) | J(y)``.
+
+    ``J(x)`` is the set of join-irreducibles below ``x``.  A finite lattice
+    is distributive iff ``J`` sends binary joins to unions (Birkhoff,
+    "Rings of sets", 1937).  In a distributive lattice a join-irreducible
+    ``j`` below ``x v y`` is ``(j ^ x) v (j ^ y)``, hence one of the two,
+    hence below ``x`` or ``y``.  Conversely ``J`` always sends meets to
+    intersections and is injective, since every element is the join of
+    the join-irreducibles below it; if it also sends joins to unions it
+    embeds the lattice in a powerset, which is distributive.  Quadratic
+    in the elements; ``tests/oracles.py::scan_distributivity`` is the
+    cubic test of ``x ^ (y v z) = (x ^ y) v (x ^ z)``.
+    """
+    irr = mask_of(join_irreducibles(lat))
+    below = [d & irr for d in lat.dn]
+    join = lat.join_table
     for x in range(lat.n):
-        mx = meet[x]
-        for y in range(lat.n):
-            jy = join[y]
-            mxy = mx[y]
-            for z in range(lat.n):
-                if mx[jy[z]] != join[mxy][mx[z]]:
-                    yield x, y, z
+        jx, row = below[x], join[x]
+        for y in range(x + 1, lat.n):
+            if below[row[y]] != jx | below[y]:
+                yield x, y
+
+
+def adjunction_violations(lat: Lattice, lower: Sequence[Sequence[int]],
+                          upper: Sequence[Sequence[int]]) -> Iterator[tuple]:
+    """Where ``f = lower[t]`` fails to be left adjoint to ``g = upper[t]``.
+
+    ``f`` and ``g`` are tables of maps of ``lat`` to itself, one pair for
+    each parameter ``t``, and ``f -| g`` means ``f(s) <= u`` iff
+    ``s <= g(u)`` for all ``s`` and ``u``.  That holds iff both maps are
+    monotone, ``s <= g(f(s))`` (the unit) and ``f(g(u)) <= u`` (the
+    counit): from those, ``f(s) <= u`` gives ``s <= g(f(s)) <= g(u)`` and
+    ``s <= g(u)`` gives ``f(s) <= f(g(u)) <= u``; conversely the unit and
+    counit are the adjunction at ``u = f(s)`` and ``s = g(u)``, and
+    ``s <= s'`` gives ``s <= g(f(s'))``, so ``f(s) <= f(s')`` (dually for
+    ``g``).  A finite order is generated by its covers, so monotonicity is
+    tested on :func:`covers`.  Yields ``("unit", s, t)``,
+    ``("counit", u, t)``, ``("lower-monotone", i, j, t)`` and
+    ``("upper-monotone", i, j, t)``; the cost is ``n + |covers|`` per
+    parameter where the definition costs ``n^2``.
+    """
+    up = lat.up
+    cov = covers(lat)
+    for t, (f, g) in enumerate(zip(lower, upper)):
+        for s in range(lat.n):
+            if not (up[s] >> g[f[s]]) & 1:
+                yield "unit", s, t
+            if not (up[f[g[s]]] >> s) & 1:
+                yield "counit", s, t
+        for i, j in cov:
+            if not (up[f[i]] >> f[j]) & 1:
+                yield "lower-monotone", i, j, t
+            if not (up[g[i]] >> g[j]) & 1:
+                yield "upper-monotone", i, j, t
 
 
 def covers(lat: Lattice) -> tuple[tuple[int, int], ...]:

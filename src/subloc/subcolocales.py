@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
-from .errors import NotProper
+from .errors import InternalInconsistency, NotProper
 from .lattice import Lattice, families, fold_families, join_irreducibles
 from .sublocales import (SublocaleCoframe, _prime_sets, is_exact_sublocale,
                          is_precongruence)
@@ -70,7 +70,8 @@ def is_subcolocale(host: SublocaleCoframe, members: int) -> bool:
     characterization, and insist they agree."""
     generic = _is_subcolocale_raw(host, members)
     special = _is_subcolocale_characterized(host, members)
-    assert special == generic, "subcolocale characterizations disagree"
+    if special != generic:
+        raise InternalInconsistency("subcolocale characterizations disagree")
     return generic
 
 
@@ -265,7 +266,8 @@ def is_proper(sl_o: SublocaleCoframe, members: int,
     via_precongruence = all(
         is_precongruence(sl_o.ambient, leq_f(sl_o, members, f))
         for f in bits(members))
-    assert exact == via_precongruence, "properness criteria disagree"
+    if exact != via_precongruence:
+        raise InternalInconsistency("properness criteria disagree")
     return exact
 
 
@@ -330,8 +332,8 @@ def delta(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int) -> int:
     """
     sigmas = mask_of(sigma(sl, sl_o, members, f) for f in bits(members))
     out = closed_trims(sl, sigmas)
-    assert out == generated_subcolocale(sl, sigmas), \
-        "closed-form delta disagrees with the generated subcolocale"
+    if out != generated_subcolocale(sl, sigmas):
+        raise InternalInconsistency("closed-form delta disagrees with the generated subcolocale")
     return out
 
 
@@ -360,11 +362,13 @@ def is_essential(sl: SublocaleCoframe, members: int,
         sl_o = sl.fitted_subcoframe()
     sat = saturated_elements(sl, members)
     regenerated = closed_trims(sl, sat)
-    assert regenerated == generated_subcolocale(sl, sat), \
-        "closed-form saturation closure disagrees with the generic one"
+    if regenerated != generated_subcolocale(sl, sat):
+        raise InternalInconsistency(
+            "closed-form saturation closure disagrees with the generic one")
     direct = regenerated == members
     via_adjunction = members & ~delta(sl, sl_o, fit_image(sl, sl_o, members)) == 0
-    assert direct == via_adjunction, "essentiality criteria disagree"
+    if direct != via_adjunction:
+        raise InternalInconsistency("essentiality criteria disagree")
     return direct
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
-from .errors import SizeLimit
+from .errors import InternalInconsistency, SizeLimit
 from .lattice import CoframeWitness, FrameWitness, Lattice, fold_families
 
 
@@ -112,7 +112,7 @@ class SublocaleCoframe:
     ``fit_of`` and ``full_index``, which translate indices from and to its
     parent, the full host.  ``tests/oracles.py`` builds the same tables
     from the member masks by the generic constructions, and the laws suite
-    compares them with intersections and (fitted) closures of unions.
+    compares them with intersections and (fitted) joins of member masks.
     Instances are immutable after construction.
     """
 
@@ -243,7 +243,8 @@ def sublocale_join(sl: SublocaleCoframe, idxs: Iterable[int]) -> int:
     if sl.fitted:
         u = fit_mask(fw, u)
     got = sl.index[u]
-    assert got == acc_idx, "join table disagrees with closure of union"
+    if got != acc_idx:
+        raise InternalInconsistency("join table disagrees with closure of union")
     return got
 
 

@@ -10,12 +10,15 @@ each family's value from a smaller family's through a per-frame table.
 The sublocale coframes are built from member masks by the generic
 constructions the package builds from sets of primes instead, and the
 host-index reads of the subcolocale calculus are held to the mask
-operations they stand for.  Subcolocales and down-sets are found by
-testing every subset where the package generates them.  At the very end,
-subcolocales and quotient frames become lattices through ``Lattice.from_up``
-(the frames then through ``FrameWitness.of``) where the package retracts
-the host by a conucleus or a nucleus, and lift searches become a scan of
-every map.
+operations they stand for.  The law checks follow, by their cubic
+definitions, which the package replaces by quadratic equivalents (unit,
+counit and monotonicity for an adjunction, join-irreducibles for
+distributivity, pairwise meets for joins of sublocales).  Subcolocales
+and down-sets are found by testing every subset where the package
+generates them.  At the very end, subcolocales and quotient frames become
+lattices through ``Lattice.from_up`` (the frames then through
+``FrameWitness.of``) where the package retracts the host by a conucleus
+or a nucleus, and lift searches become a scan of every map.
 """
 
 from itertools import combinations, product
@@ -481,6 +484,52 @@ def host_read_mismatches(sl) -> tuple:
     compare(point_sublocales(sl), mask_of(sl.index[b_mask(fw, p)] for p in bits(fw.primes)),
             "point sublocales")
     return bad, cases
+
+
+# ---------------------------------------------------------------------------
+# law checks by their definitions, cubic in the elements
+
+
+def scan_distributivity(lat) -> list:
+    """Every ``(x, y, z)`` with ``x ^ (y v z) != (x ^ y) v (x ^ z)``."""
+    meet, join = lat.meet_table, lat.join_table
+    return [(x, y, z) for x in range(lat.n) for y in range(lat.n) for z in range(lat.n)
+            if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]]
+
+
+def scan_heyting_adjunction(lat, hey) -> list:
+    """Every ``(x, y, z)`` on which ``x ^ y <= z`` and ``x <= y -> z`` differ,
+    with the arrow read from the table ``hey``."""
+    return [(x, y, z) for x in range(lat.n) for y in range(lat.n) for z in range(lat.n)
+            if lat.leq(lat.meet_table[x][y], z) != lat.leq(x, hey[y][z])]
+
+
+def scan_difference_adjunction(lat, diff) -> list:
+    """Every ``(s, t, u)`` on which ``s - t <= u`` and ``s <= t v u`` differ,
+    with the difference read from the table ``diff``."""
+    return [(s, t, u) for s in range(lat.n) for t in range(lat.n) for u in range(lat.n)
+            if lat.leq(diff[s][t], u) != lat.leq(s, lat.join_table[t][u])]
+
+
+def scan_host_laws(host) -> list:
+    """``host_law_violations`` with each join the (fitted) closure of the
+    union and distributivity tested on every triple."""
+    fw = host.ambient
+    label = "SoL" if host.fitted else "SL"
+    lat = host.as_lattice
+    bad = []
+    for i, mi in enumerate(host.elems):
+        for j in range(i, host.size):
+            mj = host.elems[j]
+            if lat.meet_table[i][j] != host.index.get(mi & mj):
+                bad.append((label, "meet", i, j))
+            u = sublocale_closure(fw, mi | mj)
+            if host.fitted:
+                u = fit_mask(fw, u)
+            if lat.join_table[i][j] != host.index.get(u):
+                bad.append((label, "join", i, j))
+    bad.extend((label, "distributive") + v for v in scan_distributivity(lat))
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,80 @@
+"""Double-entry cross-checks raise InternalInconsistency, also under -O."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import subloc
+from subloc.cli import main
+from subloc.corpus import gen_chain
+from subloc.latfile import serialize_lattice
+
+# Plants one disagreement per cross-check by replacing one side, and prints
+# the names of the checks that raised.
+PLANTS = r'''
+import json
+import subloc.correspondence as co
+import subloc.subcolocales as sc
+import subloc.sublocales as su
+from subloc import FrameWitness, InternalInconsistency, enumerate_sublocales
+from subloc.corpus import gen_chain
+
+fw = FrameWitness.of(gen_chain(3))
+sl = enumerate_sublocales(fw)
+sl_o = sl.fitted_subcoframe()
+full_o = (1 << sl_o.size) - 1
+
+def planted(module, name, fake, call):
+    real = getattr(module, name)
+    setattr(module, name, fake)
+    try:
+        call()
+        return False
+    except InternalInconsistency:
+        return True
+    finally:
+        setattr(module, name, real)
+
+raised = {
+    "is_subcolocale": planted(sc, "_is_subcolocale_characterized",
+                              lambda host, m: not sc._is_subcolocale_raw(host, m),
+                              lambda: sc.is_subcolocale(sl, 1)),
+    "is_proper": planted(sc, "is_precongruence", lambda fw, rel: False,
+                         lambda: sc.is_proper(sl_o, full_o)),
+    "delta": planted(sc, "generated_subcolocale", lambda host, m: 0,
+                     lambda: sc.delta(sl, sl_o, full_o)),
+    "saturation": planted(sc, "generated_subcolocale", lambda host, m: 0,
+                          lambda: sc.is_essential(sl, sc.sb(sl), sl_o)),
+    "is_essential": planted(sc, "delta", lambda sl, sl_o, m: 0,
+                            lambda: sc.is_essential(sl, sc.sb(sl), sl_o)),
+    "sublocale_join": planted(su, "sublocale_closure", lambda fw, m: fw.lattice.full_mask,
+                              lambda: su.sublocale_join(sl, [0, 0])),
+    "right_adjoint_image": planted(co, "is_sublocale", lambda fw, m: False,
+                                   lambda: co.right_adjoint_image(co.downset_frame(fw)[1])),
+}
+print(json.dumps({"debug": __debug__, "raised": raised}))
+'''
+
+
+def test_planted_disagreements_raise_under_python_O():
+    src = str(Path(subloc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-O", "-c", PLANTS], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    got = json.loads(out)
+    assert got["debug"] is False
+    assert got["raised"] == dict.fromkeys(got["raised"], True)
+    assert len(got["raised"]) == 7
+
+
+def test_cli_exits_1_on_an_internal_inconsistency(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "c3.lat"
+    path.write_text(serialize_lattice(gen_chain(3)))
+    assert main(["check", str(path), "--suite", "adjunction"]) == 0
+    monkeypatch.setattr("subloc.subcolocales.generated_subcolocale", lambda host, m: 0)
+    capsys.readouterr()
+    assert main(["check", str(path), "--suite", "adjunction"]) == 1
+    assert "internal inconsistency" in capsys.readouterr().err

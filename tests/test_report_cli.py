@@ -179,6 +179,22 @@ def test_cli_bounds_input_by_primes_not_elements(tmp_path, capsys):
     assert "sublocales: 16" in capsys.readouterr().out
 
 
+def test_cli_refuses_more_elements_than_sublocales_before_the_witness(
+        tmp_path, monkeypatch, capsys):
+    # bool4 has 16 elements, so at least 16 sublocales: past a bound of 8
+    path = tmp_path / "bool4.lat"
+    path.write_text(serialize_lattice(gen_boolean(4)))
+
+    def reached(lat):
+        pytest.fail("FrameWitness.of ran on input past the sublocale bound")
+
+    monkeypatch.setattr(FrameWitness, "of", staticmethod(reached))
+    assert main(["--limit", "max_sublocales=8", "check", str(path), "--suite", "laws"]) == 2
+    err = capsys.readouterr().err
+    assert "16 elements exceed max_sublocales=8" in err
+    assert "--limit max_sublocales=N" in err
+
+
 def test_cli_rejects_unknown_command(c3_file):
     with pytest.raises(SystemExit):
         main(["frobnicate", c3_file])
