@@ -32,7 +32,8 @@ def _load_frame(path: str, limits: Limits) -> FrameWitness:
     A finite distributive lattice with ``p`` primes has at most ``2^p``
     elements, so such a frame also has more than ``max_sublocales``
     sublocales, and ``enumerate_sublocales`` would refuse it anyway, but
-    only after the cubic ``FrameWitness.of``.
+    only after ``FrameWitness.of``, which costs ``n^2 p`` for ``p``
+    join-irreducibles.
     """
     lat = parse_lattice(Path(path).read_text())
     if lat.n > limits.max_sublocales:

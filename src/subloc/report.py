@@ -146,11 +146,10 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
     checks.add("heyting-adjunction",
                list(adjunction_violations(lat, lat.meet_table, fw.heyting_table)))
 
-    cw = CoframeWitness.of(lat)
-    dual_fw = FrameWitness.of(lat.dual())
-    bad = [(x, y) for x in range(n) for y in range(n)
-           if dual_fw.heyting_table[x][y] != cw.difference_table[y][x]]
-    checks.add("frame-coframe-duality", bad)
+    # the difference table is the dual's arrow; x - t <= u iff x <= t v u pins it
+    diff = CoframeWitness.of(lat).difference_table
+    checks.add("frame-coframe-duality",
+               list(adjunction_violations(lat, tuple(zip(*diff)), lat.join_table)))
 
     pr = primes(fw)
     bad = []

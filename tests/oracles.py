@@ -253,8 +253,8 @@ def naive_join_irreducibles(up) -> tuple:
 
 
 def naive_primes(up) -> frozenset:
-    """Meet-irreducible proper elements: p below a binary meet forces p
-    below a factor, and p is not the top."""
+    """Primes: p below a binary meet forces p below a factor, and p is not
+    the top (off distributivity this is stronger than meet-irreducible)."""
     n = len(up)
     top = naive_top(up)
     out = set()

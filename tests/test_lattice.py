@@ -4,7 +4,8 @@ from subloc import (CoframeWitness, FrameWitness, Lattice, NotACoframe,
                     NotAFrame, covered_primes, covers, is_exact_meet,
                     is_strongly_exact_meet, join_irreducibles, primes)
 from subloc.bits import bits
-from subloc.corpus import gen_boolean, gen_chain
+from subloc.corpus import gen_boolean, gen_chain, gen_product
+from subloc.lattice import prime_mask
 
 from oracles import (naive_difference, naive_heyting, naive_is_exact_meet,
                      naive_join_irreducibles, naive_meet, naive_join, naive_primes)
@@ -96,10 +97,17 @@ def test_primes_frozen(c3, b2):
     assert sorted(bits(primes(b3))) == [3, 5, 6]
 
 
-def test_primes_against_naive_oracle(corpus):
+def test_primes_against_naive_oracle(corpus, m3):
     for cf in corpus:
         got = frozenset(bits(primes(cf.frame)))
         assert got == naive_primes(cf.frame.lattice.up)
+    # off distributivity a meet-irreducible need not be prime: M3's atoms
+    # and N5's lower left element are meet-irreducible and not prime
+    n5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    for lat in (m3, n5, gen_product(m3, gen_chain(2))):
+        assert frozenset(bits(prime_mask(lat))) == naive_primes(lat.up)
+    assert prime_mask(m3) == 0
+    assert sorted(bits(prime_mask(n5))) == [2, 3]
 
 
 def test_covered_primes_equal_primes(corpus):

@@ -4,6 +4,8 @@ Each check is compared with its oracle in ``tests/oracles.py`` on the
 frames of ``standard_corpus(20, 0)`` and on chain6, grid 3x3 and chain7
 (hosts of up to 64 sublocales), where every law holds, and on planted
 broken tables, where it fails; each test asserts that both verdicts occur.
+The difference adjunction is checked on the hosts and on the frames, as
+the laws suite's ``difference-adjunction`` and ``frame-coframe-duality``.
 """
 
 import copy
@@ -12,7 +14,7 @@ import random
 
 import pytest
 
-from subloc import FrameWitness, enumerate_sublocales
+from subloc import CoframeWitness, FrameWitness, enumerate_sublocales
 from subloc.corpus import gen_chain, gen_diamond, gen_product, standard_corpus
 from subloc.lattice import Lattice, adjunction_violations, distributivity_violations
 from subloc.report import host_law_violations
@@ -81,12 +83,13 @@ def test_heyting_adjunction_matches_the_triple_scan(frames):
     assert seen == {True, False}
 
 
-def test_difference_adjunction_matches_the_triple_scan(hosts):
+def test_difference_adjunction_matches_the_triple_scan(frames, hosts):
     rng = random.Random(0)
     seen = set()
-    for host in hosts:
-        lat = host.as_lattice
-        diff = host.coframe.difference_table
+    # the hosts' tables come from sets of primes, the frames' from the dual's arrow
+    pairs = [(host.as_lattice, host.coframe.difference_table) for host in hosts]
+    pairs += [(fw.lattice, CoframeWitness.of(fw.lattice).difference_table) for fw in frames]
+    for lat, diff in pairs:
         tables = [diff]
         if lat.n > 1:
             tables.append(_planted(diff, rng, swap=True))

@@ -12,14 +12,16 @@ from subloc import (CoframeWitness, FrameWitness, enumerate_sublocales,
                     is_exact_meet, is_strongly_exact_meet, is_sublocale,
                     parse_lattice, precongruence_to_sublocale,
                     serialize_lattice, sublocale_to_precongruence)
+from subloc.bits import mask_of
 from subloc.correspondence import subcolocale_lattice, surjection_of
 from subloc.corpus import gen_downsets_of_poset
 from subloc.subcolocales import (enumerate_subcolocales, generated_closed_form,
                                  generated_subcolocale, is_subcolocale)
 from subloc.sublocales import fit_mask, sublocale_closure
 
-from oracles import (host_mismatches, host_read_mismatches, scan_subcolocales,
-                     table_hosts, table_sublocale_frame, table_subcolocale_lattice)
+from oracles import (host_mismatches, host_read_mismatches, naive_primes,
+                     scan_subcolocales, table_hosts, table_sublocale_frame,
+                     table_subcolocale_lattice)
 
 
 @st.composite
@@ -53,6 +55,7 @@ def test_downsets_form_a_frame_with_adjoint_arrow(up_rows):
             for z in range(lat.n):
                 assert lat.leq(lat.meet_table[z][x], y) == \
                     lat.leq(z, fw.heyting_table[x][y])
+    assert fw.primes == mask_of(naive_primes(lat.up))
 
 
 @given(posets())
