@@ -10,14 +10,17 @@ Morphism checks search for coframe maps between the chosen subcolocales
 that extend the action of a given frame map on opens (Raney side) or on
 closeds (zero-dimensional side).  A chosen subcolocale is its host's retract
 by its conucleus (``subcolocale_lattice``), built once per structure: each
-structure keeps that lattice in a field filled on first use.  The
-search assigns values to the join irreducibles of the source in index
-order, takes the candidates of a step as one bitmask (the interval between
-the bounds from the pinned values, above the values of the irreducibles
-below), checks meet consistency incrementally, and reports the
-lexicographically least witnesses first.  Smoothness of a sublocale
-(membership in the smallest codense subcolocale) is equivalent to the
-zero-dimensional lift existing, and exactness to the Raney lift existing.
+structure keeps that lattice in a field filled on first use.  A
+one-witness check returns the canonical lift, the preimage of prime sets
+along the spectral map ``q -> f_*(q)``, if :func:`is_coframe_map`
+certifies it.  Otherwise the search assigns values to the join
+irreducibles of the source in index order, takes the candidates of a step
+as one bitmask (the interval between the bounds from the pinned values,
+above the values of the irreducibles below), checks meet consistency
+incrementally, and reports the lexicographically least witnesses first.
+Smoothness of a sublocale (membership in the smallest codense
+subcolocale) is equivalent to the zero-dimensional lift existing, and
+exactness to the Raney lift existing.
 """
 
 from __future__ import annotations
@@ -225,18 +228,43 @@ def subcolocale_lattice(host: SublocaleCoframe, members: int) -> tuple[Lattice, 
             tuple(bits(members)))
 
 
+def is_coframe_map(src: Lattice, dst: Lattice, h: Sequence[int],
+                   fixed: dict[int, int]) -> bool:
+    """Whether ``h`` is a map ``src -> dst`` keeping the bounds, the pins
+    ``fixed`` and every binary meet and join (hence all finite ones)."""
+    if len(h) != src.n or not all(0 <= v < dst.n for v in h):
+        return False
+    if h[src.top] != dst.top or h[src.bottom] != dst.bottom:
+        return False
+    if any(h[s] != t for s, t in fixed.items()):
+        return False
+    for a in range(src.n):
+        ma, ja = dst.meet_table[h[a]], dst.join_table[h[a]]
+        smeet, sjoin = src.meet_table[a], src.join_table[a]
+        for b in range(a, src.n):
+            if h[smeet[b]] != ma[h[b]] or h[sjoin[b]] != ja[h[b]]:
+                return False
+    return True
+
+
 def extend_to_coframe_map(src: Lattice, dst: Lattice, fixed: dict[int, int],
                           limits: Limits = DEFAULT_LIMITS,
-                          max_witnesses: int = 1) -> LiftVerdict:
+                          max_witnesses: int = 1,
+                          candidate: Sequence[int] | None = None) -> LiftVerdict:
     """Search for maps ``src -> dst`` preserving all (finite) meets and joins
     and extending the pinned assignments.
 
-    Requires the source order to be topologically sorted by index.  Values
-    are assigned to the join irreducibles in index order, each determined
-    element is checked as soon as its decomposition completes, and the
-    lexicographically least witnesses are reported first.  Raises
-    :class:`SizeLimit` if the node budget runs out before any conclusion.
+    A one-witness call with a ``candidate`` that passes :func:`is_coframe_map`
+    returns it with no node explored; otherwise the search runs.  Requires
+    the source order to be topologically sorted by index.  The search assigns
+    values to the join irreducibles in index order, checks each determined
+    element as soon as its decomposition completes, and reports the
+    lexicographically least witnesses first.  Raises :class:`SizeLimit` if
+    the node budget runs out before any conclusion.
     """
+    if (max_witnesses == 1 and candidate is not None
+            and is_coframe_map(src, dst, candidate, fixed)):
+        return LiftVerdict(True, (tuple(candidate),), 0, False)
     for i in range(src.n):
         if src.up[i] >> i << i != src.up[i]:
             raise ValueError("source order must be topologically sorted")
@@ -312,32 +340,12 @@ def extend_to_coframe_map(src: Lattice, dst: Lattice, fixed: dict[int, int],
                 return False
         return True
 
-    def final_check() -> tuple[int, ...] | None:
-        h = list(hval)
-        for e in range(src.n):
-            if jbelow[e] == 0:
-                h[e] = dst.bottom
-        if h[src.top] != dst.top or h[src.bottom] != dst.bottom:
-            return None
-        for s, t in fixed.items():
-            if h[s] != t:
-                return None
-        for a in range(src.n):
-            ha = h[a]
-            ma, ja = dmeet[ha], djoin[ha]
-            smeet, sjoin = src.meet_table[a], src.join_table[a]
-            for b in range(a, src.n):
-                if h[smeet[b]] != ma[h[b]] or h[sjoin[b]] != ja[h[b]]:
-                    return None
-        return tuple(h)
-
     def search(step: int) -> bool:
         """Depth-first; returns True when the search should stop early."""
         nonlocal nodes, capped
         if step == nj:
-            w = final_check()
-            if w is not None:
-                witnesses.append(w)
+            if is_coframe_map(src, dst, hval, fixed):
+                witnesses.append(tuple(hval))
                 if len(witnesses) >= max_witnesses:
                     capped = True
                     return True
@@ -371,7 +379,7 @@ def raney_lift_check(f: FrameMap, r1: RaneyExtension, r2: RaneyExtension,
     """Does ``f`` lift to a coframe map of the chosen fitted collections?
 
     The lift must send the open of ``x`` to the open of ``f(x)``; its
-    values elsewhere are searched for.
+    values elsewhere are the canonical lift's if certified, else searched for.
     """
     return _lift_check(f, r1, r1.f_sub, r2, r2.f_sub, SublocaleCoframe.open_of,
                        limits, max_witnesses)
@@ -391,8 +399,8 @@ def szdbf_lift_check(f: FrameMap, b1: SZDBF, b2: SZDBF,
 def _lift_check(f: FrameMap, s1: RaneyExtension | SZDBF, sub1: Subcolocale,
                 s2: RaneyExtension | SZDBF, sub2: Subcolocale, pin,
                 limits: Limits, max_witnesses: int) -> LiftVerdict:
-    """Search for a lift of ``f`` between the subcolocales ``sub1`` of
-    ``s1`` and ``sub2`` of ``s2`` that sends ``pin(host1, x)`` to
+    """Certify or search for a lift of ``f`` between the subcolocales ``sub1``
+    of ``s1`` and ``sub2`` of ``s2`` that sends ``pin(host1, x)`` to
     ``pin(host2, f(x))``; witness values are target host indices."""
     if f.source != s1.frame or f.target != s2.frame:
         raise ValueError("the map's frames must match the structures")
@@ -402,10 +410,25 @@ def _lift_check(f: FrameMap, s1: RaneyExtension | SZDBF, sub1: Subcolocale,
     dpos = {e: p for p, e in enumerate(dst_idxs)}
     fixed = {spos[pin(sub1.host, x)]: dpos[pin(sub2.host, f(x))]
              for x in range(f.source.lattice.n)}
-    verdict = extend_to_coframe_map(src_lat, dst_lat, fixed, limits, max_witnesses)
+    verdict = extend_to_coframe_map(src_lat, dst_lat, fixed, limits, max_witnesses,
+                                    _canonical_lift(f, sub1.host, src_idxs, sub2.host, dpos))
     return LiftVerdict(verdict.exists,
                        tuple(tuple(dst_idxs[v] for v in w) for w in verdict.witnesses),
                        verdict.nodes_explored, verdict.exhausted)
+
+
+def _canonical_lift(f: FrameMap, host1: SublocaleCoframe, src_idxs: Sequence[int],
+                    host2: SublocaleCoframe, dpos: dict[int, int]) -> tuple[int, ...] | None:
+    """The preimage of prime sets along the spectral map ``q -> f_*(q)``, as
+    target positions ``dpos`` of the members ``src_idxs``, or ``None`` if a
+    value is not in the target subcolocale.  ``f_*`` keeps primes and order,
+    so a (down-closed) prime set has a (down-closed) preimage (Birkhoff, 1937)."""
+    sprime = {p: j for j, p in enumerate(bits(f.source.primes))}
+    spectral = [sprime[f.right_adjoint(q)] for q in bits(f.target.primes)]
+    at = {q: dpos.get(i) for i, q in enumerate(host2.points)}
+    h = tuple(at[mask_of(k for k, j in enumerate(spectral) if (host1.points[i] >> j) & 1)]
+              for i in src_idxs)
+    return None if None in h else h
 
 
 # ---------------------------------------------------------------------------

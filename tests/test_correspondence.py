@@ -158,6 +158,101 @@ def test_extension_search_matches_the_map_scan():
     assert seen == {True, False}
 
 
+def test_candidates_never_certify_a_non_map():
+    # a candidate certifies exactly when it is one of the scanned maps that
+    # keep the pins; any other candidate falls back to the search
+    n5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    lats = (gen_chain(2), gen_chain(3), gen_chain(4), gen_boolean(2), n5, gen_diamond())
+    rng = random.Random(5)
+    verdicts, outcomes = set(), set()
+    for src in lats:
+        for dst in lats:
+            maps = scan_coframe_maps(src, dst, {})
+            for trial in range(8):
+                pinned = rng.sample(range(src.n), rng.randint(0, min(3, src.n)))
+                keep = rng.choice(maps) if maps and trial % 2 else None
+                fixed = {s: keep[s] if keep else rng.randrange(dst.n) for s in pinned}
+                if maps and trial % 4 < 2:
+                    cand = rng.choice(maps)
+                else:
+                    cand = tuple(rng.randrange(dst.n) for _ in range(src.n))
+                want = scan_coframe_maps(src, dst, fixed)
+                v = extend_to_coframe_map(src, dst, fixed, candidate=cand)
+                assert v.exists == bool(want)
+                assert set(v.witnesses) <= set(want) and len(v.witnesses) == v.exists
+                certified = v.exists and v.nodes_explored == 0
+                assert certified == (cand in want)
+                assert not certified or v.witnesses == (cand,)
+                verdicts.add(v.exists)
+                outcomes.add(certified)
+    assert verdicts == {True, False} and outcomes == {True, False}
+
+
+def test_canonical_lift_of_the_identity(c3, hosts):
+    # every structure of a finite frame holds its whole host, so only a
+    # hand-made target can miss a value of the canonical lift
+    sl = hosts["chain3"]
+    ident = FrameMap.of(c3, c3, (0, 1, 2))
+    every = range(sl.size)
+    assert correspondence._canonical_lift(ident, sl, every, sl, {i: i for i in every}) \
+        == tuple(every)
+    assert correspondence._canonical_lift(ident, sl, every, sl, {i: i for i in every if i}) \
+        is None
+
+
+def test_certified_lifts_match_the_search(monkeypatch):
+    # every lift of every quotient map of the sampled corpus certifies its
+    # canonical candidate, and that is the witness the search returns
+    def both_sides(search_only):
+        with monkeypatch.context() as m:
+            if search_only:
+                m.setattr(correspondence, "_canonical_lift", lambda *args: None)
+            return [check(f, s1, s2) for check, f, s1, s2 in lifts]
+
+    lifts = []
+    for cf in standard_corpus(20, 0):
+        sl = enumerate_sublocales(cf.frame)
+        b1 = SZDBF(cf.frame, Subcolocale(sl, sb(sl)))
+        r1 = to_raney(b1)
+        for i in range(sl.size):
+            f = surjection_of(sl, i)
+            sub_sl = enumerate_sublocales(f.target)
+            b2 = SZDBF(f.target, Subcolocale(sub_sl, sb(sub_sl)))
+            lifts += [(szdbf_lift_check, f, b1, b2), (raney_lift_check, f, r1, to_raney(b2))]
+    certified, searched = both_sides(False), both_sides(True)
+    assert len(lifts) == 1080
+    assert all(v.nodes_explored == 0 for v in certified)
+    assert [(v.exists, v.witnesses) for v in certified] == \
+        [(v.exists, v.witnesses) for v in searched]
+    assert sum(v.nodes_explored for v in searched) > 0
+
+
+def test_every_frame_map_lifts_at_finite_scale():
+    """Functoriality on finite frames: every frame map between frames of at
+    most 5 elements lifts on both sides, and its canonical lift certifies.
+    One frame per isomorphism class: the chains, bool2, and bool2 with a
+    new bottom or a new top (the down-sets of a point below, or above, two
+    others)."""
+    lats = [gen_chain(n) for n in range(1, 6)] + [
+        gen_boolean(2), gen_downsets_of_poset((0b111, 0b010, 0b100)),
+        gen_downsets_of_poset((0b101, 0b110, 0b100))]
+    structures = []
+    for lat in lats:
+        fw = FrameWitness.of(lat)
+        sl = enumerate_sublocales(fw)
+        b = SZDBF(fw, Subcolocale(sl, sb(sl)))
+        structures.append((fw, b, to_raney(b)))
+    maps = 0
+    for fw1, b1, r1 in structures:
+        for fw2, b2, r2 in structures:
+            for h in scan_coframe_maps(fw1.lattice, fw2.lattice, {}):
+                f = FrameMap.of(fw1, fw2, h)
+                for v in (szdbf_lift_check(f, b1, b2), raney_lift_check(f, r1, r2)):
+                    assert v.exists and v.nodes_explored == 0, (fw1.lattice, fw2.lattice, h)
+                maps += 1
+    assert maps == 381
+
+
 def test_subcolocale_lattice_of_full_host(hosts):
     sl = hosts["chain4"]
     lat, idxs = subcolocale_lattice(sl, (1 << sl.size) - 1)
