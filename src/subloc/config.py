@@ -1,4 +1,4 @@
-"""Size budgets for the exhaustive enumerations and searches.
+"""Size budgets for the exhaustive enumerations.
 
 Every potentially exponential routine takes a :class:`Limits` and raises
 :class:`subloc.errors.SizeLimit` instead of silently grinding, so callers
@@ -16,8 +16,6 @@ class Limits:
     # on command-line input: a larger S(L) is refused before it is built.
     # Each host of S(L) or S_o(L) has 2^p subcolocales, so it bounds them too.
     max_sublocales: int = 2048
-    # Node budget for the lifting searches.
-    lift_node_budget: int = 1_000_000
     # Cap on the number of down-sets a down-set lattice may have; they are
     # built point by point and refused once they pass it.
     max_downsets: int = 4096

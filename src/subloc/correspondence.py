@@ -6,34 +6,29 @@ codense subcolocale of its full sublocale coframe.  ``to_raney`` and
 ``to_szdbf`` convert between them along the fitting adjunction (the
 latter requires the fitted collection to be proper).
 
-Morphism checks search for coframe maps between the chosen subcolocales
-that extend the action of a given frame map on opens (Raney side) or on
-closeds (zero-dimensional side).  A chosen subcolocale is its host's retract
-by its conucleus (``subcolocale_lattice``), built once per structure: each
-structure keeps that lattice in a field filled on first use.  A
-one-witness check returns the canonical lift, the preimage of prime sets
-along the spectral map ``q -> f_*(q)``, if :func:`is_coframe_map`
-certifies it.  Otherwise the search assigns values to the join
-irreducibles of the source in index order, takes the candidates of a step
-as one bitmask (the interval between the bounds from the pinned values,
-above the values of the irreducibles below), checks meet consistency
-incrementally, and reports the lexicographically least witnesses first.
-Smoothness of a sublocale (membership in the smallest codense
+Morphism checks decide whether a frame map lifts to a coframe map between
+the chosen subcolocales that extends its action on opens (Raney side) or on
+closeds, and so on the coatoms of ``S(L)`` (zero-dimensional side).  Those
+pins are meet-dense, so a lift is the meet of the pinned values above each
+element, and one :func:`is_coframe_map` check decides it.  A chosen
+subcolocale is its host's retract by its conucleus (``subcolocale_lattice``),
+built once per structure: each structure keeps that lattice in a field
+filled on first use.  Smoothness of a sublocale (membership in the smallest codense
 subcolocale) is equivalent to the zero-dimensional lift existing, and
 exactness to the Raney lift existing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .corpus import downset_masks, gen_downsets_of_poset
-from .errors import InternalInconsistency, NotProper, SizeLimit
-from .lattice import FrameWitness, Lattice, fold_families, join_irreducibles
+from .errors import InternalInconsistency, NotProper
+from .lattice import FrameWitness, Lattice, fold_families
 from .sublocales import SublocaleCoframe, is_sublocale, nucleus_element
 from .subcolocales import (Subcolocale, conucleus, delta, fit_image, is_codense,
                            is_essential, is_proper, sb)
@@ -195,17 +190,17 @@ def to_szdbf(r: RaneyExtension) -> SZDBF:
 
 
 # ---------------------------------------------------------------------------
-# lifting searches
+# lifts
 
 
 @dataclass(frozen=True)
 class LiftVerdict:
-    """Outcome of a lift search.
+    """Outcome of a lift check.
 
-    ``witnesses`` maps, for each found lift, the source subcolocale members
-    (in increasing host-index order) to target host indices.  ``exhausted``
-    is false when the node budget or the witness cap stopped the search
-    before covering the whole space.
+    ``witnesses`` holds the lift, if it exists: the source subcolocale
+    members (in increasing host-index order) mapped to target host indices.
+    A lift is determined by its pins, so nothing is searched:
+    ``nodes_explored`` is always 0 and ``exhausted`` always ``True``.
     """
 
     exists: bool
@@ -222,21 +217,21 @@ class LiftVerdict:
 
 def subcolocale_lattice(host: SublocaleCoframe, members: int) -> tuple[Lattice, tuple[int, ...]]:
     """A subcolocale as a lattice, the host's retract by the conucleus, plus its
-    host indices; the host order is topologically sorted, so the local one is too."""
+    host indices."""
     lat = host.as_lattice
     return (lat.retract([conucleus(host, members, c) for c in range(lat.n)]),
             tuple(bits(members)))
 
 
 def is_coframe_map(src: Lattice, dst: Lattice, h: Sequence[int],
-                   fixed: dict[int, int]) -> bool:
+                   pins: Iterable[tuple[int, int]]) -> bool:
     """Whether ``h`` is a map ``src -> dst`` keeping the bounds, the pins
-    ``fixed`` and every binary meet and join (hence all finite ones)."""
+    ``(s, t)`` and every binary meet and join (hence all finite ones)."""
     if len(h) != src.n or not all(0 <= v < dst.n for v in h):
         return False
     if h[src.top] != dst.top or h[src.bottom] != dst.bottom:
         return False
-    if any(h[s] != t for s, t in fixed.items()):
+    if any(h[s] != t for s, t in pins):
         return False
     for a in range(src.n):
         ma, ja = dst.meet_table[h[a]], dst.join_table[h[a]]
@@ -247,188 +242,90 @@ def is_coframe_map(src: Lattice, dst: Lattice, h: Sequence[int],
     return True
 
 
-def extend_to_coframe_map(src: Lattice, dst: Lattice, fixed: dict[int, int],
-                          limits: Limits = DEFAULT_LIMITS,
-                          max_witnesses: int = 1,
-                          candidate: Sequence[int] | None = None) -> LiftVerdict:
-    """Search for maps ``src -> dst`` preserving all (finite) meets and joins
-    and extending the pinned assignments.
+def extend_to_coframe_map(src: Lattice, dst: Lattice,
+                          pins: Iterable[tuple[int, int]]) -> LiftVerdict:
+    """The map ``src -> dst`` preserving all (finite) meets and joins that
+    sends each pinned ``s`` to ``t``, if there is one.
 
-    A one-witness call with a ``candidate`` that passes :func:`is_coframe_map`
-    returns it with no node explored; otherwise the search runs.  Requires
-    the source order to be topologically sorted by index.  The search assigns
-    values to the join irreducibles in index order, checks each determined
-    element as soon as its decomposition completes, and reports the
-    lexicographically least witnesses first.  Raises :class:`SizeLimit` if
-    the node budget runs out before any conclusion.
+    The pinned sources must be meet-dense: each ``g`` is the meet of the
+    pinned ``s >= g``.  A map keeping the top and binary meets keeps that
+    meet, so one keeping the pins sends ``g`` to the meet of their ``t``.
+    That map is the only candidate, and :func:`is_coframe_map` decides it.
+    The same fold in ``src`` checks density; ``ValueError`` if it fails.
     """
-    if (max_witnesses == 1 and candidate is not None
-            and is_coframe_map(src, dst, candidate, fixed)):
-        return LiftVerdict(True, (tuple(candidate),), 0, False)
-    for i in range(src.n):
-        if src.up[i] >> i << i != src.up[i]:
-            raise ValueError("source order must be topologically sorted")
-    irr = join_irreducibles(src)
-    nj = len(irr)
-    jbelow = [0] * src.n
-    for k, j in enumerate(irr):
-        for e in bits(src.up[j]):
-            jbelow[e] |= bit(k)
-    last_step = [jb.bit_length() - 1 for jb in jbelow]
-
-    # elements with no irreducibles below are exactly the bottom
-    for s, t in fixed.items():
-        if jbelow[s] == 0 and t != dst.bottom:
-            return LiftVerdict(False, (), 0, True)
-    fixed_at: list[list[tuple[int, int]]] = [[] for _ in range(nj)]
-    for s, t in fixed.items():
-        if jbelow[s]:
-            fixed_at[last_step[s]].append((s, t))
-    ub = [dst.top] * nj
-    lb = [dst.bottom] * nj
-    for k, j in enumerate(irr):
-        for s, t in fixed.items():
-            if src.leq(j, s):
-                ub[k] = dst.meet_table[ub[k]][t]
-            if src.leq(s, j):
-                lb[k] = dst.join_table[lb[k]][t]
-
-    # per step: the pinned interval as a candidate mask, the earlier
-    # irreducibles below this one (their values bound the candidates from
-    # below), the elements whose decomposition completes here, and the
-    # meets with the other earlier irreducibles (their images must be the
-    # meets; for one below, candidates above its value pass already).  A
-    # completed element's value is the join of its decomposition's values;
-    # when the decomposition less this step's irreducible is that of an
-    # earlier element ``prev``, it is ``prev``'s value joined with this
-    # step's, else the decomposition is folded afresh.
-    window = [dst.up[lb[k]] & dst.dn[ub[k]] for k in range(nj)]
-    below = [tuple(k2 for k2 in range(k) if src.leq(irr[k2], j)) for k, j in enumerate(irr)]
-    of_jbelow = {jb: e for e, jb in enumerate(jbelow)}
-    done: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(nj)]
-    for e in range(src.n):
-        if jbelow[e]:
-            prev = of_jbelow.get(jbelow[e] ^ bit(last_step[e]), -1)
-            done[last_step[e]].append((e, prev, () if prev >= 0 else tuple(bits(jbelow[e]))))
-    pairs = [tuple((k2, src.meet_table[irr[k2]][j]) for k2 in range(k) if k2 not in below[k])
-             for k, j in enumerate(irr)]
-
-    dup, dmeet, djoin = dst.up, dst.meet_table, dst.join_table
-    val = [0] * nj
-    hval = [dst.bottom] * src.n
-    witnesses: list[tuple[int, ...]] = []
-    nodes = 0
-    budget = limits.lift_node_budget
-    capped = False
-
-    def fill(step: int, c: int) -> bool:
-        jc = djoin[c]
-        for e, prev, dec in done[step]:
-            if prev >= 0:
-                hval[e] = jc[hval[prev]]
-                continue
-            acc = dst.bottom
-            for k in dec:
-                acc = djoin[acc][val[k]]
-            hval[e] = acc
-        for s, t in fixed_at[step]:
-            if hval[s] != t:
-                return False
-        mc = dmeet[c]
-        for k2, m in pairs[step]:
-            if mc[val[k2]] != hval[m]:
-                return False
-        return True
-
-    def search(step: int) -> bool:
-        """Depth-first; returns True when the search should stop early."""
-        nonlocal nodes, capped
-        if step == nj:
-            if is_coframe_map(src, dst, hval, fixed):
-                witnesses.append(tuple(hval))
-                if len(witnesses) >= max_witnesses:
-                    capped = True
-                    return True
-            return False
-        cand = window[step]
-        for k2 in below[step]:
-            cand &= dup[val[k2]]
-        while cand:              # candidates in increasing order
-            low = cand & -cand
-            cand ^= low
-            c = low.bit_length() - 1
-            nodes += 1
-            if nodes > budget:
-                capped = True
-                return True
-            val[step] = c
-            if fill(step, c) and search(step + 1):
-                return True
-        return False
-
-    stopped = search(0)
-    if capped and not witnesses:
-        raise SizeLimit("lift search exceeded its node budget")
-    return LiftVerdict(bool(witnesses), tuple(witnesses), nodes,
-                       exhausted=not stopped)
+    pins = tuple(pins)
+    rows = [(s, src.meet_table[s], dst.meet_table[t]) for s, t in pins]
+    h = []
+    for g in range(src.n):
+        above, s_acc, t_acc = src.up[g], src.top, dst.top
+        for s, s_meet, t_meet in rows:
+            if above >> s & 1:
+                s_acc, t_acc = s_meet[s_acc], t_meet[t_acc]
+        if s_acc != g:
+            raise ValueError("pins are not meet-dense")
+        h.append(t_acc)
+    ok = is_coframe_map(src, dst, h, pins)
+    return LiftVerdict(ok, (tuple(h),) if ok else (), 0, True)
 
 
-def raney_lift_check(f: FrameMap, r1: RaneyExtension, r2: RaneyExtension,
-                     limits: Limits = DEFAULT_LIMITS,
-                     max_witnesses: int = 1) -> LiftVerdict:
+def raney_lift_check(f: FrameMap, r1: RaneyExtension, r2: RaneyExtension) -> LiftVerdict:
     """Does ``f`` lift to a coframe map of the chosen fitted collections?
 
-    The lift must send the open of ``x`` to the open of ``f(x)``; its
-    values elsewhere are the canonical lift's if certified, else searched for.
+    The lift must send the open of ``x`` to the open of ``f(x)``.  Those
+    pins are meet-dense: a fitted sublocale ``g`` is the host meet of the
+    opens above it, ``F`` holds every open, and ``F``'s meet is the
+    conucleus of the host's, which fixes ``g``.
     """
-    return _lift_check(f, r1, r1.f_sub, r2, r2.f_sub, SublocaleCoframe.open_of,
-                       limits, max_witnesses)
+    h1, h2 = r1.f_sub.host, r2.f_sub.host
+    return _lift_check(f, r1, r1.f_sub, r2, r2.f_sub,
+                       ((h1.open_of(x), h2.open_of(f(x))) for x in range(f.source.lattice.n)))
 
 
-def szdbf_lift_check(f: FrameMap, b1: SZDBF, b2: SZDBF,
-                     limits: Limits = DEFAULT_LIMITS,
-                     max_witnesses: int = 1) -> LiftVerdict:
+def szdbf_lift_check(f: FrameMap, b1: SZDBF, b2: SZDBF) -> LiftVerdict:
     """Does ``f`` lift to a coframe map of the chosen codense subcolocales?
 
-    The lift must send the closed of ``x`` to the closed of ``f(x)``.
+    The lift must send the closed of ``x`` to the closed of ``f(x)``.  A
+    sublocale is its set of primes ``P``, and for a prime ``p`` with ``x_p``
+    the meet of the primes strictly above it, ``closed(x_p) v open(p)`` is
+    the coatom ``P - {p}``: a prime not above ``p`` is in the open, one
+    strictly above is in the closed, and ``p < x_p`` since a prime is meet
+    irreducible.  The coatoms are meet-dense in ``S(L)``, hence in ``D``,
+    whose meet is the conucleus of the host's.  ``D`` holds them: it holds
+    the top and ``d - a`` for each member ``d`` and host element ``a``, so
+    ``top - open(x) = closed(x)`` and ``top - closed(y) = open(y)``, and it
+    is closed under joins.  A lattice map keeping closeds keeps their
+    complements, the opens, so every lift sends the coatom of ``p`` to
+    ``closed(f x_p) v open(f p)``, the coatom's pin.
     """
-    return _lift_check(f, b1, b1.d_sub, b2, b2.d_sub, SublocaleCoframe.closed_of,
-                       limits, max_witnesses)
+    h1, h2 = b1.d_sub.host, b2.d_sub.host
+    return _lift_check(f, b1, b1.d_sub, b2, b2.d_sub, _szdbf_pins(f, h1, h2))
+
+
+def _szdbf_pins(f: FrameMap, h1: SublocaleCoframe, h2: SublocaleCoframe):
+    lat, primes = f.source.lattice, f.source.primes
+    for x in range(lat.n):
+        yield h1.closed_of(x), h2.closed_of(f(x))
+    for p in bits(primes):
+        xp = lat.big_meet(lat.up[p] & primes & ~bit(p))
+        yield (h1.join(h1.closed_of(xp), h1.open_of(p)),
+               h2.join(h2.closed_of(f(xp)), h2.open_of(f(p))))
 
 
 def _lift_check(f: FrameMap, s1: RaneyExtension | SZDBF, sub1: Subcolocale,
-                s2: RaneyExtension | SZDBF, sub2: Subcolocale, pin,
-                limits: Limits, max_witnesses: int) -> LiftVerdict:
-    """Certify or search for a lift of ``f`` between the subcolocales ``sub1``
-    of ``s1`` and ``sub2`` of ``s2`` that sends ``pin(host1, x)`` to
-    ``pin(host2, f(x))``; witness values are target host indices."""
+                s2: RaneyExtension | SZDBF, sub2: Subcolocale,
+                pins: Iterable[tuple[int, int]]) -> LiftVerdict:
+    """Decide the lift of ``f`` between the subcolocales ``sub1`` of ``s1``
+    and ``sub2`` of ``s2`` that keeps the host-index ``pins``, read only
+    after the frames are checked; witness values are target host indices."""
     if f.source != s1.frame or f.target != s2.frame:
         raise ValueError("the map's frames must match the structures")
     src_lat, src_idxs = _sub_lattice(s1, sub1)
     dst_lat, dst_idxs = _sub_lattice(s2, sub2)
     spos = {e: p for p, e in enumerate(src_idxs)}
     dpos = {e: p for p, e in enumerate(dst_idxs)}
-    fixed = {spos[pin(sub1.host, x)]: dpos[pin(sub2.host, f(x))]
-             for x in range(f.source.lattice.n)}
-    verdict = extend_to_coframe_map(src_lat, dst_lat, fixed, limits, max_witnesses,
-                                    _canonical_lift(f, sub1.host, src_idxs, sub2.host, dpos))
-    return LiftVerdict(verdict.exists,
-                       tuple(tuple(dst_idxs[v] for v in w) for w in verdict.witnesses),
-                       verdict.nodes_explored, verdict.exhausted)
-
-
-def _canonical_lift(f: FrameMap, host1: SublocaleCoframe, src_idxs: Sequence[int],
-                    host2: SublocaleCoframe, dpos: dict[int, int]) -> tuple[int, ...] | None:
-    """The preimage of prime sets along the spectral map ``q -> f_*(q)``, as
-    target positions ``dpos`` of the members ``src_idxs``, or ``None`` if a
-    value is not in the target subcolocale.  ``f_*`` keeps primes and order,
-    so a (down-closed) prime set has a (down-closed) preimage (Birkhoff, 1937)."""
-    sprime = {p: j for j, p in enumerate(bits(f.source.primes))}
-    spectral = [sprime[f.right_adjoint(q)] for q in bits(f.target.primes)]
-    at = {q: dpos.get(i) for i, q in enumerate(host2.points)}
-    h = tuple(at[mask_of(k for k, j in enumerate(spectral) if (host1.points[i] >> j) & 1)]
-              for i in src_idxs)
-    return None if None in h else h
+    verdict = extend_to_coframe_map(src_lat, dst_lat, ((spos[s], dpos[t]) for s, t in pins))
+    return replace(verdict, witnesses=tuple(tuple(dst_idxs[v] for v in w)
+                                            for w in verdict.witnesses))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ class NotProper(ValueError):
 
 
 class SizeLimit(RuntimeError):
-    """An enumeration or search exceeded its configured bound."""
+    """An input or enumeration exceeded its configured bound."""
 
 
 class InternalInconsistency(RuntimeError):

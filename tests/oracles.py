@@ -18,7 +18,7 @@ and down-sets are found by testing every subset where the package
 generates them.  At the very end, subcolocales and quotient frames become
 lattices through ``Lattice.from_up`` (the frames then through
 ``FrameWitness.of``) where the package retracts the host by a conucleus
-or a nucleus, and lift searches become a scan of every map.
+or a nucleus, and the determined lifts face a scan of every map.
 """
 
 from itertools import combinations, product
@@ -566,7 +566,7 @@ def scan_downset_masks(up_rows) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# quotient frames, subcolocale lattices and lift searches
+# quotient frames, subcolocale lattices and lifts
 
 
 def table_sublocale_frame(sl, i: int) -> tuple:

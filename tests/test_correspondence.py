@@ -5,8 +5,8 @@ import random
 import pytest
 
 from subloc import correspondence
-from subloc import (DEFAULT_LIMITS, FrameMap, FrameWitness, NotProper, SZDBF,
-                    SizeLimit, Subcolocale, RaneyExtension, downset_frame,
+from subloc import (FrameMap, FrameWitness, NotProper, SZDBF, Subcolocale,
+                    SublocaleCoframe, RaneyExtension, downset_frame,
                     enumerate_sublocales, extend_to_coframe_map,
                     is_exact_map, is_smooth, raney_lift_check,
                     right_adjoint_image, sb, subcolocale_lattice,
@@ -14,7 +14,7 @@ from subloc import (DEFAULT_LIMITS, FrameMap, FrameWitness, NotProper, SZDBF,
 from subloc.bits import bits
 from subloc.corpus import (gen_boolean, gen_chain, gen_diamond, gen_downsets_of_poset,
                            standard_corpus)
-from subloc.lattice import Lattice
+from subloc.lattice import Lattice, join_irreducibles
 from subloc.subcolocales import enumerate_subcolocales, se
 from subloc.sublocales import nucleus_element
 
@@ -95,141 +95,112 @@ def test_everything_is_smooth_and_exact_here(corpus, hosts):
         assert se(sl) == full
 
 
-def test_extension_search_basics():
-    c3 = gen_chain(3)
-    v = extend_to_coframe_map(c3, c3, {})
-    assert v.exists and v.witnesses == ((0, 0, 2),) and not v.exhausted
-    v = extend_to_coframe_map(c3, c3, {}, max_witnesses=5)
-    assert v.witnesses == ((0, 0, 2), (0, 1, 2), (0, 2, 2)) and v.exhausted
-
-
 def test_extension_search_negative():
     # pinning both atoms to the middle forces their join there too, but the
     # join is pinned at the top: no coframe map extends this
-    v = extend_to_coframe_map(gen_boolean(2), gen_chain(3), {1: 1, 2: 1, 3: 2})
+    v = extend_to_coframe_map(gen_boolean(2), gen_chain(3), [(1, 1), (2, 1), (3, 2)])
     assert not v.exists and v.exhausted and v.witnesses == ()
 
 
-def test_extension_search_budget():
-    b3 = gen_boolean(3)
-    with pytest.raises(SizeLimit):
-        extend_to_coframe_map(b3, b3, {}, DEFAULT_LIMITS.with_(lift_node_budget=1))
-    v = extend_to_coframe_map(b3, b3, {}, DEFAULT_LIMITS.with_(lift_node_budget=50),
-                              max_witnesses=10 ** 9)
-    assert v.exists and not v.exhausted
+def test_extension_requires_meet_dense_pins():
+    # the top alone is not meet-dense in bool2, nor an atom with the top
+    b2 = gen_boolean(2)
+    for pins in ([(3, 3)], [(1, 1), (3, 3)]):
+        with pytest.raises(ValueError, match="meet-dense"):
+            extend_to_coframe_map(b2, b2, pins)
 
 
-def test_extension_requires_topological_order():
-    upside_down = Lattice.from_up((0b01, 0b11))
-    with pytest.raises(ValueError):
-        extend_to_coframe_map(upside_down, gen_chain(2), {})
+def test_szdbf_pins_add_the_coatoms_of_s(corpus, hosts):
+    # past the closeds, the zero-dimensional pins are the coatoms P - {p} of
+    # S(L), one per prime; the closeds alone meet-generate only the up-sets
+    # of primes, so on a frame with two comparable primes they are not dense
+    checked = 0
+    for cf in corpus:
+        sl = hosts[cf.name]
+        ident = FrameMap.of(cf.frame, cf.frame, range(cf.frame.lattice.n))
+        pins = list(correspondence._szdbf_pins(ident, sl, sl))
+        coatoms = pins[cf.frame.lattice.n:]
+        every = (1 << len(coatoms)) - 1
+        assert [sl.points[s] for s, t in coatoms] == \
+            [every & ~(1 << j) for j in range(len(coatoms))]
+        assert all(s == t for s, t in pins)
+        checked += len(coatoms)
+    assert checked == sum(bin(cf.frame.primes).count("1") for cf in corpus) > 0
+    sl = hosts["chain3"]
+    closeds = [(sl.closed_of(x),) * 2 for x in range(3)]
+    with pytest.raises(ValueError, match="meet-dense"):
+        extend_to_coframe_map(sl.as_lattice, sl.as_lattice, closeds)
 
 
 def test_lift_verdict_json():
-    v = extend_to_coframe_map(gen_chain(2), gen_chain(2), {})
-    d = v.to_json()
-    assert d == {"exists": True, "witnesses": [[0, 1]],
-                 "nodes_explored": v.nodes_explored, "exhausted": False}
+    v = extend_to_coframe_map(gen_chain(2), gen_chain(2), [(0, 0)])
+    assert v.to_json() == {"exists": True, "witnesses": [[0, 1]],
+                           "nodes_explored": 0, "exhausted": True}
 
 
-def test_extension_search_matches_the_map_scan():
+def test_determined_map_matches_the_map_scan():
+    # the meet-irreducibles are meet-dense, so with them pinned (plus random
+    # extras) at most one coframe map keeps the pins, and it is the lift
     n5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
     lats = (gen_chain(2), gen_chain(3), gen_chain(4), gen_boolean(2), n5, gen_diamond())
     rng = random.Random(4)
-    seen = set()
+    seen, cases = set(), 0
     for src in lats:
+        meet_irr = set(join_irreducibles(src.dual()))
+        rest = [x for x in range(src.n) if x not in meet_irr]
         for dst in lats:
             maps = scan_coframe_maps(src, dst, {})
             for trial in range(8):
-                pinned = rng.sample(range(src.n), rng.randint(0, min(3, src.n)))
+                pinned = sorted(meet_irr.union(rng.sample(rest, rng.randint(0, len(rest)))))
                 if trial % 2 and maps:   # pins some map keeps, so that lifts exist
                     h = rng.choice(maps)
-                    fixed = {s: h[s] for s in pinned}
+                    pins = [(s, h[s]) for s in pinned]
                 else:
-                    fixed = {s: rng.randrange(dst.n) for s in pinned}
-                want = scan_coframe_maps(src, dst, fixed)
-                v = extend_to_coframe_map(src, dst, fixed, max_witnesses=3)
-                assert v.exists == bool(want)
-                assert list(v.witnesses) == want[:3]
-                assert v.exhausted == (len(want) < 3)
-                every = extend_to_coframe_map(src, dst, fixed, max_witnesses=10 ** 9)
-                assert every.exhausted and list(every.witnesses) == want
+                    pins = [(s, rng.randrange(dst.n)) for s in pinned]
+                want = scan_coframe_maps(src, dst, dict(pins))
+                v = extend_to_coframe_map(src, dst, pins)
+                assert len(want) <= 1
+                assert v.exists == bool(want) and v.witnesses == tuple(want)
                 seen.add(v.exists)
-    assert seen == {True, False}
+                cases += 1
+    assert seen == {True, False} and cases == 288
 
 
-def test_candidates_never_certify_a_non_map():
-    # a candidate certifies exactly when it is one of the scanned maps that
-    # keep the pins; any other candidate falls back to the search
-    n5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
-    lats = (gen_chain(2), gen_chain(3), gen_chain(4), gen_boolean(2), n5, gen_diamond())
-    rng = random.Random(5)
-    verdicts, outcomes = set(), set()
-    for src in lats:
-        for dst in lats:
-            maps = scan_coframe_maps(src, dst, {})
-            for trial in range(8):
-                pinned = rng.sample(range(src.n), rng.randint(0, min(3, src.n)))
-                keep = rng.choice(maps) if maps and trial % 2 else None
-                fixed = {s: keep[s] if keep else rng.randrange(dst.n) for s in pinned}
-                if maps and trial % 4 < 2:
-                    cand = rng.choice(maps)
-                else:
-                    cand = tuple(rng.randrange(dst.n) for _ in range(src.n))
-                want = scan_coframe_maps(src, dst, fixed)
-                v = extend_to_coframe_map(src, dst, fixed, candidate=cand)
-                assert v.exists == bool(want)
-                assert set(v.witnesses) <= set(want) and len(v.witnesses) == v.exists
-                certified = v.exists and v.nodes_explored == 0
-                assert certified == (cand in want)
-                assert not certified or v.witnesses == (cand,)
-                verdicts.add(v.exists)
-                outcomes.add(certified)
-    assert verdicts == {True, False} and outcomes == {True, False}
-
-
-def test_canonical_lift_of_the_identity(c3, hosts):
-    # every structure of a finite frame holds its whole host, so only a
-    # hand-made target can miss a value of the canonical lift
-    sl = hosts["chain3"]
-    ident = FrameMap.of(c3, c3, (0, 1, 2))
-    every = range(sl.size)
-    assert correspondence._canonical_lift(ident, sl, every, sl, {i: i for i in every}) \
-        == tuple(every)
-    assert correspondence._canonical_lift(ident, sl, every, sl, {i: i for i in every if i}) \
-        is None
-
-
-def test_certified_lifts_match_the_search(monkeypatch):
-    # every lift of every quotient map of the sampled corpus certifies its
-    # canonical candidate, and that is the witness the search returns
-    def both_sides(search_only):
-        with monkeypatch.context() as m:
-            if search_only:
-                m.setattr(correspondence, "_canonical_lift", lambda *args: None)
-            return [check(f, s1, s2) for check, f, s1, s2 in lifts]
-
-    lifts = []
-    for cf in standard_corpus(20, 0):
-        sl = enumerate_sublocales(cf.frame)
-        b1 = SZDBF(cf.frame, Subcolocale(sl, sb(sl)))
-        r1 = to_raney(b1)
-        for i in range(sl.size):
-            f = surjection_of(sl, i)
-            sub_sl = enumerate_sublocales(f.target)
-            b2 = SZDBF(f.target, Subcolocale(sub_sl, sb(sub_sl)))
-            lifts += [(szdbf_lift_check, f, b1, b2), (raney_lift_check, f, r1, to_raney(b2))]
-    certified, searched = both_sides(False), both_sides(True)
-    assert len(lifts) == 1080
-    assert all(v.nodes_explored == 0 for v in certified)
-    assert [(v.exists, v.witnesses) for v in certified] == \
-        [(v.exists, v.witnesses) for v in searched]
-    assert sum(v.nodes_explored for v in searched) > 0
+def test_lifts_match_the_map_scan_of_the_structures():
+    """Every frame map between frames whose S(L) has at most 8 elements
+    lifts, on each side, to the one coframe map of the two subcolocale
+    lattices that keeps the definitional pins alone: closeds to closeds,
+    or opens to opens.  The scan tries every map, so it also confirms
+    that the coatom pins of the zero-dimensional side add no constraint."""
+    structures = []
+    for lat in [gen_chain(n) for n in range(1, 5)] + [gen_boolean(2)]:
+        fw = FrameWitness.of(lat)
+        sl = enumerate_sublocales(fw)
+        b = SZDBF(fw, Subcolocale(sl, sb(sl)))
+        structures.append((fw, b, to_raney(b)))
+    maps = 0
+    for fw1, b1, r1 in structures:
+        for fw2, b2, r2 in structures:
+            for h in scan_coframe_maps(fw1.lattice, fw2.lattice, {}):
+                f = FrameMap.of(fw1, fw2, h)
+                for check, s1, sub1, s2, sub2, pin in (
+                        (szdbf_lift_check, b1, b1.d_sub, b2, b2.d_sub, SublocaleCoframe.closed_of),
+                        (raney_lift_check, r1, r1.f_sub, r2, r2.f_sub, SublocaleCoframe.open_of)):
+                    src, src_idxs = subcolocale_lattice(sub1.host, sub1.members)
+                    dst, dst_idxs = subcolocale_lattice(sub2.host, sub2.members)
+                    pins = {src_idxs.index(pin(sub1.host, x)): dst_idxs.index(pin(sub2.host, f(x)))
+                            for x in range(fw1.lattice.n)}
+                    want = scan_coframe_maps(src, dst, pins)
+                    assert len(want) == 1, (fw1.lattice, fw2.lattice, h)
+                    assert check(f, s1, s2).witnesses == \
+                        (tuple(dst_idxs[v] for v in want[0]),)
+                maps += 1
+    assert maps == 60
 
 
 def test_every_frame_map_lifts_at_finite_scale():
     """Functoriality on finite frames: every frame map between frames of at
-    most 5 elements lifts on both sides, and its canonical lift certifies.
+    most 5 elements lifts on both sides.
     One frame per isomorphism class: the chains, bool2, and bool2 with a
     new bottom or a new top (the down-sets of a point below, or above, two
     others)."""
@@ -248,7 +219,7 @@ def test_every_frame_map_lifts_at_finite_scale():
             for h in scan_coframe_maps(fw1.lattice, fw2.lattice, {}):
                 f = FrameMap.of(fw1, fw2, h)
                 for v in (szdbf_lift_check(f, b1, b2), raney_lift_check(f, r1, r2)):
-                    assert v.exists and v.nodes_explored == 0, (fw1.lattice, fw2.lattice, h)
+                    assert v.exists, (fw1.lattice, fw2.lattice, h)
                 maps += 1
     assert maps == 381
 
@@ -368,10 +339,10 @@ def test_lift_agreement_with_smooth_and_exact(hosts):
 
 
 def test_lift_verdicts_are_pinned(corpus, hosts):
-    """Witnesses, node counts and exhaustion of both lifts along every
-    quotient map of the corpus; the report JSON carries only the verdicts.
-    The hash was taken from the search that tried every target element in
-    index order, before candidates became bitmasks."""
+    """Verdicts and witnesses of both lifts along every quotient map of the
+    corpus; the report JSON carries only the verdicts.  The hash was taken
+    from the join-irreducible search that the determined lift replaced,
+    asked for up to three witnesses: it found exactly one for every lift."""
     rows = []
     for cf in corpus:
         sl = hosts[cf.name]
@@ -381,12 +352,12 @@ def test_lift_verdicts_are_pinned(corpus, hosts):
             f = surjection_of(sl, i)
             sub_sl = enumerate_sublocales(f.target)
             b2 = SZDBF(f.target, Subcolocale(sub_sl, sb(sub_sl)))
-            r2 = to_raney(b2)
-            rows.append((cf.name, i, szdbf_lift_check(f, b1, b2, max_witnesses=3).to_json(),
-                         raney_lift_check(f, r1, r2, max_witnesses=3).to_json()))
+            v_s = szdbf_lift_check(f, b1, b2)
+            v_r = raney_lift_check(f, r1, to_raney(b2))
+            rows.append((cf.name, i, v_s.exists, v_s.witnesses, v_r.exists, v_r.witnesses))
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert len(rows) == 268
-    assert digest == "e0c984c5af231c7d09b7f742c2b97f3c760074044ce2e2908dbd7c3ec2f32b69"
+    assert digest == "d729a524500857f1b8211f2d6dd12e2153bfff304040bad0fa5086e1754cfd51"
 
 
 def test_downset_frame_of_chain2_is_chain3():

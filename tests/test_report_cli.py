@@ -161,7 +161,8 @@ def test_cli_limit_overrides(c3_file, capsys):
     assert main(["--limit", "no_such_limit=5", "analyze", c3_file]) == 2
     assert "unknown limit" in capsys.readouterr().err
     # deleted limits are unknown names now
-    for name in ("max_subcolocale_host", "max_downset_ground", "scan_frame_elements"):
+    for name in ("max_subcolocale_host", "max_downset_ground", "scan_frame_elements",
+                 "lift_node_budget"):
         assert main(["--limit", f"{name}=20", "analyze", c3_file]) == 2
         assert "unknown limit" in capsys.readouterr().err
     # tightening the sublocale bound turns a fine input into an input error
