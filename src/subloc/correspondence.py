@@ -28,7 +28,7 @@ from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .corpus import downset_masks, gen_downsets_of_poset
 from .errors import InternalInconsistency, NotProper
-from .lattice import FrameWitness, Lattice, fold_families
+from .lattice import FrameWitness, Lattice
 from .sublocales import SublocaleCoframe, is_sublocale, nucleus_element
 from .subcolocales import (Subcolocale, conucleus, delta, fit_image, is_codense,
                            is_essential, is_proper, sb)
@@ -86,8 +86,8 @@ def is_exact_map(f: FrameMap, limits: Limits = DEFAULT_LIMITS) -> bool:
     mp = f.mapping
     tmeet = f.target.lattice.meet_table
     # value of a family: (its image as a target mask, the meet of that image)
-    folds = fold_families(src.fams, (0, f.target.lattice.top),
-                          lambda v, x: (v[0] | bit(mp[x]), tmeet[v[1]][mp[x]]))
+    folds = src.fold((0, f.target.lattice.top),
+                     lambda v, x: (v[0] | bit(mp[x]), tmeet[v[1]][mp[x]]))
     for fam, (img, img_meet) in folds:
         if src.exact[fam] and (mp[src.meet[fam]] != img_meet or not dst.is_exact(img)):
             return False

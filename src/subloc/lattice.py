@@ -300,37 +300,60 @@ def is_strongly_exact_meet(fw: "FrameWitness", fam: int) -> bool:
 def families(n: int, limits: Limits = DEFAULT_LIMITS) -> Sequence[int]:
     """The families of ``0..n-1`` that a family quantifier visits, in order.
 
-    Every subset, in increasing mask order, when ``n`` is at most
-    ``limits.exhaustive_family_elements``.  Above that, the empty family
-    and then ``{a, b}`` for every ``a`` and ``b`` in row-major order (so
-    singletons appear once and pairs twice); folding binary meets and joins
-    makes this equivalent for every law checked over families.  This is
-    the only copy of that rule.
+    The empty family and then ``{a, b}`` for every ``a`` and ``b`` in
+    row-major order (so singletons appear once and pairs twice); every
+    subset, in increasing mask order, only when ``n`` is at most
+    ``limits.exhaustive_family_elements`` (0 by default).  This is the
+    only copy of that rule.
+
+    On a frame the two rules give the same verdicts.  Each law checked
+    over families says that a map sends the meet (or join) of a family to
+    the meet (or join) of its images, and meets and joins of finite
+    families fold binary ones: a non-empty family is a singleton, which
+    is the binary ``{a, a}``, or ``{a} | rest``, which follows from the
+    binary case at ``a`` and the meet (or join) of ``rest``.  Joins of
+    opens are opens, so this holds for the conuclei of joins of opens too.
+    Two quantifiers range over the exact families only, ``is_exact_map``
+    and ``is_exact_sublocale``; on a frame that restriction removes
+    nothing, since every finite meet is exact, ``(x ^ y) v t = (x v t) ^
+    (y v t)`` being distributivity, and strongly exact, ``(x ^ y) -> t =
+    x -> (y -> t)`` keeping every common Heyting fixpoint ``t``.  The
+    image of a family in a frame is exact for the same reason.  Off frames
+    (the raw non-distributive witnesses of the tests) the rules may differ.
     """
     if n <= limits.exhaustive_family_elements:
         return range(1 << n)
     return (0,) + tuple(bit(a) | bit(b) for a in range(n) for b in range(n))
 
 
-def fold_families(fams: Iterable[int], empty, extend: Callable) -> Iterator[tuple[int, Any]]:
-    """Yield ``(fam, value)`` once for every distinct family in ``fams``.
+def family_tree(fams: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """The children of every family of ``fams`` in its fold tree.
 
-    The empty family gets ``empty``; a non-empty family ``fam`` gets
-    ``extend(value of fam & (fam - 1), x)`` where ``x`` is its lowest
-    element, so each family costs one ``extend``.  The walk is depth-first
-    from the empty family, so only a few values are held at a time.  The
-    rest of every family must itself be in ``fams``, which holds for
-    :func:`families`.
+    The parent of a non-empty family ``fam`` is its rest ``fam & (fam - 1)``,
+    the family without its lowest element, which must itself be in
+    ``fams``; this holds for :func:`families`.
     """
     children: dict[int, list[int]] = {}
     for fam in set(fams):
         if fam:
             children.setdefault(fam & (fam - 1), []).append(fam)
+    return {fam: tuple(kids) for fam, kids in children.items()}
+
+
+def fold_families(tree: dict[int, tuple[int, ...]], empty,
+                  extend: Callable) -> Iterator[tuple[int, Any]]:
+    """Yield ``(fam, value)`` once for every family of a :func:`family_tree`.
+
+    The empty family gets ``empty``; a non-empty family ``fam`` gets
+    ``extend(value of fam & (fam - 1), x)`` where ``x`` is its lowest
+    element, so each family costs one ``extend``.  The walk is depth-first
+    from the empty family, so only a few values are held at a time.
+    """
     stack = [(0, empty)]
     while stack:
         fam, value = stack.pop()
         yield fam, value
-        for child in children.get(fam, ()):
+        for child in tree.get(fam, ()):
             stack.append((child, extend(value, (child ^ fam).bit_length() - 1)))
 
 
@@ -342,7 +365,8 @@ class FrameWitness:
     heyting_table: tuple[tuple[int, ...], ...] = field(repr=False)
     # bitmask of the prime elements, see :func:`prime_mask`
     primes: int
-    # family tables by family sequence; they live and die with the witness
+    # family tables by family rule (exhaustive or not); they live and die
+    # with the witness
     _family_tables: dict = field(default_factory=dict, init=False, repr=False,
                                  compare=False)
 
@@ -358,19 +382,22 @@ class FrameWitness:
 
     def family_table(self, limits: Limits = DEFAULT_LIMITS) -> "FamilyTable":
         """The :class:`FamilyTable` of ``families(n, limits)``, built once."""
-        fams = families(self.lattice.n, limits)
-        tab = self._family_tables.get(fams)
+        n = self.lattice.n
+        exhaustive = n <= limits.exhaustive_family_elements
+        tab = self._family_tables.get(exhaustive)
         if tab is None:
-            tab = self._family_tables[fams] = FamilyTable(self, fams)
+            tab = self._family_tables[exhaustive] = FamilyTable(self, families(n, limits))
         return tab
 
 
 class FamilyTable:
     """Big meet and exactness flags of every family in ``fams``.
 
-    Built by :func:`fold_families`, so each family costs one extension of
-    its rest instead of a fold from scratch.  ``exact[fam]`` is
-    :func:`is_exact_meet` and ``strongly_exact[fam]`` is
+    Built by :func:`fold_families` over the table's own :func:`family_tree`,
+    so each family costs one extension of its rest instead of a fold from
+    scratch; :meth:`fold` walks the same tree for consumers that fold their
+    own values, so the tree is built once per table and not once per call.
+    ``exact[fam]`` is :func:`is_exact_meet` and ``strongly_exact[fam]`` is
     :func:`is_strongly_exact_meet`; the tests hold them to those.
     """
 
@@ -390,14 +417,18 @@ class FamilyTable:
 
         self.lattice = lat
         self.fams = fams
+        self.tree = family_tree(fams)
         self.meet: dict[int, int] = {}
         self.exact: dict[int, bool] = {}
         self.strongly_exact: dict[int, bool] = {}
-        for fam, (m, row, fix) in fold_families(fams, (lat.top, join[lat.top], lat.full_mask),
-                                                extend):
+        for fam, (m, row, fix) in self.fold((lat.top, join[lat.top], lat.full_mask), extend):
             self.meet[fam] = m
             self.exact[fam] = row == join[m]
             self.strongly_exact[fam] = fix & ~fixed[m] == 0
+
+    def fold(self, empty, extend: Callable) -> Iterator[tuple[int, Any]]:
+        """:func:`fold_families` over this table's families."""
+        return fold_families(self.tree, empty, extend)
 
     def is_exact(self, fam: int) -> bool:
         """Exactness of any family: read from the table when it is there."""

@@ -34,7 +34,7 @@ from typing import Sequence
 from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .errors import InternalInconsistency, NotProper
-from .lattice import Lattice, families, fold_families, join_irreducibles
+from .lattice import Lattice, join_irreducibles
 from .sublocales import (SublocaleCoframe, _prime_sets, is_exact_sublocale,
                          is_precongruence)
 
@@ -243,13 +243,10 @@ def fit_image(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int) -> int
 
 def leq_f(sl_o: SublocaleCoframe, members: int, f: int) -> tuple[int, ...]:
     """The relation ``x R y`` iff meeting ``f`` with the open of ``x`` inside
-    the subcolocale lands below the open of ``y``."""
-    n = sl_o.ambient.lattice.n
-    rel = []
-    for x in range(n):
-        fx = conucleus(sl_o, members, sl_o.meet(f, sl_o.open_index[x]))
-        rel.append(mask_of(y for y in range(n) if sl_o.leq(fx, sl_o.open_index[y])))
-    return tuple(rel)
+    the subcolocale lands below the open of ``y``: row ``x`` is the host's
+    ``opens_above`` entry of that conucleus."""
+    above, meet = sl_o.opens_above, sl_o.as_lattice.meet_table[f]
+    return tuple(above[conucleus(sl_o, members, meet[o])] for o in sl_o.open_index)
 
 
 def is_proper(sl_o: SublocaleCoframe, members: int,
@@ -275,8 +272,8 @@ def _open_joins_exact(sl_o: SublocaleCoframe, members: int, limits: Limits) -> b
     """Whether trimming the join of each family of opens by each member ``g``
     and taking the conucleus gives the join of the trimmed opens' conuclei.
 
-    The families are those of the ambient frame's elements; their values
-    come from :func:`fold_families` over a conucleus table built once.
+    The families are those of the ambient frame's family table; their
+    values are folded over its tree against a conucleus table built once.
     """
     lat = sl_o.as_lattice
     meet, join = lat.meet_table, lat.join_table
@@ -292,8 +289,8 @@ def _open_joins_exact(sl_o: SublocaleCoframe, members: int, limits: Limits) -> b
         return (join[j][opens[x]],
                 tuple([join[a][b] for a, b in zip(row, trimmed[opens[x]])]))
 
-    folds = fold_families(families(len(opens), limits),
-                          (lat.bottom, (lat.bottom,) * len(gs)), extend)
+    folds = sl_o.ambient.family_table(limits).fold((lat.bottom, (lat.bottom,) * len(gs)),
+                                                   extend)
     return all(row == trimmed[j] for _, (j, row) in folds)
 
 

@@ -19,12 +19,13 @@ existing :class:`SublocaleCoframe`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .errors import InternalInconsistency, SizeLimit
-from .lattice import CoframeWitness, FrameWitness, Lattice, fold_families
+from .lattice import CoframeWitness, FrameWitness, Lattice
 
 
 def open_mask(fw: FrameWitness, a: int) -> int:
@@ -113,7 +114,8 @@ class SublocaleCoframe:
     parent, the full host.  ``tests/oracles.py`` builds the same tables
     from the member masks by the generic constructions, and the laws suite
     compares them with intersections and (fitted) joins of member masks.
-    Instances are immutable after construction.
+    Instances are immutable after construction, apart from tables such as
+    ``opens_above`` that are filled in on first read and die with the host.
     """
 
     def __init__(self, ambient: FrameWitness, points: Iterable[int],
@@ -178,6 +180,13 @@ class SublocaleCoframe:
 
     def fit(self, i: int) -> int:
         return self.fit_index[i]
+
+    @cached_property
+    def opens_above(self) -> tuple[int, ...]:
+        """For each index, the mask of the frame elements whose open is above it."""
+        opens = self.open_index
+        return tuple(mask_of(y for y, o in enumerate(opens) if (u >> o) & 1)
+                     for u in self.as_lattice.up)
 
     def fitted_subcoframe(self) -> "SublocaleCoframe":
         if self.fitted:
@@ -289,11 +298,11 @@ def ker(sl: SublocaleCoframe, i: int) -> int:
     """The filter of elements whose open contains sublocale ``i``.
 
     On the fitted host this is the map ``phi`` onto the strongly exact
-    filters; on the full host, the kernel of the sublocale.
+    filters; on the full host, the kernel of the sublocale.  The open of
+    ``x`` is the host member at ``open_index[x]``.
     """
-    fw = sl.ambient
-    m = sl.elems[i]
-    return mask_of(x for x in range(fw.lattice.n) if m & ~open_mask(fw, x) == 0)
+    m, elems = sl.elems[i], sl.elems
+    return mask_of(x for x, o in enumerate(sl.open_index) if m & ~elems[o] == 0)
 
 
 phi = ker
@@ -326,12 +335,27 @@ class Precongruence:
 
 
 def is_precongruence(fw: FrameWitness, rel: Sequence[int]) -> bool:
+    """Whether ``rel`` satisfies the five conditions of :class:`Precongruence`.
+
+    Stability is tested by each row's and column's own extreme, at ``n^2``
+    per call where the pairwise test costs ``n^3``.  A row ``{y : x R y}``
+    that has passed the up-closure test is a finite non-empty up-set (it
+    holds ``x``), and such a set is closed under binary meets iff it holds
+    the meet of all its members: closure gives that meet by induction, and
+    conversely every meet of two members lies above it, hence in the set.
+    Dually a column ``{a : a R b}`` that has passed the down-closure test
+    (the left side may shrink) is a non-empty down-set (it holds ``b``),
+    closed under binary joins iff it holds its own join; the empty join is
+    the separate test on the bottom's row.  The pairwise form is kept as
+    ``tests/oracles.py::scan_precongruence``.
+    """
     lat = fw.lattice
     n = lat.n
     if len(rel) != n or any(r & ~lat.full_mask for r in rel):
         return False
+    cols = [0] * n
     for x in range(n):
-        row = rel[x]
+        row, bx = rel[x], bit(x)
         if not (row >> x) & 1:
             return False
         for y in bits(row):
@@ -339,27 +363,17 @@ def is_precongruence(fw: FrameWitness, rel: Sequence[int]) -> bool:
                 return False
             if lat.up[y] & ~row:         # right side may grow
                 return False
+            cols[y] |= bx
         for x2 in bits(lat.dn[x]):       # left side may shrink
             if row & ~rel[x2]:
                 return False
-        ys = list(bits(row))
-        meet = lat.meet_table
-        for y1 in ys:                    # right sides meet-stable
-            m1 = meet[y1]
-            for y2 in ys:
-                if not (row >> m1[y2]) & 1:
-                    return False
+        if not (row >> lat.big_meet(row)) & 1:  # right sides meet-stable
+            return False
     if rel[lat.bottom] != lat.full_mask:  # empty join on the left
         return False
-    for b in range(n):
-        col = mask_of(a for a in range(n) if (rel[a] >> b) & 1)
-        cs = list(bits(col))
-        join = lat.join_table
-        for a1 in cs:                    # left sides join-stable
-            j1 = join[a1]
-            for a2 in cs:
-                if not (col >> j1[a2]) & 1:
-                    return False
+    for col in cols:                     # left sides join-stable
+        if not (col >> lat.big_join(col)) & 1:
+            return False
     return True
 
 
@@ -405,7 +419,7 @@ def is_exact_sublocale(fw: FrameWitness, members: int,
     meet = lat.meet_table
     tab = fw.family_table(limits)
     nu = [nucleus_element(fw, members, a) for a in range(lat.n)]
-    for fam, m in fold_families(tab.fams, lat.top, lambda m, x: meet[m][nu[x]]):
+    for fam, m in tab.fold(lat.top, lambda m, x: meet[m][nu[x]]):
         if tab.exact[fam] and nu[tab.meet[fam]] != m:
             return False
     return True

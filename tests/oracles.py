@@ -13,7 +13,8 @@ host-index reads of the subcolocale calculus are held to the mask
 operations they stand for.  The law checks follow, by their cubic
 definitions, which the package replaces by quadratic equivalents (unit,
 counit and monotonicity for an adjunction, join-irreducibles for
-distributivity, pairwise meets for joins of sublocales).  Subcolocales
+distributivity, pairwise meets for joins of sublocales, each row's meet and
+each column's join for the stability of a precongruence).  Subcolocales
 and down-sets are found by testing every subset where the package
 generates them.  At the very end, subcolocales and quotient frames become
 lattices through ``Lattice.from_up`` (the frames then through
@@ -509,6 +510,46 @@ def scan_difference_adjunction(lat, diff) -> list:
     with the difference read from the table ``diff``."""
     return [(s, t, u) for s in range(lat.n) for t in range(lat.n) for u in range(lat.n)
             if lat.leq(diff[s][t], u) != lat.leq(s, lat.join_table[t][u])]
+
+
+def scan_precongruence(fw, rel) -> bool:
+    """``is_precongruence`` with rows meet-stable and columns join-stable
+    tested pair by pair, cubic in the elements."""
+    lat = fw.lattice
+    n = lat.n
+    if len(rel) != n or any(r & ~lat.full_mask for r in rel):
+        return False
+    for x in range(n):
+        row = rel[x]
+        if not (row >> x) & 1:
+            return False
+        for y in bits(row):
+            if rel[y] & ~row or lat.up[y] & ~row:
+                return False
+        if any(row & ~rel[x2] for x2 in bits(lat.dn[x])):
+            return False
+        if any(not (row >> lat.meet_table[y1][y2]) & 1
+               for y1 in bits(row) for y2 in bits(row)):
+            return False
+    if rel[lat.bottom] != lat.full_mask:
+        return False
+    for b in range(n):
+        col = mask_of(a for a in range(n) if (rel[a] >> b) & 1)
+        if any(not (col >> lat.join_table[a1][a2]) & 1
+               for a1 in bits(col) for a2 in bits(col)):
+            return False
+    return True
+
+
+def scan_inclusion_identity(sl) -> list:
+    """``inclusion_identity_violations`` with one table join and one
+    inclusion per triple ``(s, x, y)``."""
+    fw = sl.ambient
+    n = fw.lattice.n
+    opens = [open_mask(fw, a) for a in range(n)]
+    return [(s, x, y) for s, ms in enumerate(sl.elems) for x in range(n) for y in range(n)
+            if sl.leq(s, sl.join(sl.closed_of(x), sl.open_of(y)))
+            != ((ms & opens[x]) & ~opens[y] == 0)]
 
 
 def scan_host_laws(host) -> list:

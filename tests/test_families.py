@@ -4,8 +4,8 @@ Each consumer of :func:`subloc.lattice.fold_families` is compared with the
 scan it replaced on inputs chosen so that both verdicts occur: random
 masks that need not be sublocales, every subcolocale of small fitted
 hosts, and frame maps built through the raw dataclass without validation.
-The binary family rule is exercised by lowering
-``exhaustive_family_elements`` on the same inputs.
+The binary family rule is the default; the exhaustive rule is exercised
+by raising ``exhaustive_family_elements`` on the same inputs.
 """
 
 import gc
@@ -20,14 +20,14 @@ from subloc import (DEFAULT_LIMITS, FrameMap, FrameWitness, Lattice,
 from subloc.bits import mask_of
 from subloc.corpus import gen_boolean, gen_chain, gen_product
 from subloc.report import run_suite
-from subloc.lattice import FamilyTable, families, fold_families, prime_mask
+from subloc.lattice import FamilyTable, families, family_tree, fold_families, prime_mask
 from subloc.subcolocales import _open_joins_exact
 
 from oracles import (scan_exact_map, scan_exact_sublocale, scan_meet_stable_filters,
                      scan_open_joins_exact)
 
-BINARY = DEFAULT_LIMITS.with_(exhaustive_family_elements=2)
-BOTH_RULES = (DEFAULT_LIMITS, BINARY)
+EXHAUSTIVE = DEFAULT_LIMITS.with_(exhaustive_family_elements=12)
+BOTH_RULES = (DEFAULT_LIMITS, EXHAUSTIVE)
 
 
 def raw_witness(lat: Lattice) -> FrameWitness:
@@ -57,23 +57,24 @@ def non_frames() -> list[FrameWitness]:
 
 
 def test_family_rule():
-    assert families(3) == range(8)
-    assert families(12) == range(1 << 12)
-    assert families(3, BINARY) == (0, 0b001, 0b011, 0b101, 0b011, 0b010, 0b110,
-                                   0b101, 0b110, 0b100)
-    assert len(families(13)) == 13 * 13 + 1
+    assert families(3) == (0, 0b001, 0b011, 0b101, 0b011, 0b010, 0b110,
+                           0b101, 0b110, 0b100)
+    assert len(families(12)) == 12 * 12 + 1
+    assert families(3, EXHAUSTIVE) == range(8)
+    assert families(12, EXHAUSTIVE) == range(1 << 12)
+    assert len(families(13, EXHAUSTIVE)) == 13 * 13 + 1
 
 
 def test_fold_visits_each_family_once_from_its_rest():
-    for fams in (families(5), families(5, BINARY)):
-        seen = dict(fold_families(fams, 0, lambda v, x: v | (1 << x)))
+    for fams in (families(5), families(5, EXHAUSTIVE)):
+        seen = dict(fold_families(family_tree(fams), 0, lambda v, x: v | (1 << x)))
         assert sorted(seen) == sorted(set(fams))
         assert all(value == fam for fam, value in seen.items())
 
 
 def test_family_table_matches_the_direct_tests(corpus):
     frames = [cf.frame for cf in corpus] + non_frames()
-    flags = set()
+    flags = {limits: set() for limits in BOTH_RULES}
     for fw in frames:
         lat = fw.lattice
         for limits in BOTH_RULES:
@@ -84,8 +85,8 @@ def test_family_table_matches_the_direct_tests(corpus):
                 assert tab.meet[fam] == lat.big_meet(fam)
                 assert tab.exact[fam] == is_exact_meet(lat, fam)
                 assert tab.strongly_exact[fam] == is_strongly_exact_meet(fw, fam)
-                flags.add((tab.exact[fam], tab.strongly_exact[fam]))
-    assert flags == {(True, True), (True, False), (False, True), (False, False)}
+                flags[limits].add((tab.exact[fam], tab.strongly_exact[fam]))
+    assert flags[EXHAUSTIVE] == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_family_table_dies_with_its_witness():
@@ -100,7 +101,7 @@ def test_family_table_dies_with_its_witness():
 
 def test_family_table_answers_families_outside_it():
     fw = non_frames()[0]
-    tab = FamilyTable(fw, families(fw.lattice.n, BINARY))
+    tab = FamilyTable(fw, families(fw.lattice.n))
     assert 0b01110 not in tab.exact
     for fam in range(1 << fw.lattice.n):
         assert tab.is_exact(fam) == is_exact_meet(fw.lattice, fam)

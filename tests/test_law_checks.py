@@ -17,10 +17,10 @@ import pytest
 from subloc import CoframeWitness, FrameWitness, enumerate_sublocales
 from subloc.corpus import gen_chain, gen_diamond, gen_product, standard_corpus
 from subloc.lattice import Lattice, adjunction_violations, distributivity_violations
-from subloc.report import host_law_violations
+from subloc.report import host_law_violations, inclusion_identity_violations
 
 from oracles import (scan_difference_adjunction, scan_distributivity,
-                     scan_heyting_adjunction, scan_host_laws)
+                     scan_heyting_adjunction, scan_host_laws, scan_inclusion_identity)
 
 
 @pytest.fixture(scope="module")
@@ -125,5 +125,31 @@ def test_pairwise_meet_joins_match_the_closure_of_union(hosts):
         assert _entries(got, {"meet", "join"}) == _entries(want, {"meet", "join"})
         label = "SoL" if host.fitted else "SL"
         assert _entries(got, {"join"}) == [(label, "join", i, j)]
+        seen.add(False)
+    assert seen == {True, False}
+
+
+def test_inclusion_identity_matches_the_triple_scan(hosts):
+    rng = random.Random(12)
+    seen = set()
+    for host in hosts:
+        if host.fitted:
+            continue
+        assert inclusion_identity_violations(host) == scan_inclusion_identity(host) == []
+        seen.add(True)
+        n = host.ambient.lattice.n
+        x, y = rng.randrange(n), rng.randrange(n)
+        c, o = host.closed_of(x), host.open_of(y)
+        if c == o:
+            continue
+        # bump the table's join of closed(x) and open(y), on both sides of the diagonal
+        broken = copy.copy(host)
+        lat = host.as_lattice
+        rows = [list(row) for row in lat.join_table]
+        rows[c][o] = rows[o][c] = (rows[c][o] + 1) % host.size
+        broken.as_lattice = dataclasses.replace(lat, join_table=tuple(map(tuple, rows)))
+        got = inclusion_identity_violations(broken)
+        assert got == scan_inclusion_identity(broken) != []
+        assert {(vx, vy) for _, vx, vy in got} >= {(x, y)}
         seen.add(False)
     assert seen == {True, False}

@@ -1,3 +1,7 @@
+import gc
+import sys
+import weakref
+
 import pytest
 
 from subloc import (FrameWitness, NotProper,
@@ -144,6 +148,38 @@ def test_leq_f_of_an_open_is_its_preorder(hosts):
             rel = leq_f(slo, full, slo.open_index[a])
             for y in range(lat.n):
                 assert rel[y] == lat.up[lat.meet_table[a][y]]
+
+
+def test_leq_f_matches_the_pairwise_definition(corpus, hosts):
+    cases = 0
+    for cf in corpus:
+        slo = hosts[cf.name].fitted_subcoframe()
+        n = slo.ambient.lattice.n
+        for members in enumerate_subcolocales(slo):
+            for f in bits(members):
+                rel = leq_f(slo, members, f)
+                for x in range(n):
+                    fx = conucleus(slo, members, slo.meet(f, slo.open_of(x)))
+                    assert rel[x] == mask_of(y for y in range(n)
+                                             if slo.leq(fx, slo.open_of(y))), (cf.name, f, x)
+                    cases += 1
+    assert cases > 1000
+
+
+def test_opens_above_dies_with_its_host():
+    slo = enumerate_sublocales(FrameWitness.of(gen_product(gen_chain(2), gen_chain(3)))
+                               ).fitted_subcoframe()
+    assert is_proper(slo, (1 << slo.size) - 1)
+    table = slo.opens_above
+    assert table is slo.opens_above
+    host = weakref.ref(slo)
+    held = sys.getrefcount(table)
+    del slo
+    gc.collect()
+    assert host() is None
+    # left are the name ``table`` and getrefcount's argument: the host held
+    # the only other reference, so no cache outside it keeps the table
+    assert sys.getrefcount(table) == held - 1 == 2
 
 
 def test_full_fitted_collection_is_proper(corpus, hosts):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from subloc import (DEFAULT_LIMITS, SizeLimit, enumerate_sublocales,
@@ -5,17 +7,18 @@ from subloc import (DEFAULT_LIMITS, SizeLimit, enumerate_sublocales,
                     is_sublocale, ker, phi, precongruence_to_sublocale,
                     strongly_exact_filters, sublocale_join,
                     sublocale_to_precongruence)
-from subloc.bits import bits
+from subloc.bits import bit, bits
 from subloc import sublocales
 from subloc.corpus import gen_boolean, gen_chain, gen_opens_of_topology, gen_product
 from subloc.report import laws_suite
+from subloc.subcolocales import enumerate_subcolocales, leq_f
 from subloc.lattice import FrameWitness
 from subloc.sublocales import (Precongruence, all_filters, b_mask, closed_mask,
                                fit_mask, nucleus_element, open_mask,
                                sublocale_closure)
 
 from oracles import (NaiveOps, generate_sublocales, host_mismatches, scan_filters,
-                     scan_sublocales, table_hosts)
+                     scan_precongruence, scan_sublocales, table_hosts)
 
 
 def members_set(mask: int) -> frozenset:
@@ -242,6 +245,53 @@ def test_all_precongruences_on_tiny_frames_come_from_sublocales(hosts):
         expected = {sublocale_to_precongruence(fw, m).rel for m in sl.elems}
         assert set(found) == expected
         assert len(found) == sl.size
+
+
+def collapsed(lat, keep: int) -> tuple[int, ...]:
+    """The preorder ``x <= y``, or ``x`` and ``y`` both outside ``keep``."""
+    rest = lat.full_mask & ~keep
+    return tuple(lat.up[x] | (rest if (rest >> x) & 1 else 0) for x in range(lat.n))
+
+
+def test_precongruence_matches_the_pairwise_scan(corpus):
+    # leq_f of every subcolocale of a corpus fitted host is a precongruence;
+    # random masks of the host, which need not be subcolocales, give the rest
+    rng = random.Random(3307)
+    verdicts = {"row": [], "column": [], "leq_f": []}
+    for cf in corpus:
+        fw = cf.frame
+        lat = fw.lattice
+        # collapsing every element above the bottom leaves a relation whose
+        # rows and columns pass every closure test; its one row {x > bottom}
+        # is meet-stable iff no two such x meet to the bottom.  Collapsing
+        # every element below the top is the dual, with the column {x < top}
+        for kind, keep in (("row", bit(lat.bottom)), ("column", bit(lat.top))):
+            rel = collapsed(lat, keep)
+            got = is_precongruence(fw, rel)
+            assert got == scan_precongruence(fw, rel), (cf.name, kind)
+            verdicts[kind].append(got)
+        sl_o = enumerate_sublocales(fw).fitted_subcoframe()
+        masks = list(enumerate_subcolocales(sl_o))
+        masks += [rng.randrange(1 << sl_o.size) for _ in range(4)]
+        for members in masks:
+            for f in bits(members):
+                rel = leq_f(sl_o, members, f)
+                got = is_precongruence(fw, rel)
+                assert got == scan_precongruence(fw, rel), (cf.name, members, f)
+                verdicts["leq_f"].append(got)
+    assert all(set(v) == {True, False} for v in verdicts.values())
+
+
+def test_precongruence_matches_the_pairwise_scan_on_every_relation_of_bool2():
+    fw = FrameWitness.of(gen_boolean(2))
+    n = fw.lattice.n
+    found = []
+    for pick in range(1 << (n * n)):
+        rel = tuple((pick >> (n * x)) & ((1 << n) - 1) for x in range(n))
+        got = is_precongruence(fw, rel)
+        assert got == scan_precongruence(fw, rel), rel
+        found.append(got)
+    assert found.count(True) == 4
 
 
 def test_precongruence_constructor_validates(c3):
