@@ -69,7 +69,8 @@ def downset_masks(up_rows: Sequence[int], limits: Limits = DEFAULT_LIMITS) -> tu
         below = dn[j] & ~bit(j)
         out += [m | bit(j) for m in out if below & ~m == 0]
         if len(out) > limits.max_downsets:
-            raise SizeLimit("too many down-sets")
+            raise SizeLimit(f"more than max_downsets={limits.max_downsets} down-sets; "
+                            f"override with --limit max_downsets=N")
     out.sort(key=lambda m: (bin(m).count("1"), m))
     return tuple(out)
 

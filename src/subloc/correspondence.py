@@ -9,8 +9,10 @@ latter requires the fitted collection to be proper).
 Morphism checks decide whether a frame map lifts to a coframe map between
 the chosen subcolocales that extends its action on opens (Raney side) or on
 closeds, and so on the coatoms of ``S(L)`` (zero-dimensional side).  Those
-pins are meet-dense, so a lift is the meet of the pinned values above each
-element, and one :func:`is_coframe_map` check decides it.  A chosen
+pins are meet-dense, so they hold every meet-irreducible, and a lift is the
+meet of the pinned values of the meet-irreducibles above each element.  One
+:func:`is_coframe_map` check decides it, against the join- and
+meet-irreducibles only, which each ``Lattice`` keeps once read.  A chosen
 subcolocale is its host's retract by its conucleus (``subcolocale_lattice``),
 built once per structure: each structure keeps that lattice in a field
 filled on first use.  Smoothness of a sublocale (membership in the smallest codense
@@ -226,18 +228,37 @@ def subcolocale_lattice(host: SublocaleCoframe, members: int) -> tuple[Lattice, 
 def is_coframe_map(src: Lattice, dst: Lattice, h: Sequence[int],
                    pins: Iterable[tuple[int, int]]) -> bool:
     """Whether ``h`` is a map ``src -> dst`` keeping the bounds, the pins
-    ``(s, t)`` and every binary meet and join (hence all finite ones)."""
-    if len(h) != src.n or not all(0 <= v < dst.n for v in h):
+    ``(s, t)`` and every binary meet and join (hence all finite ones).
+
+    Joins are checked against the join-irreducibles ``j`` of ``src`` only,
+    and meets against its meet-irreducibles, at ``n (|J| + |M|)`` lookups.
+    That suffices.  Every ``b`` is a join ``j1 v ... v jk`` of
+    join-irreducibles, the bottom being the empty one.  If
+    ``h(a v j) = h(a) v h(j)`` for every ``a`` and ``j``, then
+    ``h(a v b) = h(a) v h(b)`` by induction on ``k``: ``k = 0`` is
+    ``h(bottom) = bottom``, and with ``b' = j1 v ... v j(k-1)``,
+    ``h(a v b' v jk) = h(a v b') v h(jk) = h(a) v h(b') v h(jk)``, where
+    ``h(b') v h(jk) = h(b' v jk)`` is the case ``a = b'``.  Meets are dual.
+    No distributivity is used, so this holds on any finite lattice;
+    ``tests/oracles.py::scan_coframe_map`` checks every pair.
+    """
+    if len(h) != src.n or min(h) < 0 or max(h) >= dst.n:
         return False
     if h[src.top] != dst.top or h[src.bottom] != dst.bottom:
         return False
     if any(h[s] != t for s, t in pins):
         return False
+    join_irr, meet_irr = src.irreducibles
+    hj = [(j, h[j]) for j in bits(join_irr)]
+    hm = [(m, h[m]) for m in bits(meet_irr)]
     for a in range(src.n):
         ma, ja = dst.meet_table[h[a]], dst.join_table[h[a]]
         smeet, sjoin = src.meet_table[a], src.join_table[a]
-        for b in range(a, src.n):
-            if h[smeet[b]] != ma[h[b]] or h[sjoin[b]] != ja[h[b]]:
+        for j, v in hj:
+            if h[sjoin[j]] != ja[v]:
+                return False
+        for m, v in hm:
+            if h[smeet[m]] != ma[v]:
                 return False
     return True
 
@@ -248,22 +269,28 @@ def extend_to_coframe_map(src: Lattice, dst: Lattice,
     sends each pinned ``s`` to ``t``, if there is one.
 
     The pinned sources must be meet-dense: each ``g`` is the meet of the
-    pinned ``s >= g``.  A map keeping the top and binary meets keeps that
-    meet, so one keeping the pins sends ``g`` to the meet of their ``t``.
-    That map is the only candidate, and :func:`is_coframe_map` decides it.
-    The same fold in ``src`` checks density; ``ValueError`` if it fails.
+    pinned ``s >= g``.  In a finite lattice that holds iff every
+    meet-irreducible ``m`` is pinned: every element is the meet of the
+    meet-irreducibles above it, and the elements strictly above ``m`` meet
+    to its one upper cover, not to ``m``.  ``ValueError`` otherwise.  A map
+    keeping the top and binary meets keeps those meets, so one keeping the
+    pins sends ``g`` to the meet of the pinned targets of the
+    meet-irreducibles above ``g``.  That map is the only candidate, and
+    :func:`is_coframe_map` decides it.
     """
     pins = tuple(pins)
-    rows = [(s, src.meet_table[s], dst.meet_table[t]) for s, t in pins]
+    target = dict(pins)
+    meet_irr = src.irreducibles[1]
+    if meet_irr & ~mask_of(target):
+        raise ValueError("pins are not meet-dense")
+    rows = [(m, dst.meet_table[target[m]]) for m in bits(meet_irr)]
     h = []
     for g in range(src.n):
-        above, s_acc, t_acc = src.up[g], src.top, dst.top
-        for s, s_meet, t_meet in rows:
-            if above >> s & 1:
-                s_acc, t_acc = s_meet[s_acc], t_meet[t_acc]
-        if s_acc != g:
-            raise ValueError("pins are not meet-dense")
-        h.append(t_acc)
+        above, acc = src.up[g], dst.top
+        for m, t_meet in rows:
+            if above >> m & 1:
+                acc = t_meet[acc]
+        h.append(acc)
     ok = is_coframe_map(src, dst, h, pins)
     return LiftVerdict(ok, (tuple(h),) if ok else (), 0, True)
 

@@ -14,6 +14,7 @@ implies the complete frame and coframe laws.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .bits import bit, bits, mask_of
@@ -162,6 +163,15 @@ class Lattice:
 
     def is_distributive(self) -> bool:
         return next(distributivity_violations(self), None) is None
+
+    @cached_property
+    def irreducibles(self) -> tuple[int, int]:
+        """Masks of the join-irreducibles and of the meet-irreducibles.
+
+        Filled in on first read and kept in the instance, outside the
+        fields, so equality and hashing ignore it.
+        """
+        return mask_of(join_irreducibles(self)), mask_of(join_irreducibles(self.dual()))
 
 
 def distributivity_violations(lat: Lattice) -> Iterator[tuple[int, int]]:

@@ -15,8 +15,8 @@ from typing import Any
 
 from .bits import bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
-from .correspondence import (SZDBF, downset_frame, is_exact_map,
-                             raney_lift_check, right_adjoint_image,
+from .correspondence import (SZDBF, FrameMap, RaneyExtension, downset_frame,
+                             is_exact_map, raney_lift_check, right_adjoint_image,
                              surjection_of, szdbf_lift_check, to_raney, to_szdbf)
 from .errors import NotProper
 from .lattice import (CoframeWitness, FrameWitness, adjunction_violations,
@@ -427,11 +427,14 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
 
 def correspondence_suite(name: str, fw: FrameWitness,
                          limits: Limits = DEFAULT_LIMITS) -> dict:
+    """The correspondence checks; quotient frames that are equal as
+    witnesses share one target structure, and the down-set frame is built
+    first, so that an oversized one fails before any lift is checked."""
     checks = _Checks()
     notes = [FINITE_NOTE]
+    _, eps = downset_frame(fw, limits)
 
     sl = enumerate_sublocales(fw, limits)
-    sl_o = sl.fitted_subcoframe()
     sb_m = sb(sl)
     se_m = se(sl, limits)
 
@@ -448,14 +451,19 @@ def correspondence_suite(name: str, fw: FrameWitness,
     smooth_bad = []
     exact_bad = []
     surj_bad = []
+    targets: dict[FrameWitness, tuple[SZDBF, RaneyExtension]] = {}
     for i in range(sl.size):
         f = surjection_of(sl, i)
+        pair = targets.get(f.target)
+        if pair is None:
+            sub_sl = enumerate_sublocales(f.target, limits)
+            b2 = SZDBF(f.target, Subcolocale(sub_sl, sb(sub_sl)))
+            pair = targets[f.target] = b2, to_raney(b2)
+        b2, r2 = pair
+        # onto the shared witness, whose family table is then built once too
+        f = FrameMap(f.source, b2.frame, f.mapping)
         if not is_exact_map(f, limits):
             surj_bad.append(i)
-        sub_fw = f.target
-        sub_sl = enumerate_sublocales(sub_fw, limits)
-        b2 = SZDBF(sub_fw, Subcolocale(sub_sl, sb(sub_sl)))
-        r2 = to_raney(b2)
         if szdbf_lift_check(f, b1, b2).exists != bool((sb_m >> i) & 1):
             smooth_bad.append(i)
         if raney_lift_check(f, r1, r2).exists != bool((se_m >> i) & 1):
@@ -465,7 +473,6 @@ def correspondence_suite(name: str, fw: FrameWitness,
     checks.add("raney-lift-iff-exact", exact_bad)
 
     bad = []
-    dl, eps = downset_frame(fw, limits)
     ideal = right_adjoint_image(eps)
     expect = mask_of(eps.right_adjoint(a) for a in range(fw.lattice.n))
     if ideal != expect:

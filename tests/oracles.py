@@ -19,7 +19,8 @@ and down-sets are found by testing every subset where the package
 generates them.  At the very end, subcolocales and quotient frames become
 lattices through ``Lattice.from_up`` (the frames then through
 ``FrameWitness.of``) where the package retracts the host by a conucleus
-or a nucleus, and the determined lifts face a scan of every map.
+or a nucleus, and the determined lifts face a scan of every map, their
+check a scan of every pair and their density test the fold over every pin.
 """
 
 from itertools import combinations, product
@@ -652,3 +653,26 @@ def scan_coframe_maps(src, dst, fixed) -> list:
             if all(h[src.meet_table[a][b]] == dst.meet_table[h[a]][h[b]]
                    and h[src.join_table[a][b]] == dst.join_table[h[a]][h[b]]
                    for a, b in pairs)]
+
+
+def scan_coframe_map(src, dst, h, pins) -> bool:
+    """Whether ``h`` keeps the bounds, the pins ``(s, t)`` and the meet and
+    join of every pair of source elements, where the package checks each
+    element against the irreducibles only."""
+    if len(h) != src.n or not all(0 <= v < dst.n for v in h):
+        return False
+    if h[src.top] != dst.top or h[src.bottom] != dst.bottom:
+        return False
+    if any(h[s] != t for s, t in pins):
+        return False
+    return all(h[src.meet_table[a][b]] == dst.meet_table[h[a]][h[b]]
+               and h[src.join_table[a][b]] == dst.join_table[h[a]][h[b]]
+               for a, b in combinations(range(src.n), 2))
+
+
+def fold_meet_dense(src, sources) -> bool:
+    """Whether every element is the meet of the ``sources`` above it, by
+    folding that meet for each element, where the package asks only that
+    the sources hold every meet-irreducible."""
+    return all(naive_big_meet(src.up, [s for s in sources if leq(src.up, g, s)]) == g
+               for g in range(src.n))

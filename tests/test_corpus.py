@@ -48,7 +48,7 @@ def test_downsets_size_limit():
     with pytest.raises(SizeLimit):
         gen_downsets_of_poset([1 << i for i in range(17)])
     tight = DEFAULT_LIMITS.with_(max_downsets=3)
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match="max_downsets=3 .*--limit max_downsets=N"):
         gen_downsets_of_poset([0b01, 0b10], tight)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -13,12 +14,18 @@ from subloc import (FrameMap, FrameWitness, NotProper, SZDBF, Subcolocale,
                     surjection_of, szdbf_lift_check, to_raney, to_szdbf)
 from subloc.bits import bits
 from subloc.corpus import (gen_boolean, gen_chain, gen_diamond, gen_downsets_of_poset,
-                           standard_corpus)
+                           gen_product, standard_corpus)
 from subloc.lattice import Lattice, join_irreducibles
 from subloc.subcolocales import enumerate_subcolocales, se
 from subloc.sublocales import nucleus_element
 
-from oracles import scan_coframe_maps, table_sublocale_frame, table_subcolocale_lattice
+from oracles import (fold_meet_dense, scan_coframe_map, scan_coframe_maps,
+                     table_sublocale_frame, table_subcolocale_lattice)
+
+N5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+# chains, Boolean lattices, a grid, and the two non-distributive lattices
+CHECKED_LATTICES = (gen_chain(2), gen_chain(3), gen_chain(5), gen_boolean(2), gen_boolean(3),
+                    gen_product(gen_chain(3), gen_chain(3)), gen_diamond(), N5)
 
 
 def test_frame_map_validation(c3, b2):
@@ -132,6 +139,73 @@ def test_szdbf_pins_add_the_coatoms_of_s(corpus, hosts):
         extend_to_coframe_map(sl.as_lattice, sl.as_lattice, closeds)
 
 
+def test_coframe_map_check_matches_the_pairwise_scan():
+    """The check against the irreducibles agrees with the scan of every
+    pair.  Between two lattices with at most 4096 maps keeping the bounds
+    it meets every such map, so also those that keep every meet and fail
+    only a join, or the reverse.  Between larger ones it meets the identity
+    with one value moved and random maps.  Pins come from the map, with
+    one pin off in every third case; the unpinned verdict is checked too.
+    No map tells a check that skips one join-irreducible ``j0``
+    from the full one: with meets kept ``h`` is monotone, and joining the
+    other join-irreducibles onto ``j0`` one at a time gives every join with
+    ``j0`` by the induction of :func:`is_coframe_map`."""
+    rng = random.Random(13)
+    verdicts, cases = {True: 0, False: 0}, 0
+    for src in CHECKED_LATTICES:
+        inner = [x for x in range(src.n) if x not in (src.bottom, src.top)]
+        for dst in CHECKED_LATTICES:
+            if dst.n ** len(inner) <= 4096:
+                candidates = product(range(dst.n), repeat=len(inner))
+            else:
+                moved = [list(range(src.n)) for _ in range(6)] if src is dst else []
+                for h in moved:
+                    h[rng.choice(inner)] = rng.randrange(dst.n)
+                candidates = [[h[x] for x in inner] for h in moved] + \
+                    [[rng.randrange(dst.n) for _ in inner] for _ in range(6)]
+            for values in candidates:
+                h = [dst.bottom] * src.n
+                h[src.top] = dst.top
+                for x, v in zip(inner, values):
+                    h[x] = v
+                pins = [(s, h[s]) for s in rng.sample(range(src.n), rng.randint(0, src.n))]
+                if cases % 3 == 0 and pins:
+                    pins[0] = (pins[0][0], rng.randrange(dst.n))
+                for p in (pins, ()):
+                    want = scan_coframe_map(src, dst, h, p)
+                    assert correspondence.is_coframe_map(src, dst, h, p) == want, (src, dst, h, p)
+                    verdicts[want] += 1
+                cases += 1
+    assert cases == 12725 and verdicts[True] >= 500 and verdicts[False] >= 10000, verdicts
+
+
+def test_meet_dense_pins_are_those_holding_every_meet_irreducible():
+    """The lift refuses its pins exactly when the fold over every pin finds
+    them not meet-dense: dropping any one meet-irreducible pin is refused,
+    and dropping any set of the other pins is not."""
+    rng = random.Random(5)
+    refused = accepted = 0
+    for src in CHECKED_LATTICES:
+        meet_irr = set(bits(src.irreducibles[1]))
+        rest = [x for x in range(src.n) if x not in meet_irr]
+        trials = [set(range(src.n)) - {m} for m in meet_irr]
+        trials += [meet_irr.union(rng.sample(rest, k)) for k in range(len(rest) + 1)]
+        for sources in trials:
+            dense = fold_meet_dense(src, sources)
+            assert dense == (meet_irr <= sources)
+            pins = [(s, s) for s in sorted(sources)]
+            if dense:
+                assert extend_to_coframe_map(src, src, pins).witnesses == (tuple(range(src.n)),)
+                accepted += 1
+            else:
+                with pytest.raises(ValueError, match="meet-dense"):
+                    extend_to_coframe_map(src, src, pins)
+                refused += 1
+    assert refused == sum(bin(lat.irreducibles[1]).count("1") for lat in CHECKED_LATTICES)
+    assert accepted == sum(lat.n - bin(lat.irreducibles[1]).count("1") + 1
+                           for lat in CHECKED_LATTICES)
+
+
 def test_lift_verdict_json():
     v = extend_to_coframe_map(gen_chain(2), gen_chain(2), [(0, 0)])
     assert v.to_json() == {"exists": True, "witnesses": [[0, 1]],
@@ -141,8 +215,7 @@ def test_lift_verdict_json():
 def test_determined_map_matches_the_map_scan():
     # the meet-irreducibles are meet-dense, so with them pinned (plus random
     # extras) at most one coframe map keeps the pins, and it is the lift
-    n5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
-    lats = (gen_chain(2), gen_chain(3), gen_chain(4), gen_boolean(2), n5, gen_diamond())
+    lats = (gen_chain(2), gen_chain(3), gen_chain(4), gen_boolean(2), N5, gen_diamond())
     rng = random.Random(4)
     seen, cases = set(), 0
     for src in lats:

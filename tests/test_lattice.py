@@ -3,7 +3,7 @@ import pytest
 from subloc import (CoframeWitness, FrameWitness, Lattice, NotACoframe,
                     NotAFrame, covered_primes, covers, is_exact_meet,
                     is_strongly_exact_meet, join_irreducibles, primes)
-from subloc.bits import bits
+from subloc.bits import bits, mask_of
 from subloc.corpus import gen_boolean, gen_chain, gen_product
 from subloc.lattice import prime_mask
 
@@ -99,6 +99,18 @@ def test_primes_frozen(c3, b2):
     assert sorted(bits(primes(b2))) == [1, 2]
     b3 = FrameWitness.of(gen_boolean(3))
     assert sorted(bits(primes(b3))) == [3, 5, 6]
+
+
+def test_irreducibles_are_kept_in_the_instance(corpus, m3):
+    n5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    for lat in [cf.frame.lattice for cf in corpus] + [m3, n5]:
+        assert lat.irreducibles == (mask_of(naive_join_irreducibles(lat.up)),
+                                    mask_of(naive_join_irreducibles(lat.dn)))
+        assert "irreducibles" in vars(lat)
+        # the kept masks are not a field: equality and hashing ignore them
+        fresh = Lattice.from_up(lat.up)
+        assert fresh == lat and hash(fresh) == hash(lat)
+        assert "irreducibles" not in vars(fresh)
 
 
 def test_primes_against_naive_oracle(corpus, m3):

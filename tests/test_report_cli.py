@@ -6,13 +6,17 @@ import weakref
 
 import pytest
 
+from subloc import correspondence, report
 from subloc.cli import main
 from subloc.corpus import gen_boolean, gen_chain, gen_diamond
+from subloc.correspondence import surjection_of
+from subloc.errors import SizeLimit
 from subloc.lattice import FrameWitness
 from subloc.latfile import serialize_lattice
-from subloc.report import (FINITE_NOTE, SCHEMA_VERSION, frame_report,
-                           host_law_violations, laws_suite, render_suite_text,
-                           run_suite)
+from subloc.report import (FINITE_NOTE, SCHEMA_VERSION, correspondence_suite,
+                           frame_report, host_law_violations, laws_suite,
+                           render_suite_text, run_suite)
+from subloc.sublocales import enumerate_sublocales
 from subloc.runner import corpus_report
 
 C3_TEXT = "lattice 3\nbottom 0\ntop 2\n0 < 1\n1 < 2\n"
@@ -194,6 +198,41 @@ def test_cli_refuses_more_elements_than_sublocales_before_the_witness(
     err = capsys.readouterr().err
     assert "16 elements exceed max_sublocales=8" in err
     assert "--limit max_sublocales=N" in err
+
+
+def test_oversized_downset_frame_fails_before_any_lift(tmp_path, monkeypatch, capsys):
+    # bool6's 64 elements have far more than 4096 down-sets
+    def reached(*args):
+        pytest.fail("a lift was checked before the down-set frame was bounded")
+
+    monkeypatch.setattr(correspondence, "extend_to_coframe_map", reached)
+    with pytest.raises(SizeLimit, match="max_downsets=4096"):
+        run_suite("correspondence", "bool6", FrameWitness.of(gen_boolean(6)))
+    path = tmp_path / "bool6.lat"
+    path.write_text(serialize_lattice(gen_boolean(6)))
+    assert main(["check", str(path), "--suite", "correspondence"]) == 2
+    err = capsys.readouterr().err
+    assert "max_downsets=4096" in err and "--limit max_downsets=N" in err
+
+
+def test_correspondence_suite_builds_one_target_per_distinct_quotient(monkeypatch):
+    fw = FrameWitness.of(gen_chain(6))
+    sl = enumerate_sublocales(fw)
+    distinct = {surjection_of(sl, i).target for i in range(sl.size)}
+    built = []
+    real = report.enumerate_sublocales
+    monkeypatch.setattr(report, "enumerate_sublocales",
+                        lambda frame, limits: built.append(frame) or real(frame, limits))
+    shared = correspondence_suite("chain6", fw)
+    assert len(built) == 1 + len(distinct) == 7
+    # compared by identity no two quotient witnesses are equal, so each
+    # quotient gets a fresh target pair; the result is the same
+    built.clear()
+    monkeypatch.setattr(FrameWitness, "__eq__", object.__eq__)
+    monkeypatch.setattr(FrameWitness, "__hash__", object.__hash__)
+    fresh = correspondence_suite("chain6", fw)
+    assert len(built) == 1 + sl.size == 33
+    assert shared == fresh and shared["ok"]
 
 
 def test_cli_rejects_unknown_command(c3_file):
