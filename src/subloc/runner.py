@@ -1,13 +1,17 @@
 """Run the report suites across a whole corpus, in parallel.
 
 Frames travel to the workers as canonical lattice text rather than live
-objects, so each worker rebuilds its own tables; results come back as
-plain dicts and are reassembled in frame-name order regardless of which
-worker finished first.
+objects, so each worker rebuilds its own tables.  A frame's results
+depend only on its text, the suites and the limits (its name is written
+into each result's ``"frame"`` field afterwards), so each distinct text
+runs once and frames with the same text share its results.  Results come
+back as plain dicts and are reassembled in frame-name order regardless
+of which worker finished first.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -21,31 +25,40 @@ ALL_SUITES = ("laws", "adjunction", "correspondence")
 
 
 def _run_one(payload) -> list[dict]:
-    name, text, suites, limits = payload
+    text, suites, limits = payload
     fw = FrameWitness.of(parse_lattice(text))
-    return [run_suite(suite, name, fw, limits) for suite in suites]
+    return [run_suite(suite, "", fw, limits) for suite in suites]
 
 
 def corpus_report(suites=ALL_SUITES, limits: Limits = DEFAULT_LIMITS,
                   points4: int = 0, seed: int = 0, jobs: int | None = None) -> dict:
     """Suite results for every corpus frame, ordered by frame name.
 
-    ``points4`` adds that many seed-sampled 4-point topologies.  ``jobs``
-    defaults to the machine's CPU count; 1 runs serially in-process.
+    ``points4`` adds that many seed-sampled 4-point topologies.  Each
+    distinct serialized lattice runs once, in order of first occurrence;
+    every frame gets its own copy of its text's results, named after it.
+    ``jobs`` defaults to the machine's CPU count; 1 runs serially
+    in-process.
     """
     frames = sorted(standard_corpus(points4, seed), key=lambda cf: cf.name)
-    payloads = [(cf.name, serialize_lattice(cf.frame.lattice), tuple(suites), limits)
-                for cf in frames]
+    texts = [serialize_lattice(cf.frame.lattice) for cf in frames]
+    distinct = list(dict.fromkeys(texts))
+    payloads = [(text, tuple(suites), limits) for text in distinct]
 
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs <= 1 or len(payloads) <= 1:
-        per_frame = [_run_one(p) for p in payloads]
+        runs = [_run_one(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_frame = list(pool.map(_run_one, payloads))
+            runs = list(pool.map(_run_one, payloads))
 
-    results = [r for chunk in per_frame for r in chunk]
+    by_text = dict(zip(distinct, runs))
+    results = []
+    for cf, text in zip(frames, texts):
+        for r in copy.deepcopy(by_text[text]):
+            r["frame"] = cf.name
+            results.append(r)
     return {
         "schema_version": SCHEMA_VERSION,
         "suites": list(suites),

@@ -297,25 +297,38 @@ def _open_joins_exact(sl_o: SublocaleCoframe, members: int, limits: Limits) -> b
 def sigma(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int, f: int) -> int:
     """The canonical sublocale realizing the fitted member ``f``.
 
-    Computed as the intersection of the closed-join-open sublocales of the
-    induced relation, then validated against the meet identity
+    It is the intersection of the closed-join-open sublocales
+    ``closed(x) v open(y)`` over the pairs ``x R y`` of the induced
+    relation, computed at one join per ``x`` as
+
+        ``s = meet over x of closed(x) v open(big_meet(rel[x]))``.
+
+    Proof: ``S(L)`` is a coframe, so ``c v meet(B) = meet(c v b for b in
+    B)`` for every family ``B``, the empty one included (both sides are
+    the top).  And ``open`` preserves finite meets, the empty meet
+    included (``open(top)`` is the top), so ``meet(open(y) for y in
+    rel[x]) = open(big_meet(rel[x]))``.  Hence, for each ``x``, the meet
+    over ``y`` of ``closed(x) v open(y)`` is ``closed(x) v
+    open(big_meet(rel[x]))``.  Row ``x`` of the relation is the
+    ``opens_above`` row of ``c = conucleus(f ^ open(x))`` (:func:`leq_f`),
+    so its meet is the host's ``least_open_above[c]``, a lookup.
+    ``tests/oracles.py::scan_sigma`` keeps the meet over every pair.
+
+    The result is validated against the meet identity
     ``fit(sigma(f) ^ open(x)) = f ^ open(x)`` pointwise; a failure raises
     :class:`NotProper`, so improper inputs are loud.
     """
     if not (members >> f) & 1:
         raise ValueError("f is not a member of the subcolocale")
-    n = sl.ambient.lattice.n
     meet, join = sl.as_lattice.meet_table, sl.as_lattice.join_table
-    rel = leq_f(sl_o, members, f)
+    trim = sl_o.as_lattice.meet_table[f]
+    cons = [conucleus(sl_o, members, trim[o]) for o in sl_o.open_index]
+    least = sl_o.least_open_above
     s = sl.as_lattice.top
-    for x in range(n):
-        jx = join[sl.closed_index[x]]
-        for y in bits(rel[x]):
-            s = meet[s][jx[sl.open_index[y]]]
-    for x in range(n):
-        lhs = sl_o.fit_of[meet[s][sl.open_index[x]]]
-        rhs = conucleus(sl_o, members, sl_o.meet(f, sl_o.open_index[x]))
-        if lhs != rhs:
+    for x, c in enumerate(cons):
+        s = meet[s][join[sl.closed_index[x]][sl.open_index[least[c]]]]
+    for x, c in enumerate(cons):
+        if sl_o.fit_of[meet[s][sl.open_index[x]]] != c:
             raise NotProper(f"meet identity fails at element {x}: "
                             f"the collection is not proper")
     return s

@@ -115,7 +115,8 @@ class SublocaleCoframe:
     from the member masks by the generic constructions, and the laws suite
     compares them with intersections and (fitted) joins of member masks.
     Instances are immutable after construction, apart from tables such as
-    ``opens_above`` that are filled in on first read and die with the host.
+    ``opens_above`` and ``least_open_above`` that are filled in on first
+    read and die with the host.
     """
 
     def __init__(self, ambient: FrameWitness, points: Iterable[int],
@@ -187,6 +188,17 @@ class SublocaleCoframe:
         opens = self.open_index
         return tuple(mask_of(y for y, o in enumerate(opens) if (u >> o) & 1)
                      for u in self.as_lattice.up)
+
+    @cached_property
+    def least_open_above(self) -> tuple[int, ...]:
+        """For each index, the least frame element whose open is above it.
+
+        It is the meet of the ``opens_above`` row, and the row holds it:
+        ``open`` preserves finite meets, the empty one included, so the row
+        is closed under them.
+        """
+        lat = self.ambient.lattice
+        return tuple(lat.big_meet(row) for row in self.opens_above)
 
     def fitted_subcoframe(self) -> "SublocaleCoframe":
         if self.fitted:

@@ -14,7 +14,8 @@ operations they stand for.  The law checks follow, by their cubic
 definitions, which the package replaces by quadratic equivalents (unit,
 counit and monotonicity for an adjunction, join-irreducibles for
 distributivity, pairwise meets for joins of sublocales, each row's meet and
-each column's join for the stability of a precongruence).  Subcolocales
+each column's join for the stability of a precongruence, one join per
+element for ``sigma``).  Subcolocales
 and down-sets are found by testing every subset where the package
 generates them.  At the very end, subcolocales and quotient frames become
 lattices through ``Lattice.from_up`` (the frames then through
@@ -29,7 +30,7 @@ from subloc.bits import bit, bits, mask_of, submasks
 from subloc.config import DEFAULT_LIMITS
 from subloc.errors import SizeLimit
 from subloc.lattice import CoframeWitness, FrameWitness, Lattice, families, is_exact_meet
-from subloc.subcolocales import (_is_subcolocale_raw, conucleus, is_proper,
+from subloc.subcolocales import (_is_subcolocale_raw, conucleus, is_proper, leq_f,
                                  point_sublocales)
 from subloc.sublocales import (b_mask, closed_mask, fit_mask, is_sublocale,
                                nucleus_element, open_mask, sublocale_closure)
@@ -542,6 +543,19 @@ def scan_precongruence(fw, rel) -> bool:
     return True
 
 
+def scan_sigma(sl, sl_o, members: int, f: int) -> int:
+    """``sigma`` without its validation, as the meet of ``closed(x) v
+    open(y)`` over every related pair ``x R y``: ``n^2`` host lookups."""
+    meet, join = sl.as_lattice.meet_table, sl.as_lattice.join_table
+    rel = leq_f(sl_o, members, f)
+    s = sl.as_lattice.top
+    for x in range(sl.ambient.lattice.n):
+        jx = join[sl.closed_index[x]]
+        for y in bits(rel[x]):
+            s = meet[s][jx[sl.open_index[y]]]
+    return s
+
+
 def scan_inclusion_identity(sl) -> list:
     """``inclusion_identity_violations`` with one table join and one
     inclusion per triple ``(s, x, y)``."""
@@ -605,6 +619,23 @@ def scan_downset_masks(up_rows) -> tuple:
     dn = [mask_of(i for i in range(n) if (up_rows[i] >> j) & 1) for j in range(n)]
     out = [m for m in range(1 << n) if all(dn[i] & ~m == 0 for i in bits(m))]
     return tuple(sorted(out, key=lambda m: (bin(m).count("1"), m)))
+
+
+def scan_topologies(num_points: int) -> tuple:
+    """``all_topologies`` by testing every family of subsets that contains
+    the empty set and the whole space, 2^(2^k - 2) of them on k points."""
+    full = (1 << num_points) - 1
+    middles = [m for m in range(1 << num_points) if m != 0 and m != full]
+    found = []
+    for pick in range(1 << len(middles)):
+        fam = [0, full] if full != 0 else [0]
+        fam.extend(middles[i] for i in bits(pick))
+        have = set(fam)
+        if all((a | b) in have and (a & b) in have
+               for a, b in combinations(fam, 2)):
+            found.append(tuple(sorted(have, key=lambda m: (bin(m).count("1"), m))))
+    found.sort(key=lambda f: (len(f), f))
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

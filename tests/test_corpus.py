@@ -12,7 +12,7 @@ from subloc.corpus import (CorpusSpec, all_topologies, downset_masks,
                            gen_opens_of_topology, gen_product,
                            sample_topologies, standard_corpus)
 
-from oracles import scan_downset_masks
+from oracles import scan_downset_masks, scan_topologies
 
 
 def test_chain_sizes_and_validation():
@@ -106,6 +106,11 @@ def test_topology_counts_match_known_values():
     assert len(all_topologies(4)) == 355
     with pytest.raises(ValueError):
         all_topologies(5)
+
+
+def test_topologies_from_preorders_match_the_family_scan():
+    for k in range(5):
+        assert all_topologies(k) == scan_topologies(k), k
 
 
 def test_every_topology_yields_a_frame():

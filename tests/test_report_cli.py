@@ -3,16 +3,17 @@ import gc
 import hashlib
 import json
 import weakref
+from collections import Counter
 
 import pytest
 
-from subloc import correspondence, report
+from subloc import correspondence, report, runner
 from subloc.cli import main
-from subloc.corpus import gen_boolean, gen_chain, gen_diamond
+from subloc.corpus import gen_boolean, gen_chain, gen_diamond, standard_corpus
 from subloc.correspondence import surjection_of
 from subloc.errors import SizeLimit
 from subloc.lattice import FrameWitness
-from subloc.latfile import serialize_lattice
+from subloc.latfile import parse_lattice, serialize_lattice
 from subloc.report import (FINITE_NOTE, SCHEMA_VERSION, correspondence_suite,
                            frame_report, host_law_violations, laws_suite,
                            render_suite_text, run_suite)
@@ -248,6 +249,65 @@ def test_corpus_report_parallel_matches_serial():
     assert serial["frames"] == sorted(serial["frames"])
     assert [r["frame"] for r in serial["results"]] == serial["frames"]
     assert serial["schema_version"] == SCHEMA_VERSION
+
+
+@pytest.fixture(scope="module")
+def sampled_report():
+    """The sampled corpus report, serial, and each frame's lattice text."""
+    texts = {cf.name: serialize_lattice(cf.frame.lattice)
+             for cf in standard_corpus(points4=20, seed=0)}
+    return corpus_report(points4=20, seed=0, jobs=1), texts
+
+
+def test_corpus_report_runs_each_distinct_text_once(monkeypatch):
+    calls = []
+
+    def counted(suite, name, fw, limits):
+        calls.append(suite)
+        return run_suite(suite, name, fw, limits)
+
+    monkeypatch.setattr(runner, "run_suite", counted)
+    rep = corpus_report(("laws",), jobs=1)
+    assert (len(calls), len(rep["results"])) == (15, 39)
+
+
+def test_corpus_report_duplicates_equal_their_own_runs(sampled_report):
+    rep, texts = sampled_report
+    counts = Counter(texts.values())
+    assert (len(texts), len(counts)) == (59, 28)
+    by_frame = {}
+    for r in rep["results"]:
+        by_frame.setdefault(r["frame"], []).append(r)
+    # the last frame of each repeated text gets results that were computed
+    # for another frame; they equal its own run
+    last = {text: name for name, text in sorted(texts.items())}
+    repeated = [name for text, name in last.items() if counts[text] > 1]
+    assert len(repeated) == 12
+    for name in repeated:
+        fw = FrameWitness.of(parse_lattice(texts[name]))
+        assert by_frame[name] == [run_suite(suite, name, fw) for suite in rep["suites"]]
+
+
+def test_corpus_report_duplicates_share_no_objects(sampled_report):
+    # deepcopy keeps any sharing inside the report, and spares the fixture
+    rep, texts = copy.deepcopy(sampled_report)
+    first = {}
+    for r in rep["results"]:
+        key = texts[r["frame"]], r["suite"]
+        if key in first:
+            twin = first[key]
+            break
+        first[key] = r
+    before = copy.deepcopy(twin)
+    r["checks"][0]["counterexamples"].append("mutated")
+    r["checks"].append({"check": "mutated"})
+    assert twin == before
+
+
+def test_corpus_report_pooled_matches_serial_on_every_suite(sampled_report):
+    rep, _ = sampled_report
+    assert rep["suites"] == ["laws", "adjunction", "correspondence"]
+    assert corpus_report(points4=20, seed=0, jobs=2) == rep
 
 
 def test_cli_report_command(capsys):

@@ -14,7 +14,7 @@ from subloc.bits import bits, mask_of
 from subloc.corpus import gen_chain, gen_product, standard_corpus
 from subloc.subcolocales import generated_closed_form
 
-from oracles import NaiveOps, host_read_mismatches, scan_subcolocales
+from oracles import NaiveOps, host_read_mismatches, scan_sigma, scan_subcolocales
 
 
 def host_naive_ops(host):
@@ -228,6 +228,23 @@ def test_sigma_fixes_opens_and_fit_inverts_it(corpus, hosts):
         for f in range(slo.size):
             s = sigma(host, slo, full, f)
             assert slo.index[host.elems[host.fit(s)]] == f
+
+
+def test_sigma_matches_the_pairwise_meet(hosts):
+    # each host has one proper collection (all of S_o(L)); every member of
+    # every subcolocale also passes sigma's validation on these hosts, so
+    # all of them are held to the pairwise meet
+    c3xc3 = enumerate_sublocales(FrameWitness.of(gen_product(gen_chain(3), gen_chain(3))))
+    checked = []
+    for sl in (hosts["chain5"], hosts["bool3"], c3xc3):
+        slo = sl.fitted_subcoframe()
+        proper = enumerate_subcolocales(slo, "proper")
+        assert proper
+        for members in enumerate_subcolocales(slo):
+            for f in bits(members):
+                assert sigma(sl, slo, members, f) == scan_sigma(sl, slo, members, f)
+                checked.append(members in proper)
+    assert checked.count(True) == 22 and checked.count(False) == 117
 
 
 def test_delta_of_full_proper_is_full_host(corpus, hosts):
