@@ -4,8 +4,7 @@ from .config import DEFAULT_LIMITS, Limits
 from .errors import (InternalInconsistency, NotAFrame, NotACoframe, NotProper,
                      SizeLimit)
 from .lattice import (CoframeWitness, FrameWitness, Lattice, covered_primes,
-                      covers, is_exact_meet, is_strongly_exact_meet,
-                      join_irreducibles, primes)
+                      covers, join_irreducibles, primes)
 from .latfile import parse_lattice, serialize_lattice
 from .corpus import (CorpusFrame, CorpusSpec, all_topologies, gen_boolean,
                      gen_chain, gen_diamond, gen_downsets_of_poset,

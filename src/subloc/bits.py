@@ -17,6 +17,11 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def bits_above(mask: int, i: int) -> Iterator[int]:
+    """Set-bit positions of ``mask`` greater than ``i``, in increasing order."""
+    return bits(mask >> (i + 1) << (i + 1))
+
+
 def mask_of(items: Iterable[int]) -> int:
     m = 0
     for i in items:

@@ -96,7 +96,7 @@ def cmd_subcolocales(args, limits: Limits) -> int:
         print("proper filtering needs the fitted host (--host SoL)",
               file=sys.stderr)
         return 2
-    found = enumerate_subcolocales(host, args.filter, limits)
+    found = enumerate_subcolocales(host, args.filter)
     for mask in found:
         print("{" + ", ".join(map(str, sorted(bits(mask)))) + "}")
     print(f"total: {len(found)}", file=sys.stderr)

@@ -8,6 +8,7 @@ always know when a result is incomplete.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
@@ -19,15 +20,9 @@ class Limits:
     # Cap on the number of down-sets a down-set lattice may have; they are
     # built point by point and refused once they pass it.
     max_downsets: int = 4096
-    # Family quantifiers (lattice.families) range over the empty and binary
-    # families, which folding makes equivalent to all families on a frame,
-    # and over all 2^n subsets only of frames with at most this many
-    # elements.  Each frame witness tables the meet and exactness flags of
-    # those families once.  The default 0 makes the binary rule the only
-    # production regime; the field survives, for the tests that hold the two
-    # rules to each other and for the benchmark's family counters, until the
-    # benchmark counts n^2 + 1 families by itself.
-    exhaustive_family_elements: int = 0
+    # Not a limit (families are always pairs, see FrameWitness.exact_pairs):
+    # only perfbench/spans.py's family counters read it; goes with ROADMAP item 3.
+    exhaustive_family_elements: ClassVar[int] = 0
 
     def with_(self, **kw) -> "Limits":
         return replace(self, **kw)

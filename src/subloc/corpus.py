@@ -81,9 +81,13 @@ def gen_downsets_of_poset(up_rows: Sequence[int], limits: Limits = DEFAULT_LIMIT
     Always distributive, hence always a frame; this is the workhorse for
     randomized frame generation.
     """
-    ds = downset_masks(up_rows, limits)
-    return Lattice.from_up(tuple(mask_of(j for j, mj in enumerate(ds) if mi & ~mj == 0)
-                                 for mi in ds))
+    return inclusion_lattice(downset_masks(up_rows, limits))
+
+
+def inclusion_lattice(sets: Sequence[int]) -> Lattice:
+    """The subset masks ``sets`` ordered by inclusion, indexed in their order."""
+    return Lattice.from_up(tuple(mask_of(j for j, mj in enumerate(sets) if mi & ~mj == 0)
+                                 for mi in sets))
 
 
 def gen_opens_of_topology(num_points: int, opens: Sequence[int]) -> Lattice:
@@ -105,8 +109,7 @@ def gen_opens_of_topology(num_points: int, opens: Sequence[int]) -> Lattice:
             raise ValueError(f"opens not closed under union: {a} | {b}")
         if a & b not in have:
             raise ValueError(f"opens not closed under intersection: {a} & {b}")
-    return Lattice.from_up(tuple(mask_of(j for j, mj in enumerate(fam) if mi & ~mj == 0)
-                                 for mi in fam))
+    return inclusion_lattice(fam)
 
 
 def all_topologies(num_points: int) -> tuple[tuple[int, ...], ...]:

@@ -26,9 +26,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .bits import bit, bits, mask_of
+from .bits import bit, bits, bits_above, mask_of
 from .config import DEFAULT_LIMITS, Limits
-from .corpus import downset_masks, gen_downsets_of_poset
+from .corpus import downset_masks, inclusion_lattice
 from .errors import InternalInconsistency, NotProper
 from .lattice import FrameWitness, Lattice
 from .sublocales import SublocaleCoframe, is_sublocale, nucleus_element
@@ -77,22 +77,27 @@ class FrameMap:
             mask_of(x for x, v in enumerate(self.mapping) if lt.leq(v, m)))
 
 
-def is_exact_map(f: FrameMap, limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_exact_map(f: FrameMap) -> bool:
     """Whether the map sends exact meets to exact meets, preserving them.
 
-    The families are those of the source frame's family table; the
-    target's table answers exactness of their images.
+    The families are the empty one, which needs the top kept, and the
+    pairs, whose exactness both frames table (:attr:`FrameWitness.exact_pairs`).
+    A singleton ``{a}`` holds outright, its image ``{f(a)}`` being exact
+    with meet ``f(a)``, so the exact pairs ``a < b`` decide; an image
+    ``{f(a), f(b)}`` may be a singleton, which the table also answers.
     """
-    src = f.source.family_table(limits)
-    dst = f.target.family_table(limits)
+    ls, lt = f.source.lattice, f.target.lattice
     mp = f.mapping
-    tmeet = f.target.lattice.meet_table
-    # value of a family: (its image as a target mask, the meet of that image)
-    folds = src.fold((0, f.target.lattice.top),
-                     lambda v, x: (v[0] | bit(mp[x]), tmeet[v[1]][mp[x]]))
-    for fam, (img, img_meet) in folds:
-        if src.exact[fam] and (mp[src.meet[fam]] != img_meet or not dst.is_exact(img)):
-            return False
+    if mp[ls.top] != lt.top:
+        return False
+    exact, img_exact = f.source.exact_pairs[0], f.target.exact_pairs[0]
+    tmeet = lt.meet_table
+    for a in range(ls.n):
+        row, fa = ls.meet_table[a], mp[a]
+        for b in bits_above(exact[a], a):
+            fb = mp[b]
+            if mp[row[b]] != tmeet[fa][fb] or not (img_exact[fa] >> fb) & 1:
+                return False
     return True
 
 
@@ -126,8 +131,7 @@ def is_smooth(sl: SublocaleCoframe, i: int) -> bool:
 class RaneyExtension:
     """A frame plus a subcolocale of its fitted coframe containing all opens."""
 
-    def __init__(self, frame: FrameWitness, f_sub: Subcolocale,
-                 limits: Limits = DEFAULT_LIMITS):
+    def __init__(self, frame: FrameWitness, f_sub: Subcolocale):
         host = f_sub.host
         if not host.fitted or host.ambient != frame:
             raise ValueError("the subcolocale must live on the frame's fitted coframe")
@@ -135,13 +139,12 @@ class RaneyExtension:
             raise ValueError("a Raney extension must contain every open")
         self.frame = frame
         self.f_sub = f_sub
-        self._limits = limits
         self._lattice: tuple[Lattice, tuple[int, ...]] | None = None
 
     @cached_property
     def proper(self) -> bool:
         """Whether the fitted collection is proper, tested on first read."""
-        return is_proper(self.f_sub.host, self.f_sub.members, self._limits)
+        return is_proper(self.f_sub.host, self.f_sub.members)
 
 
 class SZDBF:
@@ -367,7 +370,7 @@ def downset_frame(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS
     whose right adjoint picks out principal down-sets.
     """
     masks = downset_masks(fw.lattice.up, limits)
-    dl = FrameWitness.of(gen_downsets_of_poset(fw.lattice.up, limits))
+    dl = FrameWitness.of(inclusion_lattice(masks))
     eps = FrameMap.of(dl, fw, tuple(fw.lattice.big_join(m) for m in masks))
     return dl, eps
 

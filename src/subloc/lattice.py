@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bits import bit, bits, mask_of
-from .config import DEFAULT_LIMITS, Limits
 from .errors import NotACoframe, NotAFrame
 
 
@@ -279,94 +278,6 @@ def heyting_table(lat: Lattice) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def is_exact_meet(lat: Lattice, fam: int) -> bool:
-    """Whether joining any ``y`` distributes over the meet of the family.
-
-    The empty family has meet top, and ``top v y = top`` always, so the
-    empty family is exact.
-    """
-    bm = lat.big_meet(fam)
-    join, meet = lat.join_table, lat.meet_table
-    for y in range(lat.n):
-        acc = lat.top
-        for x in bits(fam):
-            acc = meet[acc][join[x][y]]
-        if acc != join[bm][y]:
-            return False
-    return True
-
-
-def is_strongly_exact_meet(fw: "FrameWitness", fam: int) -> bool:
-    """Whether the family's meet inherits every Heyting fixpoint of its members."""
-    lat = fw.lattice
-    bm = lat.big_meet(fam)
-    hey = fw.heyting_table
-    for y in range(lat.n):
-        if all(hey[x][y] == y for x in bits(fam)) and hey[bm][y] != y:
-            return False
-    return True
-
-
-def families(n: int, limits: Limits = DEFAULT_LIMITS) -> Sequence[int]:
-    """The families of ``0..n-1`` that a family quantifier visits, in order.
-
-    The empty family and then ``{a, b}`` for every ``a`` and ``b`` in
-    row-major order (so singletons appear once and pairs twice); every
-    subset, in increasing mask order, only when ``n`` is at most
-    ``limits.exhaustive_family_elements`` (0 by default).  This is the
-    only copy of that rule.
-
-    On a frame the two rules give the same verdicts.  Each law checked
-    over families says that a map sends the meet (or join) of a family to
-    the meet (or join) of its images, and meets and joins of finite
-    families fold binary ones: a non-empty family is a singleton, which
-    is the binary ``{a, a}``, or ``{a} | rest``, which follows from the
-    binary case at ``a`` and the meet (or join) of ``rest``.  Joins of
-    opens are opens, so this holds for the conuclei of joins of opens too.
-    Two quantifiers range over the exact families only, ``is_exact_map``
-    and ``is_exact_sublocale``; on a frame that restriction removes
-    nothing, since every finite meet is exact, ``(x ^ y) v t = (x v t) ^
-    (y v t)`` being distributivity, and strongly exact, ``(x ^ y) -> t =
-    x -> (y -> t)`` keeping every common Heyting fixpoint ``t``.  The
-    image of a family in a frame is exact for the same reason.  Off frames
-    (the raw non-distributive witnesses of the tests) the rules may differ.
-    """
-    if n <= limits.exhaustive_family_elements:
-        return range(1 << n)
-    return (0,) + tuple(bit(a) | bit(b) for a in range(n) for b in range(n))
-
-
-def family_tree(fams: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    """The children of every family of ``fams`` in its fold tree.
-
-    The parent of a non-empty family ``fam`` is its rest ``fam & (fam - 1)``,
-    the family without its lowest element, which must itself be in
-    ``fams``; this holds for :func:`families`.
-    """
-    children: dict[int, list[int]] = {}
-    for fam in set(fams):
-        if fam:
-            children.setdefault(fam & (fam - 1), []).append(fam)
-    return {fam: tuple(kids) for fam, kids in children.items()}
-
-
-def fold_families(tree: dict[int, tuple[int, ...]], empty,
-                  extend: Callable) -> Iterator[tuple[int, Any]]:
-    """Yield ``(fam, value)`` once for every family of a :func:`family_tree`.
-
-    The empty family gets ``empty``; a non-empty family ``fam`` gets
-    ``extend(value of fam & (fam - 1), x)`` where ``x`` is its lowest
-    element, so each family costs one ``extend``.  The walk is depth-first
-    from the empty family, so only a few values are held at a time.
-    """
-    stack = [(0, empty)]
-    while stack:
-        fam, value = stack.pop()
-        yield fam, value
-        for child in tree.get(fam, ()):
-            stack.append((child, extend(value, (child ^ fam).bit_length() - 1)))
-
-
 @dataclass(frozen=True)
 class FrameWitness:
     """A distributive lattice with its Heyting arrow table and its primes."""
@@ -375,10 +286,6 @@ class FrameWitness:
     heyting_table: tuple[tuple[int, ...], ...] = field(repr=False)
     # bitmask of the prime elements, see :func:`prime_mask`
     primes: int
-    # family tables by family rule (exhaustive or not); they live and die
-    # with the witness
-    _family_tables: dict = field(default_factory=dict, init=False, repr=False,
-                                 compare=False)
 
     @classmethod
     def of(cls, lat: Lattice) -> "FrameWitness":
@@ -390,60 +297,51 @@ class FrameWitness:
     def n(self) -> int:
         return self.lattice.n
 
-    def family_table(self, limits: Limits = DEFAULT_LIMITS) -> "FamilyTable":
-        """The :class:`FamilyTable` of ``families(n, limits)``, built once."""
-        n = self.lattice.n
-        exhaustive = n <= limits.exhaustive_family_elements
-        tab = self._family_tables.get(exhaustive)
-        if tab is None:
-            tab = self._family_tables[exhaustive] = FamilyTable(self, families(n, limits))
-        return tab
+    @cached_property
+    def exact_pairs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Row ``a`` of the first table masks the ``b`` with ``{a, b}``
+        exact, row ``a`` of the second those with ``{a, b}`` strongly exact.
 
+        The meet ``a ^ b`` is exact when ``(a ^ b) v y = (a v y) ^ (b v y)``
+        for every ``y``, and strongly exact when every common Heyting
+        fixpoint of ``a`` and ``b`` (``a -> y = y = b -> y``) is one of ``a
+        ^ b``; ``tests/oracles.py`` keeps both tests for any family.  Kept
+        in the instance on first read, like :attr:`Lattice.irreducibles`.
 
-class FamilyTable:
-    """Big meet and exactness flags of every family in ``fams``.
-
-    Built by :func:`fold_families` over the table's own :func:`family_tree`,
-    so each family costs one extension of its rest instead of a fold from
-    scratch; :meth:`fold` walks the same tree for consumers that fold their
-    own values, so the tree is built once per table and not once per call.
-    ``exact[fam]`` is :func:`is_exact_meet` and ``strongly_exact[fam]`` is
-    :func:`is_strongly_exact_meet`; the tests hold them to those.
-    """
-
-    def __init__(self, fw: FrameWitness, fams: Sequence[int]):
-        lat = fw.lattice
+        Every family quantifier of the package visits only the empty family
+        and the pairs ``{a, b}``, a singleton being ``{a, a}``, which on a
+        frame gives the verdict of all finite families.  Each law checked
+        over families says that a map sends the meet (or join) of a family
+        to the meet (or join) of its images, and meets and joins of finite
+        families fold binary ones: a family ``{a} | rest`` follows from the
+        pair ``{a, m}``, for the meet (or join) ``m`` of ``rest``, and from
+        ``rest`` by induction.  Joins of opens are opens, so this holds for
+        the conuclei of joins of opens too.  Two quantifiers range over the
+        exact families only, ``is_exact_map`` and ``is_exact_sublocale``;
+        on a frame that restriction removes nothing, since every finite
+        meet is exact, ``(x ^ y) v t = (x v t) ^ (y v t)`` being
+        distributivity, and strongly exact, ``(x ^ y) -> t = x -> (y ->
+        t)`` keeping every common Heyting fixpoint ``t`` (Picado & Pultr,
+        *Frames and Locales*, 2012).  The image of a family in a frame is
+        exact for the same reason.  Off frames (the raw non-distributive
+        witnesses of the tests) pairs may pass where a larger family fails.
+        """
+        lat = self.lattice
         n = lat.n
-        meet, join = lat.meet_table, lat.join_table
-        hey = fw.heyting_table
+        meet, join, hey = lat.meet_table, lat.join_table, self.heyting_table
         fixed = [mask_of(y for y in range(n) if hey[x][y] == y) for x in range(n)]
-
-        # value of a family: (its meet, the meets of x v y over its members x
-        # for each y, the Heyting fixpoints shared by all its members)
-        def extend(v, x):
-            m, row, fix = v
-            return (meet[m][x], tuple([meet[a][b] for a, b in zip(row, join[x])]),
-                    fix & fixed[x])
-
-        self.lattice = lat
-        self.fams = fams
-        self.tree = family_tree(fams)
-        self.meet: dict[int, int] = {}
-        self.exact: dict[int, bool] = {}
-        self.strongly_exact: dict[int, bool] = {}
-        for fam, (m, row, fix) in self.fold((lat.top, join[lat.top], lat.full_mask), extend):
-            self.meet[fam] = m
-            self.exact[fam] = row == join[m]
-            self.strongly_exact[fam] = fix & ~fixed[m] == 0
-
-    def fold(self, empty, extend: Callable) -> Iterator[tuple[int, Any]]:
-        """:func:`fold_families` over this table's families."""
-        return fold_families(self.tree, empty, extend)
-
-    def is_exact(self, fam: int) -> bool:
-        """Exactness of any family: read from the table when it is there."""
-        got = self.exact.get(fam)
-        return is_exact_meet(self.lattice, fam) if got is None else got
+        exact, strong = [0] * n, [0] * n
+        for a in range(n):
+            ja = join[a]
+            for b in range(a, n):
+                m = meet[a][b]
+                if tuple([meet[x][y] for x, y in zip(ja, join[b])]) == join[m]:
+                    exact[a] |= bit(b)
+                    exact[b] |= bit(a)
+                if fixed[a] & fixed[b] & ~fixed[m] == 0:
+                    strong[a] |= bit(b)
+                    strong[b] |= bit(a)
+        return tuple(exact), tuple(strong)
 
 
 def primes(fw: FrameWitness) -> int:

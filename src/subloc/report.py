@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from typing import Any
 
-from .bits import bits, mask_of
+from .bits import bit, bits, bits_above, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .correspondence import (SZDBF, FrameMap, RaneyExtension, downset_frame,
                              is_exact_map, raney_lift_check, right_adjoint_image,
@@ -82,11 +82,11 @@ def frame_report(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -
         "fitted_sublocales": sl_o.size,
         "open_index": list(sl.open_index),
         "closed_index": list(sl.closed_index),
-        "strongly_exact_filters": len(strongly_exact_filters(fw, limits).filters),
-        "exact_filters": len(exact_filters(fw, limits).filters),
+        "strongly_exact_filters": len(strongly_exact_filters(fw).filters),
+        "exact_filters": len(exact_filters(fw).filters),
         "smallest_codense_size": bin(sb(sl)).count("1"),
         "point_generated_size": bin(ssp(sl)).count("1"),
-        "exact_sublocales": bin(se(sl, limits)).count("1"),
+        "exact_sublocales": bin(se(sl)).count("1"),
     }
 
 
@@ -191,9 +191,13 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
                     "covered": sorted(bits(covered_primes(fw)))})
     checks.add("covered-primes-equal-primes", bad)
 
-    tab = fw.family_table(limits)
-    fams = tab.fams
-    bad = [fam for fam in fams if not (tab.exact[fam] and tab.strongly_exact[fam])]
+    # the families are the empty one and the pairs (FrameWitness.exact_pairs);
+    # a singleton is exact and strongly exact, and so is the empty family
+    # once its meet, the top, fixes everything (top -> y = y)
+    exact, strong = fw.exact_pairs
+    bad = [] if fw.heyting_table[lat.top] == tuple(range(n)) else [0]
+    bad += [bit(a) | bit(b) for a in range(n)
+            for b in bits_above(lat.full_mask & ~(exact[a] & strong[a]), a)]
     checks.add("all-meets-exact-and-strongly-exact", bad)
 
     bot, top = 0, k - 1
@@ -209,20 +213,21 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
            or sl.join(sl.open_of(a), sl.closed_of(a)) != top]
     checks.add("open-closed-complement", bad)
 
-    # value of a family: (its join, the join of its opens, the meet of its closeds)
-    folds = dict(tab.fold((lat.bottom, bot, top), lambda v, a: (
-        lat.join_table[v[0]][a], sl.join(v[1], sl.open_of(a)), sl.meet(v[2], sl.closed_of(a)))))
-
-    bad = [sorted(bits(fam)) for fam in fams
-           if folds[fam][1] != sl.open_of(folds[fam][0])]
+    # joins of families, on the empty one and the pairs; the singletons hold
+    # outright, bot and top being the bottom and top of the host's tables
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    bad = [] if sl.open_of(lat.bottom) == bot else [[]]
+    bad += [[a, b] for a, b in pairs
+            if sl.join(sl.open_of(a), sl.open_of(b)) != sl.open_of(lat.join_table[a][b])]
     for a in range(n):
         for b in range(n):
             if sl.meet(sl.open_of(a), sl.open_of(b)) != sl.open_of(lat.meet_table[a][b]):
                 bad.append((a, b))
     checks.add("open-join-and-meet-laws", bad)
 
-    bad = [sorted(bits(fam)) for fam in fams
-           if folds[fam][2] != sl.closed_of(folds[fam][0])]
+    bad = [] if sl.closed_of(lat.bottom) == top else [[]]
+    bad += [[a, b] for a, b in pairs
+            if sl.meet(sl.closed_of(a), sl.closed_of(b)) != sl.closed_of(lat.join_table[a][b])]
     for a in range(n):
         for b in range(n):
             if sl.join(sl.closed_of(a), sl.closed_of(b)) != sl.closed_of(lat.meet_table[a][b]):
@@ -268,7 +273,7 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
            & sl.elems[sl.fit(sl.index[b_mask(fw, p)])]]
     checks.add("point-sublocale-identity", bad)
 
-    sef = strongly_exact_filters(fw, limits).filters
+    sef = strongly_exact_filters(fw).filters
     phis = [phi(sl_o, i) for i in range(sl_o.size)]
     bad = []
     if sorted(phis) != sorted(sef):
@@ -281,7 +286,7 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
                 bad.append((i, j))
     checks.add("phi-bijection-reversing-inclusion", bad)
 
-    ef = exact_filters(fw, limits).filters
+    ef = exact_filters(fw).filters
     bad = [s for s in range(k) if ker(sl, s) != phis[sl_o.index[sl.elems[sl.fit(s)]]]]
     kers = sorted({ker(sl, s) for s in bits(sb(sl))})
     if kers != sorted(ef):
@@ -304,7 +309,7 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
     k = sl.size
     sigma_of = functools.cache(lambda fm, f: sigma(sl, sl_o, fm, f))  # depends on F, f only
 
-    sb_m, ssp_m, se_m = sb(sl), ssp(sl), se(sl, limits)
+    sb_m, ssp_m, se_m = sb(sl), ssp(sl), se(sl)
     bad = []
     for label, m in (("sb", sb_m), ("ssp", ssp_m), ("se", se_m)):
         if not is_subcolocale(sl, m):
@@ -329,7 +334,7 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
 
     full_o = (1 << sl_o.size) - 1
     bad = []
-    if not is_proper(sl_o, full_o, limits):
+    if not is_proper(sl_o, full_o):
         bad.append("full fitted coframe not proper")
     checks.add("full-fitted-collection-proper", bad)
 
@@ -364,9 +369,9 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
     checks.add("conucleus-of-fit-equals-sigma-of-fit", bad)
 
     if k <= MAX_ENUMERATED_HOST:
-        codense = enumerate_subcolocales(sl, "codense", limits)
-        subs_o = enumerate_subcolocales(sl_o, "all", limits)
-        propers = tuple(m for m in subs_o if is_proper(sl_o, m, limits))
+        codense = enumerate_subcolocales(sl, "codense")
+        subs_o = enumerate_subcolocales(sl_o, "all")
+        propers = tuple(m for m in subs_o if is_proper(sl_o, m))
 
         bad = [m for m in codense if sb_m & ~m]
         checks.add("sb-is-least-codense", bad)
@@ -436,7 +441,7 @@ def correspondence_suite(name: str, fw: FrameWitness,
 
     sl = enumerate_sublocales(fw, limits)
     sb_m = sb(sl)
-    se_m = se(sl, limits)
+    se_m = se(sl)
 
     b1 = SZDBF(fw, Subcolocale(sl, sb_m))
     r1 = to_raney(b1)
@@ -460,9 +465,9 @@ def correspondence_suite(name: str, fw: FrameWitness,
             b2 = SZDBF(f.target, Subcolocale(sub_sl, sb(sub_sl)))
             pair = targets[f.target] = b2, to_raney(b2)
         b2, r2 = pair
-        # onto the shared witness, whose family table is then built once too
+        # onto the shared witness, whose exact pairs are then tabled once too
         f = FrameMap(f.source, b2.frame, f.mapping)
-        if not is_exact_map(f, limits):
+        if not is_exact_map(f):
             surj_bad.append(i)
         if szdbf_lift_check(f, b1, b2).exists != bool((sb_m >> i) & 1):
             smooth_bad.append(i)
@@ -477,7 +482,7 @@ def correspondence_suite(name: str, fw: FrameWitness,
     expect = mask_of(eps.right_adjoint(a) for a in range(fw.lattice.n))
     if ideal != expect:
         bad.append({"induced": sorted(bits(ideal)), "principal": sorted(bits(expect))})
-    if not is_exact_map(eps, limits):
+    if not is_exact_map(eps):
         bad.append("downset join map not exact")
     if sorted(set(eps.mapping)) != list(range(fw.lattice.n)):
         bad.append("downset join map not surjective")

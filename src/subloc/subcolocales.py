@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .bits import bit, bits, mask_of
-from .config import DEFAULT_LIMITS, Limits
 from .errors import InternalInconsistency, NotProper
 from .lattice import Lattice, join_irreducibles
 from .sublocales import (SublocaleCoframe, _prime_sets, is_exact_sublocale,
@@ -152,15 +151,14 @@ def is_codense(host: SublocaleCoframe, members: int) -> bool:
     return bool((members >> host.as_lattice.top) & 1)
 
 
-def enumerate_subcolocales(host: SublocaleCoframe, which: str = "all",
-                           limits: Limits = DEFAULT_LIMITS) -> tuple[int, ...]:
+def enumerate_subcolocales(host: SublocaleCoframe, which: str = "all") -> tuple[int, ...]:
     """All subcolocale bitmasks of the host, in increasing mask order.
 
     The subcolocales of a finite coframe are the sublocales of its dual
     frame (Birkhoff), whose primes are the host's join-irreducibles, so
     the prime-set construction of ``S(L)`` builds them on the host's
     indices: one per set of join-irreducibles, ``2^p`` for a frame with
-    ``p`` primes, a count ``limits.max_sublocales`` bounded when the host
+    ``p`` primes, a count ``Limits.max_sublocales`` bounded when the host
     was built.  ``which`` filters to ``codense`` (contains the host top)
     or ``proper`` (fitted hosts only).
     """
@@ -173,7 +171,7 @@ def enumerate_subcolocales(host: SublocaleCoframe, which: str = "all",
     if which == "codense":
         found = (m for m in found if is_codense(host, m))
     elif which == "proper":
-        found = (m for m in found if is_proper(host, m, limits))
+        found = (m for m in found if is_proper(host, m))
     return tuple(sorted(found))
 
 
@@ -224,10 +222,10 @@ def ssp(sl: SublocaleCoframe) -> int:
     return join_closure(sl, point_sublocales(sl))
 
 
-def se(sl: SublocaleCoframe, limits: Limits = DEFAULT_LIMITS) -> int:
+def se(sl: SublocaleCoframe) -> int:
     """The exact sublocales, as a subset of the host indices."""
     return mask_of(i for i, m in enumerate(sl.elems)
-                   if is_exact_sublocale(sl.ambient, m, limits))
+                   if is_exact_sublocale(sl.ambient, m))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +247,7 @@ def leq_f(sl_o: SublocaleCoframe, members: int, f: int) -> tuple[int, ...]:
     return tuple(above[conucleus(sl_o, members, meet[o])] for o in sl_o.open_index)
 
 
-def is_proper(sl_o: SublocaleCoframe, members: int,
-              limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_proper(sl_o: SublocaleCoframe, members: int) -> bool:
     """Contains every open, and joins of opens are exact in the subcolocale.
 
     Cross-checked against the precongruence criterion: every member's
@@ -259,7 +256,7 @@ def is_proper(sl_o: SublocaleCoframe, members: int,
     opens = mask_of(sl_o.open_index)
     if opens & ~members:
         return False
-    exact = _open_joins_exact(sl_o, members, limits)
+    exact = _open_joins_exact(sl_o, members)
     via_precongruence = all(
         is_precongruence(sl_o.ambient, leq_f(sl_o, members, f))
         for f in bits(members))
@@ -268,12 +265,16 @@ def is_proper(sl_o: SublocaleCoframe, members: int,
     return exact
 
 
-def _open_joins_exact(sl_o: SublocaleCoframe, members: int, limits: Limits) -> bool:
+def _open_joins_exact(sl_o: SublocaleCoframe, members: int) -> bool:
     """Whether trimming the join of each family of opens by each member ``g``
     and taking the conucleus gives the join of the trimmed opens' conuclei.
 
-    The families are those of the ambient frame's family table; their
-    values are folded over its tree against a conucleus table built once.
+    The families are the empty one and the pairs, as for every family
+    quantifier (:attr:`FrameWitness.exact_pairs`).  The empty family and
+    the singletons hold outright: the empty join is the bottom, whose
+    conucleus (the join of the members below it) is the bottom again, and
+    one open is its own join.  So the pairs of opens decide, each against
+    a conucleus table built once.
     """
     lat = sl_o.as_lattice
     meet, join = lat.meet_table, lat.join_table
@@ -281,17 +282,12 @@ def _open_joins_exact(sl_o: SublocaleCoframe, members: int, limits: Limits) -> b
     gs = tuple(bits(members))
     trimmed = [tuple([con[meet[c][g]] for g in gs]) for c in range(lat.n)]
     opens = sl_o.open_index
-
-    # value of a family: (the join of its opens, the joins of the trimmed
-    # opens' conuclei, one per member g)
-    def extend(v, x):
-        j, row = v
-        return (join[j][opens[x]],
-                tuple([join[a][b] for a, b in zip(row, trimmed[opens[x]])]))
-
-    folds = sl_o.ambient.family_table(limits).fold((lat.bottom, (lat.bottom,) * len(gs)),
-                                                   extend)
-    return all(row == trimmed[j] for _, (j, row) in folds)
+    for a, oa in enumerate(opens):
+        row, ta = join[oa], trimmed[oa]
+        for ob in opens[a + 1:]:
+            if tuple([join[x][y] for x, y in zip(ta, trimmed[ob])]) != trimmed[row[ob]]:
+                return False
+    return True
 
 
 def sigma(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int, f: int) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .bits import bit, bits, mask_of
+from .bits import bit, bits, bits_above, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .errors import InternalInconsistency, SizeLimit
 from .lattice import CoframeWitness, FrameWitness, Lattice
@@ -281,29 +281,29 @@ class FilterSet:
     filters: tuple[int, ...]
 
 
-def all_filters(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> tuple[int, ...]:
+def all_filters(fw: FrameWitness) -> tuple[int, ...]:
     """Every filter of the frame, sorted by (size, mask).
 
     A filter of a finite lattice holds the meet of its members, so it is
     the up-set of that meet: the filters are the principal up-sets, and no
-    subset scan (hence no size budget from ``limits``) is needed.
+    subset scan (hence no size budget) is needed.
     """
     return tuple(sorted(fw.lattice.up, key=lambda m: (bin(m).count("1"), m)))
 
 
-def strongly_exact_filters(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> FilterSet:
+def strongly_exact_filters(fw: FrameWitness) -> FilterSet:
     """Filters closed under strongly exact meets of their members.
 
     Every filter of a finite lattice is principal, so it holds the meet of
     every subset of its members, exact or not: these are all the filters.
     """
-    return FilterSet(fw, all_filters(fw, limits))
+    return FilterSet(fw, all_filters(fw))
 
 
-def exact_filters(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> FilterSet:
+def exact_filters(fw: FrameWitness) -> FilterSet:
     """Filters closed under exact meets of their members: all the filters,
     for the reason given in :func:`strongly_exact_filters`."""
-    return FilterSet(fw, all_filters(fw, limits))
+    return FilterSet(fw, all_filters(fw))
 
 
 def ker(sl: SublocaleCoframe, i: int) -> int:
@@ -413,13 +413,16 @@ def precongruence_to_sublocale(fw: FrameWitness, r: Precongruence) -> int:
 # exactness of sublocales
 
 
-def is_exact_sublocale(fw: FrameWitness, members: int,
-                       limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_exact_sublocale(fw: FrameWitness, members: int) -> bool:
     """Whether the quotient surjection onto the sublocale preserves exact meets.
 
     For every exact meet of an ambient family, the nucleus image family
-    must meet to the nucleus of the meet.  The families are those of the
-    frame's family table.
+    must meet to the nucleus of the meet.  The families are the empty one
+    and the pairs (:attr:`FrameWitness.exact_pairs`).  The empty family
+    and the singletons hold outright: the empty meet is the top on both
+    sides, ``nu(top)`` being the meet of the members above the top, hence
+    the top; and ``{a}`` meets to ``a``, which ``nu`` sends to ``nu(a)``,
+    the meet of its image.  So the pairs ``a < b`` decide.
 
     The image family is then exact inside the sublocale too, so that needs
     no test.  On a sublocale ``nu`` is a nucleus: it preserves finite
@@ -429,9 +432,11 @@ def is_exact_sublocale(fw: FrameWitness, members: int,
     """
     lat = fw.lattice
     meet = lat.meet_table
-    tab = fw.family_table(limits)
+    exact = fw.exact_pairs[0]
     nu = [nucleus_element(fw, members, a) for a in range(lat.n)]
-    for fam, m in tab.fold(lat.top, lambda m, x: meet[m][nu[x]]):
-        if tab.exact[fam] and nu[tab.meet[fam]] != m:
-            return False
+    for a in range(lat.n):
+        row, nu_a = meet[a], meet[nu[a]]
+        for b in bits_above(exact[a], a):
+            if nu[row[b]] != nu_a[nu[b]]:
+                return False
     return True

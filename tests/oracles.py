@@ -4,9 +4,9 @@ Most of this recomputes operations from the raw order relation by
 exhaustive scanning, deliberately avoiding the package's cached tables
 and closure algorithms, so a table bug and an oracle bug would have to
 coincide to slip through.  The family scans at the end are the other
-kind: they quantify over the same families as the package but fold every
-family from scratch with the generic helpers, where the package extends
-each family's value from a smaller family's through a per-frame table.
+kind: they quantify over any given families (all of them, or the empty
+one and the pairs the package visits) and fold every family from scratch
+with the generic helpers, where the package reads pairs off its tables.
 The sublocale coframes are built from member masks by the generic
 constructions the package builds from sets of primes instead, and the
 host-index reads of the subcolocale calculus are held to the mask
@@ -27,9 +27,9 @@ check a scan of every pair and their density test the fold over every pin.
 from itertools import combinations, product
 
 from subloc.bits import bit, bits, mask_of, submasks
-from subloc.config import DEFAULT_LIMITS
 from subloc.errors import SizeLimit
-from subloc.lattice import CoframeWitness, FrameWitness, Lattice, families, is_exact_meet
+from subloc.config import DEFAULT_LIMITS
+from subloc.lattice import CoframeWitness, FrameWitness, Lattice
 from subloc.subcolocales import (_is_subcolocale_raw, conucleus, is_proper, leq_f,
                                  point_sublocales)
 from subloc.sublocales import (b_mask, closed_mask, fit_mask, is_sublocale,
@@ -274,11 +274,51 @@ def naive_primes(up) -> frozenset:
 # family quantifiers, one family at a time
 
 
-def scan_exact_sublocale(fw, members: int, limits=DEFAULT_LIMITS) -> bool:
-    """``is_exact_sublocale`` with every family and nucleus recomputed."""
+def all_families(n: int) -> range:
+    """Every family of ``0..n-1``, as masks."""
+    return range(1 << n)
+
+
+def binary_families(n: int) -> tuple:
+    """The empty family and every ``{a, b}``, ``a <= b``: the families the
+    package's quantifiers visit (``FrameWitness.exact_pairs``)."""
+    return (0,) + tuple(bit(a) | bit(b) for a in range(n) for b in range(a, n))
+
+
+def is_exact_meet(lat: Lattice, fam: int) -> bool:
+    """Whether joining any ``y`` distributes over the meet of the family.
+
+    The empty family has meet top, and ``top v y = top`` always, so the
+    empty family is exact.
+    """
+    bm = lat.big_meet(fam)
+    join, meet = lat.join_table, lat.meet_table
+    for y in range(lat.n):
+        acc = lat.top
+        for x in bits(fam):
+            acc = meet[acc][join[x][y]]
+        if acc != join[bm][y]:
+            return False
+    return True
+
+
+def is_strongly_exact_meet(fw: FrameWitness, fam: int) -> bool:
+    """Whether the family's meet inherits every Heyting fixpoint of its members."""
+    lat = fw.lattice
+    bm = lat.big_meet(fam)
+    hey = fw.heyting_table
+    for y in range(lat.n):
+        if all(hey[x][y] == y for x in bits(fam)) and hey[bm][y] != y:
+            return False
+    return True
+
+
+def scan_exact_sublocale(fw, members: int, fams) -> bool:
+    """``is_exact_sublocale`` over the families ``fams``, with every family
+    and nucleus recomputed."""
     lat = fw.lattice
     nu = [nucleus_element(fw, members, a) for a in range(lat.n)]
-    for fam in families(lat.n, limits):
+    for fam in fams:
         if not is_exact_meet(lat, fam):
             continue
         img = [nu[x] for x in bits(fam)]
@@ -294,9 +334,10 @@ def scan_exact_sublocale(fw, members: int, limits=DEFAULT_LIMITS) -> bool:
     return True
 
 
-def scan_open_joins_exact(sl_o, members: int, limits=DEFAULT_LIMITS) -> bool:
-    """The family half of ``is_proper``: joins of opens stay exact."""
-    for fam in families(sl_o.ambient.lattice.n, limits):
+def scan_open_joins_exact(sl_o, members: int, fams) -> bool:
+    """The family half of ``is_proper`` over the families ``fams`` of the
+    ambient frame: joins of opens stay exact."""
+    for fam in fams:
         xs = list(bits(fam))
         j = 0
         for x in xs:
@@ -311,10 +352,30 @@ def scan_open_joins_exact(sl_o, members: int, limits=DEFAULT_LIMITS) -> bool:
     return True
 
 
-def scan_exact_map(f, limits=DEFAULT_LIMITS) -> bool:
-    """``is_exact_map`` with every meet and exactness test recomputed."""
+def scan_open_closed_join_laws(sl, fams) -> tuple:
+    """The family halves of the laws suite's open and closed checks over the
+    families ``fams``: the families, as sorted lists, whose join's open is
+    not the join of their opens, and those whose join's closed is not the
+    meet of their closeds."""
+    lat = sl.ambient.lattice
+    opens, closeds = [], []
+    for fam in fams:
+        o, c = 0, sl.size - 1
+        for x in bits(fam):
+            o, c = sl.join(o, sl.open_of(x)), sl.meet(c, sl.closed_of(x))
+        j = lat.big_join(fam)
+        if o != sl.open_of(j):
+            opens.append(sorted(bits(fam)))
+        if c != sl.closed_of(j):
+            closeds.append(sorted(bits(fam)))
+    return opens, closeds
+
+
+def scan_exact_map(f, fams) -> bool:
+    """``is_exact_map`` over the families ``fams`` of the source, with every
+    meet and exactness test recomputed."""
     ls, lt = f.source.lattice, f.target.lattice
-    for fam in families(ls.n, limits):
+    for fam in fams:
         if not is_exact_meet(ls, fam):
             continue
         img = mask_of(f.mapping[x] for x in bits(fam))

@@ -1,33 +1,31 @@
-"""The family kernel against the family-at-a-time scans in ``oracles``.
+"""The pair tables and their consumers against the family scans in ``oracles``.
 
-Each consumer of :func:`subloc.lattice.fold_families` is compared with the
-scan it replaced on inputs chosen so that both verdicts occur: random
-masks that need not be sublocales, every subcolocale of small fitted
-hosts, and frame maps built through the raw dataclass without validation.
-The binary family rule is the default; the exhaustive rule is exercised
-by raising ``exhaustive_family_elements`` on the same inputs.
+Every family quantifier of the package visits the empty family and the
+pairs only.  Each consumer is compared with a scan that folds every
+family from scratch: over all families on frames, where the two rules
+agree (``FrameWitness.exact_pairs``), and over the empty family and the
+pairs on the non-frames, where they need not.  The inputs are chosen so
+that both verdicts occur: random masks that need not be sublocales, every
+subcolocale of small fitted hosts, and frame maps built through the raw
+dataclass without validation.
 """
 
-import gc
 import random
-import weakref
 
-from subloc import (DEFAULT_LIMITS, FrameMap, FrameWitness, Lattice,
-                    enumerate_subcolocales, enumerate_sublocales, exact_filters,
-                    is_exact_map, is_exact_meet, is_exact_sublocale, is_proper,
-                    is_strongly_exact_meet, strongly_exact_filters,
+from subloc import (FrameMap, FrameWitness, Lattice, enumerate_subcolocales,
+                    enumerate_sublocales, exact_filters, is_exact_map,
+                    is_exact_sublocale, is_proper, report, strongly_exact_filters,
                     surjection_of)
-from subloc.bits import mask_of
+from subloc.bits import bit, mask_of
 from subloc.corpus import gen_boolean, gen_chain, gen_product
-from subloc.report import run_suite
-from subloc.lattice import FamilyTable, families, family_tree, fold_families, prime_mask
+from subloc.lattice import prime_mask
+from subloc.report import MAX_COUNTEREXAMPLES, laws_suite
 from subloc.subcolocales import _open_joins_exact
 
-from oracles import (scan_exact_map, scan_exact_sublocale, scan_meet_stable_filters,
+from oracles import (all_families, binary_families, is_exact_meet,
+                     is_strongly_exact_meet, scan_exact_map, scan_exact_sublocale,
+                     scan_meet_stable_filters, scan_open_closed_join_laws,
                      scan_open_joins_exact)
-
-EXHAUSTIVE = DEFAULT_LIMITS.with_(exhaustive_family_elements=12)
-BOTH_RULES = (DEFAULT_LIMITS, EXHAUSTIVE)
 
 
 def raw_witness(lat: Lattice) -> FrameWitness:
@@ -49,62 +47,57 @@ N5 = Lattice.from_up([0b11111, 0b10110, 0b10100, 0b11000, 0b10000])
 
 def non_frames() -> list[FrameWitness]:
     """M3 and N5 with their would-be arrows, and M3 with made-up arrows
-    (out of the bottom to the top, out of the rest to their target), so
-    that every combination of inexact and strongly inexact occurs."""
+    (out of the bottom to the top, out of the rest to their target).  Their
+    pairs are inexact, strongly inexact or both, but never exact and
+    strongly inexact."""
     made_up = tuple(tuple(M3.top if x == M3.bottom else y for y in range(M3.n))
                     for x in range(M3.n))
     return [raw_witness(M3), raw_witness(N5), FrameWitness(M3, made_up, prime_mask(M3))]
 
 
-def test_family_rule():
-    assert families(3) == (0, 0b001, 0b011, 0b101, 0b011, 0b010, 0b110,
-                           0b101, 0b110, 0b100)
-    assert len(families(12)) == 12 * 12 + 1
-    assert families(3, EXHAUSTIVE) == range(8)
-    assert families(12, EXHAUSTIVE) == range(1 << 12)
-    assert len(families(13, EXHAUSTIVE)) == 13 * 13 + 1
+def strongly_inexact_bool2() -> FrameWitness:
+    """bool2 whose atoms fix everything while the bottom fixes only the top,
+    so the atoms' meet, the bottom, is exact but not strongly exact."""
+    b2 = gen_boolean(2)
+    made_up = tuple((b2.top,) * b2.n if x == b2.bottom else tuple(range(b2.n))
+                    for x in range(b2.n))
+    return FrameWitness(b2, made_up, prime_mask(b2))
 
 
-def test_fold_visits_each_family_once_from_its_rest():
-    for fams in (families(5), families(5, EXHAUSTIVE)):
-        seen = dict(fold_families(family_tree(fams), 0, lambda v, x: v | (1 << x)))
-        assert sorted(seen) == sorted(set(fams))
-        assert all(value == fam for fam, value in seen.items())
+def scan_families(n: int, *witnesses: FrameWitness):
+    """All families of ``0..n-1`` when every witness is a frame, where the
+    package's pairs must agree with them; the empty family and the pairs
+    otherwise."""
+    if all(fw.lattice.is_distributive() for fw in witnesses):
+        return all_families(n)
+    return binary_families(n)
 
 
-def test_family_table_matches_the_direct_tests(corpus):
-    frames = [cf.frame for cf in corpus] + non_frames()
-    flags = {limits: set() for limits in BOTH_RULES}
-    for fw in frames:
-        lat = fw.lattice
-        for limits in BOTH_RULES:
-            tab = fw.family_table(limits)
-            assert tab is fw.family_table(limits)
-            assert tab.fams == families(lat.n, limits)
-            for fam in set(tab.fams):
-                assert tab.meet[fam] == lat.big_meet(fam)
-                assert tab.exact[fam] == is_exact_meet(lat, fam)
-                assert tab.strongly_exact[fam] == is_strongly_exact_meet(fw, fam)
-                flags[limits].add((tab.exact[fam], tab.strongly_exact[fam]))
-    assert flags[EXHAUSTIVE] == {(True, True), (True, False), (False, True), (False, False)}
+def test_exact_pairs_match_the_direct_tests(corpus):
+    flags = set()
+    for fw in [cf.frame for cf in corpus] + non_frames() + [strongly_inexact_bool2()]:
+        exact, strong = fw.exact_pairs
+        assert fw.exact_pairs is fw.exact_pairs
+        for a in range(fw.lattice.n):
+            for b in range(fw.lattice.n):
+                pair = (exact[a] >> b & 1, strong[a] >> b & 1)
+                assert pair == (is_exact_meet(fw.lattice, bit(a) | bit(b)),
+                                is_strongly_exact_meet(fw, bit(a) | bit(b)))
+                flags.add(pair)
+    assert flags == {(1, 1), (1, 0), (0, 1), (0, 0)}
 
 
-def test_family_table_dies_with_its_witness():
-    fw = FrameWitness.of(gen_product(gen_chain(2), gen_chain(3)))
-    for suite in ("laws", "adjunction", "correspondence"):
-        assert run_suite(suite, "c2xc3", fw)["ok"]
-    table = weakref.ref(fw.family_table())
-    del fw
-    gc.collect()
-    assert table() is None
-
-
-def test_family_table_answers_families_outside_it():
-    fw = non_frames()[0]
-    tab = FamilyTable(fw, families(fw.lattice.n))
-    assert 0b01110 not in tab.exact
-    for fam in range(1 << fw.lattice.n):
-        assert tab.is_exact(fam) == is_exact_meet(fw.lattice, fam)
+def test_laws_meet_check_matches_the_scan(corpus):
+    verdicts = []
+    for fw in [cf.frame for cf in corpus] + [strongly_inexact_bool2()]:
+        check = next(c for c in laws_suite("", fw)["checks"]
+                     if c["check"] == "all-meets-exact-and-strongly-exact")
+        want = [fam for fam in binary_families(fw.lattice.n)
+                if not (is_exact_meet(fw.lattice, fam) and is_strongly_exact_meet(fw, fam))]
+        assert check["counterexamples"] == want[:MAX_COUNTEREXAMPLES]
+        assert check["ok"] == (not want)
+        verdicts.append(check["ok"])
+    assert set(verdicts) == {True, False}
 
 
 def test_meet_stable_filters_match_the_subset_scan(corpus):
@@ -118,28 +111,50 @@ def test_meet_stable_filters_match_the_subset_scan(corpus):
 
 
 def test_exact_sublocale_matches_the_scan_on_arbitrary_masks(corpus):
-    # every mask of the small frames, the sublocales and random masks of the rest
+    # every mask of the small witnesses, the sublocales and random masks of the rest
     rng = random.Random(2509)
     verdicts = []
-    for cf in corpus:
-        fw = cf.frame
+    for fw in [cf.frame for cf in corpus] + non_frames() + [strongly_inexact_bool2()]:
         n = fw.lattice.n
-        if n <= 4:
+        if n <= 5:
             masks = list(range(1 << n))
         else:
             masks = list(enumerate_sublocales(fw).elems)
             masks += [rng.randrange(1 << n) for _ in range(8)]
         for members in masks:
-            for limits in BOTH_RULES:
-                got = is_exact_sublocale(fw, members, limits)
-                assert got == scan_exact_sublocale(fw, members, limits), (cf.name, members)
-                verdicts.append(got)
+            got = is_exact_sublocale(fw, members)
+            assert got == scan_exact_sublocale(fw, members, scan_families(n, fw)), (fw, members)
+            verdicts.append(got)
+    assert set(verdicts) == {True, False}
+
+
+def test_laws_open_and_closed_family_checks_match_the_scan(monkeypatch):
+    # planted hosts: the open or the closed sublocale of one element is another's
+    verdicts = []
+    for lat in (gen_chain(4), gen_boolean(2), gen_product(gen_chain(2), gen_chain(3))):
+        fw = FrameWitness.of(lat)
+        for which in ("open_index", "closed_index"):
+            for a in range(lat.n):
+                for b in range(lat.n):
+                    sl = enumerate_sublocales(fw)
+                    planted = list(getattr(sl, which))
+                    planted[a] = planted[b]
+                    setattr(sl, which, tuple(planted))
+                    monkeypatch.setattr(report, "enumerate_sublocales", lambda fw, limits: sl)
+                    checks = {c["check"]: c["counterexamples"] for c in laws_suite("", fw)["checks"]}
+                    want = scan_open_closed_join_laws(sl, binary_families(lat.n))
+                    for name, bad in zip(("open-join-and-meet-laws", "closed-meet-and-join-laws"), want):
+                        # the family half lists families, the meet half tuples
+                        assert [c for c in checks[name] if isinstance(c, list)] == \
+                            bad[:MAX_COUNTEREXAMPLES], (lat, which, a, b)
+                        verdicts.append(not bad)
     assert set(verdicts) == {True, False}
 
 
 def test_open_joins_exact_matches_the_scan():
+    # in bool2 the one incomparable pair of opens, the atoms', has adjacent indices
     frames = [FrameWitness.of(gen_chain(4)), FrameWitness.of(gen_product(gen_chain(2), gen_chain(3))),
-              FrameWitness.of(gen_product(gen_chain(3), gen_chain(3)))]
+              FrameWitness.of(gen_product(gen_chain(3), gen_chain(3))), FrameWitness.of(gen_boolean(2))]
     rng = random.Random(20821)
     proper = []
     inner = []
@@ -151,10 +166,9 @@ def test_open_joins_exact_matches_the_scan():
         masks = list(enumerate_subcolocales(sl_o))
         masks += [rng.randrange(1 << sl_o.size) for _ in range(40)]
         for members in masks:
-            for limits in BOTH_RULES:
-                got = _open_joins_exact(sl_o, members, limits)
-                assert got == scan_open_joins_exact(sl_o, members, limits)
-                inner.append(got)
+            got = _open_joins_exact(sl_o, members)
+            assert got == scan_open_joins_exact(sl_o, members, all_families(fw.lattice.n))
+            inner.append(got)
     assert set(proper) == {True, False}
     assert set(inner) == {True, False}
 
@@ -164,7 +178,8 @@ def test_proper_matches_the_scan_on_every_subcolocale(corpus, hosts):
         sl_o = hosts[cf.name].fitted_subcoframe()
         opens = mask_of(sl_o.open_index)
         for members in enumerate_subcolocales(sl_o):
-            want = opens & ~members == 0 and scan_open_joins_exact(sl_o, members)
+            want = opens & ~members == 0 and scan_open_joins_exact(
+                sl_o, members, all_families(cf.frame.lattice.n))
             assert is_proper(sl_o, members) == want
 
 
@@ -187,8 +202,8 @@ def test_exact_map_matches_the_scan(corpus, hosts):
     maps += [atoms_apart, merge_atoms]
     verdicts = []
     for f in maps:
-        for limits in BOTH_RULES:
-            got = is_exact_map(f, limits)
-            assert got == scan_exact_map(f, limits), (f.mapping, limits)
-            verdicts.append(got)
+        got = is_exact_map(f)
+        assert got == scan_exact_map(f, scan_families(f.source.lattice.n, f.source, f.target)), \
+            f.mapping
+        verdicts.append(got)
     assert set(verdicts) == {True, False}

@@ -1,13 +1,14 @@
 import pytest
 
 from subloc import (CoframeWitness, FrameWitness, Lattice, NotACoframe,
-                    NotAFrame, covered_primes, covers, is_exact_meet,
-                    is_strongly_exact_meet, join_irreducibles, primes)
+                    NotAFrame, covered_primes, covers, join_irreducibles,
+                    primes)
 from subloc.bits import bits, mask_of
 from subloc.corpus import gen_boolean, gen_chain, gen_product
 from subloc.lattice import prime_mask
 
-from oracles import (naive_difference, naive_heyting, naive_is_exact_meet,
+from oracles import (is_exact_meet, is_strongly_exact_meet, naive_difference,
+                     naive_heyting, naive_is_exact_meet,
                      naive_join_irreducibles, naive_meet, naive_join, naive_primes)
 
 

@@ -9,8 +9,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from subloc import (CoframeWitness, FrameWitness, enumerate_sublocales,
-                    is_exact_meet, is_strongly_exact_meet, is_sublocale,
-                    parse_lattice, precongruence_to_sublocale,
+                    is_sublocale, parse_lattice, precongruence_to_sublocale,
                     serialize_lattice, sublocale_to_precongruence)
 from subloc.bits import mask_of
 from subloc.correspondence import subcolocale_lattice, surjection_of
@@ -19,7 +18,8 @@ from subloc.subcolocales import (enumerate_subcolocales, generated_closed_form,
                                  generated_subcolocale, is_subcolocale)
 from subloc.sublocales import fit_mask, sublocale_closure
 
-from oracles import (host_mismatches, host_read_mismatches, naive_difference,
+from oracles import (host_mismatches, host_read_mismatches, is_exact_meet,
+                     is_strongly_exact_meet, naive_difference,
                      naive_heyting, naive_primes, scan_subcolocales, table_hosts,
                      table_sublocale_frame, table_subcolocale_lattice)
 

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from subloc import correspondence, report, runner
+from subloc import DEFAULT_LIMITS, correspondence, report, runner
 from subloc.cli import main
 from subloc.corpus import gen_boolean, gen_chain, gen_diamond, standard_corpus
 from subloc.correspondence import surjection_of
@@ -170,6 +170,11 @@ def test_cli_limit_overrides(c3_file, capsys):
                  "lift_node_budget"):
         assert main(["--limit", f"{name}=20", "analyze", c3_file]) == 2
         assert "unknown limit" in capsys.readouterr().err
+    # families are always the empty one and the pairs: no knob picks them
+    assert main(["--limit", "exhaustive_family_elements=12", "report"]) == 2
+    assert "choose from max_downsets, max_sublocales" in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        DEFAULT_LIMITS.with_(exhaustive_family_elements=1)
     # tightening the sublocale bound turns a fine input into an input error
     # (chain3 has 2 primes, so 4 sublocales)
     assert main(["--limit", "max_sublocales=2", "analyze", c3_file]) == 2
