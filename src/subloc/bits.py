@@ -28,12 +28,3 @@ def mask_of(items: Iterable[int]) -> int:
         m |= 1 << i
     return m
 
-
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask`` (including 0 and ``mask`` itself)."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask

@@ -32,8 +32,8 @@ from .corpus import downset_masks, inclusion_lattice
 from .errors import InternalInconsistency, NotProper
 from .lattice import FrameWitness, Lattice
 from .sublocales import SublocaleCoframe, is_sublocale, nucleus_element
-from .subcolocales import (Subcolocale, conucleus, delta, fit_image, is_codense,
-                           is_essential, is_proper, sb)
+from .subcolocales import (Subcolocale, conuclei, delta, fit_image, is_codense,
+                           is_essential, is_proper)
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,6 @@ def surjection_of(sl: SublocaleCoframe, i: int) -> FrameMap:
     target = FrameWitness(fw.lattice.retract(nu), hey,
                           mask_of(pos[p] for p in bits(fw.primes & members)))
     return FrameMap.of(fw, target, tuple(pos[v] for v in nu))
-
-
-def is_smooth(sl: SublocaleCoframe, i: int) -> bool:
-    """Whether sublocale ``i`` belongs to the smallest codense subcolocale."""
-    return bool((sb(sl) >> i) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +208,11 @@ class LiftVerdict:
     nodes_explored: int
     exhausted: bool
 
-    def to_json(self) -> dict:
-        return {"exists": self.exists,
-                "witnesses": [list(w) for w in self.witnesses],
-                "nodes_explored": self.nodes_explored,
-                "exhausted": self.exhausted}
-
 
 def subcolocale_lattice(host: SublocaleCoframe, members: int) -> tuple[Lattice, tuple[int, ...]]:
     """A subcolocale as a lattice, the host's retract by the conucleus, plus its
     host indices."""
-    lat = host.as_lattice
-    return (lat.retract([conucleus(host, members, c) for c in range(lat.n)]),
-            tuple(bits(members)))
+    return host.as_lattice.retract(conuclei(host, members)), tuple(bits(members))
 
 
 def is_coframe_map(src: Lattice, dst: Lattice, h: Sequence[int],

@@ -22,7 +22,7 @@ from .errors import NotProper
 from .lattice import (CoframeWitness, FrameWitness, adjunction_violations,
                       covered_primes, covers, distributivity_violations,
                       primes)
-from .subcolocales import (Subcolocale, adjunction_check, conucleus, delta,
+from .subcolocales import (Subcolocale, adjunction_check, conuclei, delta,
                            enumerate_subcolocales, fit_image, is_codense,
                            is_essential, is_proper, is_subcolocale,
                            saturated_elements, sb, se, sigma, ssp)
@@ -90,23 +90,36 @@ def frame_report(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -
     }
 
 
+def _prime_part_violations(sl: SublocaleCoframe) -> list:
+    """The indices whose members hold other primes than their prime set."""
+    fw = sl.ambient
+    prime_elems = tuple(bits(fw.primes))
+    return [i for i, (q, m) in enumerate(zip(sl.points, sl.elems))
+            if m & fw.primes != mask_of(prime_elems[j] for j in bits(q))]
+
+
 def host_law_violations(host: SublocaleCoframe) -> list:
-    """Where the host's tables differ from intersection and from the
+    """Where a host's operations differ from intersection and from the
     (fitted) join of sublocales, and where they break distributivity.
 
     The join of sublocales ``S`` and ``T`` is ``{a ^ b : a in S, b in T}``
     (Picado & Pultr, *Frames and Locales*, 2012, III.3): it is the set of
     meets of subsets of ``S | T``, and each such meet splits into a meet
-    from ``S`` and one from ``T``, both meet-closed.  So with
-    ``meets[j][a]``, the mask of ``a ^ b`` over the members ``b`` of ``j``,
-    the join of ``i`` and ``j`` is the union of ``meets[j][a]`` over the
-    members ``a`` of ``i``; on the fitted host it is then fitted by the
+    from ``S`` and one from ``T``, both meet-closed.
+
+    On ``S(L)`` the map ``m: Q -> members(Q)`` is checked on the covers of
+    the powerset of the primes (:func:`_full_host_law_violations`).  On
+    ``S_o(L)``, of ``n`` elements, the host's lattice is compared pair by
+    pair: with ``meets[j][a]``, the mask of ``a ^ b`` over the members
+    ``b`` of ``j``, the join of ``i`` and ``j`` is the union of
+    ``meets[j][a]`` over the members ``a`` of ``i``, then fitted by the
     ``n`` open masks, computed once.  ``tests/oracles.py`` takes the
     closure of the union instead.
     """
+    if not host.fitted:
+        return _full_host_law_violations(host)
     fw = host.ambient
     meet, n = fw.lattice.meet_table, fw.lattice.n
-    label = "SoL" if host.fitted else "SL"
     lat = host.as_lattice
     elems = host.elems
     meets = [[mask_of(meet[a][b] for b in bits(m)) for a in range(n)] for m in elems]
@@ -116,31 +129,109 @@ def host_law_violations(host: SublocaleCoframe) -> list:
         members = tuple(bits(mi))
         for j in range(i, host.size):
             if lat.meet_table[i][j] != host.index.get(mi & elems[j]):
-                bad.append((label, "meet", i, j))
+                bad.append(("SoL", "meet", i, j))
             row, u = meets[j], 0
             for a in members:
                 u |= row[a]
-            if host.fitted:
-                fit = fw.lattice.full_mask
-                for o in opens:
-                    if u & ~o == 0:
-                        fit &= o
-                u = fit
-            if lat.join_table[i][j] != host.index.get(u):
-                bad.append((label, "join", i, j))
-    bad.extend((label, "distributive") + v for v in distributivity_violations(lat))
+            fit = fw.lattice.full_mask
+            for o in opens:
+                if u & ~o == 0:
+                    fit &= o
+            if lat.join_table[i][j] != host.index.get(fit):
+                bad.append(("SoL", "join", i, j))
+    bad.extend(("SoL", "distributive") + v for v in distributivity_violations(lat))
+    return bad
+
+
+def _full_host_law_violations(sl: SublocaleCoframe) -> list:
+    """Where ``m: Q -> members(Q)`` fails to carry the powerset ``2^P`` of
+    the primes onto ``S(L)``: ``("SL", "primes", i)`` when the primes
+    among the members of ``i`` are not ``points[i]``; ``("SL", "point",
+    i)`` when the empty set or a singleton gives a member other than the
+    top that is not prime, so not ``{top}`` or the point sublocale ``{p,
+    top}``; and ``("SL", "join", i, c)`` on a cover ``points[c] =
+    points[i] | {j}`` where ``m(points[c])`` is not the join of
+    ``m(points[i])`` and ``{p, top}``, for ``p`` the ``j``-th prime: the
+    members of ``m(points[i])`` and their meets with ``p``.
+
+    Proof that this checks the host's laws.  By induction along covers
+    from the empty set, ``m(Q)`` is the join of the point sublocales of
+    the primes in ``Q``, so it is a sublocale and ``m`` sends unions to
+    joins.  ``m`` is one-to-one, since ``m(Q)`` holds exactly the primes
+    of ``Q``, and onto: a sublocale of a finite frame is a finite frame,
+    hence spatial, so it is the join of the point sublocales of the primes
+    it holds (Picado & Pultr, 2012).  A bijection of lattices that
+    preserves binary joins is an order isomorphism (``m(Q) <= m(R)`` gives
+    ``m(Q | R) = m(R)``, hence ``Q <= R``), so it preserves meets, and
+    meets of sublocales are intersections.  The host's ``&``, ``|`` and
+    ``& ~`` are therefore the meet, join and difference of ``S(L)``, which
+    is distributive, as ``2^P`` is.  That is ``k p / 2`` covers at one
+    meet per member, where comparing tables costs ``k^2`` joins.
+    """
+    fw = sl.ambient
+    meet, top = fw.lattice.meet_table, fw.lattice.top
+    pts, elems, pos = sl.points, sl.elems, sl.point_index
+    prime_elems = tuple(bits(fw.primes))
+    bad = [("SL", "primes", i) for i in _prime_part_violations(sl)]
+    bad += [("SL", "point", pos[q]) for q in (0, *(1 << j for j in range(len(prime_elems))))
+            if elems[pos[q]] & ~fw.primes != bit(top)]
+    for i, c in sl.covers():
+        row = meet[prime_elems[(pts[c] ^ pts[i]).bit_length() - 1]]
+        if elems[i] | mask_of(row[a] for a in bits(elems[i])) != elems[c]:
+            bad.append(("SL", "join", i, c))
+    return bad
+
+
+def difference_adjunction_violations(sl: SublocaleCoframe) -> list:
+    """Why ``s - t <= u`` iff ``s <= t v u`` might fail on ``S(L)``:
+    ``("primes", i)`` where the members of ``i`` hold other primes than
+    ``points[i]``, and ``("monotone", i, c)`` on a cover where the members
+    of ``i`` are not inside those of ``c``.
+
+    The host computes ``s - t``, ``t v u`` and ``<=`` as ``Q & ~R``,
+    ``R | U`` and inclusion of prime sets, and ``Q - R`` is inside ``U``
+    iff ``Q`` is inside ``R | U`` in every powerset.  The law on
+    sublocales follows once ``m: Q -> members(Q)`` is an order isomorphism
+    onto ``S(L)``, for the order fixes the join (the least upper bound)
+    and the difference (the least ``u`` with ``s <= t v u``).  Its image
+    is ``S(L)``, as :func:`_full_host_law_violations` proves from its
+    checks; it reflects the order, and so is one-to-one, when
+    ``members(Q)`` holds exactly the primes of ``Q``; and it is monotone
+    when it is monotone on covers, which generate inclusion (``Q <= R``
+    adds the primes of ``R - Q`` one at a time).
+    ``k + k p / 2`` mask tests, where the adjunction over the host's
+    tables costs ``k`` per cover.
+    """
+    elems = sl.elems
+    return ([("primes", i) for i in _prime_part_violations(sl)]
+            + [("monotone", i, c) for i, c in sl.covers() if elems[i] & ~elems[c]])
+
+
+def fit_closure_violations(sl: SublocaleCoframe) -> list:
+    """Where ``fit`` fails to be a closure operator on ``S(L)`` that fixes
+    the opens: the indices below their fit or not fixed by it, the covers
+    ``(s, t)`` with ``fit(s) > fit(t)``, and the opens moved.  Monotone on
+    covers is monotone, since covers generate a finite order (see
+    :func:`subloc.lattice.adjunction_violations`)."""
+    bad = []
+    for s in range(sl.size):
+        f = sl.fit(s)
+        if not sl.leq(s, f) or sl.fit(f) != f:
+            bad.append(s)
+    bad += [(s, t) for s, t in sl.covers() if not sl.leq(sl.fit(s), sl.fit(t))]
+    bad += [f"open({a})" for a, o in enumerate(sl.open_index) if sl.fit(o) != o]
     return bad
 
 
 def inclusion_identity_violations(sl: SublocaleCoframe) -> list:
     """Every ``(s, x, y)``, in order, on which ``s <= closed(x) v open(y)``
-    in the host's tables and ``s`` missing ``open(x) - open(y)`` differ.
+    in the host's order and ``s`` missing ``open(x) - open(y)`` differ.
 
     Both sides are masks over the ``k`` sublocales, one pair per ``(x, y)``:
-    the down-set of the tabled join, and the sublocales whose members miss
-    every element ``t`` of the gap ``open(x) - open(y)``, an intersection
-    of the masks ``missing[t]`` kept for each distinct gap.  The join is
-    built once per ``(x, y)`` where the triple loop of
+    the indices below the host join (:meth:`SublocaleCoframe.below`, from
+    the prime sets), and the sublocales whose
+    members miss every element ``t`` of the gap ``open(x) - open(y)``, an
+    intersection of the masks ``missing[t]`` kept for each distinct gap.
     ``tests/oracles.py::scan_inclusion_identity`` makes ``k n^2`` joins.
     """
     fw = sl.ambient
@@ -149,19 +240,19 @@ def inclusion_identity_violations(sl: SublocaleCoframe) -> list:
     missing = [mask_of(s for s, ms in enumerate(sl.elems) if not (ms >> t) & 1)
                for t in range(n)]
     missing_gap: dict[int, int] = {}
-    dn, join = sl.as_lattice.dn, sl.as_lattice.join_table
     bad = []
     for x in range(n):
-        cx = join[sl.closed_of(x)]
+        c = sl.closed_of(x)
         for y in range(n):
             gap = opens[x] & ~opens[y]
             trimmed = missing_gap.get(gap)
             if trimmed is None:
-                trimmed = sl.as_lattice.full_mask
+                trimmed = (1 << sl.size) - 1
                 for t in bits(gap):
                     trimmed &= missing[t]
                 missing_gap[gap] = trimmed
-            bad.extend((s, x, y) for s in bits(dn[cx[sl.open_of(y)]] ^ trimmed))
+            dn = sl.below(sl.join(c, sl.open_of(y)))
+            bad.extend((s, x, y) for s in bits(dn ^ trimmed))
     return sorted(bad)
 
 
@@ -234,25 +325,11 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
                 bad.append((a, b))
     checks.add("closed-meet-and-join-laws", bad)
 
-    # s - t <= u iff s <= t v u: the maps - t and t v - are adjoint for every t
-    checks.add("difference-adjunction", list(adjunction_violations(
-        sl.as_lattice, tuple(zip(*sl.coframe.difference_table)), sl.as_lattice.join_table)))
+    checks.add("difference-adjunction", difference_adjunction_violations(sl))
 
     checks.add("closed-join-open-inclusion-identity", inclusion_identity_violations(sl))
 
-    bad = []
-    for s in range(k):
-        f = sl.fit(s)
-        if not sl.leq(s, f) or sl.fit(f) != f:
-            bad.append(s)
-    for s in range(k):
-        for t in range(k):
-            if sl.leq(s, t) and not sl.leq(sl.fit(s), sl.fit(t)):
-                bad.append((s, t))
-    for a in range(n):
-        if sl.fit(sl.open_of(a)) != sl.open_of(a):
-            bad.append(f"open({a})")
-    checks.add("fit-is-a-closure-operator", bad)
+    checks.add("fit-is-a-closure-operator", fit_closure_violations(sl))
 
     bad = [(s, x) for s in range(k) for x in range(n)
            if sl.fit(sl.index[sl.elems[s] & closed_mask(fw, x)])
@@ -361,9 +438,10 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
 
     bad = []
     sb_image = fit_image(sl, sl_o, sb_m)
+    sb_con = conuclei(sl, sb_m)
     for d in range(k):
         fit_d = sl_o.fit_of[d]
-        nu_d = conucleus(sl, sb_m, sl.fit(d))
+        nu_d = sb_con[sl.fit(d)]
         if nu_d != sigma_of(sb_image, fit_d):
             bad.append(d)
     checks.add("conucleus-of-fit-equals-sigma-of-fit", bad)
@@ -421,7 +499,7 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
     bad = []
     sat = saturated_elements(sl, sb_m)
     for i in bits(sat):
-        if conucleus(sl, sb_m, i) != i:
+        if sb_con[i] != i:
             bad.append(i)
     checks.add("saturated-elements-are-members", bad)
 

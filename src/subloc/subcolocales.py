@@ -5,11 +5,13 @@ containing the bottom) and under differences ``d - c`` with arbitrary
 ``c``.  Its host is a :class:`~subloc.sublocales.SublocaleCoframe`, and a
 subcolocale is a bitmask over the host indices.
 
-Everything here reads the host tables.  Trimming a sublocale by an open
+Everything here works on host indices and their prime sets, where meet
+is ``&`` and join is ``|``; no host table is read except the fitted
+host's lattice in :func:`_open_joins_exact` and the dual lattice of a
+host in :func:`enumerate_subcolocales`.  Trimming a sublocale by an open
 or a closed is a host meet with an entry of ``open_index`` or
 ``closed_index``; :func:`closed_trims` joins up the closed trims of a set
-of members, which gives ``sb``, ``delta``, the closed form of the
-generated subcolocale and the essentiality test.  Crossing from ``S(L)``
+of members, which gives ``sb``, ``delta`` and the essentiality test.  Crossing from ``S(L)``
 to ``S_o(L)`` and back is a lookup in the fitted host's translation table
 ``fit_of`` / ``full_index``.  Only ``se`` reads sublocales as sets of
 frame elements, because exactness is a property of the quotient onto
@@ -33,35 +35,32 @@ from typing import Sequence
 
 from .bits import bit, bits, mask_of
 from .errors import InternalInconsistency, NotProper
-from .lattice import Lattice, join_irreducibles
+from .lattice import join_irreducibles
 from .sublocales import (SublocaleCoframe, _prime_sets, is_exact_sublocale,
                          is_precongruence)
 
 
-def _join_closed(lat: Lattice, members: int) -> bool:
-    """Bottom membership and closure under binary joins."""
-    if not (members >> lat.bottom) & 1:
-        return False
-    elems = list(bits(members))
-    join = lat.join_table
-    for pos, a in enumerate(elems):
-        ja = join[a]
-        for b in elems[pos:]:
-            if not (members >> ja[b]) & 1:
-                return False
-    return True
+def _join_closed(host: SublocaleCoframe, members: int) -> bool:
+    """Bottom membership and closure under binary joins.
+
+    A set ``M`` is closed under all joins, the empty one included, iff
+    every conucleus (the join of the members below an index,
+    :func:`conuclei`) is a member: closure gives that, and conversely the
+    conucleus of the bottom is the empty join and that of ``a v b``, for
+    members ``a`` and ``b``, is ``a v b`` itself.  That is ``k p`` steps
+    where the pairs of members cost ``|M|^2``.
+    """
+    return all((members >> c) & 1 for c in conuclei(host, members))
 
 
 def _is_subcolocale_raw(host: SublocaleCoframe, members: int) -> bool:
-    """Bottom membership, then closure under binary joins and differences."""
-    if not _join_closed(host.as_lattice, members):
+    """Bottom membership, then closure under binary joins and differences;
+    the differences are taken with the meet-irreducibles (see
+    :func:`generated_subcolocale`)."""
+    if not _join_closed(host, members):
         return False
-    diff = host.coframe.difference_table
-    for d in bits(members):
-        for v in diff[d]:
-            if not (members >> v) & 1:
-                return False
-    return True
+    irr = _meet_irreducibles(host)
+    return all((members >> host.diff(d, c)) & 1 for d in bits(members) for c in irr)
 
 
 def is_subcolocale(host: SublocaleCoframe, members: int) -> bool:
@@ -77,7 +76,7 @@ def is_subcolocale(host: SublocaleCoframe, members: int) -> bool:
 def _is_subcolocale_characterized(sl: SublocaleCoframe, members: int) -> bool:
     """Join closure plus stability under meeting with opens and closeds
     (full host), or under fitted meets with closeds (fitted host)."""
-    if not _join_closed(sl.as_lattice, members):
+    if not _join_closed(sl, members):
         return False
     if sl.fitted:
         full = sl.parent
@@ -90,9 +89,11 @@ def _is_subcolocale_characterized(sl: SublocaleCoframe, members: int) -> bool:
 
 
 def _trims(sl: SublocaleCoframe, members: int, by: Sequence[int]) -> int:
-    """Host meets of every member with every index in ``by``."""
-    meet = sl.as_lattice.meet_table
-    return mask_of(meet[i][t] for i in bits(members) for t in by)
+    """Host meets of every member with every index in ``by``: intersections
+    of prime sets."""
+    pts, pos = sl.points, sl.point_index
+    trims = [pts[t] for t in by]
+    return mask_of(pos[pts[i] & r] for i in bits(members) for r in trims)
 
 
 def closed_trims(sl: SublocaleCoframe, members: int) -> int:
@@ -100,55 +101,85 @@ def closed_trims(sl: SublocaleCoframe, members: int) -> int:
     return join_closure(sl, _trims(sl, members, sl.closed_index))
 
 
-def conucleus(host: SublocaleCoframe, members: int, c: int) -> int:
-    """Largest member of the subcolocale below ``c``."""
-    lat = host.as_lattice
-    return lat.big_join(members & lat.dn[c])
+def conuclei(host: SublocaleCoframe, members: int) -> tuple[int, ...]:
+    """For every host index, the largest member of the subcolocale below it.
+
+    Joins are unions of prime sets, so it is the union of the prime sets of
+    the members below.  That union is built over the lower covers in index
+    order, ``k p`` steps: an index's own set if it is a member, else the
+    union of its lower covers' values.  A lower cover has fewer members,
+    hence a smaller index, and every member strictly below ``Q`` lies below
+    some lower cover of ``Q`` (:meth:`SublocaleCoframe.covers`), so nothing
+    is missed.  ``tests/oracles.py::scan_conucleus`` joins the members
+    below an index in the host's lattice.
+    """
+    pts, pos = host.points, host.point_index
+    got: list[int] = []
+    for i, q in enumerate(pts):
+        if (members >> i) & 1:
+            got.append(q)
+            continue
+        u = 0
+        for j in bits(q):
+            c = pos[q ^ 1 << j]
+            if c is not None:
+                u |= got[c]
+        got.append(u)
+    return tuple(pos[u] for u in got)
+
+
+def _meet_irreducibles(host: SublocaleCoframe) -> tuple[int, ...]:
+    """The indices with exactly one upper cover."""
+    ups = [0] * host.size
+    for i, _ in host.covers():
+        ups[i] += 1
+    return tuple(i for i, u in enumerate(ups) if u == 1)
 
 
 def join_closure(host: SublocaleCoframe, members: int) -> int:
-    """Close a subset under all joins, including the empty join."""
-    lat = host.as_lattice
-    m = members | bit(lat.bottom)
-    join = lat.join_table
-    while True:
-        new = m
-        elems = list(bits(m))
-        for pos, a in enumerate(elems):
-            ja = join[a]
-            for b in elems[pos:]:
-                new |= bit(ja[b])
-        if new == m:
-            return m
-        m = new
+    """Close a subset under all joins, including the empty join.
+
+    Joins are unions of prime sets, so the closure is every union of the
+    members' prime sets, built one generator ``g`` at a time as
+    ``closure | {c | g for c in closure}``; a ``g`` already in the closure
+    adds nothing, since the closure is union-closed at every step.
+    """
+    pts = host.points
+    closure = {0}
+    for i in bits(members):
+        g = pts[i]
+        if g not in closure:
+            closure |= {c | g for c in closure}
+    pos = host.point_index
+    return mask_of(pos[c] for c in closure)
 
 
 def generated_subcolocale(host: SublocaleCoframe, members: int) -> int:
     """Smallest subcolocale containing the given members (join/difference
-    closure computed as an alternating fixpoint)."""
-    lat = host.as_lattice
-    diff = host.coframe.difference_table
-    m = members | bit(lat.bottom)
+    closure computed as an alternating fixpoint).
+
+    The differences ``d - c`` are taken with the meet-irreducibles ``c``
+    only.  A join-closed set closed under those is closed under every
+    difference: each ``c`` is the meet of the meet-irreducibles above it,
+    the top being the empty meet, and in a coframe ``d - (a ^ b) = (d - a)
+    v (d - b)`` and ``d - top`` is the bottom.  (For every ``z``,
+    ``(d - a) v (d - b) <= z`` iff ``d <= a v z`` and ``d <= b v z`` iff
+    ``d <= (a ^ b) v z`` by distributivity, iff ``d - (a ^ b) <= z``.)
+    """
+    irr = _meet_irreducibles(host)
+    m = members | 1
     while True:
         new = join_closure(host, m)
         for d in list(bits(new)):
-            dd = diff[d]
-            for c in range(lat.n):
-                new |= bit(dd[c])
+            for c in irr:
+                new |= bit(host.diff(d, c))
         if new == m:
             return m
         m = new
 
 
-def generated_closed_form(sl: SublocaleCoframe, members: int) -> int:
-    """On a full sublocale host, the generated subcolocale in closed form:
-    joins of open-and-closed trims of the generators."""
-    assert not sl.fitted
-    return closed_trims(sl, _trims(sl, members, sl.open_index))
-
-
 def is_codense(host: SublocaleCoframe, members: int) -> bool:
-    return bool((members >> host.as_lattice.top) & 1)
+    return bool((members >> (host.size - 1)) & 1)
 
 
 def enumerate_subcolocales(host: SublocaleCoframe, which: str = "all") -> tuple[int, ...]:
@@ -195,7 +226,7 @@ class Subcolocale:
         return f"Subcolocale(indices={sorted(bits(self.members))})"
 
     def conucleus(self, c: int) -> int:
-        return conucleus(self.host, self.members, c)
+        return conuclei(self.host, self.members)[c]
 
     def contains(self, i: int) -> bool:
         return bool((self.members >> i) & 1)
@@ -243,8 +274,8 @@ def leq_f(sl_o: SublocaleCoframe, members: int, f: int) -> tuple[int, ...]:
     """The relation ``x R y`` iff meeting ``f`` with the open of ``x`` inside
     the subcolocale lands below the open of ``y``: row ``x`` is the host's
     ``opens_above`` entry of that conucleus."""
-    above, meet = sl_o.opens_above, sl_o.as_lattice.meet_table[f]
-    return tuple(above[conucleus(sl_o, members, meet[o])] for o in sl_o.open_index)
+    above, con = sl_o.opens_above, conuclei(sl_o, members)
+    return tuple(above[con[sl_o.meet(f, o)]] for o in sl_o.open_index)
 
 
 def is_proper(sl_o: SublocaleCoframe, members: int) -> bool:
@@ -278,7 +309,7 @@ def _open_joins_exact(sl_o: SublocaleCoframe, members: int) -> bool:
     """
     lat = sl_o.as_lattice
     meet, join = lat.meet_table, lat.join_table
-    con = [conucleus(sl_o, members, c) for c in range(lat.n)]
+    con = conuclei(sl_o, members)
     gs = tuple(bits(members))
     trimmed = [tuple([con[meet[c][g]] for g in gs]) for c in range(lat.n)]
     opens = sl_o.open_index
@@ -306,8 +337,9 @@ def sigma(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int, f: int) ->
     rel[x]) = open(big_meet(rel[x]))``.  Hence, for each ``x``, the meet
     over ``y`` of ``closed(x) v open(y)`` is ``closed(x) v
     open(big_meet(rel[x]))``.  Row ``x`` of the relation is the
-    ``opens_above`` row of ``c = conucleus(f ^ open(x))`` (:func:`leq_f`),
-    so its meet is the host's ``least_open_above[c]``, a lookup.
+    ``opens_above`` row of ``c``, the conucleus of ``f ^ open(x)``
+    (:func:`leq_f`), so its meet is the host's ``least_open_above[c]``, a
+    lookup.  Meets and joins in ``S(L)`` are ``&`` and ``|`` of prime sets.
     ``tests/oracles.py::scan_sigma`` keeps the meet over every pair.
 
     The result is validated against the meet identity
@@ -316,18 +348,19 @@ def sigma(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int, f: int) ->
     """
     if not (members >> f) & 1:
         raise ValueError("f is not a member of the subcolocale")
-    meet, join = sl.as_lattice.meet_table, sl.as_lattice.join_table
-    trim = sl_o.as_lattice.meet_table[f]
-    cons = [conucleus(sl_o, members, trim[o]) for o in sl_o.open_index]
+    con = conuclei(sl_o, members)
+    cons = [con[sl_o.meet(f, o)] for o in sl_o.open_index]
     least = sl_o.least_open_above
-    s = sl.as_lattice.top
+    pts, pos = sl.points, sl.point_index
+    opens = [pts[o] for o in sl.open_index]
+    s = sl.all_primes
     for x, c in enumerate(cons):
-        s = meet[s][join[sl.closed_index[x]][sl.open_index[least[c]]]]
+        s &= pts[sl.closed_index[x]] | opens[least[c]]
     for x, c in enumerate(cons):
-        if sl_o.fit_of[meet[s][sl.open_index[x]]] != c:
+        if sl_o.fit_of[pos[s & opens[x]]] != c:
             raise NotProper(f"meet identity fails at element {x}: "
                             f"the collection is not proper")
-    return s
+    return pos[s]
 
 
 def delta(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int) -> int:
@@ -349,11 +382,8 @@ def saturated_elements(sl: SublocaleCoframe, members: int) -> int:
     Meets of open families are exactly the fixpoints of ``fit``, so the
     fold ranges over those rather than enumerating families.
     """
-    out = 0
-    for i in range(sl.size):
-        if sl.fit(i) == i:
-            out |= bit(conucleus(sl, members, i))
-    return out
+    con = conuclei(sl, members)
+    return mask_of(con[i] for i, f in enumerate(sl.fit_index) if f == i)
 
 
 def is_essential(sl: SublocaleCoframe, members: int,

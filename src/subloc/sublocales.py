@@ -7,13 +7,14 @@ collection of all of them, ordered by inclusion, is a coframe: meets are
 intersections and joins are closures of unions.  A finite frame is
 spatial, so a sublocale is fixed by the primes it contains, and every set
 of primes is the prime part of exactly one sublocale (Birkhoff's
-representation).  :class:`SublocaleCoframe` builds the coframe from the
-sets of primes, with dense indices sorted by (size, mask), so index 0 is
-the bottom ``{top}`` and the last index is the whole frame.
+representation): ``S(L)`` is the powerset ``2^P`` of the primes ``P``.
+:class:`SublocaleCoframe` is built from the sets of primes and computes
+every operation on them, with dense indices sorted by (size, mask), so
+index 0 is the bottom ``{top}`` and the last index is the whole frame.
 
 The fitted sublocales (intersections of opens) are the down-closed sets
 of primes; :func:`fitted_subcoframe` builds their coframe from an
-existing :class:`SublocaleCoframe`.
+existing :class:`SublocaleCoframe`, by the same formulas.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Iterable, Sequence
 
 from .bits import bit, bits, bits_above, mask_of
 from .config import DEFAULT_LIMITS, Limits
-from .errors import InternalInconsistency, SizeLimit
-from .lattice import CoframeWitness, FrameWitness, Lattice
+from .errors import SizeLimit
+from .lattice import FrameWitness, Lattice
 
 
 def open_mask(fw: FrameWitness, a: int) -> int:
@@ -63,41 +64,9 @@ def is_sublocale(fw: FrameWitness, members: int) -> bool:
     return True
 
 
-def sublocale_closure(fw: FrameWitness, members: int) -> int:
-    """Smallest sublocale containing the given elements."""
-    lat = fw.lattice
-    m = members | bit(lat.top)
-    meet = lat.meet_table
-    hey = fw.heyting_table
-    while True:
-        new = m
-        elems = list(bits(m))
-        for pos, s in enumerate(elems):
-            ms = meet[s]
-            for t in elems[pos:]:
-                new |= bit(ms[t])
-        for a in range(lat.n):
-            ha = hey[a]
-            for s in elems:
-                new |= bit(ha[s])
-        if new == m:
-            return m
-        m = new
-
-
 def nucleus_element(fw: FrameWitness, members: int, a: int) -> int:
     """Least member of a sublocale above ``a``."""
     return fw.lattice.big_meet(members & fw.lattice.up[a])
-
-
-def fit_mask(fw: FrameWitness, members: int) -> int:
-    """Intersection of all opens containing the given sublocale."""
-    acc = fw.lattice.full_mask
-    for a in range(fw.lattice.n):
-        o = open_mask(fw, a)
-        if members & ~o == 0:
-            acc &= o
-    return acc
 
 
 class SublocaleCoframe:
@@ -106,17 +75,24 @@ class SublocaleCoframe:
     ``points[i]`` is the set of primes of sublocale ``i`` (bit ``j`` for the
     ``j``-th prime in element order) and ``elems[i]`` its member bitmask
     over the ambient frame; indices are sorted by (member count, mask), so
-    0 is the bottom.  Inclusion of sublocales is inclusion of prime sets,
-    so ``as_lattice`` takes its meet table from ``&`` and its join table
-    from ``|``, and ``coframe`` its difference table from ``& ~``; on the
-    fitted host the difference is down-closed.  A fitted host also carries
-    ``fit_of`` and ``full_index``, which translate indices from and to its
-    parent, the full host.  ``tests/oracles.py`` builds the same tables
-    from the member masks by the generic constructions, and the laws suite
-    compares them with intersections and (fitted) joins of member masks.
-    Instances are immutable after construction, apart from tables such as
-    ``opens_above`` and ``least_open_above`` that are filled in on first
-    read and die with the host.
+    0 is the bottom.  ``point_index[Q]`` is the index of the prime set
+    ``Q``, and ``None`` on the fitted host when ``Q`` is not down-closed.
+    Inclusion of sublocales is inclusion of prime sets, so every host
+    operation is prime-set arithmetic read back through ``point_index``,
+    with the same formulas on both hosts: meet is ``&``, join is ``|``, the
+    difference is ``& ~`` (down-closed on the fitted host, whose members
+    are the down-closed sets), and ``i <= j`` is ``points[i] & ~points[j]
+    == 0``.  No table is built.  A fitted host also carries ``fit_of`` and
+    ``full_index``, which translate indices from and to its parent, the
+    full host.
+
+    ``as_lattice``, the host as a generic :class:`Lattice` for the
+    constructions that need one (a retract, the dual), is built on first
+    read, like ``holding``, ``opens_above`` and ``least_open_above``; each
+    is kept in the instance and dies with it.  ``tests/oracles.py`` builds
+    the same lattice from the member masks by the generic constructions,
+    and the laws suite checks the map from prime sets to member masks on
+    the covers (:func:`subloc.report.host_law_violations`).
     """
 
     def __init__(self, ambient: FrameWitness, points: Iterable[int],
@@ -131,17 +107,14 @@ class SublocaleCoframe:
                                                                members[q])))
         self.elems = tuple(members[q] for q in pts)
         self.index = {m: i for i, m in enumerate(self.elems)}
-        pos = {q: i for i, q in enumerate(pts)}
-        k = len(pts)
-        up = tuple(mask_of(j for j, r in enumerate(pts) if q & ~r == 0) for q in pts)
-        dn = tuple(mask_of(j for j, r in enumerate(pts) if r & ~q == 0) for q in pts)
-        self.as_lattice = Lattice(k, up, dn, 0, k - 1,
-                                  tuple(tuple(pos[q & r] for r in pts) for q in pts),
-                                  tuple(tuple(pos[q | r] for r in pts) for q in pts))
-        # the difference q & ~r, down-closed on the fitted host
-        close = down if fitted else range(len(members))
-        self.coframe = CoframeWitness(self.as_lattice, tuple(
-            tuple(pos[close[q & ~r]] for r in pts) for q in pts))
+        pos: list[int | None] = [None] * len(members)
+        for i, q in enumerate(pts):
+            pos[q] = i
+        self.point_index = tuple(pos)
+        # the set of every prime, and the closure of a difference: the
+        # down-closure on the fitted host, the identity on the full one
+        self.all_primes = len(members) - 1
+        self._close = down if fitted else range(len(members))
         n = ambient.lattice.n
         self.open_index = tuple(self.index[open_mask(ambient, a)] for a in range(n))
         self.closed_index = tuple(self.index.get(ambient.lattice.up[a]) for a in range(n))
@@ -151,7 +124,7 @@ class SublocaleCoframe:
         self.fit_of = self.full_index = None
         if parent is not None:
             self.fit_of = tuple(pos[down[q]] for q in parent.points)
-            self.full_index = tuple(parent.index[m] for m in self.elems)
+            self.full_index = tuple(parent.point_index[q] for q in pts)
         self._fitted_sub: SublocaleCoframe | None = None
 
     @property
@@ -159,16 +132,16 @@ class SublocaleCoframe:
         return len(self.elems)
 
     def leq(self, i: int, j: int) -> bool:
-        return self.as_lattice.leq(i, j)
+        return not self.points[i] & ~self.points[j]
 
     def meet(self, i: int, j: int) -> int:
-        return self.as_lattice.meet_table[i][j]
+        return self.point_index[self.points[i] & self.points[j]]
 
     def join(self, i: int, j: int) -> int:
-        return self.as_lattice.join_table[i][j]
+        return self.point_index[self.points[i] | self.points[j]]
 
     def diff(self, i: int, j: int) -> int:
-        return self.coframe.difference_table[i][j]
+        return self.point_index[self._close[self.points[i] & ~self.points[j]]]
 
     def open_of(self, a: int) -> int:
         return self.open_index[a]
@@ -182,12 +155,62 @@ class SublocaleCoframe:
     def fit(self, i: int) -> int:
         return self.fit_index[i]
 
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """The covering pairs ``(i, c)``, with ``points[c]`` one prime more
+        than ``points[i]``, in order of ``i`` and then of that prime.
+
+        On the full host these are the covers of the powerset.  On the
+        fitted host too: a down-set ``D`` strictly inside a down-set ``E``
+        lies inside ``E`` minus a prime ``j`` maximal in ``E - D``, and
+        that set is down-closed, since a prime of ``E`` above ``j`` is not
+        in ``D`` either, so ``j`` is maximal in ``E``.
+        """
+        pos = self.point_index
+        return tuple((i, c) for i, q in enumerate(self.points)
+                     for j in bits(self.all_primes & ~q)
+                     if (c := pos[q | 1 << j]) is not None)
+
+    @cached_property
+    def holding(self) -> tuple[int, ...]:
+        """For each prime ``j``, the mask of the indices whose prime set holds it."""
+        out = [0] * self.all_primes.bit_length()
+        for i, q in enumerate(self.points):
+            for j in bits(q):
+                out[j] |= 1 << i
+        return tuple(out)
+
+    def below(self, i: int) -> int:
+        """The mask of the indices below ``i``: those holding no prime outside
+        ``points[i]``."""
+        holding, out = self.holding, 0
+        for j in bits(self.all_primes & ~self.points[i]):
+            out |= holding[j]
+        return ((1 << self.size) - 1) ^ out
+
+    @cached_property
+    def as_lattice(self) -> Lattice:
+        """The host as a :class:`Lattice`, from the host's own formulas: row
+        ``up[i]`` holds every index whose prime set holds every prime of
+        ``points[i]``, ``dn[i]`` is :meth:`below`, and the meet and join
+        tables are ``&`` and ``|``."""
+        pts, pos, holding = self.points, self.point_index, self.holding
+        k = len(pts)
+        up = []
+        for q in pts:
+            row = (1 << k) - 1
+            for j in bits(q):
+                row &= holding[j]
+            up.append(row)
+        return Lattice(k, tuple(up), tuple(self.below(i) for i in range(k)), 0, k - 1,
+                       tuple(tuple([pos[q & r] for r in pts]) for q in pts),
+                       tuple(tuple([pos[q | r] for r in pts]) for q in pts))
+
     @cached_property
     def opens_above(self) -> tuple[int, ...]:
         """For each index, the mask of the frame elements whose open is above it."""
-        opens = self.open_index
-        return tuple(mask_of(y for y, o in enumerate(opens) if (u >> o) & 1)
-                     for u in self.as_lattice.up)
+        opens = [self.points[o] for o in self.open_index]
+        return tuple(mask_of(y for y, r in enumerate(opens) if not q & ~r)
+                     for q in self.points)
 
     @cached_property
     def least_open_above(self) -> tuple[int, ...]:
@@ -252,23 +275,6 @@ def fitted_subcoframe(sl: SublocaleCoframe) -> SublocaleCoframe:
                             fitted=True, parent=sl)
 
 
-def sublocale_join(sl: SublocaleCoframe, idxs: Iterable[int]) -> int:
-    """Join of sublocales by closure of union, checked against the table."""
-    fw = sl.ambient
-    acc_mask = 0
-    acc_idx = 0
-    for i in idxs:
-        acc_mask |= sl.elems[i]
-        acc_idx = sl.join(acc_idx, i)
-    u = sublocale_closure(fw, acc_mask) if acc_mask else sl.elems[0]
-    if sl.fitted:
-        u = fit_mask(fw, u)
-    got = sl.index[u]
-    if got != acc_idx:
-        raise InternalInconsistency("join table disagrees with closure of union")
-    return got
-
-
 # ---------------------------------------------------------------------------
 # filters
 
@@ -324,30 +330,13 @@ phi = ker
 # precongruences
 
 
-@dataclass(frozen=True)
-class Precongruence:
-    """A relation on frame elements compatible with joins, meets and order.
-
-    ``rel[x]`` is the bitmask of right-related elements.  The five
-    conditions: reflexivity, transitivity, stability under shrinking the
-    left and growing the right side, stability of left sides under all
-    joins (including the empty one, so the bottom relates to everything),
-    and stability of right sides under binary meets.
-    """
-
-    frame: FrameWitness
-    rel: tuple[int, ...]
-
-    @classmethod
-    def of(cls, frame: FrameWitness, rel: Sequence[int]) -> "Precongruence":
-        rel = tuple(rel)
-        if not is_precongruence(frame, rel):
-            raise ValueError("relation is not a precongruence")
-        return cls(frame, rel)
-
-
 def is_precongruence(fw: FrameWitness, rel: Sequence[int]) -> bool:
-    """Whether ``rel`` satisfies the five conditions of :class:`Precongruence`.
+    """Whether ``rel`` is a precongruence: a relation on frame elements,
+    ``rel[x]`` the bitmask of the ``y`` with ``x R y``, that is reflexive
+    and transitive, stable under shrinking the left and growing the right
+    side, with left sides stable under all joins (the empty one included,
+    so the bottom relates to everything) and right sides under binary
+    meets.
 
     Stability is tested by each row's and column's own extreme, at ``n^2``
     per call where the pairwise test costs ``n^3``.  A row ``{y : x R y}``
@@ -387,26 +376,6 @@ def is_precongruence(fw: FrameWitness, rel: Sequence[int]) -> bool:
         if not (col >> lat.big_join(col)) & 1:
             return False
     return True
-
-
-def sublocale_to_precongruence(fw: FrameWitness, members: int) -> Precongruence:
-    """The relation ``x R y`` iff the nucleus maps ``x`` below ``y``'s image."""
-    lat = fw.lattice
-    nu = [nucleus_element(fw, members, a) for a in range(lat.n)]
-    rel = tuple(mask_of(b for b in range(lat.n) if lat.leq(nu[a], nu[b]))
-                for a in range(lat.n))
-    return Precongruence.of(fw, rel)
-
-
-def precongruence_to_sublocale(fw: FrameWitness, r: Precongruence) -> int:
-    """Intersection of the closed-join-open sublocales of the related pairs."""
-    lat = fw.lattice
-    acc = lat.full_mask
-    for x in range(lat.n):
-        cx = lat.up[x]
-        for y in bits(r.rel[x]):
-            acc &= sublocale_closure(fw, cx | open_mask(fw, y))
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ whether the node is an open, a closed, or fitted.
 from __future__ import annotations
 
 from .bits import bits
-from .lattice import covers
 from .sublocales import SublocaleCoframe
 
 
@@ -31,7 +30,7 @@ def hasse_dot(sl: SublocaleCoframe, name: str = "sublocales") -> str:
         if notes:
             label += f"\\n{notes}"
         lines.append(f'  S{i} [label="{label}"];')
-    for i, j in sorted(covers(sl.as_lattice)):
+    for i, j in sorted(sl.covers()):
         lines.append(f"  S{i} -> S{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

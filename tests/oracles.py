@@ -8,14 +8,18 @@ kind: they quantify over any given families (all of them, or the empty
 one and the pairs the package visits) and fold every family from scratch
 with the generic helpers, where the package reads pairs off its tables.
 The sublocale coframes are built from member masks by the generic
-constructions the package builds from sets of primes instead, and the
-host-index reads of the subcolocale calculus are held to the mask
-operations they stand for.  The law checks follow, by their cubic
+constructions, with tables, where the package computes every host
+operation on sets of primes instead, and the host-index reads of the
+subcolocale calculus are held to the mask operations they stand for.
+The closure of a set of elements to a sublocale, the fit of a member
+mask and the passage between sublocales and precongruences live here
+too, as no command needs them.  The law checks follow, by their cubic
 definitions, which the package replaces by quadratic equivalents (unit,
 counit and monotonicity for an adjunction, join-irreducibles for
 distributivity, pairwise meets for joins of sublocales, each row's meet and
 each column's join for the stability of a precongruence, one join per
-element for ``sigma``).  Subcolocales
+element for ``sigma``) or, on ``S(L)``, by tests on the covers of the
+powerset of the primes (all pairs here).  Subcolocales
 and down-sets are found by testing every subset where the package
 generates them.  At the very end, subcolocales and quotient frames become
 lattices through ``Lattice.from_up`` (the frames then through
@@ -24,16 +28,27 @@ or a nucleus, and the determined lifts face a scan of every map, their
 check a scan of every pair and their density test the fold over every pin.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Sequence
 
-from subloc.bits import bit, bits, mask_of, submasks
-from subloc.errors import SizeLimit
+from subloc.bits import bit, bits, mask_of
+from subloc.errors import InternalInconsistency, SizeLimit
 from subloc.config import DEFAULT_LIMITS
-from subloc.lattice import CoframeWitness, FrameWitness, Lattice
-from subloc.subcolocales import (_is_subcolocale_raw, conucleus, is_proper, leq_f,
-                                 point_sublocales)
-from subloc.sublocales import (b_mask, closed_mask, fit_mask, is_sublocale,
-                               nucleus_element, open_mask, sublocale_closure)
+from subloc.lattice import CoframeWitness, FrameWitness, Lattice, covers
+from subloc.subcolocales import closed_trims, _trims, is_proper, leq_f, point_sublocales, sb
+from subloc.sublocales import (b_mask, closed_mask, is_precongruence, is_sublocale,
+                               nucleus_element, open_mask)
+
+
+def submasks(mask: int):
+    """All submasks of ``mask`` (including 0 and ``mask`` itself)."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
 def leq(up, x: int, y: int) -> bool:
@@ -343,10 +358,11 @@ def scan_open_joins_exact(sl_o, members: int, fams) -> bool:
         for x in xs:
             j = sl_o.join(j, sl_o.open_index[x])
         for g in bits(members):
-            lhs = conucleus(sl_o, members, sl_o.meet(j, g))
+            lhs = scan_conucleus(sl_o, members, sl_o.meet(j, g))
             rhs = 0
             for x in xs:
-                rhs = sl_o.join(rhs, conucleus(sl_o, members, sl_o.meet(sl_o.open_index[x], g)))
+                rhs = sl_o.join(rhs, scan_conucleus(sl_o, members,
+                                                    sl_o.meet(sl_o.open_index[x], g)))
             if lhs != rhs:
                 return False
     return True
@@ -410,6 +426,56 @@ def scan_meet_stable_filters(lat, stable) -> tuple:
 
 # ---------------------------------------------------------------------------
 # sublocale coframes from member masks
+
+
+def sublocale_closure(fw: FrameWitness, members: int) -> int:
+    """Smallest sublocale containing the given elements."""
+    lat = fw.lattice
+    m = members | bit(lat.top)
+    meet = lat.meet_table
+    hey = fw.heyting_table
+    while True:
+        new = m
+        elems = list(bits(m))
+        for pos, s in enumerate(elems):
+            ms = meet[s]
+            for t in elems[pos:]:
+                new |= bit(ms[t])
+        for a in range(lat.n):
+            ha = hey[a]
+            for s in elems:
+                new |= bit(ha[s])
+        if new == m:
+            return m
+        m = new
+
+
+def fit_mask(fw: FrameWitness, members: int) -> int:
+    """Intersection of all opens containing the given sublocale."""
+    acc = fw.lattice.full_mask
+    for a in range(fw.lattice.n):
+        o = open_mask(fw, a)
+        if members & ~o == 0:
+            acc &= o
+    return acc
+
+
+def sublocale_join(sl, idxs) -> int:
+    """Join of sublocales by closure of union, checked against the host's
+    join."""
+    fw = sl.ambient
+    acc_mask = 0
+    acc_idx = 0
+    for i in idxs:
+        acc_mask |= sl.elems[i]
+        acc_idx = sl.join(acc_idx, i)
+    u = sublocale_closure(fw, acc_mask) if acc_mask else sl.elems[0]
+    if sl.fitted:
+        u = fit_mask(fw, u)
+    got = sl.index[u]
+    if got != acc_idx:
+        raise InternalInconsistency("join table disagrees with closure of union")
+    return got
 
 
 def scan_sublocales(fw) -> list:
@@ -501,13 +567,26 @@ def table_hosts(fw, limits=DEFAULT_LIMITS) -> tuple:
 
 
 def host_mismatches(host, oracle) -> list:
-    """Names of the tables and indices on which two hosts differ."""
+    """Names of the indices, tables and operations on which a host differs
+    from a :class:`TableHost`: the host's lazily built ``as_lattice``, its
+    covers, and its ``meet``, ``join``, ``diff`` and ``leq`` on every pair of
+    indices against the oracle's tables."""
     names = [name for name in ("elems", "open_index", "closed_index", "fit_index")
              if getattr(host, name) != getattr(oracle, name)]
-    if host.as_lattice != oracle.as_lattice:
+    if names:
+        return names
+    lat, k = oracle.as_lattice, len(oracle.elems)
+    if host.as_lattice != lat:
         names.append("as_lattice")
-    if host.coframe.difference_table != oracle.coframe.difference_table:
-        names.append("difference_table")
+    if sorted(host.covers()) != sorted(covers(lat)):
+        names.append("covers")
+    for name, op, table in (("meet", host.meet, lat.meet_table),
+                            ("join", host.join, lat.join_table),
+                            ("diff", host.diff, oracle.coframe.difference_table)):
+        if any(op(i, j) != table[i][j] for i in range(k) for j in range(k)):
+            names.append(name)
+    if any(host.leq(i, j) != lat.leq(i, j) for i in range(k) for j in range(k)):
+        names.append("leq")
     return names
 
 
@@ -575,6 +654,42 @@ def scan_difference_adjunction(lat, diff) -> list:
             if lat.leq(diff[s][t], u) != lat.leq(s, lat.join_table[t][u])]
 
 
+@dataclass(frozen=True)
+class Precongruence:
+    """A relation on frame elements that passes ``is_precongruence``:
+    ``rel[x]`` is the bitmask of right-related elements."""
+
+    frame: FrameWitness
+    rel: tuple
+
+    @classmethod
+    def of(cls, frame: FrameWitness, rel: Sequence[int]) -> "Precongruence":
+        rel = tuple(rel)
+        if not is_precongruence(frame, rel):
+            raise ValueError("relation is not a precongruence")
+        return cls(frame, rel)
+
+
+def sublocale_to_precongruence(fw: FrameWitness, members: int) -> Precongruence:
+    """The relation ``x R y`` iff the nucleus maps ``x`` below ``y``'s image."""
+    lat = fw.lattice
+    nu = [nucleus_element(fw, members, a) for a in range(lat.n)]
+    rel = tuple(mask_of(b for b in range(lat.n) if lat.leq(nu[a], nu[b]))
+                for a in range(lat.n))
+    return Precongruence.of(fw, rel)
+
+
+def precongruence_to_sublocale(fw: FrameWitness, r: Precongruence) -> int:
+    """Intersection of the closed-join-open sublocales of the related pairs."""
+    lat = fw.lattice
+    acc = lat.full_mask
+    for x in range(lat.n):
+        cx = lat.up[x]
+        for y in bits(r.rel[x]):
+            acc &= sublocale_closure(fw, cx | open_mask(fw, y))
+    return acc
+
+
 def scan_precongruence(fw, rel) -> bool:
     """``is_precongruence`` with rows meet-stable and columns join-stable
     tested pair by pair, cubic in the elements."""
@@ -617,6 +732,25 @@ def scan_sigma(sl, sl_o, members: int, f: int) -> int:
     return s
 
 
+def scan_prime_set_order(sl) -> list:
+    """Every ``("primes", i)`` whose members hold other primes than
+    ``points[i]``, and every pair ``(s, t)`` on which the host's order and
+    inclusion of member masks differ: ``Q -> members(Q)`` as an order
+    embedding, tested on all ``k^2`` pairs."""
+    fw = sl.ambient
+    prime_elems = tuple(bits(fw.primes))
+    bad = [("primes", i) for i, q in enumerate(sl.points)
+           if sl.elems[i] & fw.primes != mask_of(prime_elems[j] for j in bits(q))]
+    return bad + [(s, t) for s, ms in enumerate(sl.elems) for t, mt in enumerate(sl.elems)
+                  if sl.leq(s, t) != (ms & ~mt == 0)]
+
+
+def scan_fit_monotone(sl) -> list:
+    """Every pair ``s <= t`` of the host with ``fit(s) > fit(t)``."""
+    return [(s, t) for s in range(sl.size) for t in range(sl.size)
+            if sl.leq(s, t) and not sl.leq(sl.fit(s), sl.fit(t))]
+
+
 def scan_inclusion_identity(sl) -> list:
     """``inclusion_identity_violations`` with one table join and one
     inclusion per triple ``(s, x, y)``."""
@@ -653,10 +787,64 @@ def scan_host_laws(host) -> list:
 # subsets found by scanning
 
 
+def scan_conucleus(host, members: int, c: int) -> int:
+    """The largest member below ``c``, the join in the host's lattice of the
+    members below it."""
+    lat = host.as_lattice
+    return lat.big_join(members & lat.dn[c])
+
+
+def scan_is_subcolocale(lat, diff, members: int) -> bool:
+    """Bottom membership and closure under every binary join of ``lat`` and
+    every difference ``d - c`` of the table ``diff``, ``c`` arbitrary."""
+    if not (members >> lat.bottom) & 1:
+        return False
+    elems = list(bits(members))
+    if any(not (members >> lat.join_table[a][b]) & 1 for a in elems for b in elems):
+        return False
+    return all((members >> v) & 1 for d in elems for v in diff[d])
+
+
+def scan_join_closure(lat, members: int) -> int:
+    """The closure under every join of ``lat``, the empty one included, by
+    joining pairs until nothing changes."""
+    m = members | bit(lat.bottom)
+    while True:
+        new = m
+        for a in bits(m):
+            for b in bits(m):
+                new |= bit(lat.join_table[a][b])
+        if new == m:
+            return m
+        m = new
+
+
+def scan_generated_subcolocale(lat, diff, members: int) -> int:
+    """The smallest subcolocale holding ``members``: join closure and every
+    difference ``d - c`` of the table ``diff``, alternated to a fixpoint."""
+    m = members | bit(lat.bottom)
+    while True:
+        new = scan_join_closure(lat, m)
+        for d in list(bits(new)):
+            new |= mask_of(diff[d])
+        if new == m:
+            return m
+        m = new
+
+
+def generated_closed_form(sl, members: int) -> int:
+    """On a full sublocale host, the generated subcolocale in closed form:
+    joins of open-and-closed trims of the generators."""
+    assert not sl.fitted
+    return closed_trims(sl, _trims(sl, members, sl.open_index))
+
+
 def scan_subcolocales(host, which: str = "all") -> tuple:
     """``enumerate_subcolocales`` by testing all 2^k masks of a k-element
-    host, pruned by bottom membership before the closure test."""
+    host, pruned by bottom membership before :func:`scan_is_subcolocale`
+    on the host's lattice and its ``CoframeWitness`` difference table."""
     lat = host.as_lattice
+    diff = CoframeWitness.of(lat).difference_table
     k = lat.n
     bottombit = bit(lat.bottom)
     topbit = bit(lat.top)
@@ -666,7 +854,7 @@ def scan_subcolocales(host, which: str = "all") -> tuple:
             continue
         if which == "codense" and not m & topbit:
             continue
-        if not _is_subcolocale_raw(host, m):
+        if not scan_is_subcolocale(lat, diff, m):
             continue
         if which == "proper" and not is_proper(host, m):
             continue
@@ -703,6 +891,19 @@ def scan_topologies(num_points: int) -> tuple:
 # quotient frames, subcolocale lattices and lifts
 
 
+def is_smooth(sl, i: int) -> bool:
+    """Whether sublocale ``i`` belongs to the smallest codense subcolocale."""
+    return bool((sb(sl) >> i) & 1)
+
+
+def verdict_json(v) -> dict:
+    """A ``LiftVerdict`` as a JSON-ready dict."""
+    return {"exists": v.exists,
+            "witnesses": [list(w) for w in v.witnesses],
+            "nodes_explored": v.nodes_explored,
+            "exhausted": v.exhausted}
+
+
 def table_sublocale_frame(sl, i: int) -> tuple:
     """Sublocale ``i`` as a frame in its own right, by ``Lattice.from_up`` over
     the ambient order on its members and ``FrameWitness.of``, plus the
@@ -726,7 +927,8 @@ def table_subcolocale_lattice(host, members: int) -> tuple:
     for a, b in combinations(range(len(idxs)), 2):
         if idxs[lat.join_table[a][b]] != host.join(idxs[a], idxs[b]):
             raise ValueError("subcolocale join is not the host's")
-        if idxs[lat.meet_table[a][b]] != conucleus(host, members, host.meet(idxs[a], idxs[b])):
+        if idxs[lat.meet_table[a][b]] != scan_conucleus(host, members,
+                                                        host.meet(idxs[a], idxs[b])):
             raise ValueError("subcolocale meet is not the conucleus of the host's")
     return lat, idxs
 

@@ -11,13 +11,13 @@ import itertools
 import random
 import time
 
-from oracles import NaiveOps
+from oracles import (NaiveOps, Precongruence, fit_mask, generated_closed_form, is_smooth,
+                     precongruence_to_sublocale, sublocale_to_precongruence)
 from subloc import (
-    Precongruence,
     SZDBF,
     Subcolocale,
     adjunction_check,
-    conucleus,
+    conuclei,
     delta,
     enumerate_sublocales,
     enumerate_subcolocales,
@@ -28,10 +28,8 @@ from subloc import (
     is_essential,
     is_exact_sublocale,
     is_precongruence,
-    is_smooth,
     ker,
     phi,
-    precongruence_to_sublocale,
     primes,
     raney_lift_check,
     sb,
@@ -39,15 +37,13 @@ from subloc import (
     sigma,
     ssp,
     strongly_exact_filters,
-    sublocale_to_precongruence,
     surjection_of,
     szdbf_lift_check,
     to_raney,
 )
 from subloc.bits import bit, bits, mask_of
 from subloc.report import FINITE_NOTE, correspondence_suite
-from subloc.subcolocales import generated_closed_form
-from subloc.sublocales import b_mask, closed_mask, fit_mask, open_mask
+from subloc.sublocales import b_mask, closed_mask, open_mask
 
 DESK_SCALE_HOST = 16
 
@@ -224,7 +220,7 @@ def test_criterion_4_sigma_consistency(corpus, hosts):
                 for x in range(n):
                     cut = sl.index[sm & open_mask(fw, x)]
                     lhs = sl_o.index[sl.elems[sl.fit(cut)]]
-                    rhs = conucleus(sl_o, fm, sl_o.meet(f, sl_o.open_index[x]))
+                    rhs = conuclei(sl_o, fm)[sl_o.meet(f, sl_o.open_index[x])]
                     if lhs != rhs:
                         failures.append((name, fm, f, x))
     _gate(4, "sigma meets the characteristic identity on every proper "

@@ -9,7 +9,7 @@ from subloc import correspondence
 from subloc import (FrameMap, FrameWitness, NotProper, SZDBF, Subcolocale,
                     SublocaleCoframe, RaneyExtension, downset_frame,
                     enumerate_sublocales, extend_to_coframe_map,
-                    is_exact_map, is_smooth, raney_lift_check,
+                    is_exact_map, raney_lift_check,
                     right_adjoint_image, sb, subcolocale_lattice,
                     surjection_of, szdbf_lift_check, to_raney, to_szdbf)
 from subloc.bits import bits
@@ -19,8 +19,8 @@ from subloc.lattice import Lattice, join_irreducibles
 from subloc.subcolocales import enumerate_subcolocales, se
 from subloc.sublocales import nucleus_element
 
-from oracles import (fold_meet_dense, scan_coframe_map, scan_coframe_maps,
-                     table_sublocale_frame, table_subcolocale_lattice)
+from oracles import (fold_meet_dense, is_smooth, scan_coframe_map, scan_coframe_maps,
+                     table_sublocale_frame, table_subcolocale_lattice, verdict_json)
 
 N5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
 # chains, Boolean lattices, a grid, and the two non-distributive lattices
@@ -208,7 +208,7 @@ def test_meet_dense_pins_are_those_holding_every_meet_irreducible():
 
 def test_lift_verdict_json():
     v = extend_to_coframe_map(gen_chain(2), gen_chain(2), [(0, 0)])
-    assert v.to_json() == {"exists": True, "witnesses": [[0, 1]],
+    assert verdict_json(v) == {"exists": True, "witnesses": [[0, 1]],
                            "nodes_explored": 0, "exhausted": True}
 
 

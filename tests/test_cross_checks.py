@@ -15,9 +15,9 @@ from subloc.latfile import serialize_lattice
 # the names of the checks that raised.
 PLANTS = r'''
 import json
+import oracles
 import subloc.correspondence as co
 import subloc.subcolocales as sc
-import subloc.sublocales as su
 from subloc import FrameWitness, InternalInconsistency, enumerate_sublocales
 from subloc.corpus import gen_chain
 
@@ -49,8 +49,8 @@ raised = {
                           lambda: sc.is_essential(sl, sc.sb(sl), sl_o)),
     "is_essential": planted(sc, "delta", lambda sl, sl_o, m: 0,
                             lambda: sc.is_essential(sl, sc.sb(sl), sl_o)),
-    "sublocale_join": planted(su, "sublocale_closure", lambda fw, m: fw.lattice.full_mask,
-                              lambda: su.sublocale_join(sl, [0, 0])),
+    "sublocale_join": planted(oracles, "sublocale_closure", lambda fw, m: fw.lattice.full_mask,
+                              lambda: oracles.sublocale_join(sl, [0, 0])),
     "right_adjoint_image": planted(co, "is_sublocale", lambda fw, m: False,
                                    lambda: co.right_adjoint_image(co.downset_frame(fw)[1])),
 }
@@ -61,7 +61,7 @@ print(json.dumps({"debug": __debug__, "raised": raised}))
 def test_planted_disagreements_raise_under_python_O():
     src = str(Path(subloc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
+        filter(None, (src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-O", "-c", PLANTS], env=env, check=True,
                          capture_output=True, text=True).stdout
     got = json.loads(out)

@@ -3,9 +3,12 @@
 Each check is compared with its oracle in ``tests/oracles.py`` on the
 frames of ``standard_corpus(20, 0)`` and on chain6, grid 3x3 and chain7
 (hosts of up to 64 sublocales), where every law holds, and on planted
-broken tables, where it fails; each test asserts that both verdicts occur.
-The difference adjunction is checked on the hosts and on the frames, as
-the laws suite's ``difference-adjunction`` and ``frame-coframe-duality``.
+broken tables or member masks, where it fails; each test asserts that
+both verdicts occur.  The checks on ``S(L)`` read its member masks, so
+their slips are planted there: two swapped entries, or one member bit
+dropped.  The difference adjunction is checked on the frames and the
+fitted hosts by their tables, as ``frame-coframe-duality``, and on
+``S(L)`` by its member masks, as ``difference-adjunction``.
 """
 
 import copy
@@ -17,10 +20,15 @@ import pytest
 from subloc import CoframeWitness, FrameWitness, enumerate_sublocales
 from subloc.corpus import gen_chain, gen_diamond, gen_product, standard_corpus
 from subloc.lattice import Lattice, adjunction_violations, distributivity_violations
-from subloc.report import host_law_violations, inclusion_identity_violations
+from subloc import report
+from subloc.report import (difference_adjunction_violations, fit_closure_violations,
+                           host_law_violations, inclusion_identity_violations,
+                           laws_suite)
+from subloc.bits import bits
 
-from oracles import (scan_difference_adjunction, scan_distributivity,
-                     scan_heyting_adjunction, scan_host_laws, scan_inclusion_identity)
+from oracles import (scan_difference_adjunction, scan_distributivity, scan_fit_monotone,
+                     scan_heyting_adjunction, scan_host_laws, scan_inclusion_identity,
+                     scan_prime_set_order)
 
 
 @pytest.fixture(scope="module")
@@ -83,11 +91,39 @@ def test_heyting_adjunction_matches_the_triple_scan(frames):
     assert seen == {True, False}
 
 
+def _diff_table(host):
+    return tuple(tuple(host.diff(s, t) for t in range(host.size)) for s in range(host.size))
+
+
+def _with_elems(host, elems):
+    """A copy of the host whose member masks are ``elems``."""
+    broken = copy.copy(host)
+    broken.elems = tuple(elems)
+    broken.index = {m: i for i, m in enumerate(broken.elems)}
+    return broken
+
+
+def _swapped(host, rng):
+    """The host with two member masks swapped, and the two indices."""
+    i, j = sorted(rng.sample(range(host.size), 2))
+    elems = list(host.elems)
+    elems[i], elems[j] = elems[j], elems[i]
+    return _with_elems(host, elems), (i, j)
+
+
+def _dropped(host, i, t):
+    """The host with member ``t`` dropped from sublocale ``i``."""
+    elems = list(host.elems)
+    elems[i] &= ~(1 << t)
+    return _with_elems(host, elems)
+
+
 def test_difference_adjunction_matches_the_triple_scan(frames, hosts):
     rng = random.Random(0)
     seen = set()
-    # the hosts' tables come from sets of primes, the frames' from the dual's arrow
-    pairs = [(host.as_lattice, host.coframe.difference_table) for host in hosts]
+    # the fitted hosts' differences are down-closed differences of prime
+    # sets, the frames' the dual's arrow
+    pairs = [(host.as_lattice, _diff_table(host)) for host in hosts if host.fitted]
     pairs += [(fw.lattice, CoframeWitness.of(fw.lattice).difference_table) for fw in frames]
     for lat, diff in pairs:
         tables = [diff]
@@ -98,6 +134,33 @@ def test_difference_adjunction_matches_the_triple_scan(frames, hosts):
             assert ok == (not scan_difference_adjunction(lat, table))
             assert ok == (table is diff)
             seen.add(ok)
+    assert seen == {True, False}
+
+
+def test_difference_adjunction_on_sl_is_the_order_embedding(hosts):
+    """On ``S(L)`` the check is ``Q -> members(Q)`` as an order embedding,
+    tested on covers; the oracle tests every pair.  Swapped members are
+    caught.  A dropped member that no lower cover holds keeps the order,
+    and the verdicts agree there too."""
+    rng = random.Random(3)
+    seen = set()
+    for host in hosts:
+        if host.fitted:
+            continue
+        assert difference_adjunction_violations(host) == scan_prime_set_order(host) == []
+        if host.size <= 32:
+            assert scan_difference_adjunction(host.as_lattice, _diff_table(host)) == []
+        seen.add(True)
+        if host.size < 2:
+            continue
+        broken, (i, j) = _swapped(host, rng)
+        got = difference_adjunction_violations(broken)
+        assert ("primes", i) in got and ("primes", j) in got
+        assert scan_prime_set_order(broken) != []
+        seen.add(False)
+        i = rng.randrange(host.size)
+        broken = _dropped(host, i, rng.choice(list(bits(host.elems[i]))))
+        assert (not difference_adjunction_violations(broken)) == (not scan_prime_set_order(broken))
     assert seen == {True, False}
 
 
@@ -114,7 +177,16 @@ def test_pairwise_meet_joins_match_the_closure_of_union(hosts):
         seen.add(True)
         if host.size < 3:
             continue
-        # bump one join entry of the host's table, on both sides of the diagonal
+        if not host.fitted:
+            # S(L) is checked through its member masks: drop one member
+            i = rng.randrange(host.size)
+            broken = _dropped(host, i, rng.choice(list(bits(host.elems[i]))))
+            got, want = host_law_violations(broken), scan_host_laws(broken)
+            assert got != [] and want != []
+            assert any(i in v[2:] for v in got)
+            seen.add(False)
+            continue
+        # bump one join entry of the fitted host's table, on both sides of the diagonal
         broken = copy.copy(host)
         lat = host.as_lattice
         i, j = sorted(rng.sample(range(host.size), 2))
@@ -123,10 +195,30 @@ def test_pairwise_meet_joins_match_the_closure_of_union(hosts):
         broken.as_lattice = dataclasses.replace(lat, join_table=tuple(map(tuple, rows)))
         got, want = host_law_violations(broken), scan_host_laws(broken)
         assert _entries(got, {"meet", "join"}) == _entries(want, {"meet", "join"})
-        label = "SoL" if host.fitted else "SL"
-        assert _entries(got, {"join"}) == [(label, "join", i, j)]
+        assert _entries(got, {"join"}) == [("SoL", "join", i, j)]
         seen.add(False)
     assert seen == {True, False}
+
+
+def test_full_host_laws_catch_every_member_slip(hosts):
+    """Every single dropped member and every swap of two member masks of
+    ``S(L)`` on the smaller hosts is caught, and named by its index."""
+    rng = random.Random(5)
+    cases = 0
+    for host in hosts:
+        if host.fitted or host.size > 16:
+            continue
+        for i, m in enumerate(host.elems):
+            for t in bits(m):
+                got = host_law_violations(_dropped(host, i, t))
+                assert any(i in v[2:] for v in got), (i, t)
+                cases += 1
+        if host.size > 1:
+            broken, (i, j) = _swapped(host, rng)
+            got = host_law_violations(broken)
+            assert ("SL", "primes", i) in got and ("SL", "primes", j) in got
+            cases += 1
+    assert cases > 500
 
 
 def test_inclusion_identity_matches_the_triple_scan(hosts):
@@ -137,19 +229,57 @@ def test_inclusion_identity_matches_the_triple_scan(hosts):
             continue
         assert inclusion_identity_violations(host) == scan_inclusion_identity(host) == []
         seen.add(True)
-        n = host.ambient.lattice.n
-        x, y = rng.randrange(n), rng.randrange(n)
-        c, o = host.closed_of(x), host.open_of(y)
-        if c == o:
-            continue
-        # bump the table's join of closed(x) and open(y), on both sides of the diagonal
-        broken = copy.copy(host)
-        lat = host.as_lattice
-        rows = [list(row) for row in lat.join_table]
-        rows[c][o] = rows[o][c] = (rows[c][o] + 1) % host.size
-        broken.as_lattice = dataclasses.replace(lat, join_table=tuple(map(tuple, rows)))
+        # drop one member of one sublocale: only that index may be named
+        s = rng.randrange(host.size)
+        broken = _dropped(host, s, rng.choice(list(bits(host.elems[s]))))
         got = inclusion_identity_violations(broken)
-        assert got == scan_inclusion_identity(broken) != []
-        assert {(vx, vy) for _, vx, vy in got} >= {(x, y)}
-        seen.add(False)
+        assert got == scan_inclusion_identity(broken)
+        assert {vs for vs, _, _ in got} <= {s}
+        seen.add(not got)
     assert seen == {True, False}
+
+
+def test_fit_monotone_on_covers_matches_every_pair(hosts):
+    """The covers half of ``fit-is-a-closure-operator`` against all ``k^2``
+    pairs, on the hosts and with one fit entry moved to another index."""
+    rng = random.Random(7)
+    seen = set()
+    for host in hosts:
+        if host.fitted:
+            continue
+        plants = [host]
+        if host.size > 1:
+            broken = copy.copy(host)
+            fit = list(host.fit_index)
+            s = rng.randrange(host.size)
+            fit[s] = rng.choice([i for i in range(host.size) if i != fit[s]])
+            broken.fit_index = tuple(fit)
+            plants.append(broken)
+        for sl in plants:
+            covers_bad = [v for v in fit_closure_violations(sl) if isinstance(v, tuple)]
+            ok = not covers_bad
+            assert ok == (not scan_fit_monotone(sl))
+            seen.add(ok)
+    assert seen == {True, False}
+
+
+def test_laws_checks_build_no_table_on_sl(monkeypatch):
+    """The laws suite and its ``S(L)`` checks leave ``as_lattice`` unbuilt
+    on the full host: nothing of size ``k^2`` enters its ``__dict__``."""
+    fw = FrameWitness.of(gen_chain(8))
+    sl = enumerate_sublocales(fw)
+    sl_o = sl.fitted_subcoframe()
+    assert host_law_violations(sl) == host_law_violations(sl_o) == []
+    assert difference_adjunction_violations(sl) == fit_closure_violations(sl) == []
+    assert inclusion_identity_violations(sl) == []
+    assert not {"as_lattice", "coframe"} & set(vars(sl))
+    assert not hasattr(sl, "coframe")
+    built = []
+
+    def build(*args):
+        built.append(enumerate_sublocales(*args))
+        return built[-1]
+
+    monkeypatch.setattr(report, "enumerate_sublocales", build)
+    assert laws_suite("chain8", fw)["ok"]
+    assert len(built) == 1 and not {"as_lattice", "coframe"} & set(vars(built[0]))

@@ -9,16 +9,16 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from subloc import (CoframeWitness, FrameWitness, enumerate_sublocales,
-                    is_sublocale, parse_lattice, precongruence_to_sublocale,
-                    serialize_lattice, sublocale_to_precongruence)
+                    is_sublocale, parse_lattice, serialize_lattice)
 from subloc.bits import mask_of
 from subloc.correspondence import subcolocale_lattice, surjection_of
 from subloc.corpus import gen_downsets_of_poset
-from subloc.subcolocales import (enumerate_subcolocales, generated_closed_form,
-                                 generated_subcolocale, is_subcolocale)
-from subloc.sublocales import fit_mask, sublocale_closure
+from subloc.subcolocales import (enumerate_subcolocales, generated_subcolocale,
+                                 is_subcolocale)
 
-from oracles import (host_mismatches, host_read_mismatches, is_exact_meet,
+from oracles import (fit_mask, generated_closed_form, host_mismatches, host_read_mismatches,
+                     is_exact_meet, precongruence_to_sublocale, sublocale_closure,
+                     sublocale_to_precongruence,
                      is_strongly_exact_meet, naive_difference,
                      naive_heyting, naive_primes, scan_subcolocales, table_hosts,
                      table_sublocale_frame, table_subcolocale_lattice)

@@ -1,20 +1,22 @@
 import gc
+import random
 import sys
 import weakref
 
 import pytest
 
-from subloc import (FrameWitness, NotProper,
-                    Subcolocale, adjunction_check, conucleus, delta,
+from subloc import (CoframeWitness, FrameWitness, NotProper,
+                    Subcolocale, adjunction_check, conuclei, delta,
                     enumerate_subcolocales, enumerate_sublocales, fit_image,
                     generated_subcolocale,
                     is_codense, is_essential, is_proper, is_subcolocale,
                     join_closure, leq_f, saturated_elements, sb, se, sigma, ssp)
 from subloc.bits import bits, mask_of
 from subloc.corpus import gen_chain, gen_product, standard_corpus
-from subloc.subcolocales import generated_closed_form
 
-from oracles import NaiveOps, host_read_mismatches, scan_sigma, scan_subcolocales
+from oracles import (NaiveOps, generated_closed_form, host_read_mismatches,
+                     scan_conucleus, scan_generated_subcolocale, scan_is_subcolocale,
+                     scan_join_closure, scan_sigma, scan_subcolocales)
 
 
 def host_naive_ops(host):
@@ -85,8 +87,8 @@ def test_conucleus_is_largest_member_below(hosts):
         for c in range(host.size):
             below = [i for i in bits(d) if host.leq(i, c)]
             best = max(below, key=lambda i: bin(host.elems[i]).count("1"))
-            assert conucleus(host, d, c) == best
-            assert host.leq(conucleus(host, d, c), c)
+            assert conuclei(host, d)[c] == best
+            assert host.leq(conuclei(host, d)[c], c)
 
 
 def test_join_closure_and_generated_subcolocale(hosts):
@@ -103,6 +105,33 @@ def test_join_closure_and_generated_subcolocale(hosts):
                 if seed & ~t == 0:
                     least &= t
             assert gen == least
+
+
+def test_prime_set_closures_match_the_table_scans(hosts):
+    """``conuclei``, the join closure, the subcolocale test and the
+    generated subcolocale, all on prime sets, against the same operations
+    on the host's lattice and its ``CoframeWitness`` difference table, on
+    both hosts of the corpus frames and of the 3x3 grid, for every
+    subcolocale and for random masks; both verdicts of the test occur."""
+    rng = random.Random(4)
+    extra = enumerate_sublocales(FrameWitness.of(gen_product(gen_chain(3), gen_chain(3))))
+    seen, cases = set(), 0
+    for sl in list(hosts.values()) + [extra]:
+        for host in (sl, sl.fitted_subcoframe()):
+            lat = host.as_lattice
+            diff = CoframeWitness.of(lat).difference_table
+            masks = list(enumerate_subcolocales(host))
+            masks += [rng.getrandbits(host.size) for _ in range(12)]
+            for m in masks:
+                assert conuclei(host, m) == tuple(scan_conucleus(host, m, c)
+                                                 for c in range(host.size))
+                assert join_closure(host, m) == scan_join_closure(lat, m)
+                assert generated_subcolocale(host, m) == scan_generated_subcolocale(lat, diff, m)
+                ok = is_subcolocale(host, m)
+                assert ok == scan_is_subcolocale(lat, diff, m)
+                seen.add(ok)
+                cases += 1
+    assert seen == {True, False} and cases > 1000
 
 
 def test_generated_closed_form_double_entry(hosts):
@@ -159,7 +188,7 @@ def test_leq_f_matches_the_pairwise_definition(corpus, hosts):
             for f in bits(members):
                 rel = leq_f(slo, members, f)
                 for x in range(n):
-                    fx = conucleus(slo, members, slo.meet(f, slo.open_of(x)))
+                    fx = conuclei(slo, members)[slo.meet(f, slo.open_of(x))]
                     assert rel[x] == mask_of(y for y in range(n)
                                              if slo.leq(fx, slo.open_of(y))), (cf.name, f, x)
                     cases += 1

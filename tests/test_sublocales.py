@@ -4,20 +4,19 @@ import pytest
 
 from subloc import (DEFAULT_LIMITS, SizeLimit, enumerate_sublocales,
                     exact_filters, is_exact_sublocale, is_precongruence,
-                    is_sublocale, ker, phi, precongruence_to_sublocale,
-                    strongly_exact_filters, sublocale_join,
-                    sublocale_to_precongruence)
+                    is_sublocale, ker, phi, strongly_exact_filters)
 from subloc.bits import bit, bits
 from subloc import sublocales
 from subloc.corpus import gen_boolean, gen_chain, gen_opens_of_topology, gen_product
 from subloc.report import laws_suite
 from subloc.subcolocales import enumerate_subcolocales, leq_f
 from subloc.lattice import FrameWitness
-from subloc.sublocales import (Precongruence, all_filters, b_mask, closed_mask,
-                               fit_mask, nucleus_element, open_mask,
-                               sublocale_closure)
+from subloc.sublocales import (all_filters, b_mask, closed_mask, nucleus_element,
+                               open_mask)
 
-from oracles import (NaiveOps, generate_sublocales, host_mismatches, scan_filters,
+from oracles import (NaiveOps, Precongruence, fit_mask, generate_sublocales, host_mismatches,
+                     precongruence_to_sublocale, scan_filters, sublocale_closure,
+                     sublocale_join, sublocale_to_precongruence,
                      scan_precongruence, scan_sublocales, table_hosts)
 
 
@@ -60,18 +59,24 @@ def test_enumeration_matches_naive_oracle(corpus, hosts):
 
 
 def oracle_frames(corpus):
-    """The corpus, chain8, the grids 3x3 and 3x4, and two 16-element frames
-    (c2 x c2 x c4 and bool4) that the table oracle reaches by generation."""
-    extra = {"chain8": gen_chain(8),
+    """The corpus, chain7, chain8, the grids 3x3 and 3x4, and three frames
+    of 16 and 32 elements (c2 x c2 x c4, bool4 and bool5) that the table
+    oracle reaches by generation."""
+    extra = {"chain7": gen_chain(7),
+             "chain8": gen_chain(8),
              "grid3x3": gen_product(gen_chain(3), gen_chain(3)),
              "grid3x4": gen_product(gen_chain(3), gen_chain(4)),
              "c2xc2xc4": gen_product(gen_boolean(2), gen_chain(4)),
-             "bool4": gen_boolean(4)}
+             "bool4": gen_boolean(4),
+             "bool5": gen_boolean(5)}
     return ([(cf.name, cf.frame) for cf in corpus]
             + [(name, FrameWitness.of(lat)) for name, lat in extra.items()])
 
 
 def test_prime_set_hosts_match_table_oracle(corpus):
+    """Both hosts' indices, lazily built lattices and covers, and their
+    ``meet``, ``join``, ``diff`` and ``leq`` on every pair of indices, against
+    the tables of :class:`oracles.TableHost` (``host_mismatches``)."""
     for name, fw in oracle_frames(corpus):
         sl = enumerate_sublocales(fw)
         table_sl, table_slo = table_hosts(fw)
