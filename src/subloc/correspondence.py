@@ -8,14 +8,19 @@ latter requires the fitted collection to be proper).
 
 Morphism checks decide whether a frame map lifts to a coframe map between
 the chosen subcolocales that extends its action on opens (Raney side) or on
-closeds, and so on the coatoms of ``S(L)`` (zero-dimensional side).  Those
-pins are meet-dense, so they hold every meet-irreducible, and a lift is the
-meet of the pinned values of the meet-irreducibles above each element.  One
+closeds (zero-dimensional side).  On the Raney side the pins are
+meet-dense, so they hold every meet-irreducible, and a lift is the meet of
+the pinned values of the meet-irreducibles above each element.  One
 :func:`is_coframe_map` check decides it, against the join- and
-meet-irreducibles only, which each ``Lattice`` keeps once read.  A chosen
-subcolocale is its host's retract by its conucleus (``subcolocale_lattice``),
-built once per structure: each structure keeps that lattice in a field
-filled on first use.  Smoothness of a sublocale (membership in the smallest codense
+meet-irreducibles only, which each ``Lattice`` keeps once read.  The chosen
+fitted subcolocale is its host's retract by its conucleus
+(``subcolocale_lattice``), built once per structure: each Raney extension
+keeps that lattice in a property filled on first read.  On the
+zero-dimensional side the one codense subcolocale of ``S(L) = 2^P`` is
+``S(L)`` itself, so a lift is a map of powersets, fixed by the images of
+the atoms.  It exists iff those images partition the target's primes and
+the map keeps the closeds (:func:`szdbf_lift_check`), and no lattice is
+built.  Smoothness of a sublocale (membership in the smallest codense
 subcolocale) is equivalent to the zero-dimensional lift existing, and
 exactness to the Raney lift existing.
 """
@@ -134,12 +139,18 @@ class RaneyExtension:
             raise ValueError("a Raney extension must contain every open")
         self.frame = frame
         self.f_sub = f_sub
-        self._lattice: tuple[Lattice, tuple[int, ...]] | None = None
 
     @cached_property
     def proper(self) -> bool:
         """Whether the fitted collection is proper, tested on first read."""
         return is_proper(self.f_sub.host, self.f_sub.members)
+
+    @cached_property
+    def lattice(self) -> tuple[Lattice, tuple[int, ...]]:
+        """The fitted collection as an abstract lattice plus its host indices,
+        built on first read, so that every lift check from or into the
+        extension reuses it."""
+        return subcolocale_lattice(self.f_sub.host, self.f_sub.members)
 
 
 class SZDBF:
@@ -153,20 +164,9 @@ class SZDBF:
             raise ValueError("the subcolocale must be codense (contain the whole frame)")
         self.frame = frame
         self.d_sub = d_sub
-        self._lattice: tuple[Lattice, tuple[int, ...]] | None = None
 
     def is_essential(self) -> bool:
         return is_essential(self.d_sub.host, self.d_sub.members)
-
-
-def _sub_lattice(s: RaneyExtension | SZDBF, sub: Subcolocale
-                 ) -> tuple[Lattice, tuple[int, ...]]:
-    """The structure's subcolocale ``sub`` as an abstract lattice, built on
-    first use and kept in the structure, so that every lift check from or
-    into the structure reuses it."""
-    if s._lattice is None:
-        s._lattice = subcolocale_lattice(sub.host, sub.members)
-    return s._lattice
 
 
 def to_raney(b: SZDBF) -> RaneyExtension:
@@ -209,6 +209,9 @@ class LiftVerdict:
     exhausted: bool
 
 
+_NO_LIFT = LiftVerdict(False, (), 0, True)
+
+
 def subcolocale_lattice(host: SublocaleCoframe, members: int) -> tuple[Lattice, tuple[int, ...]]:
     """A subcolocale as a lattice, the host's retract by the conucleus, plus its
     host indices."""
@@ -230,7 +233,12 @@ def is_coframe_map(src: Lattice, dst: Lattice, h: Sequence[int],
     ``h(a v b' v jk) = h(a v b') v h(jk) = h(a) v h(b') v h(jk)``, where
     ``h(b') v h(jk) = h(b' v jk)`` is the case ``a = b'``.  Meets are dual.
     No distributivity is used, so this holds on any finite lattice;
-    ``tests/oracles.py::scan_coframe_map`` checks every pair.
+    ``tests/oracles.py::scan_coframe_map`` checks every pair.  Every left
+    argument ``a`` is needed: on ``2^4``, whose rank-2 elements are neither
+    join- nor meet-irreducible, a map into a non-distributive target can
+    keep every join and meet with an irreducible ``a`` and still break
+    one with a rank-2 ``a``
+    (``test_coframe_map_check_needs_every_left_argument``).
     """
     if len(h) != src.n or min(h) < 0 or max(h) >= dst.n:
         return False
@@ -291,58 +299,95 @@ def raney_lift_check(f: FrameMap, r1: RaneyExtension, r2: RaneyExtension) -> Lif
     The lift must send the open of ``x`` to the open of ``f(x)``.  Those
     pins are meet-dense: a fitted sublocale ``g`` is the host meet of the
     opens above it, ``F`` holds every open, and ``F``'s meet is the
-    conucleus of the host's, which fixes ``g``.
+    conucleus of the host's, which fixes ``g``.  Witness values are target
+    host indices.
     """
+    if f.source != r1.frame or f.target != r2.frame:
+        raise ValueError("the map's frames must match the structures")
     h1, h2 = r1.f_sub.host, r2.f_sub.host
-    return _lift_check(f, r1, r1.f_sub, r2, r2.f_sub,
-                       ((h1.open_of(x), h2.open_of(f(x))) for x in range(f.source.lattice.n)))
+    src_lat, src_idxs = r1.lattice
+    dst_lat, dst_idxs = r2.lattice
+    spos = {e: p for p, e in enumerate(src_idxs)}
+    dpos = {e: p for p, e in enumerate(dst_idxs)}
+    verdict = extend_to_coframe_map(src_lat, dst_lat,
+                                    ((spos[h1.open_of(x)], dpos[h2.open_of(f(x))])
+                                     for x in range(f.source.lattice.n)))
+    return replace(verdict, witnesses=tuple(tuple(dst_idxs[v] for v in w)
+                                            for w in verdict.witnesses))
 
 
 def szdbf_lift_check(f: FrameMap, b1: SZDBF, b2: SZDBF) -> LiftVerdict:
     """Does ``f`` lift to a coframe map of the chosen codense subcolocales?
 
-    The lift must send the closed of ``x`` to the closed of ``f(x)``.  A
-    sublocale is its set of primes ``P``, and for a prime ``p`` with ``x_p``
-    the meet of the primes strictly above it, ``closed(x_p) v open(p)`` is
-    the coatom ``P - {p}``: a prime not above ``p`` is in the open, one
-    strictly above is in the closed, and ``p < x_p`` since a prime is meet
-    irreducible.  The coatoms are meet-dense in ``S(L)``, hence in ``D``,
-    whose meet is the conucleus of the host's.  ``D`` holds them: it holds
-    the top and ``d - a`` for each member ``d`` and host element ``a``, so
-    ``top - open(x) = closed(x)`` and ``top - closed(y) = open(y)``, and it
-    is closed under joins.  A lattice map keeping closeds keeps their
-    complements, the opens, so every lift sends the coatom of ``p`` to
-    ``closed(f x_p) v open(f p)``, the coatom's pin.
+    The lift must send the closed of ``x`` to the closed of ``f(x)``.  The
+    subcolocales of ``S(L) = 2^P`` are the down-sets ``{Q : Q <= R}``, and
+    a codense one holds the top ``P``, so it is all of ``S(L)``; a ``D``
+    that is not raises :class:`InternalInconsistency`.  A lift is thus a
+    map ``h: 2^P1 -> 2^P2`` keeping the bounds, unions and intersections.
+
+    For a prime ``p`` with ``x_p`` the meet of the primes strictly above
+    it, ``closed(x_p) v open(p)`` is the coatom ``P - {p}``: a prime not
+    above ``p`` is in the open, one strictly above is in the closed, and
+    ``p < x_p`` since a prime is meet irreducible.  A lattice map keeping
+    closeds keeps their complements, the opens, so every lift sends that
+    coatom to ``C_p = closed(f x_p) v open(f p)``, and the atom ``{p}``,
+    its complement, to ``A_p = P2 - C_p``.  The atoms are pairwise disjoint
+    with union ``P1``, so a lift's ``A_p`` are pairwise disjoint (``h``
+    keeps the empty set) with union ``P2`` (``h`` keeps the top), and
+    ``h(Q)`` is the union of the ``A_p`` for ``p`` in ``Q``, since ``Q``
+    is the union of its atoms.  Conversely, when the ``A_p`` partition
+    ``P2`` that union is ``g^-1(Q)`` for the ``g: P2 -> P1`` sending each
+    target prime to the ``p`` whose ``A_p`` holds it, which keeps bounds,
+    unions and intersections, and sends ``P1 - {p}`` to ``P2 - A_p = C_p``
+    (Davey & Priestley, *Introduction to Lattices and Order*, 2002, ch. 5).
+    So the lift exists iff the ``A_p`` partition ``P2`` and ``h`` keeps
+    every closed (:func:`powerset_lift`).  ``tests/oracles.py`` keeps the
+    generic check, :func:`extend_to_coframe_map` on both subcolocale
+    lattices with the closeds and coatoms pinned.
     """
+    if f.source != b1.frame or f.target != b2.frame:
+        raise ValueError("the map's frames must match the structures")
+    for b in (b1, b2):
+        if b.d_sub.members != (1 << b.d_sub.host.size) - 1:
+            raise InternalInconsistency("a codense subcolocale of S(L) is not all of S(L)")
     h1, h2 = b1.d_sub.host, b2.d_sub.host
-    return _lift_check(f, b1, b1.d_sub, b2, b2.d_sub, _szdbf_pins(f, h1, h2))
-
-
-def _szdbf_pins(f: FrameMap, h1: SublocaleCoframe, h2: SublocaleCoframe):
-    lat, primes = f.source.lattice, f.source.primes
-    for x in range(lat.n):
-        yield h1.closed_of(x), h2.closed_of(f(x))
+    lat, primes, pts = f.source.lattice, f.source.primes, h2.points
+    atoms = []
     for p in bits(primes):
         xp = lat.big_meet(lat.up[p] & primes & ~bit(p))
-        yield (h1.join(h1.closed_of(xp), h1.open_of(p)),
-               h2.join(h2.closed_of(f(xp)), h2.open_of(f(p))))
+        atoms.append(h2.all_primes & ~(pts[h2.closed_of(f(xp))] | pts[h2.open_of(f(p))]))
+    return powerset_lift(h1, h2, atoms,
+                         ((h1.closed_of(x), h2.closed_of(f(x))) for x in range(lat.n)))
 
 
-def _lift_check(f: FrameMap, s1: RaneyExtension | SZDBF, sub1: Subcolocale,
-                s2: RaneyExtension | SZDBF, sub2: Subcolocale,
-                pins: Iterable[tuple[int, int]]) -> LiftVerdict:
-    """Decide the lift of ``f`` between the subcolocales ``sub1`` of ``s1``
-    and ``sub2`` of ``s2`` that keeps the host-index ``pins``, read only
-    after the frames are checked; witness values are target host indices."""
-    if f.source != s1.frame or f.target != s2.frame:
-        raise ValueError("the map's frames must match the structures")
-    src_lat, src_idxs = _sub_lattice(s1, sub1)
-    dst_lat, dst_idxs = _sub_lattice(s2, sub2)
-    spos = {e: p for p, e in enumerate(src_idxs)}
-    dpos = {e: p for p, e in enumerate(dst_idxs)}
-    verdict = extend_to_coframe_map(src_lat, dst_lat, ((spos[s], dpos[t]) for s, t in pins))
-    return replace(verdict, witnesses=tuple(tuple(dst_idxs[v] for v in w)
-                                            for w in verdict.witnesses))
+def powerset_lift(src: SublocaleCoframe, dst: SublocaleCoframe, atoms: Sequence[int],
+                  pins: Iterable[tuple[int, int]]) -> LiftVerdict:
+    """The lattice map from the full host ``src`` to the full host ``dst``
+    that sends the ``j``-th atom to the prime set ``atoms[j]`` and keeps
+    the host-index ``pins``, if there is one.
+
+    It exists iff the ``atoms`` partition the target's primes and the map
+    ``h(Q)``, the union of the ``atoms[j]`` for ``j`` in ``Q``, keeps the
+    pins; :func:`szdbf_lift_check` proves it.  ``h`` is filled by the
+    subset recurrence on the highest prime, ``h(Q) = h(Q - {j}) | atoms[j]``,
+    one union per prime set, and the witness reads it back through
+    ``point_index``.
+    """
+    union = 0
+    for a in atoms:
+        if union & a:
+            return _NO_LIFT
+        union |= a
+    if union != dst.all_primes:
+        return _NO_LIFT
+    image = [0]
+    for a in atoms:
+        image += [q | a for q in image]
+    spts, dpts = src.points, dst.points
+    if any(image[spts[s]] != dpts[t] for s, t in pins):
+        return _NO_LIFT
+    pos = dst.point_index
+    return LiftVerdict(True, (tuple([pos[image[q]] for q in spts]),), 0, True)
 
 
 # ---------------------------------------------------------------------------

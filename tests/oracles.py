@@ -26,15 +26,19 @@ lattices through ``Lattice.from_up`` (the frames then through
 ``FrameWitness.of``) where the package retracts the host by a conucleus
 or a nucleus, and the determined lifts face a scan of every map, their
 check a scan of every pair and their density test the fold over every pin.
+The zero-dimensional lift, which the package decides on prime sets, is
+also decided here by the generic lift between the two subcolocale
+lattices, with the closeds and the coatoms of ``S(L)`` pinned.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import Sequence
 
 from subloc.bits import bit, bits, mask_of
 from subloc.errors import InternalInconsistency, SizeLimit
 from subloc.config import DEFAULT_LIMITS
+from subloc.correspondence import extend_to_coframe_map, subcolocale_lattice
 from subloc.lattice import CoframeWitness, FrameWitness, Lattice, covers
 from subloc.subcolocales import closed_trims, _trims, is_proper, leq_f, point_sublocales, sb
 from subloc.sublocales import (b_mask, closed_mask, is_precongruence, is_sublocale,
@@ -970,3 +974,35 @@ def fold_meet_dense(src, sources) -> bool:
     the sources hold every meet-irreducible."""
     return all(naive_big_meet(src.up, [s for s in sources if leq(src.up, g, s)]) == g
                for g in range(src.n))
+
+
+def szdbf_pins(f, h1, h2):
+    """The pins of the zero-dimensional lift of ``f`` between the full hosts
+    ``h1`` and ``h2``, as host-index pairs: the closed of each ``x`` to the
+    closed of ``f(x)``, then for each prime ``p`` the coatom
+    ``closed(x_p) v open(p)`` of ``S(L)`` to ``closed(f x_p) v open(f p)``,
+    with ``x_p`` the meet of the primes strictly above ``p``."""
+    lat, primes = f.source.lattice, f.source.primes
+    for x in range(lat.n):
+        yield h1.closed_of(x), h2.closed_of(f(x))
+    for p in bits(primes):
+        xp = lat.big_meet(lat.up[p] & primes & ~bit(p))
+        yield (h1.join(h1.closed_of(xp), h1.open_of(p)),
+               h2.join(h2.closed_of(f(xp)), h2.open_of(f(p))))
+
+
+def generic_szdbf_lift(f, b1, b2):
+    """The zero-dimensional lift of ``f`` by the generic construction: both
+    codense subcolocales as lattices (``subcolocale_lattice``), and
+    ``extend_to_coframe_map`` with :func:`szdbf_pins`; witness values are
+    target host indices, as in ``szdbf_lift_check``."""
+    if f.source != b1.frame or f.target != b2.frame:
+        raise ValueError("the map's frames must match the structures")
+    src, src_idxs = subcolocale_lattice(b1.d_sub.host, b1.d_sub.members)
+    dst, dst_idxs = subcolocale_lattice(b2.d_sub.host, b2.d_sub.members)
+    spos = {e: p for p, e in enumerate(src_idxs)}
+    dpos = {e: p for p, e in enumerate(dst_idxs)}
+    pins = szdbf_pins(f, b1.d_sub.host, b2.d_sub.host)
+    verdict = extend_to_coframe_map(src, dst, ((spos[s], dpos[t]) for s, t in pins))
+    return replace(verdict, witnesses=tuple(tuple(dst_idxs[v] for v in w)
+                                            for w in verdict.witnesses))

@@ -12,15 +12,17 @@ from subloc import (FrameMap, FrameWitness, NotProper, SZDBF, Subcolocale,
                     is_exact_map, raney_lift_check,
                     right_adjoint_image, sb, subcolocale_lattice,
                     surjection_of, szdbf_lift_check, to_raney, to_szdbf)
-from subloc.bits import bits
+from subloc.bits import bit, bits
 from subloc.corpus import (gen_boolean, gen_chain, gen_diamond, gen_downsets_of_poset,
                            gen_product, standard_corpus)
+from subloc.errors import InternalInconsistency
 from subloc.lattice import Lattice, join_irreducibles
 from subloc.subcolocales import enumerate_subcolocales, se
 from subloc.sublocales import nucleus_element
 
-from oracles import (fold_meet_dense, is_smooth, scan_coframe_map, scan_coframe_maps,
-                     table_sublocale_frame, table_subcolocale_lattice, verdict_json)
+from oracles import (fold_meet_dense, generic_szdbf_lift, is_smooth, scan_coframe_map,
+                     scan_coframe_maps, szdbf_pins, table_sublocale_frame,
+                     table_subcolocale_lattice, verdict_json)
 
 N5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
 # chains, Boolean lattices, a grid, and the two non-distributive lattices
@@ -125,7 +127,7 @@ def test_szdbf_pins_add_the_coatoms_of_s(corpus, hosts):
     for cf in corpus:
         sl = hosts[cf.name]
         ident = FrameMap.of(cf.frame, cf.frame, range(cf.frame.lattice.n))
-        pins = list(correspondence._szdbf_pins(ident, sl, sl))
+        pins = list(szdbf_pins(ident, sl, sl))
         coatoms = pins[cf.frame.lattice.n:]
         every = (1 << len(coatoms)) - 1
         assert [sl.points[s] for s, t in coatoms] == \
@@ -177,6 +179,34 @@ def test_coframe_map_check_matches_the_pairwise_scan():
                     verdicts[want] += 1
                 cases += 1
     assert cases == 12725 and verdicts[True] >= 500 and verdicts[False] >= 10000, verdicts
+
+
+def test_coframe_map_check_needs_every_left_argument():
+    """A check that takes only irreducible left arguments passes a map that
+    is no lattice map, so :func:`is_coframe_map` takes every ``a``.  The
+    rank-2 elements of ``2^4`` are neither join- nor meet-irreducible.  Add
+    to ``2^4`` a ``z`` strictly between ``abc`` and the top, a second
+    complement of ``d``.  The identity with ``abc`` moved to ``z`` keeps
+    every join with an atom and every meet with a coatom whose left side is
+    an atom or a coatom, but sends ``ab v c = abc`` to ``z``, above
+    ``ab v c``."""
+    src = gen_boolean(4)
+    abc, z = 0b0111, 16
+    dst = Lattice.from_up([row | bit(z) if row >> abc & 1 else row for row in src.up]
+                          + [bit(z) | bit(src.top)])
+    h = list(range(src.n))
+    h[abc] = z
+    join_irr, meet_irr = src.irreducibles
+    joins, meets = src.join_table, src.meet_table
+    assert all(h[joins[a][j]] == dst.join_table[h[a]][h[j]]
+               for a in bits(join_irr | meet_irr) for j in bits(join_irr))
+    assert all(h[meets[a][m]] == dst.meet_table[h[a]][h[m]]
+               for a in bits(join_irr | meet_irr) for m in bits(meet_irr))
+    ab, c = 0b0011, 0b0100
+    assert not (join_irr | meet_irr) >> ab & 1
+    assert h[joins[ab][c]] == z != dst.join_table[h[ab]][h[c]] == abc
+    assert not correspondence.is_coframe_map(src, dst, h, ())
+    assert not scan_coframe_map(src, dst, h, ())
 
 
 def test_meet_dense_pins_are_those_holding_every_meet_irreducible():
@@ -324,19 +354,73 @@ def test_subcolocale_lattice_matches_table_oracle(corpus, hosts):
     assert checked >= 490 and restricted >= 400 and not_meet_closed >= 1
 
 
-def test_lift_checks_build_each_lattice_once(c3, hosts, monkeypatch):
+def test_lift_checks_build_each_lattice_once(c3, monkeypatch):
+    # the Raney side builds its fitted collection's lattice once; the
+    # zero-dimensional side builds none, nor the full host's as_lattice
     built = []
     real = correspondence.subcolocale_lattice
     monkeypatch.setattr(correspondence, "subcolocale_lattice",
                         lambda host, members: built.append(members) or real(host, members))
-    sl = hosts["chain3"]
+    sl = enumerate_sublocales(c3)
     b = SZDBF(c3, Subcolocale(sl, sb(sl)))
     r = to_raney(b)
     ident = FrameMap.of(c3, c3, (0, 1, 2))
     for _ in range(3):
         assert szdbf_lift_check(ident, b, b).exists
+        assert "as_lattice" not in vars(sl)
         assert raney_lift_check(ident, r, r).exists
-    assert len(built) == 2
+    assert len(built) == 1 and "as_lattice" not in vars(sl)
+
+
+def test_szdbf_lift_matches_the_generic_lift():
+    """The partition test on prime sets gives the verdict and witness of the
+    generic lift between the two subcolocale lattices, on every map between
+    chains 1-4 and bool2.  Of the 112 maps that keep the bounds, the 60
+    frame maps lift and the other 52 do not; no map that moves a bound
+    lifts, and moving the bottom is what the cover test of the partition
+    catches.  The primes of those frames fix every closed pin once the
+    atoms partition, so the identity of bool3 with one inner value moved
+    follows: its atoms are not primes, and only a closed pin refuses it."""
+    structures = []
+    for lat in [gen_chain(n) for n in range(1, 5)] + [gen_boolean(2)]:
+        fw = FrameWitness.of(lat)
+        sl = enumerate_sublocales(fw)
+        structures.append((fw, SZDBF(fw, Subcolocale(sl, sb(sl)))))
+    kept, moved = {True: 0, False: 0}, {True: 0, False: 0}
+    for fw1, b1 in structures:
+        for fw2, b2 in structures:
+            src, dst = fw1.lattice, fw2.lattice
+            for h in product(range(dst.n), repeat=src.n):
+                f = FrameMap(fw1, fw2, h)
+                v = szdbf_lift_check(f, b1, b2)
+                assert v == generic_szdbf_lift(f, b1, b2), (src, dst, h)
+                bounds = h[src.bottom] == dst.bottom and h[src.top] == dst.top
+                (kept if bounds else moved)[v.exists] += 1
+    assert kept == {True: 60, False: 52} and moved == {True: 0, False: 1332}
+    fw = FrameWitness.of(gen_boolean(3))
+    sl = enumerate_sublocales(fw)
+    b = SZDBF(fw, Subcolocale(sl, sb(sl)))
+    checked = 0
+    for x in range(1, 7):
+        for y in set(range(8)) - {x}:
+            f = FrameMap(fw, fw, tuple(y if a == x else a for a in range(8)))
+            v = szdbf_lift_check(f, b, b)
+            assert v == generic_szdbf_lift(f, b, b) and not v.exists
+            checked += 1
+    assert checked == 42
+
+
+def test_szdbf_lift_refuses_a_subcolocale_short_of_s(c3, monkeypatch):
+    # only S(L) itself is codense, so a D that passed a faulty codense test
+    # is a double-entry disagreement, not a verdict
+    sl = enumerate_sublocales(c3)
+    full = SZDBF(c3, Subcolocale(sl, (1 << sl.size) - 1))
+    monkeypatch.setattr(correspondence, "is_codense", lambda host, members: True)
+    short = SZDBF(c3, Subcolocale(sl, 1))
+    ident = FrameMap.of(c3, c3, (0, 1, 2))
+    for b1, b2 in ((short, full), (full, short)):
+        with pytest.raises(InternalInconsistency, match="codense"):
+            szdbf_lift_check(ident, b1, b2)
 
 
 def test_raney_and_szdbf_structures_validate(c3, hosts):

@@ -25,6 +25,7 @@ fw = FrameWitness.of(gen_chain(3))
 sl = enumerate_sublocales(fw)
 sl_o = sl.fitted_subcoframe()
 full_o = (1 << sl_o.size) - 1
+ident = co.FrameMap.of(fw, fw, range(fw.lattice.n))
 
 def planted(module, name, fake, call):
     real = getattr(module, name)
@@ -53,6 +54,10 @@ raised = {
                               lambda: oracles.sublocale_join(sl, [0, 0])),
     "right_adjoint_image": planted(co, "is_sublocale", lambda fw, m: False,
                                    lambda: co.right_adjoint_image(co.downset_frame(fw)[1])),
+    "szdbf_lift_check": planted(co, "is_codense", lambda host, m: True,
+                                lambda: co.szdbf_lift_check(
+                                    ident, co.SZDBF(fw, co.Subcolocale(sl, 1)),
+                                    co.SZDBF(fw, co.Subcolocale(sl, sc.sb(sl))))),
 }
 print(json.dumps({"debug": __debug__, "raised": raised}))
 '''
@@ -67,7 +72,7 @@ def test_planted_disagreements_raise_under_python_O():
     got = json.loads(out)
     assert got["debug"] is False
     assert got["raised"] == dict.fromkeys(got["raised"], True)
-    assert len(got["raised"]) == 7
+    assert len(got["raised"]) == 8
 
 
 def test_cli_exits_1_on_an_internal_inconsistency(tmp_path, monkeypatch, capsys):
