@@ -168,6 +168,22 @@ class SZDBF:
     def is_essential(self) -> bool:
         return is_essential(self.d_sub.host, self.d_sub.members)
 
+    @cached_property
+    def coatom_pins(self) -> tuple[tuple[int, int], ...]:
+        """For each prime ``p``, the pair ``(x_p, p)`` with ``x_p`` the meet
+        of the primes strictly above ``p``: ``closed(x_p) v open(p)`` is the
+        coatom ``P - {p}`` (:func:`szdbf_lift_check`).  Kept on first read,
+        since every lift out of the structure reads the same pairs."""
+        lat, primes = self.frame.lattice, self.frame.primes
+        return tuple((lat.big_meet(lat.up[p] & primes & ~bit(p)), p) for p in bits(primes))
+
+    @cached_property
+    def closed_points(self) -> tuple[int, ...]:
+        """The prime set of the closed sublocale of each frame element, kept
+        on first read like :attr:`coatom_pins`."""
+        host = self.d_sub.host
+        return tuple(host.points[c] for c in host.closed_index)
+
 
 def to_raney(b: SZDBF) -> RaneyExtension:
     """Push a codense subcolocale down to its fitted image."""
@@ -350,21 +366,19 @@ def szdbf_lift_check(f: FrameMap, b1: SZDBF, b2: SZDBF) -> LiftVerdict:
     for b in (b1, b2):
         if b.d_sub.members != (1 << b.d_sub.host.size) - 1:
             raise InternalInconsistency("a codense subcolocale of S(L) is not all of S(L)")
-    h1, h2 = b1.d_sub.host, b2.d_sub.host
-    lat, primes, pts = f.source.lattice, f.source.primes, h2.points
-    atoms = []
-    for p in bits(primes):
-        xp = lat.big_meet(lat.up[p] & primes & ~bit(p))
-        atoms.append(h2.all_primes & ~(pts[h2.closed_of(f(xp))] | pts[h2.open_of(f(p))]))
-    return powerset_lift(h1, h2, atoms,
-                         ((h1.closed_of(x), h2.closed_of(f(x))) for x in range(lat.n)))
+    h2, mp = b2.d_sub.host, f.mapping
+    pts, opens, closeds = h2.points, h2.open_index, b2.closed_points
+    atoms = [h2.all_primes & ~(closeds[mp[xp]] | pts[opens[mp[p]]])
+             for xp, p in b1.coatom_pins]
+    return powerset_lift(b1.d_sub.host, h2, atoms,
+                         zip(b1.closed_points, (closeds[v] for v in mp)))
 
 
 def powerset_lift(src: SublocaleCoframe, dst: SublocaleCoframe, atoms: Sequence[int],
                   pins: Iterable[tuple[int, int]]) -> LiftVerdict:
     """The lattice map from the full host ``src`` to the full host ``dst``
-    that sends the ``j``-th atom to the prime set ``atoms[j]`` and keeps
-    the host-index ``pins``, if there is one.
+    that sends the ``j``-th atom to the prime set ``atoms[j]`` and each
+    pinned prime set ``Q`` of ``pins`` to its ``R``, if there is one.
 
     It exists iff the ``atoms`` partition the target's primes and the map
     ``h(Q)``, the union of the ``atoms[j]`` for ``j`` in ``Q``, keeps the
@@ -383,11 +397,10 @@ def powerset_lift(src: SublocaleCoframe, dst: SublocaleCoframe, atoms: Sequence[
     image = [0]
     for a in atoms:
         image += [q | a for q in image]
-    spts, dpts = src.points, dst.points
-    if any(image[spts[s]] != dpts[t] for s, t in pins):
+    if any(image[q] != r for q, r in pins):
         return _NO_LIFT
     pos = dst.point_index
-    return LiftVerdict(True, (tuple([pos[image[q]] for q in spts]),), 0, True)
+    return LiftVerdict(True, (tuple([pos[image[q]] for q in src.points]),), 0, True)
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,11 @@ def heyting_table(lat: Lattice) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class FrameWitness:
-    """A distributive lattice with its Heyting arrow table and its primes."""
+    """A distributive lattice with its Heyting arrow table and its primes.
+
+    :func:`subloc.sublocales.enumerate_sublocales` keeps the witness's
+    ``S(L)`` in the instance, outside the fields, as ``exact_pairs`` is kept.
+    """
 
     lattice: Lattice
     heyting_table: tuple[tuple[int, ...], ...] = field(repr=False)

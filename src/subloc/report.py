@@ -10,7 +10,6 @@ dict with one entry per check and counterexamples capped to a few items.
 
 from __future__ import annotations
 
-import functools
 from typing import Any
 
 from .bits import bit, bits, bits_above, mask_of
@@ -384,7 +383,6 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
     sl = enumerate_sublocales(fw, limits)
     sl_o = sl.fitted_subcoframe()
     k = sl.size
-    sigma_of = functools.cache(lambda fm, f: sigma(sl, sl_o, fm, f))  # depends on F, f only
 
     sb_m, ssp_m, se_m = sb(sl), ssp(sl), se(sl)
     bad = []
@@ -419,7 +417,7 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
     for x in range(n):
         f = sl_o.open_of(x)
         try:
-            if sigma_of(full_o, f) != sl.open_of(x):
+            if sigma(sl, sl_o, full_o, f) != sl.open_of(x):
                 bad.append(x)
         except NotProper:
             bad.append(x)
@@ -428,7 +426,7 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
     bad = []
     for f in range(sl_o.size):
         try:
-            s = sigma_of(full_o, f)
+            s = sigma(sl, sl_o, full_o, f)
         except NotProper:
             bad.append(f)
             continue
@@ -442,7 +440,7 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
     for d in range(k):
         fit_d = sl_o.fit_of[d]
         nu_d = sb_con[sl.fit(d)]
-        if nu_d != sigma_of(sb_image, fit_d):
+        if nu_d != sigma(sl, sl_o, sb_image, fit_d):
             bad.append(d)
     checks.add("conucleus-of-fit-equals-sigma-of-fit", bad)
 
@@ -491,7 +489,7 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
         for d in bits(dm):
             for f in bits(fm):
                 left = sl_o.leq(sl_o.fit_of[d], f)
-                right = sl.leq(d, sigma_of(fm, f))
+                right = sl.leq(d, sigma(sl, sl_o, fm, f))
                 if left != right:
                     bad.append((d, f))
     checks.add("fit-sigma-galois-connection", bad)

@@ -36,7 +36,9 @@ def corpus_report(suites=ALL_SUITES, limits: Limits = DEFAULT_LIMITS,
 
     ``points4`` adds that many seed-sampled 4-point topologies.  Each
     distinct serialized lattice runs once, in order of first occurrence;
-    every frame gets its own copy of its text's results, named after it.
+    every frame gets its own copy of its text's results, named after it:
+    the first frame of a text the run's own dicts, each later one a deep
+    copy, so that no two frames share a mutable object.
     ``jobs`` defaults to the machine's CPU count; 1 runs serially
     in-process.
     """
@@ -54,9 +56,14 @@ def corpus_report(suites=ALL_SUITES, limits: Limits = DEFAULT_LIMITS,
             runs = list(pool.map(_run_one, payloads))
 
     by_text = dict(zip(distinct, runs))
+    seen: set[str] = set()
     results = []
     for cf, text in zip(frames, texts):
-        for r in copy.deepcopy(by_text[text]):
+        run = by_text[text]
+        if text in seen:
+            run = copy.deepcopy(run)
+        seen.add(text)
+        for r in run:
             r["frame"] = cf.name
             results.append(r)
     return {

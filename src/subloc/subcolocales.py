@@ -27,10 +27,17 @@ maps a subcolocale of sublocales back down to fitted ones.  ``delta`` is
 left adjoint to ``fit_image`` and restricts to a bijection between proper
 collections and the codense subcolocales that are *essential* (generated
 by their saturated elements).
+
+What a host determines, its conuclei, closures, distinguished
+subcolocales, ``sigma``, ``delta`` and the properness and essentiality
+verdicts, is computed once per host and input and kept in the host's
+``memo`` (:func:`_memoised`), so the checks of every suite run on one
+witness share it.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from .bits import bit, bits, mask_of
@@ -38,6 +45,38 @@ from .errors import InternalInconsistency, NotProper
 from .lattice import join_irreducibles
 from .sublocales import (SublocaleCoframe, _prime_sets, is_exact_sublocale,
                          is_precongruence)
+
+
+_MISSING = object()
+
+
+def _memoised(kind: str, owner: int = 0, keyed: int = 1):
+    """Keep a function's results in the memo of the host passed at argument
+    position ``owner`` (:attr:`SublocaleCoframe.memo`), keyed by ``kind``
+    and the ``keyed`` arguments after that host.
+
+    The memo lives and dies with its host, and is never shared between
+    hosts, so a value is computed once per host and distinct input: the
+    double-entry cross-checks inside the body run once per distinct input
+    too.  A call that raises stores nothing, so it raises again on the next
+    call.  Every value kept is an int, a bool or a tuple, so the callers
+    that share one cannot change it.  A memo on the fitted host (``owner``
+    1) serves only calls whose first argument is that host's parent.  The
+    body stays reachable as ``__wrapped__``.
+    """
+    def wrap(body):
+        @functools.wraps(body)
+        def memoised(*args):
+            host = args[owner]
+            assert not owner or host.parent is args[0], "not the fitted host of this S(L)"
+            key = (kind, *args[owner + 1:owner + 1 + keyed])
+            memo = host.memo
+            got = memo.get(key, _MISSING)
+            if got is _MISSING:
+                got = memo[key] = body(*args)
+            return got
+        return memoised
+    return wrap
 
 
 def _join_closed(host: SublocaleCoframe, members: int) -> bool:
@@ -101,6 +140,7 @@ def closed_trims(sl: SublocaleCoframe, members: int) -> int:
     return join_closure(sl, _trims(sl, members, sl.closed_index))
 
 
+@_memoised("conuclei")
 def conuclei(host: SublocaleCoframe, members: int) -> tuple[int, ...]:
     """For every host index, the largest member of the subcolocale below it.
 
@@ -128,6 +168,7 @@ def conuclei(host: SublocaleCoframe, members: int) -> tuple[int, ...]:
     return tuple(pos[u] for u in got)
 
 
+@_memoised("meet_irreducibles", keyed=0)
 def _meet_irreducibles(host: SublocaleCoframe) -> tuple[int, ...]:
     """The indices with exactly one upper cover."""
     ups = [0] * host.size
@@ -154,6 +195,7 @@ def join_closure(host: SublocaleCoframe, members: int) -> int:
     return mask_of(pos[c] for c in closure)
 
 
+@_memoised("generated")
 def generated_subcolocale(host: SublocaleCoframe, members: int) -> int:
     """Smallest subcolocale containing the given members (join/difference
     closure computed as an alternating fixpoint).
@@ -236,6 +278,7 @@ class Subcolocale:
 # distinguished subcolocales of the full host
 
 
+@_memoised("sb", keyed=0)
 def sb(sl: SublocaleCoframe) -> int:
     """Join closure of the closed-meet-open rectangles: the smallest codense
     subcolocale of the full sublocale coframe."""
@@ -248,11 +291,13 @@ def point_sublocales(sl: SublocaleCoframe) -> int:
     return mask_of(i for i, q in enumerate(sl.points) if q and not q & (q - 1))
 
 
+@_memoised("ssp", keyed=0)
 def ssp(sl: SublocaleCoframe) -> int:
     """Join closure of the point sublocales."""
     return join_closure(sl, point_sublocales(sl))
 
 
+@_memoised("se", keyed=0)
 def se(sl: SublocaleCoframe) -> int:
     """The exact sublocales, as a subset of the host indices."""
     return mask_of(i for i, m in enumerate(sl.elems)
@@ -278,6 +323,7 @@ def leq_f(sl_o: SublocaleCoframe, members: int, f: int) -> tuple[int, ...]:
     return tuple(above[con[sl_o.meet(f, o)]] for o in sl_o.open_index)
 
 
+@_memoised("proper")
 def is_proper(sl_o: SublocaleCoframe, members: int) -> bool:
     """Contains every open, and joins of opens are exact in the subcolocale.
 
@@ -321,6 +367,7 @@ def _open_joins_exact(sl_o: SublocaleCoframe, members: int) -> bool:
     return True
 
 
+@_memoised("sigma", owner=1, keyed=2)
 def sigma(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int, f: int) -> int:
     """The canonical sublocale realizing the fitted member ``f``.
 
@@ -363,6 +410,7 @@ def sigma(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int, f: int) ->
     return pos[s]
 
 
+@_memoised("delta", owner=1)
 def delta(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int) -> int:
     """The codense subcolocale generated by the canonical sublocales.
 
@@ -386,6 +434,7 @@ def saturated_elements(sl: SublocaleCoframe, members: int) -> int:
     return mask_of(con[i] for i, f in enumerate(sl.fit_index) if f == i)
 
 
+@_memoised("essential")
 def is_essential(sl: SublocaleCoframe, members: int,
                  sl_o: SublocaleCoframe | None = None) -> bool:
     """Whether the subcolocale is generated by its saturated elements.

@@ -89,7 +89,9 @@ class SublocaleCoframe:
     ``as_lattice``, the host as a generic :class:`Lattice` for the
     constructions that need one (a retract, the dual), is built on first
     read, like ``holding``, ``opens_above`` and ``least_open_above``; each
-    is kept in the instance and dies with it.  ``tests/oracles.py`` builds
+    is kept in the instance and dies with it.  So does ``memo``, where the
+    subcolocale calculus keeps what it derives from the host
+    (:func:`subloc.subcolocales._memoised`).  ``tests/oracles.py`` builds
     the same lattice from the member masks by the generic constructions,
     and the laws suite checks the map from prime sets to member masks on
     the covers (:func:`subloc.report.host_law_violations`).
@@ -126,6 +128,7 @@ class SublocaleCoframe:
             self.fit_of = tuple(pos[down[q]] for q in parent.points)
             self.full_index = tuple(parent.point_index[q] for q in pts)
         self._fitted_sub: SublocaleCoframe | None = None
+        self.memo: dict[tuple, object] = {}
 
     @property
     def size(self) -> int:
@@ -257,16 +260,24 @@ def _prime_sets(lat: Lattice, primes: int) -> tuple[tuple[int, ...], tuple[int, 
 
 
 def enumerate_sublocales(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> SublocaleCoframe:
-    """Build the coframe of all sublocales, one for each set of primes.
+    """The coframe of all sublocales, one for each set of primes.
 
     Raises :class:`SizeLimit` before building anything when the ``2^p``
-    sublocales of a frame with ``p`` primes exceed ``limits.max_sublocales``.
+    sublocales of a frame with ``p`` primes exceed ``limits.max_sublocales``,
+    on every call.  The host is built once per witness and kept in the
+    instance, outside the fields, like :attr:`FrameWitness.exact_pairs`, so
+    every suite run on one witness shares it, its fitted host and their
+    memos, and all of them die with the witness.
     """
     count = 1 << bin(fw.primes).count("1")
     if count > limits.max_sublocales:
         raise SizeLimit(f"{count} sublocales exceed max_sublocales={limits.max_sublocales}; "
                         f"override with --limit max_sublocales=N")
-    return SublocaleCoframe(fw, range(count), fitted=False)
+    kept = vars(fw)
+    host = kept.get("_sublocales")
+    if host is None:
+        host = kept["_sublocales"] = SublocaleCoframe(fw, range(count), fitted=False)
+    return host
 
 
 def fitted_subcoframe(sl: SublocaleCoframe) -> SublocaleCoframe:

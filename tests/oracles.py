@@ -41,8 +41,8 @@ from subloc.config import DEFAULT_LIMITS
 from subloc.correspondence import extend_to_coframe_map, subcolocale_lattice
 from subloc.lattice import CoframeWitness, FrameWitness, Lattice, covers
 from subloc.subcolocales import closed_trims, _trims, is_proper, leq_f, point_sublocales, sb
-from subloc.sublocales import (b_mask, closed_mask, is_precongruence, is_sublocale,
-                               nucleus_element, open_mask)
+from subloc.sublocales import (SublocaleCoframe, b_mask, closed_mask, is_precongruence,
+                               is_sublocale, nucleus_element, open_mask)
 
 
 def submasks(mask: int):
@@ -559,6 +559,13 @@ class TableHost:
         self.open_index = tuple(self.index[open_mask(fw, a)] for a in range(n))
         self.closed_index = tuple(self.index.get(fw.lattice.up[a]) for a in range(n))
         self.fit_index = tuple(self.index[fit_mask(fw, m)] for m in self.elems)
+
+
+def fresh_sublocales(fw):
+    """``S(L)`` built afresh by the constructor, outside the witness that
+    :func:`subloc.sublocales.enumerate_sublocales` keeps it in, so with an
+    empty memo and a fitted host of its own."""
+    return SublocaleCoframe(fw, range(1 << bin(fw.primes).count("1")), fitted=False)
 
 
 def table_hosts(fw, limits=DEFAULT_LIMITS) -> tuple:

@@ -354,9 +354,11 @@ def test_subcolocale_lattice_matches_table_oracle(corpus, hosts):
     assert checked >= 490 and restricted >= 400 and not_meet_closed >= 1
 
 
-def test_lift_checks_build_each_lattice_once(c3, monkeypatch):
+def test_lift_checks_build_each_lattice_once(monkeypatch):
     # the Raney side builds its fitted collection's lattice once; the
-    # zero-dimensional side builds none, nor the full host's as_lattice
+    # zero-dimensional side builds none, nor the full host's as_lattice,
+    # which the witness keeps, so the witness is this test's own
+    c3 = FrameWitness.of(gen_chain(3))
     built = []
     real = correspondence.subcolocale_lattice
     monkeypatch.setattr(correspondence, "subcolocale_lattice",

@@ -22,7 +22,7 @@ from subloc.lattice import prime_mask
 from subloc.report import MAX_COUNTEREXAMPLES, laws_suite
 from subloc.subcolocales import _open_joins_exact
 
-from oracles import (all_families, binary_families, is_exact_meet,
+from oracles import (all_families, binary_families, fresh_sublocales, is_exact_meet,
                      is_strongly_exact_meet, scan_exact_map, scan_exact_sublocale,
                      scan_meet_stable_filters, scan_open_closed_join_laws,
                      scan_open_joins_exact)
@@ -136,7 +136,7 @@ def test_laws_open_and_closed_family_checks_match_the_scan(monkeypatch):
         for which in ("open_index", "closed_index"):
             for a in range(lat.n):
                 for b in range(lat.n):
-                    sl = enumerate_sublocales(fw)
+                    sl = fresh_sublocales(fw)
                     planted = list(getattr(sl, which))
                     planted[a] = planted[b]
                     setattr(sl, which, tuple(planted))

@@ -295,19 +295,22 @@ def test_corpus_report_duplicates_equal_their_own_runs(sampled_report):
 
 
 def test_corpus_report_duplicates_share_no_objects(sampled_report):
-    # deepcopy keeps any sharing inside the report, and spares the fixture
+    # deepcopy keeps any sharing inside the report, and spares the fixture;
+    # the first frame of a text holds its run's own dicts and the later ones
+    # copies, so a change to any of them leaves every other unchanged
     rep, texts = copy.deepcopy(sampled_report)
-    first = {}
+    groups = {}
     for r in rep["results"]:
-        key = texts[r["frame"]], r["suite"]
-        if key in first:
-            twin = first[key]
-            break
-        first[key] = r
-    before = copy.deepcopy(twin)
-    r["checks"][0]["counterexamples"].append("mutated")
-    r["checks"].append({"check": "mutated"})
-    assert twin == before
+        groups.setdefault((texts[r["frame"]], r["suite"]), []).append(r)
+    group = max(groups.values(), key=len)
+    assert len(group) >= 3
+    for r in group:
+        others = [o for o in group if o is not r]
+        before = copy.deepcopy(others)
+        r["checks"][0]["counterexamples"].append("mutated")
+        r["checks"].append({"check": "mutated"})
+        r["notes"].append("mutated")
+        assert others == before
 
 
 def test_corpus_report_pooled_matches_serial_on_every_suite(sampled_report):

@@ -2,19 +2,24 @@ import gc
 import random
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 
-from subloc import (CoframeWitness, FrameWitness, NotProper,
-                    Subcolocale, adjunction_check, conuclei, delta,
+import subloc.subcolocales as subcolocales
+from subloc import (CoframeWitness, FrameWitness, InternalInconsistency, NotProper,
+                    SizeLimit, Subcolocale, adjunction_check, conuclei, delta,
                     enumerate_subcolocales, enumerate_sublocales, fit_image,
                     generated_subcolocale,
                     is_codense, is_essential, is_proper, is_subcolocale,
                     join_closure, leq_f, saturated_elements, sb, se, sigma, ssp)
 from subloc.bits import bits, mask_of
-from subloc.corpus import gen_chain, gen_product, standard_corpus
+from subloc.config import DEFAULT_LIMITS
+from subloc.corpus import gen_boolean, gen_chain, gen_product, standard_corpus
+from subloc.report import adjunction_suite
+from subloc.subcolocales import _meet_irreducibles
 
-from oracles import (NaiveOps, generated_closed_form, host_read_mismatches,
+from oracles import (NaiveOps, fresh_sublocales, generated_closed_form, host_read_mismatches,
                      scan_conucleus, scan_generated_subcolocale, scan_is_subcolocale,
                      scan_join_closure, scan_sigma, scan_subcolocales)
 
@@ -369,3 +374,128 @@ def test_host_reads_match_the_member_masks(corpus, hosts):
         assert bad == [], cf.name
         total += cases
     assert total > 1000
+
+
+def _outcome(fn, *args):
+    """The value of a call, or the type of the ``NotProper`` it raised."""
+    try:
+        return fn(*args)
+    except NotProper as exc:
+        return type(exc)
+
+
+def test_memoised_functions_return_their_bodies_on_a_fresh_host(corpus):
+    """Each memoised function, called twice on the hosts a witness keeps,
+    gives what its body gives on hosts built afresh: on both hosts of every
+    corpus frame, chain7 and bool4, over every subcolocale and a few random
+    masks, on which ``sigma`` and ``delta`` raise ``NotProper``."""
+    rng = random.Random(18)
+    frames = [cf.frame for cf in corpus] + [FrameWitness.of(gen_chain(7)),
+                                            FrameWitness.of(gen_boolean(4))]
+    outcomes, proper = Counter(), set()
+    for fw in frames:
+        kept, fresh = enumerate_sublocales(fw), fresh_sublocales(fw)
+        kept_o, fresh_o = kept.fitted_subcoframe(), fresh.fitted_subcoframe()
+        assert fresh is not kept and fresh_o is not kept_o and not fresh.memo
+        for held, new in ((kept, fresh), (kept_o, fresh_o)):
+            subs = enumerate_subcolocales(held)
+            masks = subs + tuple(rng.randrange(1 << held.size) for _ in range(4))
+            calls = [(_meet_irreducibles, ())]
+            calls += [(fn, (m,)) for m in masks for fn in (conuclei, generated_subcolocale)]
+            if held.fitted:
+                calls += [(is_proper, (m,)) for m in masks]
+                calls += [(delta, (m,)) for m in masks]
+                calls += [(sigma, (m, f)) for m in masks for f in bits(m)]
+            else:
+                calls += [(fn, ()) for fn in (sb, ssp, se)]
+                calls += [(is_essential, (m,)) for m in subs]
+            for fn, args in calls:
+                # sigma and delta are kept on the fitted host, their second argument
+                pre, pre_new = ((kept,), (fresh,)) if fn in (sigma, delta) else ((), ())
+                want = _outcome(fn.__wrapped__, *pre_new, new, *args)
+                got = [_outcome(fn, *pre, held, *args) for _ in range(2)]
+                assert got == [want, want], (fn.__name__, args)
+                outcomes[fn.__name__, want is NotProper] += 1
+                if fn is is_proper:
+                    proper.add(want)
+    assert {name for name, _ in outcomes} == {
+        "_meet_irreducibles", "conuclei", "generated_subcolocale", "is_proper",
+        "sb", "ssp", "se", "is_essential", "delta", "sigma"}
+    # sigma and delta both raised and returned, and is_proper gave both verdicts
+    assert all(outcomes[name, raised] for name in ("sigma", "delta") for raised in (False, True))
+    assert proper == {True, False}
+
+
+def test_memo_and_kept_host_die_with_their_witness():
+    fw = FrameWitness.of(gen_chain(4))
+    sl = enumerate_sublocales(fw)
+    sl_o = sl.fitted_subcoframe()
+    assert adjunction_suite("chain4", fw)["ok"]
+    assert enumerate_sublocales(fw) is sl and sl.memo and sl_o.memo
+    # the memo is the host's own: an equal witness gets a host with none
+    assert not enumerate_sublocales(FrameWitness.of(gen_chain(4))).memo
+
+    class Probe:
+        pass
+
+    probes = [Probe(), Probe()]
+    sl.memo["probe"], sl_o.memo["probe"] = probes
+    refs = [weakref.ref(x) for x in (fw, sl, sl_o, *probes)]
+    del sl, sl_o, probes
+    gc.collect()
+    # the witness keeps its host, and the host its memo
+    assert [r() is None for r in refs] == [False] * 5
+    del fw
+    gc.collect()
+    assert [r() for r in refs] == [None] * 5
+
+
+def test_a_planted_delta_disagreement_raises_on_every_call(monkeypatch):
+    fw = FrameWitness.of(gen_chain(3))
+    sl = enumerate_sublocales(fw)
+    sl_o = sl.fitted_subcoframe()
+    full_o = (1 << sl_o.size) - 1
+    monkeypatch.setattr(subcolocales, "generated_subcolocale", lambda host, m: 0)
+    for _ in range(3):
+        with pytest.raises(InternalInconsistency, match="closed-form delta"):
+            delta(sl, sl_o, full_o)
+    assert ("delta", full_o) not in sl_o.memo
+    monkeypatch.undo()
+    assert delta(sl, sl_o, full_o) == (1 << sl.size) - 1
+    assert sl_o.memo["delta", full_o] == (1 << sl.size) - 1
+
+
+def test_a_kept_host_still_checks_max_sublocales():
+    fw = FrameWitness.of(gen_chain(5))
+    sl = enumerate_sublocales(fw)
+    assert sl.size == 16
+    with pytest.raises(SizeLimit, match="16 sublocales exceed max_sublocales=8"):
+        enumerate_sublocales(fw, DEFAULT_LIMITS.with_(max_sublocales=8))
+    assert enumerate_sublocales(fw, DEFAULT_LIMITS.with_(max_sublocales=16)) is sl
+
+
+def test_adjunction_suite_generates_each_subcolocale_once(monkeypatch):
+    """The body of ``generated_subcolocale`` runs once per distinct
+    ``(host, members)`` that the adjunction suite asks for, on chain6 (no
+    enumeration) and bool3 (enumerated)."""
+    body = generated_subcolocale.__wrapped__.__code__
+    for lat in (gen_chain(6), gen_boolean(3)):
+        asked, ran = [], []
+
+        def asking(host, members):
+            asked.append((id(host), members))
+            return generated_subcolocale(host, members)
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is body:
+                ran.append((id(frame.f_locals["host"]), frame.f_locals["members"]))
+
+        monkeypatch.setattr(subcolocales, "generated_subcolocale", asking)
+        sys.setprofile(profile)
+        try:
+            result = adjunction_suite("", FrameWitness.of(lat))
+        finally:
+            sys.setprofile(None)
+            monkeypatch.undo()
+        assert result["ok"]
+        assert ran and sorted(ran) == sorted(set(asked))
