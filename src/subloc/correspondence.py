@@ -6,6 +6,12 @@ codense subcolocale of its full sublocale coframe.  ``to_raney`` and
 ``to_szdbf`` convert between them along the fitting adjunction (the
 latter requires the fitted collection to be proper).
 
+The quotient map onto a sublocale reads its nucleus off the prime-set
+tables of ``S(L)`` (:meth:`SublocaleCoframe.nucleus`).  Its target is
+fixed by the sublocale's order (:func:`quotient_order`), so the target is
+built once per order (:func:`surjection_of`) and every other quotient of
+that order maps onto it (:func:`quotient_map`).
+
 Morphism checks decide whether a frame map lifts to a coframe map between
 the chosen subcolocales that extends its action on opens (Raney side) or on
 closeds (zero-dimensional side).  On the Raney side the pins are
@@ -15,7 +21,8 @@ the pinned values of the meet-irreducibles above each element.  One
 meet-irreducibles only, which each ``Lattice`` keeps once read.  The chosen
 fitted subcolocale is its host's retract by its conucleus
 (``subcolocale_lattice``), built once per structure: each Raney extension
-keeps that lattice in a property filled on first read.  On the
+keeps that lattice, and the position in it of every open (its lift
+pins), in properties filled on first read.  On the
 zero-dimensional side the one codense subcolocale of ``S(L) = 2^P`` is
 ``S(L)`` itself, so a lift is a map of powersets, fixed by the images of
 the atoms.  It exists iff those images partition the target's primes and
@@ -36,7 +43,7 @@ from .config import DEFAULT_LIMITS, Limits
 from .corpus import downset_masks, inclusion_lattice
 from .errors import InternalInconsistency, NotProper
 from .lattice import FrameWitness, Lattice
-from .sublocales import SublocaleCoframe, is_sublocale, nucleus_element
+from .sublocales import SublocaleCoframe, is_sublocale
 from .subcolocales import (Subcolocale, conuclei, delta, fit_image, is_codense,
                            is_essential, is_proper)
 
@@ -106,22 +113,60 @@ def is_exact_map(f: FrameMap) -> bool:
     return True
 
 
-def surjection_of(sl: SublocaleCoframe, i: int) -> FrameMap:
-    """The quotient map of the frame onto sublocale ``i`` (the nucleus).
+def quotient_order(sl: SublocaleCoframe, i: int) -> tuple[int, ...]:
+    """The order of sublocale ``i``: the ambient up-rows of its members,
+    restricted to them and compressed to local positions (the ``p``-th
+    member in element order is ``p``).
 
-    A sublocale is closed under the ambient meets and Heyting arrows, so
-    the target is the ambient retract by the nucleus, with the ambient
-    Heyting rows restricted and the ambient primes it contains as its
-    primes (Picado & Pultr, *Frames and Locales*, 2012).
+    It is the ``up`` of the target lattice that :func:`surjection_of`
+    builds, and it fixes the whole target witness: the retract's meet and
+    join tables are those of the order, its Heyting rows are the
+    sublocale's own arrow (the ambient arrows it is closed under), and its
+    primes are its own.  So quotients of equal order have equal targets,
+    and one target serves them all (:func:`quotient_map`).
+    """
+    members = sl.elems[i]
+    up = sl.ambient.lattice.up
+    elems = tuple(bits(members))
+    order = []
+    for e in elems:
+        row, local, b = up[e] & members, 0, 1
+        for x in elems:
+            if row >> x & 1:
+                local |= b
+            b <<= 1
+        order.append(local)
+    return tuple(order)
+
+
+def quotient_map(sl: SublocaleCoframe, i: int,
+                 target: FrameWitness | None = None) -> FrameMap:
+    """The quotient map of the frame onto sublocale ``i``: its nucleus
+    (:meth:`SublocaleCoframe.nucleus`) read in local positions.
+
+    With no ``target`` the target is built: a sublocale is closed under
+    the ambient meets and Heyting arrows, so it is the ambient retract by
+    the nucleus, with the ambient Heyting rows restricted and the ambient
+    primes it contains as its primes (Picado & Pultr, *Frames and
+    Locales*, 2012).  A ``target`` given is one built for a sublocale of
+    the same :func:`quotient_order`, hence equal to the one built here.
+    :meth:`FrameMap.of` validates the map either way.
     """
     fw, members = sl.ambient, sl.elems[i]
-    nu = tuple(nucleus_element(fw, members, a) for a in range(fw.lattice.n))
-    elems = tuple(bits(members))
-    pos = {e: p for p, e in enumerate(elems)}
-    hey = tuple(tuple(pos[fw.heyting_table[a][b]] for b in elems) for a in elems)
-    target = FrameWitness(fw.lattice.retract(nu), hey,
-                          mask_of(pos[p] for p in bits(fw.primes & members)))
-    return FrameMap.of(fw, target, tuple(pos[v] for v in nu))
+    nu = sl.nucleus(i)
+    pos = {e: p for p, e in enumerate(bits(members))}
+    if target is None:
+        hey = fw.heyting_table
+        target = FrameWitness(fw.lattice.retract(nu),
+                              tuple(tuple(pos[hey[a][b]] for b in pos) for a in pos),
+                              mask_of(pos[p] for p in bits(fw.primes & members)))
+    return FrameMap.of(fw, target, tuple([pos[v] for v in nu]))
+
+
+def surjection_of(sl: SublocaleCoframe, i: int) -> FrameMap:
+    """The quotient map of the frame onto sublocale ``i``, its target built
+    (:func:`quotient_map`)."""
+    return quotient_map(sl, i)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +196,14 @@ class RaneyExtension:
         built on first read, so that every lift check from or into the
         extension reuses it."""
         return subcolocale_lattice(self.f_sub.host, self.f_sub.members)
+
+    @cached_property
+    def open_pos(self) -> tuple[int, ...]:
+        """For each frame element, the position of its open in
+        :attr:`lattice`, kept on first read beside it: the pins of every
+        Raney lift from or into the extension (:func:`raney_lift_check`)."""
+        pos = {e: p for p, e in enumerate(self.lattice[1])}
+        return tuple(pos[o] for o in self.f_sub.host.open_index)
 
 
 class SZDBF:
@@ -320,14 +373,11 @@ def raney_lift_check(f: FrameMap, r1: RaneyExtension, r2: RaneyExtension) -> Lif
     """
     if f.source != r1.frame or f.target != r2.frame:
         raise ValueError("the map's frames must match the structures")
-    h1, h2 = r1.f_sub.host, r2.f_sub.host
-    src_lat, src_idxs = r1.lattice
+    src_lat, _ = r1.lattice
     dst_lat, dst_idxs = r2.lattice
-    spos = {e: p for p, e in enumerate(src_idxs)}
-    dpos = {e: p for p, e in enumerate(dst_idxs)}
+    dst_open = r2.open_pos
     verdict = extend_to_coframe_map(src_lat, dst_lat,
-                                    ((spos[h1.open_of(x)], dpos[h2.open_of(f(x))])
-                                     for x in range(f.source.lattice.n)))
+                                    zip(r1.open_pos, [dst_open[v] for v in f.mapping]))
     return replace(verdict, witnesses=tuple(tuple(dst_idxs[v] for v in w)
                                             for w in verdict.witnesses))
 

@@ -14,9 +14,11 @@ from typing import Any
 
 from .bits import bit, bits, bits_above, mask_of
 from .config import DEFAULT_LIMITS, Limits
-from .correspondence import (SZDBF, FrameMap, RaneyExtension, downset_frame,
-                             is_exact_map, raney_lift_check, right_adjoint_image,
-                             surjection_of, szdbf_lift_check, to_raney, to_szdbf)
+from .corpus import downset_masks
+from .correspondence import (SZDBF, RaneyExtension, downset_frame, is_exact_map,
+                             quotient_map, quotient_order, raney_lift_check,
+                             right_adjoint_image, surjection_of, szdbf_lift_check,
+                             to_raney, to_szdbf)
 from .errors import NotProper
 from .lattice import (CoframeWitness, FrameWitness, adjunction_violations,
                       covered_primes, covers, distributivity_violations,
@@ -434,14 +436,11 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
             bad.append(f)
     checks.add("fit-after-sigma-is-identity", bad)
 
-    bad = []
+    # sigma is read once per fitted index, which every d with that fit shares
     sb_image = fit_image(sl, sl_o, sb_m)
     sb_con = conuclei(sl, sb_m)
-    for d in range(k):
-        fit_d = sl_o.fit_of[d]
-        nu_d = sb_con[sl.fit(d)]
-        if nu_d != sigma(sl, sl_o, sb_image, fit_d):
-            bad.append(d)
+    sigma_of = [sigma(sl, sl_o, sb_image, f) for f in range(sl_o.size)]
+    bad = [d for d in range(k) if sb_con[sl.fit(d)] != sigma_of[sl_o.fit_of[d]]]
     checks.add("conucleus-of-fit-equals-sigma-of-fit", bad)
 
     if k <= MAX_ENUMERATED_HOST:
@@ -508,9 +507,15 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
 
 def correspondence_suite(name: str, fw: FrameWitness,
                          limits: Limits = DEFAULT_LIMITS) -> dict:
-    """The correspondence checks; quotient frames that are equal as
-    witnesses share one target structure, and the down-set frame is built
-    first, so that an oversized one fails before any lift is checked."""
+    """The correspondence checks.
+
+    Each quotient is keyed by its order (:func:`quotient_order`) before
+    anything is built for it.  The first quotient of an order builds the
+    target witness (:func:`surjection_of`) and its target structures; every
+    later one maps onto that shared witness (:func:`quotient_map`), still
+    validated as a frame map and put through all three checks.  The
+    down-set frame is built first, so that an oversized one fails before
+    any lift is checked."""
     checks = _Checks()
     notes = [FINITE_NOTE]
     _, eps = downset_frame(fw, limits)
@@ -532,17 +537,18 @@ def correspondence_suite(name: str, fw: FrameWitness,
     smooth_bad = []
     exact_bad = []
     surj_bad = []
-    targets: dict[FrameWitness, tuple[SZDBF, RaneyExtension]] = {}
+    targets: dict[tuple[int, ...], tuple[SZDBF, RaneyExtension]] = {}
     for i in range(sl.size):
-        f = surjection_of(sl, i)
-        pair = targets.get(f.target)
+        key = quotient_order(sl, i)
+        pair = targets.get(key)
         if pair is None:
+            f = surjection_of(sl, i)
             sub_sl = enumerate_sublocales(f.target, limits)
             b2 = SZDBF(f.target, Subcolocale(sub_sl, sb(sub_sl)))
-            pair = targets[f.target] = b2, to_raney(b2)
+            pair = targets[key] = b2, to_raney(b2)
+        else:
+            f = quotient_map(sl, i, pair[0].frame)
         b2, r2 = pair
-        # onto the shared witness, whose exact pairs are then tabled once too
-        f = FrameMap(f.source, b2.frame, f.mapping)
         if not is_exact_map(f):
             surj_bad.append(i)
         if szdbf_lift_check(f, b1, b2).exists != bool((sb_m >> i) & 1):
@@ -553,9 +559,12 @@ def correspondence_suite(name: str, fw: FrameWitness,
     checks.add("szdbf-lift-iff-smooth", smooth_bad)
     checks.add("raney-lift-iff-exact", exact_bad)
 
+    # the right adjoint's image must be the principal down-sets, each found by
+    # its mask in the down-set frame's order
     bad = []
     ideal = right_adjoint_image(eps)
-    expect = mask_of(eps.right_adjoint(a) for a in range(fw.lattice.n))
+    downset_index = {m: d for d, m in enumerate(downset_masks(fw.lattice.up, limits))}
+    expect = mask_of(downset_index[dn] for dn in fw.lattice.dn)
     if ideal != expect:
         bad.append({"induced": sorted(bits(ideal)), "principal": sorted(bits(expect))})
     if not is_exact_map(eps):

@@ -240,7 +240,7 @@ def enumerate_subcolocales(host: SublocaleCoframe, which: str = "all") -> tuple[
     if which == "proper" and not host.fitted:
         raise ValueError("the proper filter needs a fitted sublocale host")
     lat = host.as_lattice
-    found, _ = _prime_sets(lat.dual(), mask_of(join_irreducibles(lat)))
+    found = _prime_sets(lat.dual(), mask_of(join_irreducibles(lat)))[0]
     if which == "codense":
         found = (m for m in found if is_codense(host, m))
     elif which == "proper":

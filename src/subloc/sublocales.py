@@ -86,7 +86,8 @@ class SublocaleCoframe:
     ``full_index``, which translate indices from and to its parent, the
     full host.
 
-    ``as_lattice``, the host as a generic :class:`Lattice` for the
+    :meth:`nucleus` reads a sublocale's nucleus off the same prime-set
+    tables.  ``as_lattice``, the host as a generic :class:`Lattice` for the
     constructions that need one (a retract, the dual), is built on first
     read, like ``holding``, ``opens_above`` and ``least_open_above``; each
     is kept in the instance and dies with it.  So does ``memo``, where the
@@ -102,9 +103,9 @@ class SublocaleCoframe:
         self.ambient = ambient
         self.fitted = fitted
         self.parent = parent
-        self._members, self._down = (_prime_sets(ambient.lattice, ambient.primes)
-                                     if parent is None else (parent._members, parent._down))
-        members, down = self._members, self._down
+        self._prime_tables = (_prime_sets(ambient.lattice, ambient.primes)
+                              if parent is None else parent._prime_tables)
+        members, down, _, _ = self._prime_tables
         pts = self.points = tuple(sorted(points, key=lambda q: (bin(members[q]).count("1"),
                                                                members[q])))
         self.elems = tuple(members[q] for q in pts)
@@ -148,6 +149,26 @@ class SublocaleCoframe:
 
     def open_of(self, a: int) -> int:
         return self.open_index[a]
+
+    def nucleus(self, i: int) -> tuple[int, ...]:
+        """The nucleus of sublocale ``i``: for each frame element ``a``, the
+        least member above it, ``meet_of[points[i] & above[a]]``.
+
+        ``meet_of[Q]`` is the meet of the primes of ``Q`` and ``above[a]``
+        the set of primes above ``a`` (:func:`_prime_sets`), and a member
+        ``x`` of the sublocale with prime set ``Q`` is the meet of the
+        primes of ``Q`` above it.  So ``m = meet_of[Q & above[a]]``, the
+        meet of the primes of ``Q`` above ``a``, is a member above ``a``:
+        ``m >= a``, so a prime above ``m`` is above ``a``, and every prime
+        of ``Q`` above ``a`` is above their meet ``m``, so ``Q & above[m]
+        = Q & above[a]``, whose meet is ``m``.  And a member ``x >= a`` is
+        the meet of ``Q & above[x]``, a subset of ``Q & above[a]``, hence
+        above ``m``.  That is ``n`` lookups where
+        :func:`nucleus_element` meets the members above each ``a``.
+        """
+        _, _, meet_of, above = self._prime_tables
+        q = self.points[i]
+        return tuple([meet_of[q & row] for row in above])
 
     def closed_of(self, a: int) -> int:
         c = self.closed_index[a]
@@ -234,19 +255,21 @@ class SublocaleCoframe:
         return self._fitted_sub
 
 
-def _prime_sets(lat: Lattice, primes: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The member mask and the down-closure of every set of primes.
+def _prime_sets(lat: Lattice, primes: int) -> tuple[tuple[int, ...], ...]:
+    """The member mask, the down-closure and the meet of every set of
+    primes, and the set of primes above every element.
 
     A set ``Q`` of the primes in ``primes`` gives the sublocale of the
-    ``x`` that are the meet of the primes of ``Q`` above them.  Both
-    tuples are indexed by ``Q`` and filled by the subset recurrence: ``Q``
-    extends ``Q & (Q - 1)`` by its lowest prime.  On a frame's primes this
-    builds ``S(L)``; on the dual of a coframe, with its join-irreducibles
-    as the primes, it builds the subcolocales.
+    ``x`` that are the meet of the primes of ``Q`` above them,
+    ``meet_of[Q & above[x]] == x``.  The first three tuples are indexed by
+    ``Q`` and filled by the subset recurrence: ``Q`` extends ``Q & (Q -
+    1)`` by its lowest prime.  On a frame's primes this builds ``S(L)``;
+    on the dual of a coframe, with its join-irreducibles as the primes, it
+    builds the subcolocales.
     """
     meet = lat.meet_table
     pts = tuple(bits(primes))
-    above = [mask_of(j for j, q in enumerate(pts) if lat.leq(x, q)) for x in range(lat.n)]
+    above = tuple(mask_of(j for j, q in enumerate(pts) if lat.leq(x, q)) for x in range(lat.n))
     below = [mask_of(j for j, r in enumerate(pts) if lat.leq(r, q)) for q in pts]
     meet_of, down = [lat.top], [0]
     for q in range(1, 1 << len(pts)):
@@ -256,7 +279,7 @@ def _prime_sets(lat: Lattice, primes: int) -> tuple[tuple[int, ...], tuple[int, 
         down.append(down[q ^ low] | below[j])
     members = tuple(mask_of(x for x in range(lat.n) if meet_of[q & above[x]] == x)
                     for q in range(len(meet_of)))
-    return members, tuple(down)
+    return members, tuple(down), tuple(meet_of), above
 
 
 def enumerate_sublocales(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> SublocaleCoframe:

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from subloc import (CoframeWitness, FrameWitness, enumerate_sublocales,
                     is_sublocale, parse_lattice, serialize_lattice)
 from subloc.bits import mask_of
-from subloc.correspondence import subcolocale_lattice, surjection_of
+from subloc.correspondence import (quotient_map, quotient_order, subcolocale_lattice,
+                                   surjection_of)
 from subloc.corpus import gen_downsets_of_poset
 from subloc.subcolocales import (enumerate_subcolocales, generated_subcolocale,
                                  is_subcolocale)
+from subloc.sublocales import nucleus_element
 
 from oracles import (fit_mask, generated_closed_form, host_mismatches, host_read_mismatches,
                      is_exact_meet, precongruence_to_sublocale, sublocale_closure,
@@ -185,6 +187,31 @@ def test_subcolocale_lattice_matches_table_oracle(up_rows, data):
             subs = (generated_subcolocale(host, sum(1 << g for g in gens)),)
         for m in subs:
             assert subcolocale_lattice(host, m) == table_subcolocale_lattice(host, m)
+
+
+@given(posets())
+@settings(max_examples=100, deadline=None)
+def test_host_nucleus_matches_the_meet_of_members_above(up_rows):
+    fw = frame_of(up_rows)
+    sl = enumerate_sublocales(fw)
+    for host in (sl, sl.fitted_subcoframe()):
+        for i, m in enumerate(host.elems):
+            assert host.nucleus(i) == tuple(nucleus_element(fw, m, a)
+                                            for a in range(fw.lattice.n))
+
+
+@given(posets())
+@settings(max_examples=100, deadline=None)
+def test_quotients_of_equal_order_share_one_target(up_rows):
+    sl = enumerate_sublocales(frame_of(up_rows))
+    shared = {}
+    for i in range(sl.size):
+        want = surjection_of(sl, i)
+        key = quotient_order(sl, i)
+        assert key == want.target.lattice.up
+        target = shared.setdefault(key, want.target)
+        got = quotient_map(sl, i, target)
+        assert got.target == want.target and got.mapping == want.mapping
 
 
 @given(posets())

@@ -226,20 +226,70 @@ def test_correspondence_suite_builds_one_target_per_distinct_quotient(monkeypatc
     fw = FrameWitness.of(gen_chain(6))
     sl = enumerate_sublocales(fw)
     distinct = {surjection_of(sl, i).target for i in range(sl.size)}
-    built = []
-    real = report.enumerate_sublocales
+    misses, built = [], []
+    real_surjection, real_enumerate = report.surjection_of, report.enumerate_sublocales
+    monkeypatch.setattr(report, "surjection_of",
+                        lambda sl, i: misses.append(i) or real_surjection(sl, i))
     monkeypatch.setattr(report, "enumerate_sublocales",
-                        lambda frame, limits: built.append(frame) or real(frame, limits))
+                        lambda frame, limits: built.append(frame) or real_enumerate(frame, limits))
     shared = correspondence_suite("chain6", fw)
-    assert len(built) == 1 + len(distinct) == 7
-    # compared by identity no two quotient witnesses are equal, so each
-    # quotient gets a fresh target pair; the result is the same
+    # one key miss, one target witness and one target host per distinct quotient
+    assert len(misses) == len(distinct) == 6
+    assert len(built) == 1 + len(distinct)
+    # a key that never repeats builds a fresh target for every quotient; the
+    # result is the same
+    misses.clear()
     built.clear()
-    monkeypatch.setattr(FrameWitness, "__eq__", object.__eq__)
-    monkeypatch.setattr(FrameWitness, "__hash__", object.__hash__)
+    monkeypatch.setattr(report, "quotient_order", lambda sl, i: i)
     fresh = correspondence_suite("chain6", fw)
-    assert len(built) == 1 + sl.size == 33
+    assert len(misses) == sl.size == 32
+    assert len(built) == 1 + sl.size
     assert shared == fresh and shared["ok"]
+
+
+def test_downset_join_map_check_catches_a_wrong_right_adjoint(monkeypatch):
+    fw = FrameWitness.of(gen_chain(3))
+    assert correspondence_suite("chain3", fw)["ok"]
+
+    # every element to the top: its image {top} is a sublocale, but not the
+    # principal down-sets, and the right adjoint's own image cannot tell
+    def wrong(self, m):
+        return self.source.lattice.top
+
+    monkeypatch.setattr(correspondence.FrameMap, "right_adjoint", wrong)
+    result = correspondence_suite("chain3", fw)
+    check = next(c for c in result["checks"] if c["check"] == "downset-frame-join-map")
+    assert not check["ok"] and not result["ok"]
+    # the down-sets of the 3-chain are {}, {0}, {0, 1} and {0, 1, 2}, in
+    # that order; all but the empty one are principal
+    assert check["counterexamples"] == [{"induced": [3], "principal": [1, 2, 3]}]
+
+
+def test_sigma_of_each_fit_is_read_once_and_every_failing_d_listed(monkeypatch):
+    fw = FrameWitness.of(gen_chain(4))
+    sl = enumerate_sublocales(fw)
+    sl_o = sl.fitted_subcoframe()
+    sb_image = report.fit_image(sl, sl_o, report.sb(sl))
+    planted = sl_o.fit_of[sl.size - 1]
+    real = report.sigma
+    calls = []
+
+    def wrong_at_planted(sl, sl_o, fm, f):
+        out = real(sl, sl_o, fm, f)
+        if fm != sb_image:
+            return out
+        calls.append(f)
+        return sl.size - 1 - out if f == planted else out
+
+    monkeypatch.setattr(report, "sigma", wrong_at_planted)
+    result = report.adjunction_suite("chain4", fw)
+    check = next(c for c in result["checks"]
+                 if c["check"] == "conucleus-of-fit-equals-sigma-of-fit")
+    failing = [d for d in range(sl.size) if sl_o.fit_of[d] == planted]
+    assert len(failing) > 1 and check["counterexamples"] == failing[:5]
+    # the check reads sigma once for each fitted index, the first calls of
+    # the suite on sb's fit image; the Galois-connection check reads it later
+    assert calls[:sl_o.size] == list(range(sl_o.size)) and sl_o.size < sl.size
 
 
 def test_cli_rejects_unknown_command(c3_file):

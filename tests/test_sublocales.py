@@ -113,6 +113,15 @@ def test_nucleus_of_closed_is_join(corpus):
                 assert nucleus_element(cf.frame, om, x) == cf.frame.heyting_table[a][x]
 
 
+def test_host_nucleus_matches_the_meet_of_members_above(corpus, hosts):
+    for cf in corpus:
+        sl = hosts[cf.name]
+        for host in (sl, sl.fitted_subcoframe()):
+            for i, m in enumerate(host.elems):
+                assert host.nucleus(i) == tuple(nucleus_element(cf.frame, m, a)
+                                                for a in range(cf.frame.lattice.n))
+
+
 def test_closure_is_least_sublocale_around(corpus, hosts):
     for cf in corpus:
         lat = cf.frame.lattice
