@@ -485,11 +485,10 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
     bad = []
     for dm in (sb_m, ssp_m):
         fm = fit_image(sl, sl_o, dm)
+        sigma_at = {f: sigma(sl, sl_o, fm, f) for f in bits(fm)}
         for d in bits(dm):
-            for f in bits(fm):
-                left = sl_o.leq(sl_o.fit_of[d], f)
-                right = sl.leq(d, sigma(sl, sl_o, fm, f))
-                if left != right:
+            for f, s in sigma_at.items():
+                if sl_o.leq(sl_o.fit_of[d], f) != sl.leq(d, s):
                     bad.append((d, f))
     checks.add("fit-sigma-galois-connection", bad)
 
@@ -505,17 +504,25 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
             "ok": checks.ok, "checks": checks.items, "notes": notes}
 
 
+Targets = dict[tuple[int, ...], tuple[SZDBF, RaneyExtension]]
+
+
 def correspondence_suite(name: str, fw: FrameWitness,
-                         limits: Limits = DEFAULT_LIMITS) -> dict:
+                         limits: Limits = DEFAULT_LIMITS,
+                         targets: Targets | None = None) -> dict:
     """The correspondence checks.
 
     Each quotient is keyed by its order (:func:`quotient_order`) before
-    anything is built for it.  The first quotient of an order builds the
-    target witness (:func:`surjection_of`) and its target structures; every
-    later one maps onto that shared witness (:func:`quotient_map`), still
-    validated as a frame map and put through all three checks.  The
-    down-set frame is built first, so that an oversized one fails before
-    any lift is checked."""
+    anything is built for it.  ``targets`` maps an order to the target
+    structures built for it; a run over many frames passes one dict to
+    every call, and without one the call makes its own.  The frame's own
+    structures go in first under its order, which is that of its top
+    quotient.  A quotient of a new order builds the target witness
+    (:func:`surjection_of`) and its target structures; every other one maps
+    onto the stored witness (:func:`quotient_map`), still validated as a
+    frame map, so a witness of another order fails loudly, and put through
+    all three checks.  The down-set frame is built first, so that an
+    oversized one fails before any lift is checked."""
     checks = _Checks()
     notes = [FINITE_NOTE]
     _, eps = downset_frame(fw, limits)
@@ -534,10 +541,12 @@ def correspondence_suite(name: str, fw: FrameWitness,
         bad.append("round trip through the fitted side moved the subcolocale")
     checks.add("raney-szdbf-round-trip", bad)
 
+    if targets is None:
+        targets = {}
+    targets[fw.lattice.up] = b1, r1
     smooth_bad = []
     exact_bad = []
     surj_bad = []
-    targets: dict[tuple[int, ...], tuple[SZDBF, RaneyExtension]] = {}
     for i in range(sl.size):
         key = quotient_order(sl, i)
         pair = targets.get(key)
@@ -580,13 +589,14 @@ def correspondence_suite(name: str, fw: FrameWitness,
 
 
 def run_suite(suite: str, name: str, fw: FrameWitness,
-              limits: Limits = DEFAULT_LIMITS) -> dict:
+              limits: Limits = DEFAULT_LIMITS, targets: Targets | None = None) -> dict:
+    """Run one suite; ``targets`` reaches :func:`correspondence_suite`."""
     if suite == "laws":
         return laws_suite(name, fw, limits)
     if suite == "adjunction":
         return adjunction_suite(name, fw, limits)
     if suite == "correspondence":
-        return correspondence_suite(name, fw, limits)
+        return correspondence_suite(name, fw, limits, targets)
     raise ValueError(f"unknown suite {suite!r}")
 
 

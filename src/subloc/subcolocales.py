@@ -299,9 +299,10 @@ def ssp(sl: SublocaleCoframe) -> int:
 
 @_memoised("se", keyed=0)
 def se(sl: SublocaleCoframe) -> int:
-    """The exact sublocales, as a subset of the host indices."""
+    """The exact sublocales, as a subset of the host indices.  Each test
+    reads its nucleus off the host (:meth:`SublocaleCoframe.nucleus`)."""
     return mask_of(i for i, m in enumerate(sl.elems)
-                   if is_exact_sublocale(sl.ambient, m))
+                   if is_exact_sublocale(sl.ambient, m, nucleus=sl.nucleus(i)))
 
 
 # ---------------------------------------------------------------------------

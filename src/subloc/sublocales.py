@@ -416,7 +416,8 @@ def is_precongruence(fw: FrameWitness, rel: Sequence[int]) -> bool:
 # exactness of sublocales
 
 
-def is_exact_sublocale(fw: FrameWitness, members: int) -> bool:
+def is_exact_sublocale(fw: FrameWitness, members: int, *,
+                       nucleus: Sequence[int] | None = None) -> bool:
     """Whether the quotient surjection onto the sublocale preserves exact meets.
 
     For every exact meet of an ambient family, the nucleus image family
@@ -432,11 +433,17 @@ def is_exact_sublocale(fw: FrameWitness, members: int) -> bool:
     meets and has ``nu(nu(x) v t) = nu(x v t)``, so meeting ``nu(nu(x) v t)`` over an
     exact family with meet ``M`` gives ``nu(M v t)``, which is
     ``nu(m v t)`` once ``nu(M) = m`` for the meet ``m`` of the image.
+
+    A caller that has the sublocale's ``nucleus`` already, one entry per
+    frame element, passes it; otherwise each entry is computed with
+    :func:`nucleus_element`.
     """
     lat = fw.lattice
     meet = lat.meet_table
     exact = fw.exact_pairs[0]
-    nu = [nucleus_element(fw, members, a) for a in range(lat.n)]
+    nu = nucleus
+    if nu is None:
+        nu = [nucleus_element(fw, members, a) for a in range(lat.n)]
     for a in range(lat.n):
         row, nu_a = meet[a], meet[nu[a]]
         for b in bits_above(exact[a], a):

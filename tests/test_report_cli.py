@@ -225,6 +225,8 @@ def test_oversized_downset_frame_fails_before_any_lift(tmp_path, monkeypatch, ca
 def test_correspondence_suite_builds_one_target_per_distinct_quotient(monkeypatch):
     fw = FrameWitness.of(gen_chain(6))
     sl = enumerate_sublocales(fw)
+    top = sl.size - 1
+    assert report.quotient_order(sl, top) == fw.lattice.up
     distinct = {surjection_of(sl, i).target for i in range(sl.size)}
     misses, built = [], []
     real_surjection, real_enumerate = report.surjection_of, report.enumerate_sublocales
@@ -232,10 +234,14 @@ def test_correspondence_suite_builds_one_target_per_distinct_quotient(monkeypatc
                         lambda sl, i: misses.append(i) or real_surjection(sl, i))
     monkeypatch.setattr(report, "enumerate_sublocales",
                         lambda frame, limits: built.append(frame) or real_enumerate(frame, limits))
-    shared = correspondence_suite("chain6", fw)
-    # one key miss, one target witness and one target host per distinct quotient
-    assert len(misses) == len(distinct) == 6
-    assert len(built) == 1 + len(distinct)
+    targets = {}
+    shared = correspondence_suite("chain6", fw, targets=targets)
+    # the frame is its own top quotient, stored before the loop, so the top
+    # never misses; every other distinct quotient misses once and builds one
+    # target witness and one target host
+    assert len(misses) == len(distinct) - 1 == 5 and top not in misses
+    assert len(built) == 1 + len(misses)
+    assert len(targets) == len(distinct) and targets[fw.lattice.up][0].frame is fw
     # a key that never repeats builds a fresh target for every quotient; the
     # result is the same
     misses.clear()
@@ -245,6 +251,25 @@ def test_correspondence_suite_builds_one_target_per_distinct_quotient(monkeypatc
     assert len(misses) == sl.size == 32
     assert len(built) == 1 + sl.size
     assert shared == fresh and shared["ok"]
+
+
+def test_correspondence_suite_on_a_wrong_stored_target_fails_loudly(monkeypatch):
+    texts = [serialize_lattice(gen_chain(4)), serialize_lattice(gen_boolean(2))]
+    ups = [parse_lattice(t).up for t in texts]
+    payload = (texts, ("correspondence",), DEFAULT_LIMITS)
+    assert all(run[0]["ok"] for run in runner._run_chunk(payload))
+    # the two 4-element frames swap keys: the frame run second maps its top
+    # quotient onto the first frame's witness, which is no quotient of it
+    real = report.quotient_order
+    swap = {ups[0]: ups[1], ups[1]: ups[0]}
+
+    def swapped(sl, i):
+        key = real(sl, i)
+        return swap.get(key, key)
+
+    monkeypatch.setattr(report, "quotient_order", swapped)
+    with pytest.raises(ValueError, match="does not preserve"):
+        runner._run_chunk(payload)
 
 
 def test_downset_join_map_check_catches_a_wrong_right_adjoint(monkeypatch):
@@ -290,6 +315,25 @@ def test_sigma_of_each_fit_is_read_once_and_every_failing_d_listed(monkeypatch):
     # the check reads sigma once for each fitted index, the first calls of
     # the suite on sb's fit image; the Galois-connection check reads it later
     assert calls[:sl_o.size] == list(range(sl_o.size)) and sl_o.size < sl.size
+    # sb and ssp are the whole host, so sb's fit image is the full fitted
+    # collection: the two checks before read each fitted index once on it,
+    # and the Galois-connection check once for each of sb and ssp
+    assert len(calls) == 5 * sl_o.size
+    assert calls[-2 * sl_o.size:] == 2 * list(range(sl_o.size))
+
+
+def test_galois_connection_check_lists_every_failing_pair_d_first(monkeypatch):
+    fw = FrameWitness.of(gen_chain(4))
+    sl = enumerate_sublocales(fw)
+    sl_o = sl.fitted_subcoframe()
+    # sigma planted as the bottom sublocale for every fitted index
+    monkeypatch.setattr(report, "sigma", lambda sl, sl_o, fm, f: 0)
+    result = report.adjunction_suite("chain4", fw)
+    check = next(c for c in result["checks"] if c["check"] == "fit-sigma-galois-connection")
+    expect = [(d, f) for d in range(sl.size) for f in range(sl_o.size)
+              if sl_o.leq(sl_o.fit_of[d], f) != sl.leq(d, 0)]
+    assert len({f for _, f in expect[:5]}) > 1 and len({d for d, _ in expect[:5]}) > 1
+    assert check["counterexamples"] == expect[:5]
 
 
 def test_cli_rejects_unknown_command(c3_file):
@@ -318,13 +362,38 @@ def sampled_report():
 def test_corpus_report_runs_each_distinct_text_once(monkeypatch):
     calls = []
 
-    def counted(suite, name, fw, limits):
+    def counted(suite, name, fw, limits, targets):
         calls.append(suite)
-        return run_suite(suite, name, fw, limits)
+        return run_suite(suite, name, fw, limits, targets)
 
     monkeypatch.setattr(runner, "run_suite", counted)
     rep = corpus_report(("laws",), jobs=1)
     assert (len(calls), len(rep["results"])) == (15, 39)
+
+
+def test_sampled_corpus_serial_run_builds_no_target(monkeypatch):
+    # every quotient order of the sampled corpus is the order of one of its
+    # frames, which a serial run holds in its one chunk, smallest first
+    built, mapped = [], []
+    real_map = report.quotient_map
+    monkeypatch.setattr(report, "surjection_of", lambda sl, i: built.append(i))
+    monkeypatch.setattr(report, "quotient_map",
+                        lambda sl, i, target: mapped.append(i) or real_map(sl, i, target))
+    rep = corpus_report(("correspondence",), points4=20, seed=0, jobs=1)
+    # the 331 quotients of the 28 distinct texts all map onto stored targets
+    assert rep["ok"] and built == []
+    assert len(mapped) == 331
+
+
+def test_corpus_report_equals_a_fresh_run_for_every_frame(sampled_report):
+    rep, texts = sampled_report
+    by_frame = {}
+    for r in rep["results"]:
+        by_frame.setdefault(r["frame"], []).append(r)
+    assert len(by_frame) == 59
+    for name, text in texts.items():
+        fw = FrameWitness.of(parse_lattice(text))
+        assert by_frame[name] == [run_suite(suite, name, fw) for suite in rep["suites"]]
 
 
 def test_corpus_report_duplicates_equal_their_own_runs(sampled_report):
@@ -367,6 +436,12 @@ def test_corpus_report_pooled_matches_serial_on_every_suite(sampled_report):
     rep, _ = sampled_report
     assert rep["suites"] == ["laws", "adjunction", "correspondence"]
     assert corpus_report(points4=20, seed=0, jobs=2) == rep
+
+
+def test_corpus_report_three_workers_match_serial(sampled_report):
+    # 28 distinct texts deal into chunks of 10, 9 and 9
+    rep, _ = sampled_report
+    assert corpus_report(points4=20, seed=0, jobs=3) == rep
 
 
 def test_cli_report_command(capsys):

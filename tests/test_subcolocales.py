@@ -18,6 +18,7 @@ from subloc.config import DEFAULT_LIMITS
 from subloc.corpus import gen_boolean, gen_chain, gen_product, standard_corpus
 from subloc.report import adjunction_suite
 from subloc.subcolocales import _meet_irreducibles
+from subloc.sublocales import nucleus_element
 
 from oracles import (NaiveOps, fresh_sublocales, generated_closed_form, host_read_mismatches,
                      scan_conucleus, scan_generated_subcolocale, scan_is_subcolocale,
@@ -155,6 +156,26 @@ def test_distinguished_subcolocales_fill_everything(corpus, hosts):
         assert sb(host) == full
         assert ssp(host) == full
         assert se(host) == full
+
+
+def test_se_passes_each_sublocale_its_own_nucleus(corpus, monkeypatch):
+    # fresh hosts, since se is kept on the host after its first read
+    seen = []
+    real = subcolocales.is_exact_sublocale
+
+    def recorded(fw, members, *, nucleus=None):
+        seen.append((members, nucleus))
+        return real(fw, members, nucleus=nucleus)
+
+    monkeypatch.setattr(subcolocales, "is_exact_sublocale", recorded)
+    for cf in corpus:
+        fw = cf.frame
+        host = fresh_sublocales(fw)
+        seen.clear()
+        se(host)
+        assert [m for m, _ in seen] == list(host.elems)
+        for m, nu in seen:
+            assert list(nu) == [nucleus_element(fw, m, a) for a in range(fw.lattice.n)]
 
 
 def test_sb_is_smallest_codense(hosts):
