@@ -458,8 +458,10 @@ def powerset_lift(src: SublocaleCoframe, dst: SublocaleCoframe, atoms: Sequence[
 
 
 def downset_frame(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS
-                  ) -> tuple[FrameWitness, FrameMap]:
-    """The frame of down-sets of the underlying order, with the join map.
+                  ) -> tuple[FrameWitness, FrameMap, tuple[int, ...]]:
+    """The frame of down-sets of the underlying order, with the join map and
+    the down-sets themselves, as masks of frame elements in the order of
+    the down-set frame's elements (:func:`~subloc.corpus.downset_masks`).
 
     The map sends a down-set to its join; it is a surjective frame map
     whose right adjoint picks out principal down-sets.
@@ -467,7 +469,7 @@ def downset_frame(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS
     masks = downset_masks(fw.lattice.up, limits)
     dl = FrameWitness.of(inclusion_lattice(masks))
     eps = FrameMap.of(dl, fw, tuple(fw.lattice.big_join(m) for m in masks))
-    return dl, eps
+    return dl, eps, masks
 
 
 def right_adjoint_image(f: FrameMap) -> int:

@@ -14,7 +14,6 @@ from typing import Any
 
 from .bits import bit, bits, bits_above, mask_of
 from .config import DEFAULT_LIMITS, Limits
-from .corpus import downset_masks
 from .correspondence import (SZDBF, RaneyExtension, downset_frame, is_exact_map,
                              quotient_map, quotient_order, raney_lift_check,
                              right_adjoint_image, surjection_of, szdbf_lift_check,
@@ -33,6 +32,13 @@ from .sublocales import (SublocaleCoframe, b_mask, closed_mask,
 
 SCHEMA_VERSION = 1
 
+# The note's text is part of every correspondence report, so it stays
+# as pinned.  Why exact = all holds too: a prime lies above ``a ^ b`` iff it
+# lies above ``a`` or ``b``, so every nucleus ``nu(a) = meet_of[Q &
+# above[a]]`` keeps binary meets, which is all that exactness asks
+# (:meth:`SublocaleCoframe.meets_split_primes`, checked once per host by
+# ``se``).  Properness is cross-checked on the principal rows of each
+# member's relation (:func:`subloc.sublocales.is_principal_precongruence`).
 FINITE_NOTE = (
     "at finite scale every sublocale is a finite join of closed-meet-open "
     "rectangles, so the smallest codense subcolocale is the whole sublocale "
@@ -525,7 +531,7 @@ def correspondence_suite(name: str, fw: FrameWitness,
     oversized one fails before any lift is checked."""
     checks = _Checks()
     notes = [FINITE_NOTE]
-    _, eps = downset_frame(fw, limits)
+    _, eps, downsets = downset_frame(fw, limits)
 
     sl = enumerate_sublocales(fw, limits)
     sb_m = sb(sl)
@@ -572,7 +578,7 @@ def correspondence_suite(name: str, fw: FrameWitness,
     # its mask in the down-set frame's order
     bad = []
     ideal = right_adjoint_image(eps)
-    downset_index = {m: d for d, m in enumerate(downset_masks(fw.lattice.up, limits))}
+    downset_index = {m: d for d, m in enumerate(downsets)}
     expect = mask_of(downset_index[dn] for dn in fw.lattice.dn)
     if ideal != expect:
         bad.append({"induced": sorted(bits(ideal)), "principal": sorted(bits(expect))})

@@ -11,12 +11,16 @@ host's lattice in :func:`_open_joins_exact` and the dual lattice of a
 host in :func:`enumerate_subcolocales`.  Trimming a sublocale by an open
 or a closed is a host meet with an entry of ``open_index`` or
 ``closed_index``; :func:`closed_trims` joins up the closed trims of a set
-of members, which gives ``sb``, ``delta`` and the essentiality test.  Crossing from ``S(L)``
-to ``S_o(L)`` and back is a lookup in the fitted host's translation table
-``fit_of`` / ``full_index``.  Only ``se`` reads sublocales as sets of
-frame elements, because exactness is a property of the quotient onto
-them.  The subcolocales of a host are the sublocales of its dual frame,
-so :func:`enumerate_subcolocales` builds them as ``S(L)`` is built.
+of members, which gives ``sb``, ``delta`` and the essentiality test.
+Crossing from ``S(L)`` to ``S_o(L)`` and back is a lookup in the fitted
+host's translation table ``fit_of`` / ``full_index``.  No sublocale is
+read as a set of frame elements.  Exactness, a property of the quotient
+onto a sublocale, holds for all of them by one identity of the frame's
+prime sets, checked once per host (``se``); the precongruence
+cross-check of ``is_proper`` reads each member's relation as a map on
+the frame's elements, its rows being principal up-sets.  The
+subcolocales of a host are the sublocales of its dual frame, so
+:func:`enumerate_subcolocales` builds them as ``S(L)`` is built.
 
 The calculus connects two hosts: collections ``F`` of fitted sublocales
 that are *proper* (contain all opens, with exact joins of opens) and
@@ -43,8 +47,7 @@ from typing import Sequence
 from .bits import bit, bits, mask_of
 from .errors import InternalInconsistency, NotProper
 from .lattice import join_irreducibles
-from .sublocales import (SublocaleCoframe, _prime_sets, is_exact_sublocale,
-                         is_precongruence)
+from .sublocales import SublocaleCoframe, _prime_sets, is_principal_precongruence
 
 
 _MISSING = object()
@@ -299,10 +302,20 @@ def ssp(sl: SublocaleCoframe) -> int:
 
 @_memoised("se", keyed=0)
 def se(sl: SublocaleCoframe) -> int:
-    """The exact sublocales, as a subset of the host indices.  Each test
-    reads its nucleus off the host (:meth:`SublocaleCoframe.nucleus`)."""
-    return mask_of(i for i, m in enumerate(sl.elems)
-                   if is_exact_sublocale(sl.ambient, m, nucleus=sl.nucleus(i)))
+    """The exact sublocales, as a subset of the host indices: all of them.
+
+    A sublocale is exact when its nucleus keeps the meets of the exact
+    pairs (:func:`~subloc.sublocales.is_exact_sublocale`), and every
+    nucleus the host reads keeps every binary meet once the primes above
+    ``a ^ b`` are those above ``a`` or ``b``
+    (:meth:`SublocaleCoframe.meets_split_primes`).  That identity is
+    checked once per host, on every pair; it holds on every frame, so its
+    failure raises :class:`InternalInconsistency`.
+    ``tests/oracles.py::scan_se`` tests each sublocale on its own.
+    """
+    if not sl.meets_split_primes():
+        raise InternalInconsistency("the primes above a meet are not those above either element")
+    return (1 << sl.size) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +337,45 @@ def leq_f(sl_o: SublocaleCoframe, members: int, f: int) -> tuple[int, ...]:
     return tuple(above[con[sl_o.meet(f, o)]] for o in sl_o.open_index)
 
 
+def least_related(sl_o: SublocaleCoframe, members: int, f: int) -> tuple[int, ...]:
+    """For each frame element ``x``, the least ``y`` with ``x`` related to
+    ``y`` by :func:`leq_f`: ``least_open_above`` of the conucleus of ``f ^
+    open(x)``, the meet of row ``x``."""
+    least, con = sl_o.least_open_above, conuclei(sl_o, members)
+    return tuple([least[con[sl_o.meet(f, o)]] for o in sl_o.open_index])
+
+
+@_memoised("principal_rows", keyed=0)
+def _principal_rows(sl_o: SublocaleCoframe) -> bool:
+    """Whether every ``opens_above`` row of the fitted host is the principal
+    up-set of its ``least_open_above`` entry, as
+    :attr:`SublocaleCoframe.least_open_above` proves it is; then row ``x``
+    of :func:`leq_f` is the up-set of ``least_open_above[c]``."""
+    up = sl_o.ambient.lattice.up
+    return all(row == up[g] for row, g in zip(sl_o.opens_above, sl_o.least_open_above))
+
+
 @_memoised("proper")
 def is_proper(sl_o: SublocaleCoframe, members: int) -> bool:
     """Contains every open, and joins of opens are exact in the subcolocale.
 
     Cross-checked against the precongruence criterion: every member's
-    induced relation must be a precongruence of the ambient frame.
+    induced relation (:func:`leq_f`) must be a precongruence of the ambient
+    frame.  Row ``x`` of that relation is the ``opens_above`` row of ``c``,
+    the conucleus of ``f ^ open(x)``, which is the principal up-set of
+    ``g(x) = least_open_above[c]`` (:func:`_principal_rows`, checked once
+    per host), so the relation is decided on ``g`` (:func:`least_related`)
+    by :func:`~subloc.sublocales.is_principal_precongruence`, at ``n |J|``
+    lookups per member where the generic check walks ``n^2`` row bits.
     """
     opens = mask_of(sl_o.open_index)
     if opens & ~members:
         return False
     exact = _open_joins_exact(sl_o, members)
+    if not _principal_rows(sl_o):
+        raise InternalInconsistency("an opens_above row is not a principal up-set")
     via_precongruence = all(
-        is_precongruence(sl_o.ambient, leq_f(sl_o, members, f))
+        is_principal_precongruence(sl_o.ambient, least_related(sl_o, members, f))
         for f in bits(members))
     if exact != via_precongruence:
         raise InternalInconsistency("properness criteria disagree")

@@ -18,7 +18,8 @@ definitions, which the package replaces by quadratic equivalents (unit,
 counit and monotonicity for an adjunction, join-irreducibles for
 distributivity, pairwise meets for joins of sublocales, each row's meet and
 each column's join for the stability of a precongruence, one join per
-element for ``sigma``) or, on ``S(L)``, by tests on the covers of the
+element for ``sigma``, one identity of the frame for the exactness of
+every sublocale) or, on ``S(L)``, by tests on the covers of the
 powerset of the primes (all pairs here).  Subcolocales
 and down-sets are found by testing every subset where the package
 generates them.  At the very end, subcolocales and quotient frames become
@@ -41,8 +42,8 @@ from subloc.config import DEFAULT_LIMITS
 from subloc.correspondence import extend_to_coframe_map, subcolocale_lattice
 from subloc.lattice import CoframeWitness, FrameWitness, Lattice, covers
 from subloc.subcolocales import closed_trims, _trims, is_proper, leq_f, point_sublocales, sb
-from subloc.sublocales import (SublocaleCoframe, b_mask, closed_mask, is_precongruence,
-                               is_sublocale, nucleus_element, open_mask)
+from subloc.sublocales import (SublocaleCoframe, b_mask, closed_mask, is_exact_sublocale,
+                               is_precongruence, is_sublocale, nucleus_element, open_mask)
 
 
 def submasks(mask: int):
@@ -351,6 +352,14 @@ def scan_exact_sublocale(fw, members: int, fams) -> bool:
             if acc != nucleus_element(fw, members, lat.join_table[bm][t]):
                 return False
     return True
+
+
+def scan_se(sl) -> int:
+    """``se`` by one :func:`is_exact_sublocale` per sublocale, each with the
+    host's nucleus (:meth:`SublocaleCoframe.nucleus`): ``k`` scans of the
+    exact pairs, where the package checks one identity of the frame."""
+    return mask_of(i for i, m in enumerate(sl.elems)
+                   if is_exact_sublocale(sl.ambient, m, nucleus=sl.nucleus(i)))
 
 
 def scan_open_joins_exact(sl_o, members: int, fams) -> bool:

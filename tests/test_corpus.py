@@ -69,8 +69,9 @@ def test_downsets_match_the_scan(corpus):
 
 def test_downset_frame_of_a_long_chain():
     # 17 points were over the ground bound of the subset scan
-    dl, eps = downset_frame(FrameWitness.of(gen_chain(17)))
+    dl, eps, masks = downset_frame(FrameWitness.of(gen_chain(17)))
     assert dl.lattice == gen_chain(18)
+    assert masks == tuple((1 << k) - 1 for k in range(18))
     assert eps.mapping == (0,) + tuple(range(17))
 
 

@@ -520,14 +520,16 @@ def test_lift_verdicts_are_pinned(corpus, hosts):
 
 
 def test_downset_frame_of_chain2_is_chain3():
-    dl, eps = downset_frame(FrameWitness.of(gen_chain(2)))
+    dl, eps, masks = downset_frame(FrameWitness.of(gen_chain(2)))
     assert dl.lattice == gen_chain(3)
+    assert masks == (0b00, 0b01, 0b11)
     assert eps.mapping == (0, 0, 1)
 
 
 def test_downset_frame_of_boolean2_frozen(b2):
-    dl, eps = downset_frame(b2)
+    dl, eps, masks = downset_frame(b2)
     assert dl.lattice.n == 6
+    assert masks == (0b0000, 0b0001, 0b0011, 0b0101, 0b0111, 0b1111)
     assert eps.mapping == (0, 0, 1, 2, 3, 3)
     assert right_adjoint_image(eps) == 0b101110
     assert is_exact_map(eps)
@@ -537,10 +539,11 @@ def test_downset_frame_right_adjoint_is_principal(corpus):
     for cf in corpus:
         if cf.frame.lattice.n > 6:
             continue
-        dl, eps = downset_frame(cf.frame)
+        dl, eps, masks = downset_frame(cf.frame)
         image = right_adjoint_image(eps)
         assert bin(image).count("1") == cf.frame.lattice.n
         for a in range(cf.frame.lattice.n):
             down = eps.right_adjoint(a)
             assert eps(down) == a
+            assert masks[down] == cf.frame.lattice.dn[a]
             assert (image >> down) & 1

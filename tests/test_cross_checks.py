@@ -42,7 +42,7 @@ raised = {
     "is_subcolocale": planted(sc, "_is_subcolocale_characterized",
                               lambda host, m: not sc._is_subcolocale_raw(host, m),
                               lambda: sc.is_subcolocale(sl, 1)),
-    "is_proper": planted(sc, "is_precongruence", lambda fw, rel: False,
+    "is_proper": planted(sc, "is_principal_precongruence", lambda fw, g: False,
                          lambda: sc.is_proper(sl_o, full_o)),
     "delta": planted(sc, "generated_subcolocale", lambda host, m: 0,
                      lambda: sc.delta(sl, sl_o, full_o)),

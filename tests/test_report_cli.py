@@ -296,7 +296,7 @@ def test_sigma_of_each_fit_is_read_once_and_every_failing_d_listed(monkeypatch):
     sl_o = sl.fitted_subcoframe()
     sb_image = report.fit_image(sl, sl_o, report.sb(sl))
     planted = sl_o.fit_of[sl.size - 1]
-    real = report.sigma
+    real, real_add = report.sigma, report._Checks.add
     calls = []
 
     def wrong_at_planted(sl, sl_o, fm, f):
@@ -306,20 +306,33 @@ def test_sigma_of_each_fit_is_read_once_and_every_failing_d_listed(monkeypatch):
         calls.append(f)
         return sl.size - 1 - out if f == planted else out
 
+    def marked(checks, name, violations):
+        # a check's entry follows the sigma reads it made
+        calls.append(name)
+        real_add(checks, name, violations)
+
     monkeypatch.setattr(report, "sigma", wrong_at_planted)
+    monkeypatch.setattr(report._Checks, "add", marked)
     result = report.adjunction_suite("chain4", fw)
     check = next(c for c in result["checks"]
                  if c["check"] == "conucleus-of-fit-equals-sigma-of-fit")
     failing = [d for d in range(sl.size) if sl_o.fit_of[d] == planted]
     assert len(failing) > 1 and check["counterexamples"] == failing[:5]
-    # the check reads sigma once for each fitted index, the first calls of
-    # the suite on sb's fit image; the Galois-connection check reads it later
-    assert calls[:sl_o.size] == list(range(sl_o.size)) and sl_o.size < sl.size
+
+    def read_by(name):
+        end = calls.index(name)
+        start = max(i for i, c in enumerate(calls[:end]) if isinstance(c, str))
+        return calls[start + 1:end]
+
+    # the check reads sigma on sb's fit image once for each fitted index,
+    # not once for each of the sl.size indices d
+    assert read_by("conucleus-of-fit-equals-sigma-of-fit") == list(range(sl_o.size))
+    assert sl_o.size < sl.size
     # sb and ssp are the whole host, so sb's fit image is the full fitted
     # collection: the two checks before read each fitted index once on it,
     # and the Galois-connection check once for each of sb and ssp
-    assert len(calls) == 5 * sl_o.size
-    assert calls[-2 * sl_o.size:] == 2 * list(range(sl_o.size))
+    assert len([c for c in calls if isinstance(c, int)]) == 5 * sl_o.size
+    assert read_by("fit-sigma-galois-connection") == 2 * list(range(sl_o.size))
 
 
 def test_galois_connection_check_lists_every_failing_pair_d_first(monkeypatch):

@@ -13,16 +13,15 @@ from subloc import (CoframeWitness, FrameWitness, InternalInconsistency, NotProp
                     generated_subcolocale,
                     is_codense, is_essential, is_proper, is_subcolocale,
                     join_closure, leq_f, saturated_elements, sb, se, sigma, ssp)
-from subloc.bits import bits, mask_of
+from subloc.bits import bit, bits, mask_of
 from subloc.config import DEFAULT_LIMITS
 from subloc.corpus import gen_boolean, gen_chain, gen_product, standard_corpus
 from subloc.report import adjunction_suite
 from subloc.subcolocales import _meet_irreducibles
-from subloc.sublocales import nucleus_element
 
 from oracles import (NaiveOps, fresh_sublocales, generated_closed_form, host_read_mismatches,
                      scan_conucleus, scan_generated_subcolocale, scan_is_subcolocale,
-                     scan_join_closure, scan_sigma, scan_subcolocales)
+                     scan_join_closure, scan_se, scan_sigma, scan_subcolocales)
 
 
 def host_naive_ops(host):
@@ -158,24 +157,39 @@ def test_distinguished_subcolocales_fill_everything(corpus, hosts):
         assert se(host) == full
 
 
-def test_se_passes_each_sublocale_its_own_nucleus(corpus, monkeypatch):
-    # fresh hosts, since se is kept on the host after its first read
-    seen = []
-    real = subcolocales.is_exact_sublocale
+def planted_above(fw, a: int, b: int):
+    """A fresh host that takes the primes above ``b`` for those above ``a``,
+    both in its nuclei and in ``se``'s identity."""
+    host = fresh_sublocales(fw)
+    members, down, meet_of, above = host._prime_tables
+    host._prime_tables = members, down, meet_of, above[:a] + (above[b],) + above[a + 1:]
+    return host
 
-    def recorded(fw, members, *, nucleus=None):
-        seen.append((members, nucleus))
-        return real(fw, members, nucleus=nucleus)
 
-    monkeypatch.setattr(subcolocales, "is_exact_sublocale", recorded)
+def test_se_matches_the_per_sublocale_scan(corpus):
+    # se reads one identity of the frame, the scan each sublocale's nucleus;
+    # a planted row of primes gives wrong nuclei, some of them inexact, and
+    # then se must raise, since the identity alone makes every one exact
+    verdicts, raised = set(), 0
     for cf in corpus:
         fw = cf.frame
+        n = fw.lattice.n
         host = fresh_sublocales(fw)
-        seen.clear()
-        se(host)
-        assert [m for m, _ in seen] == list(host.elems)
-        for m, nu in seen:
-            assert list(nu) == [nucleus_element(fw, m, a) for a in range(fw.lattice.n)]
+        assert se(host) == scan_se(host) == (1 << host.size) - 1
+        if n > 5:
+            continue
+        for a in range(n):
+            for b in range(n):
+                host = planted_above(fw, a, b)
+                want = scan_se(host)
+                verdicts.add(want == (1 << host.size) - 1)
+                try:
+                    got = se(host)
+                except InternalInconsistency:
+                    raised += 1
+                    continue
+                assert got == want, (cf.name, a, b)
+    assert verdicts == {True, False} and raised
 
 
 def test_sb_is_smallest_codense(hosts):
@@ -241,6 +255,23 @@ def test_full_fitted_collection_is_proper(corpus, hosts):
     for cf in corpus:
         slo = hosts[cf.name].fitted_subcoframe()
         assert is_proper(slo, (1 << slo.size) - 1)
+
+
+def test_a_non_principal_opens_above_row_raises(hosts):
+    # every row of opens_above is principal on a frame; a row without the
+    # top is not, wherever it is planted
+    planted = 0
+    for name in ("chain3", "bool2", "top3-00"):
+        fw = hosts[name].ambient
+        for c in range(hosts[name].fitted_subcoframe().size):
+            sl_o = fresh_sublocales(fw).fitted_subcoframe()
+            rows = list(sl_o.opens_above)
+            rows[c] &= ~bit(fw.lattice.top)
+            sl_o.opens_above = tuple(rows)
+            with pytest.raises(InternalInconsistency):
+                is_proper(sl_o, (1 << sl_o.size) - 1)
+            planted += 1
+    assert planted > 3
 
 
 def test_improper_collection_detected():

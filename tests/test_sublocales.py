@@ -9,10 +9,10 @@ from subloc.bits import bit, bits
 from subloc import sublocales
 from subloc.corpus import gen_boolean, gen_chain, gen_opens_of_topology, gen_product
 from subloc.report import laws_suite
-from subloc.subcolocales import enumerate_subcolocales, leq_f
+from subloc.subcolocales import enumerate_subcolocales, least_related, leq_f
 from subloc.lattice import FrameWitness
-from subloc.sublocales import (all_filters, b_mask, closed_mask, nucleus_element,
-                               open_mask)
+from subloc.sublocales import (all_filters, b_mask, closed_mask, is_principal_precongruence,
+                               nucleus_element, open_mask)
 
 from oracles import (NaiveOps, Precongruence, fit_mask, generate_sublocales, host_mismatches,
                      precongruence_to_sublocale, scan_filters, sublocale_closure,
@@ -269,9 +269,12 @@ def collapsed(lat, keep: int) -> tuple[int, ...]:
 
 def test_precongruence_matches_the_pairwise_scan(corpus):
     # leq_f of every subcolocale of a corpus fitted host is a precongruence;
-    # random masks of the host, which need not be subcolocales, give the rest
+    # random masks of the host, which need not be subcolocales, give the rest.
+    # Its rows are the up-sets of least_related, which the principal check
+    # reads; that check also meets random maps and maps x -> x ^ c (which
+    # pass) with one entry moved
     rng = random.Random(3307)
-    verdicts = {"row": [], "column": [], "leq_f": []}
+    verdicts = {"row": [], "column": [], "leq_f": [], "map": []}
     for cf in corpus:
         fw = cf.frame
         lat = fw.lattice
@@ -287,12 +290,24 @@ def test_precongruence_matches_the_pairwise_scan(corpus):
         sl_o = enumerate_sublocales(fw).fitted_subcoframe()
         masks = list(enumerate_subcolocales(sl_o))
         masks += [rng.randrange(1 << sl_o.size) for _ in range(4)]
+        maps = []
         for members in masks:
             for f in bits(members):
-                rel = leq_f(sl_o, members, f)
-                got = is_precongruence(fw, rel)
-                assert got == scan_precongruence(fw, rel), (cf.name, members, f)
-                verdicts["leq_f"].append(got)
+                g = least_related(sl_o, members, f)
+                assert leq_f(sl_o, members, f) == tuple(lat.up[y] for y in g)
+                maps.append(("leq_f", g))
+        n = lat.n
+        for _ in range(8):
+            g = list(lat.meet_table[rng.randrange(n)])
+            g2 = g[:]
+            g2[rng.randrange(n)] = rng.randrange(n)
+            maps += [("map", g), ("map", g2), ("map", [rng.randrange(n) for _ in range(n)])]
+        for kind, g in maps:
+            rel = tuple(lat.up[y] for y in g)
+            got = is_precongruence(fw, rel)
+            assert got == scan_precongruence(fw, rel) == is_principal_precongruence(fw, g), \
+                (cf.name, g)
+            verdicts[kind].append(got)
     assert all(set(v) == {True, False} for v in verdicts.values())
 
 
