@@ -13,14 +13,15 @@ or a closed is a host meet with an entry of ``open_index`` or
 ``closed_index``; :func:`closed_trims` joins up the closed trims of a set
 of members, which gives ``sb``, ``delta`` and the essentiality test.
 Crossing from ``S(L)`` to ``S_o(L)`` and back is a lookup in the fitted
-host's translation table ``fit_of`` / ``full_index``.  No sublocale is
-read as a set of frame elements.  Exactness, a property of the quotient
-onto a sublocale, holds for all of them by one identity of the frame's
-prime sets, checked once per host (``se``); the precongruence
-cross-check of ``is_proper`` reads each member's relation as a map on
-the frame's elements, its rows being principal up-sets.  The
-subcolocales of a host are the sublocales of its dual frame, so
-:func:`enumerate_subcolocales` builds them as ``S(L)`` is built.
+host's translation table ``fit_of`` / ``full_index``.  Exactness, a
+property of the quotient onto a sublocale, holds for all of them by one
+identity of the frame's prime sets, checked once per host (``se``); its
+cross-check on the point sublocales is the only place a sublocale is
+read as a set of frame elements.  The precongruence cross-check of
+``is_proper`` reads each member's relation as a map on the frame's
+elements, its rows being principal up-sets.  The subcolocales of a host
+are the sublocales of its dual frame, so :func:`enumerate_subcolocales`
+builds them as ``S(L)`` is built.
 
 The calculus connects two hosts: collections ``F`` of fitted sublocales
 that are *proper* (contain all opens, with exact joins of opens) and
@@ -47,7 +48,8 @@ from typing import Sequence
 from .bits import bit, bits, mask_of
 from .errors import InternalInconsistency, NotProper
 from .lattice import join_irreducibles
-from .sublocales import SublocaleCoframe, _prime_sets, is_principal_precongruence
+from .sublocales import (SublocaleCoframe, _prime_sets, is_exact_sublocale,
+                         is_principal_precongruence)
 
 
 _MISSING = object()
@@ -312,8 +314,25 @@ def se(sl: SublocaleCoframe) -> int:
     checked once per host, on every pair; it holds on every frame, so its
     failure raises :class:`InternalInconsistency`.
     ``tests/oracles.py::scan_se`` tests each sublocale on its own.
+
+    Cross-checked on the point sublocales (:func:`point_sublocales`), by
+    :func:`~subloc.sublocales.is_exact_sublocale` on every pair with the
+    nucleus read off the members: ``b(p) = {p, top}`` sends ``a`` to ``p``
+    when ``a <= p`` and to the top otherwise, so it keeps the meet of ``a``
+    and ``b`` iff ``p`` is above ``a ^ b`` only when it is above ``a`` or
+    ``b``, which is the identity at the prime ``p``.  Every prime has its
+    point sublocale, so the two verdicts agree, or
+    :class:`InternalInconsistency` is raised.  That is ``p`` scans of the
+    ``n^2 / 2`` pairs per host, and no exact-pair table.
     """
-    if not sl.meets_split_primes():
+    split = sl.meets_split_primes()
+    fw = sl.ambient
+    every_pair = (fw.lattice.full_mask,) * fw.n
+    points_exact = all(is_exact_sublocale(fw, sl.elems[i], pairs=every_pair)
+                       for i in bits(point_sublocales(sl)))
+    if split != points_exact:
+        raise InternalInconsistency("exactness criteria disagree")
+    if not split:
         raise InternalInconsistency("the primes above a meet are not those above either element")
     return (1 << sl.size) - 1
 

@@ -484,7 +484,8 @@ def is_principal_precongruence(fw: FrameWitness, g: Sequence[int]) -> bool:
 
 
 def is_exact_sublocale(fw: FrameWitness, members: int, *,
-                       nucleus: Sequence[int] | None = None) -> bool:
+                       nucleus: Sequence[int] | None = None,
+                       pairs: Sequence[int] | None = None) -> bool:
     """Whether the quotient surjection onto the sublocale preserves exact meets.
 
     For every exact meet of an ambient family, the nucleus image family
@@ -503,17 +504,20 @@ def is_exact_sublocale(fw: FrameWitness, members: int, *,
 
     A caller that has the sublocale's ``nucleus`` already, one entry per
     frame element, passes it; otherwise each entry is computed with
-    :func:`nucleus_element`.
+    :func:`nucleus_element`.  Row ``a`` of ``pairs`` masks the ``b`` to
+    test with ``a``; it defaults to the exact pairs.  On a frame every pair
+    is exact, so a caller that has a frame may pass full rows and skip the
+    ``n^3`` table.
 
     On a frame every sublocale passes, as every nucleus keeps binary meets
     (:meth:`SublocaleCoframe.meets_split_primes`), so
     :func:`subloc.subcolocales.se` checks that identity once per host and
-    calls no test here; ``tests/oracles.py::scan_se`` calls it per
-    sublocale.
+    calls this test on the point sublocales only, as its double entry;
+    ``tests/oracles.py::scan_se`` calls it per sublocale.
     """
     lat = fw.lattice
     meet = lat.meet_table
-    exact = fw.exact_pairs[0]
+    exact = fw.exact_pairs[0] if pairs is None else pairs
     nu = nucleus
     if nu is None:
         nu = [nucleus_element(fw, members, a) for a in range(lat.n)]

@@ -42,6 +42,8 @@ raised = {
     "is_subcolocale": planted(sc, "_is_subcolocale_characterized",
                               lambda host, m: not sc._is_subcolocale_raw(host, m),
                               lambda: sc.is_subcolocale(sl, 1)),
+    "se": planted(sc, "is_exact_sublocale", lambda fw, m, **kw: False,
+                  lambda: sc.se(enumerate_sublocales(FrameWitness.of(gen_chain(4))))),
     "is_proper": planted(sc, "is_principal_precongruence", lambda fw, g: False,
                          lambda: sc.is_proper(sl_o, full_o)),
     "delta": planted(sc, "generated_subcolocale", lambda host, m: 0,
@@ -72,7 +74,7 @@ def test_planted_disagreements_raise_under_python_O():
     got = json.loads(out)
     assert got["debug"] is False
     assert got["raised"] == dict.fromkeys(got["raised"], True)
-    assert len(got["raised"]) == 8
+    assert len(got["raised"]) == 9
 
 
 def test_cli_exits_1_on_an_internal_inconsistency(tmp_path, monkeypatch, capsys):

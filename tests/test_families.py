@@ -114,8 +114,11 @@ def test_exact_sublocale_matches_the_scan_on_arbitrary_masks(corpus):
     # every mask of the small witnesses, the sublocales and random masks of the rest
     rng = random.Random(2509)
     verdicts = []
-    for fw in [cf.frame for cf in corpus] + non_frames() + [strongly_inexact_bool2()]:
+    frames = [cf.frame for cf in corpus]
+    for fw in frames + non_frames() + [strongly_inexact_bool2()]:
         n = fw.lattice.n
+        # on a frame every pair is exact, so full rows of pairs change nothing
+        every_pair = (fw.lattice.full_mask,) * n if fw in frames else None
         if n <= 5:
             masks = list(range(1 << n))
         else:
@@ -124,6 +127,8 @@ def test_exact_sublocale_matches_the_scan_on_arbitrary_masks(corpus):
         for members in masks:
             got = is_exact_sublocale(fw, members)
             assert got == scan_exact_sublocale(fw, members, scan_families(n, fw)), (fw, members)
+            if every_pair:
+                assert is_exact_sublocale(fw, members, pairs=every_pair) == got
             verdicts.append(got)
     assert set(verdicts) == {True, False}
 
