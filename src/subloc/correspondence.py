@@ -14,29 +14,33 @@ that order maps onto it (:func:`quotient_map`).
 
 Morphism checks decide whether a frame map lifts to a coframe map between
 the chosen subcolocales that extends its action on opens (Raney side) or on
-closeds (zero-dimensional side).  On the Raney side the pins are
-meet-dense, so they hold every meet-irreducible, and a lift is the meet of
-the pinned values of the meet-irreducibles above each element.  One
-:func:`is_coframe_map` check decides it, against the join- and
-meet-irreducibles only, which each ``Lattice`` keeps once read.  The chosen
-fitted subcolocale is its host's retract by its conucleus
-(``subcolocale_lattice``), built once per structure: each Raney extension
-keeps that lattice, and the position in it of every open (its lift
-pins), in properties filled on first read.  On the
+closeds (zero-dimensional side).  Both are decided on tables the frames
+and hosts already hold, and no subcolocale is built as a lattice.  On the
+Raney side every fitted sublocale of a finite frame is open, so ``F`` is
+the whole fitted host and ``x -> open(x)`` is a lattice isomorphism
+``L = S_o(L)``; each extension checks that once and keeps the way back
+from a fitted index to its element (:attr:`RaneyExtension.element_of`).
+The pins are then every member, and the lift exists iff the frame map
+keeps bounds, meets and joins (:func:`raney_lift_check`).  On the
 zero-dimensional side the one codense subcolocale of ``S(L) = 2^P`` is
 ``S(L)`` itself, so a lift is a map of powersets, fixed by the images of
 the atoms.  It exists iff those images partition the target's primes and
-the map keeps the closeds (:func:`szdbf_lift_check`), and no lattice is
-built.  Smoothness of a sublocale (membership in the smallest codense
-subcolocale) is equivalent to the zero-dimensional lift existing, and
-exactness to the Raney lift existing.
+the map keeps the closeds, each closed read as the union of the atom
+images over its primes (:func:`szdbf_lift_check`).  Either check hands
+back its witness, the lift itself, but the zero-dimensional one builds it
+only when it is read (:class:`LiftVerdict`).  The generic constructions,
+a subcolocale's lattice (:func:`subcolocale_lattice`) and the lift fixed
+by meet-dense pins (:func:`extend_to_coframe_map`), stay here for the
+tests that hold both checks to them.  Smoothness of a sublocale
+(membership in the smallest codense subcolocale) is equivalent to the
+zero-dimensional lift existing, and exactness to the Raney lift existing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bits import bit, bits, bits_above, mask_of
 from .config import DEFAULT_LIMITS, Limits
@@ -191,19 +195,34 @@ class RaneyExtension:
         return is_proper(self.f_sub.host, self.f_sub.members)
 
     @cached_property
-    def lattice(self) -> tuple[Lattice, tuple[int, ...]]:
-        """The fitted collection as an abstract lattice plus its host indices,
-        built on first read, so that every lift check from or into the
-        extension reuses it."""
-        return subcolocale_lattice(self.f_sub.host, self.f_sub.members)
+    def element_of(self) -> tuple[int, ...]:
+        """For each fitted-host index, the frame element whose open it is.
 
-    @cached_property
-    def open_pos(self) -> tuple[int, ...]:
-        """For each frame element, the position of its open in
-        :attr:`lattice`, kept on first read beside it: the pins of every
-        Raney lift from or into the extension (:func:`raney_lift_check`)."""
-        pos = {e: p for p, e in enumerate(self.lattice[1])}
-        return tuple(pos[o] for o in self.f_sub.host.open_index)
+        Built on first read, once per structure, and checked on the way:
+        ``F`` must be the whole fitted host, ``open_index`` a bijection onto
+        it, and ``open`` must keep binary meets, ``n^2 / 2`` lookups.  Each
+        is a theorem of finite frames, so a failure raises
+        :class:`InternalInconsistency`.  Every fitted sublocale (a meet of
+        opens) is open, as ``open`` keeps finite meets (Picado & Pultr,
+        *Frames and Locales*, 2012), and ``open`` is one to one; so ``F``,
+        which holds every open, is the whole host.  A bijection that keeps
+        binary meets is an order isomorphism, ``x <= y`` iff ``x = x ^ y``,
+        so ``x -> open(x)`` is a lattice isomorphism ``L = F``, and this
+        table is its inverse (:func:`raney_lift_check`).
+        """
+        host, opens = self.f_sub.host, self.f_sub.host.open_index
+        if self.f_sub.members != (1 << host.size) - 1:
+            raise InternalInconsistency("a Raney extension of a finite frame is not all of S_o(L)")
+        back: list[int | None] = [None] * host.size
+        for x, o in enumerate(opens):
+            back[o] = x
+        if len(opens) != host.size or None in back:
+            raise InternalInconsistency("open is not a bijection onto the fitted sublocales")
+        meet = self.frame.lattice.meet_table
+        if any(opens[m] != host.meet(oa, ob) for a, oa in enumerate(opens)
+               for m, ob in zip(meet[a][a + 1:], opens[a + 1:])):
+            raise InternalInconsistency("open does not keep a binary meet")
+        return tuple(back)
 
 
 class SZDBF:
@@ -262,20 +281,51 @@ def to_szdbf(r: RaneyExtension) -> SZDBF:
 # lifts
 
 
-@dataclass(frozen=True)
+Witnesses = tuple[tuple[int, ...], ...]
+
+
 class LiftVerdict:
     """Outcome of a lift check.
 
     ``witnesses`` holds the lift, if it exists: the source subcolocale
     members (in increasing host-index order) mapped to target host indices.
-    A lift is determined by its pins, so nothing is searched:
-    ``nodes_explored`` is always 0 and ``exhausted`` always ``True``.
+    A check may pass a function of no arguments in its place, which builds
+    the witness when it is first read: the suites read only ``exists``,
+    and a lift's witness can cost far more than its verdict
+    (:func:`powerset_lift`).  A lift is determined by its pins, so nothing
+    is searched: ``nodes_explored`` is always 0 and ``exhausted`` always
+    ``True``.  Verdicts are equal when all four fields are.
     """
 
-    exists: bool
-    witnesses: tuple[tuple[int, ...], ...]
-    nodes_explored: int
-    exhausted: bool
+    __slots__ = ("exists", "_witnesses", "nodes_explored", "exhausted")
+
+    def __init__(self, exists: bool, witnesses: Witnesses | Callable[[], Witnesses],
+                 nodes_explored: int, exhausted: bool):
+        self.exists = exists
+        self._witnesses = witnesses
+        self.nodes_explored = nodes_explored
+        self.exhausted = exhausted
+
+    @property
+    def witnesses(self) -> Witnesses:
+        if callable(self._witnesses):
+            self._witnesses = self._witnesses()
+        return self._witnesses
+
+    def _fields(self) -> tuple:
+        return self.exists, self.witnesses, self.nodes_explored, self.exhausted
+
+    def __eq__(self, other):
+        if not isinstance(other, LiftVerdict):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "LiftVerdict(exists={!r}, witnesses={!r}, nodes_explored={!r}, exhausted={!r})" \
+            .format(*self._fields())
 
 
 _NO_LIFT = LiftVerdict(False, (), 0, True)
@@ -365,21 +415,28 @@ def extend_to_coframe_map(src: Lattice, dst: Lattice,
 def raney_lift_check(f: FrameMap, r1: RaneyExtension, r2: RaneyExtension) -> LiftVerdict:
     """Does ``f`` lift to a coframe map of the chosen fitted collections?
 
-    The lift must send the open of ``x`` to the open of ``f(x)``.  Those
-    pins are meet-dense: a fitted sublocale ``g`` is the host meet of the
-    opens above it, ``F`` holds every open, and ``F``'s meet is the
-    conucleus of the host's, which fixes ``g``.  Witness values are target
-    host indices.
+    The lift must send the open of ``x`` to the open of ``f(x)``.  On a
+    finite frame ``F`` is the whole fitted host and ``open`` a lattice
+    isomorphism ``L = F`` (:attr:`RaneyExtension.element_of`, checked once
+    per structure).  So the pins are every member of ``F1``, and the only
+    candidate is ``h = open2 . f . open1^-1``.  It keeps the bounds and
+    binary meets and joins of ``F1`` iff ``f`` keeps those of the frames,
+    since ``open1`` and ``open2`` are isomorphisms, and
+    :func:`is_coframe_map` decides that on the frames' own tables at
+    ``n (|J| + |M|)`` lookups.  The witness is ``open_index2[f(x)]`` for
+    the element ``x`` of each index of ``F1``, in host order.
+    ``tests/oracles.py::generic_raney_lift`` keeps the generic check,
+    :func:`extend_to_coframe_map` on both subcolocale lattices with the
+    opens pinned.
     """
     if f.source != r1.frame or f.target != r2.frame:
         raise ValueError("the map's frames must match the structures")
-    src_lat, _ = r1.lattice
-    dst_lat, dst_idxs = r2.lattice
-    dst_open = r2.open_pos
-    verdict = extend_to_coframe_map(src_lat, dst_lat,
-                                    zip(r1.open_pos, [dst_open[v] for v in f.mapping]))
-    return replace(verdict, witnesses=tuple(tuple(dst_idxs[v] for v in w)
-                                            for w in verdict.witnesses))
+    back, _ = r1.element_of, r2.element_of   # the target's is read for its check
+    mp = f.mapping
+    if not is_coframe_map(f.source.lattice, f.target.lattice, mp, ()):
+        return _NO_LIFT
+    opens = r2.f_sub.host.open_index
+    return LiftVerdict(True, (tuple([opens[mp[x]] for x in back]),), 0, True)
 
 
 def szdbf_lift_check(f: FrameMap, b1: SZDBF, b2: SZDBF) -> LiftVerdict:
@@ -407,9 +464,12 @@ def szdbf_lift_check(f: FrameMap, b1: SZDBF, b2: SZDBF) -> LiftVerdict:
     unions and intersections, and sends ``P1 - {p}`` to ``P2 - A_p = C_p``
     (Davey & Priestley, *Introduction to Lattices and Order*, 2002, ch. 5).
     So the lift exists iff the ``A_p`` partition ``P2`` and ``h`` keeps
-    every closed (:func:`powerset_lift`).  ``tests/oracles.py`` keeps the
-    generic check, :func:`extend_to_coframe_map` on both subcolocale
-    lattices with the closeds and coatoms pinned.
+    every closed (:func:`powerset_lift`), and a closed with prime set ``Q``
+    needs only the union of the ``A_p`` over ``Q``, at ``O(p)`` per pin:
+    neither ``h`` on all of ``2^P1`` nor the witness is built for the
+    verdict.  ``tests/oracles.py`` keeps the generic check,
+    :func:`extend_to_coframe_map` on both subcolocale lattices with the
+    closeds and coatoms pinned.
     """
     if f.source != b1.frame or f.target != b2.frame:
         raise ValueError("the map's frames must match the structures")
@@ -432,10 +492,11 @@ def powerset_lift(src: SublocaleCoframe, dst: SublocaleCoframe, atoms: Sequence[
 
     It exists iff the ``atoms`` partition the target's primes and the map
     ``h(Q)``, the union of the ``atoms[j]`` for ``j`` in ``Q``, keeps the
-    pins; :func:`szdbf_lift_check` proves it.  ``h`` is filled by the
-    subset recurrence on the highest prime, ``h(Q) = h(Q - {j}) | atoms[j]``,
-    one union per prime set, and the witness reads it back through
-    ``point_index``.
+    pins; :func:`szdbf_lift_check` proves it.  Each pin is that union over
+    its own ``Q``, ``O(p)`` unions, so the verdict costs ``O(p)`` per pin.
+    The witness, ``h`` on every prime set of ``src`` read back through
+    ``dst.point_index``, costs ``2^p`` and is built only when read
+    (:func:`_powerset_witness`).
     """
     union = 0
     for a in atoms:
@@ -444,13 +505,25 @@ def powerset_lift(src: SublocaleCoframe, dst: SublocaleCoframe, atoms: Sequence[
         union |= a
     if union != dst.all_primes:
         return _NO_LIFT
+    for q, r in pins:
+        image = 0
+        for j in bits(q):
+            image |= atoms[j]
+        if image != r:
+            return _NO_LIFT
+    return LiftVerdict(True, lambda: _powerset_witness(src, dst, atoms), 0, True)
+
+
+def _powerset_witness(src: SublocaleCoframe, dst: SublocaleCoframe,
+                      atoms: Sequence[int]) -> Witnesses:
+    """The witness of :func:`powerset_lift`: ``h`` filled by the subset
+    recurrence on the highest prime, ``h(Q) = h(Q - {j}) | atoms[j]``, one
+    union per prime set, and read back through ``point_index``."""
     image = [0]
     for a in atoms:
         image += [q | a for q in image]
-    if any(image[q] != r for q, r in pins):
-        return _NO_LIFT
     pos = dst.point_index
-    return LiftVerdict(True, (tuple([pos[image[q]] for q in src.points]),), 0, True)
+    return (tuple([pos[image[q]] for q in src.points]),)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,10 @@ collections and the codense subcolocales that are *essential* (generated
 by their saturated elements).
 
 What a host determines, its conuclei, closures, distinguished
-subcolocales, ``sigma``, ``delta`` and the properness and essentiality
-verdicts, is computed once per host and input and kept in the host's
-``memo`` (:func:`_memoised`), so the checks of every suite run on one
-witness share it.
+subcolocales, ``sigma``, ``delta`` and the subcolocale, properness and
+essentiality verdicts, is computed once per host and input and kept in
+the host's ``memo`` (:func:`_memoised`), so the checks of every suite
+run on one witness share it.
 """
 
 from __future__ import annotations
@@ -107,9 +107,10 @@ def _is_subcolocale_raw(host: SublocaleCoframe, members: int) -> bool:
     return all((members >> host.diff(d, c)) & 1 for d in bits(members) for c in irr)
 
 
+@_memoised("subcolocale")
 def is_subcolocale(host: SublocaleCoframe, members: int) -> bool:
     """Check the join/difference closure and the intersection-stability
-    characterization, and insist they agree."""
+    characterization, and insist they agree; once per host and mask."""
     generic = _is_subcolocale_raw(host, members)
     special = _is_subcolocale_characterized(host, members)
     if special != generic:

@@ -27,19 +27,20 @@ lattices through ``Lattice.from_up`` (the frames then through
 ``FrameWitness.of``) where the package retracts the host by a conucleus
 or a nucleus, and the determined lifts face a scan of every map, their
 check a scan of every pair and their density test the fold over every pin.
-The zero-dimensional lift, which the package decides on prime sets, is
-also decided here by the generic lift between the two subcolocale
-lattices, with the closeds and the coatoms of ``S(L)`` pinned.
+Both lifts, which the package decides on prime sets and on the frames'
+own tables, are also decided here by the generic lift between the two
+subcolocale lattices: with the closeds and the coatoms of ``S(L)``
+pinned, or with the opens pinned.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
 from subloc.bits import bit, bits, mask_of
 from subloc.errors import InternalInconsistency, SizeLimit
 from subloc.config import DEFAULT_LIMITS
-from subloc.correspondence import extend_to_coframe_map, subcolocale_lattice
+from subloc.correspondence import LiftVerdict, extend_to_coframe_map, subcolocale_lattice
 from subloc.lattice import CoframeWitness, FrameWitness, Lattice, covers
 from subloc.subcolocales import closed_trims, _trims, is_proper, leq_f, point_sublocales, sb
 from subloc.sublocales import (SublocaleCoframe, b_mask, closed_mask, is_exact_sublocale,
@@ -1007,18 +1008,38 @@ def szdbf_pins(f, h1, h2):
                h2.join(h2.closed_of(f(xp)), h2.open_of(f(p))))
 
 
-def generic_szdbf_lift(f, b1, b2):
-    """The zero-dimensional lift of ``f`` by the generic construction: both
-    codense subcolocales as lattices (``subcolocale_lattice``), and
-    ``extend_to_coframe_map`` with :func:`szdbf_pins`; witness values are
-    target host indices, as in ``szdbf_lift_check``."""
-    if f.source != b1.frame or f.target != b2.frame:
-        raise ValueError("the map's frames must match the structures")
-    src, src_idxs = subcolocale_lattice(b1.d_sub.host, b1.d_sub.members)
-    dst, dst_idxs = subcolocale_lattice(b2.d_sub.host, b2.d_sub.members)
+def _generic_lift(src_sub, dst_sub, pins):
+    """``extend_to_coframe_map`` between the lattices of two subcolocales
+    (``subcolocale_lattice``), with host-index ``pins``; witness values are
+    target host indices."""
+    src, src_idxs = subcolocale_lattice(src_sub.host, src_sub.members)
+    dst, dst_idxs = subcolocale_lattice(dst_sub.host, dst_sub.members)
     spos = {e: p for p, e in enumerate(src_idxs)}
     dpos = {e: p for p, e in enumerate(dst_idxs)}
-    pins = szdbf_pins(f, b1.d_sub.host, b2.d_sub.host)
     verdict = extend_to_coframe_map(src, dst, ((spos[s], dpos[t]) for s, t in pins))
-    return replace(verdict, witnesses=tuple(tuple(dst_idxs[v] for v in w)
-                                            for w in verdict.witnesses))
+    return LiftVerdict(verdict.exists, tuple(tuple(dst_idxs[v] for v in w)
+                                             for w in verdict.witnesses),
+                       verdict.nodes_explored, verdict.exhausted)
+
+
+def generic_szdbf_lift(f, b1, b2):
+    """The zero-dimensional lift of ``f`` by the generic construction: both
+    codense subcolocales as lattices, and ``extend_to_coframe_map`` with
+    :func:`szdbf_pins`, as in ``szdbf_lift_check``."""
+    if f.source != b1.frame or f.target != b2.frame:
+        raise ValueError("the map's frames must match the structures")
+    return _generic_lift(b1.d_sub, b2.d_sub, szdbf_pins(f, b1.d_sub.host, b2.d_sub.host))
+
+
+def generic_raney_lift(f, r1, r2):
+    """The Raney lift of ``f`` by the generic construction: both fitted
+    collections as lattices, each the host's retract by its conucleus, and
+    ``extend_to_coframe_map`` with the open of each ``x`` pinned to the
+    open of ``f(x)``, where ``raney_lift_check`` reads the lift off the
+    frames' own tables.  The opens are meet-dense in any fitted
+    collection, so the generic lift needs no finite-scale argument."""
+    if f.source != r1.frame or f.target != r2.frame:
+        raise ValueError("the map's frames must match the structures")
+    opens1, opens2 = r1.f_sub.host.open_index, r2.f_sub.host.open_index
+    return _generic_lift(r1.f_sub, r2.f_sub,
+                         [(o, opens2[v]) for o, v in zip(opens1, f.mapping)])

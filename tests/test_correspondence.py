@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from subloc import correspondence
-from subloc import (FrameMap, FrameWitness, NotProper, SZDBF, Subcolocale,
+from subloc import (FrameMap, FrameWitness, LiftVerdict, NotProper, SZDBF, Subcolocale,
                     SublocaleCoframe, RaneyExtension, downset_frame,
                     enumerate_sublocales, extend_to_coframe_map,
                     is_exact_map, raney_lift_check,
@@ -17,11 +17,12 @@ from subloc.corpus import (gen_boolean, gen_chain, gen_diamond, gen_downsets_of_
                            gen_product, standard_corpus)
 from subloc.errors import InternalInconsistency
 from subloc.lattice import Lattice, join_irreducibles
+from subloc.report import correspondence_suite
 from subloc.subcolocales import enumerate_subcolocales, se
 from subloc.sublocales import nucleus_element
 
-from oracles import (fold_meet_dense, generic_szdbf_lift, is_smooth, scan_coframe_map,
-                     scan_coframe_maps, szdbf_pins, table_sublocale_frame,
+from oracles import (fold_meet_dense, generic_raney_lift, generic_szdbf_lift, is_smooth,
+                     scan_coframe_map, scan_coframe_maps, szdbf_pins, table_sublocale_frame,
                      table_subcolocale_lattice, verdict_json)
 
 N5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
@@ -240,6 +241,13 @@ def test_lift_verdict_json():
     v = extend_to_coframe_map(gen_chain(2), gen_chain(2), [(0, 0)])
     assert verdict_json(v) == {"exists": True, "witnesses": [[0, 1]],
                            "nodes_explored": 0, "exhausted": True}
+    # a witness given as a builder runs on first read, once, and takes part
+    # in equality like a given one
+    built = []
+    lazy = LiftVerdict(True, lambda: built.append(1) or ((0, 1),), 0, True)
+    assert built == [] and lazy.exists
+    assert lazy == v and lazy != LiftVerdict(True, ((1, 0),), 0, True) and built == [1]
+    assert verdict_json(lazy) == verdict_json(v) and built == [1]
 
 
 def test_determined_map_matches_the_map_scan():
@@ -354,10 +362,10 @@ def test_subcolocale_lattice_matches_table_oracle(corpus, hosts):
     assert checked >= 490 and restricted >= 400 and not_meet_closed >= 1
 
 
-def test_lift_checks_build_each_lattice_once(monkeypatch):
-    # the Raney side builds its fitted collection's lattice once; the
-    # zero-dimensional side builds none, nor the full host's as_lattice,
-    # which the witness keeps, so the witness is this test's own
+def test_lift_checks_build_no_lattice(monkeypatch):
+    # neither side builds a subcolocale lattice or either host's as_lattice:
+    # the Raney side reads the frames' tables through each extension's
+    # element_of, the zero-dimensional side reads prime sets
     c3 = FrameWitness.of(gen_chain(3))
     built = []
     real = correspondence.subcolocale_lattice
@@ -368,10 +376,109 @@ def test_lift_checks_build_each_lattice_once(monkeypatch):
     r = to_raney(b)
     ident = FrameMap.of(c3, c3, (0, 1, 2))
     for _ in range(3):
-        assert szdbf_lift_check(ident, b, b).exists
-        assert "as_lattice" not in vars(sl)
-        assert raney_lift_check(ident, r, r).exists
-    assert len(built) == 1 and "as_lattice" not in vars(sl)
+        assert szdbf_lift_check(ident, b, b).witnesses
+        assert raney_lift_check(ident, r, r).witnesses
+    assert built == []
+    assert "as_lattice" not in vars(sl) and "as_lattice" not in vars(sl.fitted_subcoframe())
+    assert "element_of" in vars(r)
+
+
+def test_raney_lift_matches_the_generic_lift(corpus, hosts):
+    """The lift read off the frames' tables gives the verdict and witness of
+    the generic lift between the two fitted collections' lattices with the
+    opens pinned (``generic_raney_lift``): on every quotient of the corpus,
+    and on every map between chains 1-4 and bool2 that sends the top to the
+    top and, when it is another element, the bottom to the bottom, built
+    without ``FrameMap.of``.  Of those 116 maps the 60 frame maps lift; of
+    the other 56, some keep every meet and break a join, others the
+    reverse, and four send the bottom of chain1 to another frame's top."""
+    quotients = 0
+    for cf in corpus:
+        sl = hosts[cf.name]
+        r1 = to_raney(SZDBF(cf.frame, Subcolocale(sl, sb(sl))))
+        for i in range(sl.size):
+            f = surjection_of(sl, i)
+            sub_sl = enumerate_sublocales(f.target)
+            r2 = to_raney(SZDBF(f.target, Subcolocale(sub_sl, sb(sub_sl))))
+            v = raney_lift_check(f, r1, r2)
+            assert v.exists and v == generic_raney_lift(f, r1, r2), (cf.name, i)
+            quotients += 1
+    assert quotients == 268
+    structures = []
+    for lat in [gen_chain(n) for n in range(1, 5)] + [gen_boolean(2)]:
+        fw = FrameWitness.of(lat)
+        sl = enumerate_sublocales(fw)
+        structures.append((fw, to_raney(SZDBF(fw, Subcolocale(sl, sb(sl))))))
+    verdicts, broken = {True: 0, False: 0}, {"meet": 0, "join": 0}
+    for fw1, r1 in structures:
+        for fw2, r2 in structures:
+            src, dst = fw1.lattice, fw2.lattice
+            inner = [x for x in range(src.n) if x not in (src.bottom, src.top)]
+            for values in product(range(dst.n), repeat=len(inner)):
+                h = [dst.bottom] * src.n
+                h[src.top] = dst.top
+                for x, y in zip(inner, values):
+                    h[x] = y
+                f = FrameMap(fw1, fw2, tuple(h))
+                v = raney_lift_check(f, r1, r2)
+                assert v == generic_raney_lift(f, r1, r2), (src, dst, h)
+                verdicts[v.exists] += 1
+                meets, joins = (all(h[op[a][b]] == dop[h[a]][h[b]]
+                                    for a in range(src.n) for b in range(src.n))
+                                for op, dop in ((src.meet_table, dst.meet_table),
+                                                (src.join_table, dst.join_table)))
+                if meets != joins:
+                    broken["join" if meets else "meet"] += 1
+    assert verdicts == {True: 60, False: 56}
+    assert broken["meet"] > 0 and broken["join"] > 0, broken
+
+
+def test_a_suite_pass_builds_no_zero_dimensional_image(monkeypatch):
+    # the suites read only whether each lift exists, so no 2^p image is
+    # filled; a witness read afterwards builds one
+    built = []
+    real = correspondence._powerset_witness
+    monkeypatch.setattr(correspondence, "_powerset_witness",
+                        lambda src, dst, atoms: built.append(atoms) or real(src, dst, atoms))
+    fw = FrameWitness.of(gen_chain(5))
+    result = correspondence_suite("chain5", fw)
+    assert result["ok"] and result["sublocales"] == 16
+    assert built == []
+    sl = enumerate_sublocales(fw)
+    b = SZDBF(fw, Subcolocale(sl, sb(sl)))
+    v = szdbf_lift_check(FrameMap.of(fw, fw, range(fw.lattice.n)), b, b)
+    assert v.exists and built == []
+    assert v.witnesses == (tuple(range(sl.size)),) and len(built) == 1
+    assert v.witnesses and len(built) == 1
+
+
+def test_raney_extension_checks_open_once_per_structure(monkeypatch):
+    # element_of inverts open and is checked on first read only; a host whose
+    # open is no bijection, or keeps no meet, or an F short of the host raises
+    sl = enumerate_sublocales(FrameWitness.of(gen_chain(3)))
+    sl_o = sl.fitted_subcoframe()
+    full = Subcolocale(sl_o, (1 << sl_o.size) - 1)
+    ident = FrameMap.of(sl.ambient, sl.ambient, range(3))
+    r = RaneyExtension(sl.ambient, full)
+    assert [sl_o.open_index[x] for x in r.element_of] == list(range(sl_o.size))
+    meets = []
+    real = SublocaleCoframe.meet
+    monkeypatch.setattr(SublocaleCoframe, "meet",
+                        lambda self, i, j: meets.append(i) or real(self, i, j))
+    assert raney_lift_check(ident, r, r).exists
+    assert meets == []
+    monkeypatch.undo()
+    assert sl_o.open_index == (0, 1, 2)
+    for opens, match in (((0, 0, 2), "bijection"), ((2, 1, 0), "meet")):
+        planted = RaneyExtension(sl.ambient, full)
+        monkeypatch.setattr(sl_o, "open_index", opens)
+        with pytest.raises(InternalInconsistency, match=match):
+            raney_lift_check(ident, planted, r)
+        monkeypatch.undo()
+    planted = RaneyExtension(sl.ambient, full)
+    planted.f_sub = Subcolocale(sl_o, full.members & ~1, validate=False)
+    with pytest.raises(InternalInconsistency, match="not all of"):
+        raney_lift_check(ident, r, planted)
 
 
 def test_szdbf_lift_matches_the_generic_lift():
@@ -499,7 +606,8 @@ def test_lift_agreement_with_smooth_and_exact(hosts):
 
 def test_lift_verdicts_are_pinned(corpus, hosts):
     """Verdicts and witnesses of both lifts along every quotient map of the
-    corpus; the report JSON carries only the verdicts.  The hash was taken
+    corpus; the report JSON carries only the verdicts, and the witnesses
+    are read here on request.  The hash was taken
     from the join-irreducible search that the determined lift replaced,
     asked for up to three witnesses: it found exactly one for every lift."""
     rows = []

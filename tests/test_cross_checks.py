@@ -11,7 +11,8 @@ from subloc.cli import main
 from subloc.corpus import gen_chain
 from subloc.latfile import serialize_lattice
 
-# Plants one disagreement per cross-check by replacing one side, and prints
+# Plants one disagreement per cross-check by replacing one side (for the
+# Raney lift, a fitted host whose open misses the top's index), and prints
 # the names of the checks that raised.
 PLANTS = r'''
 import json
@@ -60,6 +61,10 @@ raised = {
                                 lambda: co.szdbf_lift_check(
                                     ident, co.SZDBF(fw, co.Subcolocale(sl, 1)),
                                     co.SZDBF(fw, co.Subcolocale(sl, sc.sb(sl))))),
+    "raney_lift_check": planted(sl_o, "open_index", sl_o.open_index[:-1] + sl_o.open_index[:1],
+                                lambda: co.raney_lift_check(
+                                    ident, co.RaneyExtension(fw, co.Subcolocale(sl_o, full_o)),
+                                    co.RaneyExtension(fw, co.Subcolocale(sl_o, full_o)))),
 }
 print(json.dumps({"debug": __debug__, "raised": raised}))
 '''
@@ -74,7 +79,7 @@ def test_planted_disagreements_raise_under_python_O():
     got = json.loads(out)
     assert got["debug"] is False
     assert got["raised"] == dict.fromkeys(got["raised"], True)
-    assert len(got["raised"]) == 9
+    assert len(got["raised"]) == 10
 
 
 def test_cli_exits_1_on_an_internal_inconsistency(tmp_path, monkeypatch, capsys):

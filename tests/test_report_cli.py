@@ -211,7 +211,7 @@ def test_oversized_downset_frame_fails_before_any_lift(tmp_path, monkeypatch, ca
     def reached(*args):
         pytest.fail("a lift was checked before the down-set frame was bounded")
 
-    monkeypatch.setattr(correspondence, "extend_to_coframe_map", reached)
+    monkeypatch.setattr(correspondence, "is_coframe_map", reached)
     monkeypatch.setattr(correspondence, "powerset_lift", reached)
     with pytest.raises(SizeLimit, match="max_downsets=4096"):
         run_suite("correspondence", "bool6", FrameWitness.of(gen_boolean(6)))

@@ -16,7 +16,8 @@ from subloc import (CoframeWitness, FrameWitness, InternalInconsistency, NotProp
 from subloc.bits import bit, bits, mask_of
 from subloc.config import DEFAULT_LIMITS
 from subloc.corpus import gen_boolean, gen_chain, gen_product, standard_corpus
-from subloc.report import adjunction_suite
+from subloc import report
+from subloc.report import adjunction_suite, correspondence_suite
 from subloc.subcolocales import _meet_irreducibles
 
 from oracles import (NaiveOps, fresh_sublocales, generated_closed_form, host_read_mismatches,
@@ -453,7 +454,8 @@ def test_memoised_functions_return_their_bodies_on_a_fresh_host(corpus):
             subs = enumerate_subcolocales(held)
             masks = subs + tuple(rng.randrange(1 << held.size) for _ in range(4))
             calls = [(_meet_irreducibles, ())]
-            calls += [(fn, (m,)) for m in masks for fn in (conuclei, generated_subcolocale)]
+            calls += [(fn, (m,)) for m in masks
+                      for fn in (conuclei, generated_subcolocale, is_subcolocale)]
             if held.fitted:
                 calls += [(is_proper, (m,)) for m in masks]
                 calls += [(delta, (m,)) for m in masks]
@@ -471,8 +473,8 @@ def test_memoised_functions_return_their_bodies_on_a_fresh_host(corpus):
                 if fn is is_proper:
                     proper.add(want)
     assert {name for name, _ in outcomes} == {
-        "_meet_irreducibles", "conuclei", "generated_subcolocale", "is_proper",
-        "sb", "ssp", "se", "is_essential", "delta", "sigma"}
+        "_meet_irreducibles", "conuclei", "generated_subcolocale", "is_subcolocale",
+        "is_proper", "sb", "ssp", "se", "is_essential", "delta", "sigma"}
     # sigma and delta both raised and returned, and is_proper gave both verdicts
     assert all(outcomes[name, raised] for name in ("sigma", "delta") for raised in (False, True))
     assert proper == {True, False}
@@ -551,3 +553,28 @@ def test_adjunction_suite_generates_each_subcolocale_once(monkeypatch):
             monkeypatch.undo()
         assert result["ok"]
         assert ran and sorted(ran) == sorted(set(asked))
+
+
+def test_suites_decide_each_subcolocale_once(monkeypatch):
+    """Both characterizations inside ``is_subcolocale`` run once per
+    distinct ``(host, members)``, though the adjunction suite asks for
+    ``sb``, ``ssp`` and ``se``, one full mask on a finite frame, and the
+    correspondence suite asks for it twice more through ``Subcolocale``:
+    ``sb`` itself, and the codense subcolocale of its round trip."""
+    fw = FrameWitness.of(gen_chain(6))
+    asked, raw, characterized = [], [], []
+
+    def logged(log, fn):
+        return lambda host, m: log.append((id(host), m)) or fn(host, m)
+
+    monkeypatch.setattr(subcolocales, "_is_subcolocale_raw",
+                        logged(raw, subcolocales._is_subcolocale_raw))
+    monkeypatch.setattr(subcolocales, "_is_subcolocale_characterized",
+                        logged(characterized, subcolocales._is_subcolocale_characterized))
+    for module in (subcolocales, report):
+        monkeypatch.setattr(module, "is_subcolocale", logged(asked, is_subcolocale))
+    assert adjunction_suite("chain6", fw)["ok"]
+    assert correspondence_suite("chain6", fw)["ok"]
+    sl = enumerate_sublocales(fw)
+    assert asked.count((id(sl), (1 << sl.size) - 1)) == 5
+    assert sorted(raw) == sorted(characterized) == sorted(set(asked))
