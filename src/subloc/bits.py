@@ -10,7 +10,16 @@ def bit(i: int) -> int:
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Set-bit positions of ``mask`` in increasing order."""
+    """Set-bit positions of ``mask`` in increasing order.  A mask longer
+    than 1,024 bits is read off its digits, since each peel of its lowest
+    bit copies the whole int: peeling all would cost its length squared."""
+    if mask >> 1024:
+        digits = bin(mask)[:1:-1]
+        i = digits.find("1")
+        while i >= 0:
+            yield i
+            i = digits.find("1", i + 1)
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -89,8 +89,8 @@ def frame_report(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -
         "fitted_sublocales": sl_o.size,
         "open_index": list(sl.open_index),
         "closed_index": list(sl.closed_index),
-        "strongly_exact_filters": len(strongly_exact_filters(fw).filters),
-        "exact_filters": len(exact_filters(fw).filters),
+        "strongly_exact_filters": len(strongly_exact_filters(fw)),
+        "exact_filters": len(exact_filters(fw)),
         "smallest_codense_size": bin(sb(sl)).count("1"),
         "point_generated_size": bin(ssp(sl)).count("1"),
         "exact_sublocales": bin(se(sl)).count("1"),
@@ -357,7 +357,7 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
            & sl.elems[sl.fit(sl.index[b_mask(fw, p)])]]
     checks.add("point-sublocale-identity", bad)
 
-    sef = strongly_exact_filters(fw).filters
+    sef = strongly_exact_filters(fw)
     phis = [phi(sl_o, i) for i in range(sl_o.size)]
     bad = []
     if sorted(phis) != sorted(sef):
@@ -370,7 +370,7 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
                 bad.append((i, j))
     checks.add("phi-bijection-reversing-inclusion", bad)
 
-    ef = exact_filters(fw).filters
+    ef = exact_filters(fw)
     bad = [s for s in range(k) if ker(sl, s) != phis[sl_o.index[sl.elems[sl.fit(s)]]]]
     kers = sorted({ker(sl, s) for s in bits(sb(sl))})
     if kers != sorted(ef):

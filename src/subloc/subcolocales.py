@@ -6,22 +6,23 @@ containing the bottom) and under differences ``d - c`` with arbitrary
 subcolocale is a bitmask over the host indices.
 
 Everything here works on host indices and their prime sets, where meet
-is ``&`` and join is ``|``; no host table is read except the fitted
-host's lattice in :func:`_open_joins_exact` and the dual lattice of a
-host in :func:`enumerate_subcolocales`.  Trimming a sublocale by an open
-or a closed is a host meet with an entry of ``open_index`` or
-``closed_index``; :func:`closed_trims` joins up the closed trims of a set
-of members, which gives ``sb``, ``delta`` and the essentiality test.
-Crossing from ``S(L)`` to ``S_o(L)`` and back is a lookup in the fitted
-host's translation table ``fit_of`` / ``full_index``.  Exactness, a
-property of the quotient onto a sublocale, holds for all of them by one
-identity of the frame's prime sets, checked once per host (``se``); its
-cross-check on the point sublocales is the only place a sublocale is
-read as a set of frame elements.  The precongruence cross-check of
-``is_proper`` reads each member's relation as a map on the frame's
-elements, its rows being principal up-sets.  The subcolocales of a host
-are the sublocales of its dual frame, so :func:`enumerate_subcolocales`
-builds them as ``S(L)`` is built.
+is ``&`` and join is ``|``; no host table is read.  Both hosts are rings
+of sets of primes, ``2^P`` and the down-sets of ``P``, so a subcolocale
+of either is ``C_R``, the indices whose maximal primes lie in a set
+``R`` of primes (proved at :func:`generated_subcolocale`): deciding,
+generating and listing subcolocales read ``C_R`` off the host's
+per-prime table ``tops``, and the generic closures are test oracles.
+Trimming a sublocale by an open or a closed is a host meet with an entry
+of ``open_index`` or ``closed_index``; :func:`closed_trims` joins up the
+closed trims of a set of members, which gives ``sb``, ``delta`` and the
+essentiality test.  Crossing from ``S(L)`` to ``S_o(L)`` and back is a
+lookup in the fitted host's translation table ``fit_of`` /
+``full_index``.  Exactness, a property of the quotient onto a sublocale,
+holds for all of them by one identity of the frame's prime sets, checked
+once per host (``se``); its cross-check on the point sublocales is the
+only place a sublocale is read as a set of frame elements.  The
+precongruence cross-check of ``is_proper`` reads each member's relation
+as a map on the frame's elements, its rows being principal up-sets.
 
 The calculus connects two hosts: collections ``F`` of fitted sublocales
 that are *proper* (contain all opens, with exact joins of opens) and
@@ -45,11 +46,9 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from .bits import bit, bits, mask_of
+from .bits import bits, mask_of
 from .errors import InternalInconsistency, NotProper
-from .lattice import join_irreducibles
-from .sublocales import (SublocaleCoframe, _prime_sets, is_exact_sublocale,
-                         is_principal_precongruence)
+from .sublocales import SublocaleCoframe, is_exact_sublocale, is_principal_precongruence
 
 
 _MISSING = object()
@@ -84,8 +83,25 @@ def _memoised(kind: str, owner: int = 0, keyed: int = 1):
     return wrap
 
 
-def _join_closed(host: SublocaleCoframe, members: int) -> bool:
-    """Bottom membership and closure under binary joins.
+@_memoised("subcolocale")
+def is_subcolocale(host: SublocaleCoframe, members: int) -> bool:
+    """Whether the mask is the subcolocale its maximal primes fix,
+    ``generated_subcolocale(members) == members``, checked against the
+    intersection-stability characterization once per host and mask; the
+    two must agree.  The whole host is accepted before either side runs:
+    it holds every index, so every join and difference of its members.
+    """
+    if members == (1 << host.size) - 1:
+        return True
+    closed = generated_subcolocale(host, members) == members
+    if closed != _is_subcolocale_characterized(host, members):
+        raise InternalInconsistency("subcolocale characterizations disagree")
+    return closed
+
+
+def _is_subcolocale_characterized(sl: SublocaleCoframe, members: int) -> bool:
+    """Join closure plus stability under meeting with opens and closeds
+    (full host), or under fitted meets with closeds (fitted host).
 
     A set ``M`` is closed under all joins, the empty one included, iff
     every conucleus (the join of the members below an index,
@@ -94,34 +110,7 @@ def _join_closed(host: SublocaleCoframe, members: int) -> bool:
     members ``a`` and ``b``, is ``a v b`` itself.  That is ``k p`` steps
     where the pairs of members cost ``|M|^2``.
     """
-    return all((members >> c) & 1 for c in conuclei(host, members))
-
-
-def _is_subcolocale_raw(host: SublocaleCoframe, members: int) -> bool:
-    """Bottom membership, then closure under binary joins and differences;
-    the differences are taken with the meet-irreducibles (see
-    :func:`generated_subcolocale`)."""
-    if not _join_closed(host, members):
-        return False
-    irr = _meet_irreducibles(host)
-    return all((members >> host.diff(d, c)) & 1 for d in bits(members) for c in irr)
-
-
-@_memoised("subcolocale")
-def is_subcolocale(host: SublocaleCoframe, members: int) -> bool:
-    """Check the join/difference closure and the intersection-stability
-    characterization, and insist they agree; once per host and mask."""
-    generic = _is_subcolocale_raw(host, members)
-    special = _is_subcolocale_characterized(host, members)
-    if special != generic:
-        raise InternalInconsistency("subcolocale characterizations disagree")
-    return generic
-
-
-def _is_subcolocale_characterized(sl: SublocaleCoframe, members: int) -> bool:
-    """Join closure plus stability under meeting with opens and closeds
-    (full host), or under fitted meets with closeds (fitted host)."""
-    if not _join_closed(sl, members):
+    if not all((members >> c) & 1 for c in conuclei(sl, members)):
         return False
     if sl.fitted:
         full = sl.parent
@@ -174,15 +163,6 @@ def conuclei(host: SublocaleCoframe, members: int) -> tuple[int, ...]:
     return tuple(pos[u] for u in got)
 
 
-@_memoised("meet_irreducibles", keyed=0)
-def _meet_irreducibles(host: SublocaleCoframe) -> tuple[int, ...]:
-    """The indices with exactly one upper cover."""
-    ups = [0] * host.size
-    for i, _ in host.covers():
-        ups[i] += 1
-    return tuple(i for i, u in enumerate(ups) if u == 1)
-
-
 def join_closure(host: SublocaleCoframe, members: int) -> int:
     """Close a subset under all joins, including the empty join.
 
@@ -203,27 +183,28 @@ def join_closure(host: SublocaleCoframe, members: int) -> int:
 
 @_memoised("generated")
 def generated_subcolocale(host: SublocaleCoframe, members: int) -> int:
-    """Smallest subcolocale containing the given members (join/difference
-    closure computed as an alternating fixpoint).
+    """Smallest subcolocale containing the given members: ``C_R``
+    (:meth:`SublocaleCoframe.tops_in`), the indices whose maximal primes
+    lie in ``R``, the union of the members' maximal primes.
 
-    The differences ``d - c`` are taken with the meet-irreducibles ``c``
-    only.  A join-closed set closed under those is closed under every
-    difference: each ``c`` is the meet of the meet-irreducibles above it,
-    the top being the empty meet, and in a coframe ``d - (a ^ b) = (d - a)
-    v (d - b)`` and ``d - top`` is the bottom.  (For every ``z``,
-    ``(d - a) v (d - b) <= z`` iff ``d <= a v z`` and ``d <= b v z`` iff
-    ``d <= (a ^ b) v z`` by distributivity, iff ``d - (a ^ b) <= z``.)
+    Proof.  A subcolocale of a finite coframe ``C`` is a sublocale of the
+    dual frame, and the sublocales of a finite frame are the meet closures,
+    the empty meet included, of sets of its primes (Birkhoff's
+    representation, :mod:`subloc.sublocales`), which are its
+    meet-irreducibles.  So the subcolocales of ``C`` are the join closures,
+    the empty join included, of sets of its join-irreducibles.  On the
+    full host, ``2^P``, those are the singletons ``{p}``; on the fitted
+    host, the down-sets of ``P``, the principal down-sets ``down(p)``.  A
+    down-set is the union of ``down(m)`` over its maximal primes ``m``, and
+    a union of ``down(p)`` over ``p`` in ``S`` has its maximal primes in
+    ``S``, so the join closure of the ``down(p)`` with ``p`` in ``R`` is
+    ``C_R`` (the subsets of ``R`` on the full host, where every prime of a
+    set is maximal).  ``C_S`` holds the members iff ``S`` holds all their
+    maximal primes, and ``C_S`` grows with ``S``: the least subcolocale
+    holding them is ``C_R``.  ``tests/oracles.py`` keeps the alternating
+    join/difference fixpoint.
     """
-    irr = _meet_irreducibles(host)
-    m = members | 1
-    while True:
-        new = join_closure(host, m)
-        for d in list(bits(new)):
-            for c in irr:
-                new |= bit(host.diff(d, c))
-        if new == m:
-            return m
-        m = new
+    return host.tops_in(mask_of(j for j, t in enumerate(host.tops) if t & members))
 
 
 def is_codense(host: SublocaleCoframe, members: int) -> bool:
@@ -233,20 +214,18 @@ def is_codense(host: SublocaleCoframe, members: int) -> bool:
 def enumerate_subcolocales(host: SublocaleCoframe, which: str = "all") -> tuple[int, ...]:
     """All subcolocale bitmasks of the host, in increasing mask order.
 
-    The subcolocales of a finite coframe are the sublocales of its dual
-    frame (Birkhoff), whose primes are the host's join-irreducibles, so
-    the prime-set construction of ``S(L)`` builds them on the host's
-    indices: one per set of join-irreducibles, ``2^p`` for a frame with
-    ``p`` primes, a count ``Limits.max_sublocales`` bounded when the host
-    was built.  ``which`` filters to ``codense`` (contains the host top)
-    or ``proper`` (fitted hosts only).
+    They are the ``C_R``, one for each set ``R`` of primes
+    (:func:`generated_subcolocale`), and distinct ones, as ``C_R`` holds
+    ``down(p)`` iff ``p`` is in ``R``: ``2^p`` for a frame with ``p``
+    primes, a count ``Limits.max_sublocales`` bounded when the host was
+    built.  ``which`` filters to ``codense`` (contains the host top) or
+    ``proper`` (fitted hosts only).
     """
     if which not in ("all", "codense", "proper"):
         raise ValueError(f"unknown filter {which!r}")
     if which == "proper" and not host.fitted:
         raise ValueError("the proper filter needs a fitted sublocale host")
-    lat = host.as_lattice
-    found = _prime_sets(lat.dual(), mask_of(join_irreducibles(lat)))[0]
+    found = (host.tops_in(r) for r in range(1 << len(host.tops)))
     if which == "codense":
         found = (m for m in found if is_codense(host, m))
     elif which == "proper":
@@ -299,8 +278,10 @@ def point_sublocales(sl: SublocaleCoframe) -> int:
 
 @_memoised("ssp", keyed=0)
 def ssp(sl: SublocaleCoframe) -> int:
-    """Join closure of the point sublocales."""
-    return join_closure(sl, point_sublocales(sl))
+    """Join closure of the point sublocales: they are the singleton prime
+    sets, the join-irreducibles of the full host, so their join closure is
+    the subcolocale they generate (:func:`generated_subcolocale`)."""
+    return generated_subcolocale(sl, point_sublocales(sl))
 
 
 @_memoised("se", keyed=0)
@@ -411,18 +392,18 @@ def _open_joins_exact(sl_o: SublocaleCoframe, members: int) -> bool:
     the singletons hold outright: the empty join is the bottom, whose
     conucleus (the join of the members below it) is the bottom again, and
     one open is its own join.  So the pairs of opens decide, each against
-    a conucleus table built once.
+    a table of trimmed conuclei built once, as prime sets, where meet is
+    ``&`` and join is ``|``.
     """
-    lat = sl_o.as_lattice
-    meet, join = lat.meet_table, lat.join_table
-    con = conuclei(sl_o, members)
-    gs = tuple(bits(members))
-    trimmed = [tuple([con[meet[c][g]] for g in gs]) for c in range(lat.n)]
+    pts, pos = sl_o.points, sl_o.point_index
+    con = [pts[c] for c in conuclei(sl_o, members)]
+    gs = [pts[g] for g in bits(members)]
+    trimmed = [[con[pos[q & g]] for g in gs] for q in pts]
     opens = sl_o.open_index
     for a, oa in enumerate(opens):
-        row, ta = join[oa], trimmed[oa]
+        qa, ta = pts[oa], trimmed[oa]
         for ob in opens[a + 1:]:
-            if tuple([join[x][y] for x, y in zip(ta, trimmed[ob])]) != trimmed[row[ob]]:
+            if [x | y for x, y in zip(ta, trimmed[ob])] != trimmed[pos[qa | pts[ob]]]:
                 return False
     return True
 

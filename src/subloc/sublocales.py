@@ -19,7 +19,6 @@ existing :class:`SublocaleCoframe`, by the same formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -87,15 +86,18 @@ class SublocaleCoframe:
     full host.
 
     :meth:`nucleus` reads a sublocale's nucleus off the same prime-set
-    tables.  ``as_lattice``, the host as a generic :class:`Lattice` for the
-    constructions that need one (a retract, the dual), is built on first
-    read, like ``holding``, ``opens_above`` and ``least_open_above``; each
-    is kept in the instance and dies with it.  So does ``memo``, where the
-    subcolocale calculus keeps what it derives from the host
-    (:func:`subloc.subcolocales._memoised`).  ``tests/oracles.py`` builds
-    the same lattice from the member masks by the generic constructions,
-    and the laws suite checks the map from prime sets to member masks on
-    the covers (:func:`subloc.report.host_law_violations`).
+    tables.  :attr:`tops`, one mask per prime, fixes every subcolocale of
+    the host (:func:`subloc.subcolocales.enumerate_subcolocales`) and the
+    down-set of every index (:meth:`below`).  ``as_lattice``, the host as a
+    generic :class:`Lattice` for the constructions that need one (a
+    retract), is built on first read, like ``tops``, ``opens_above`` and
+    ``least_open_above``; each is kept in the instance and dies with it.
+    So does ``memo``, where the subcolocale calculus keeps what it derives
+    from the host (:func:`subloc.subcolocales._memoised`).
+    ``tests/oracles.py`` builds the same lattice from the member masks by
+    the generic constructions, and the laws suite checks the map from
+    prime sets to member masks on the covers
+    (:func:`subloc.report.host_law_violations`).
     """
 
     def __init__(self, ambient: FrameWitness, points: Iterable[int],
@@ -215,37 +217,47 @@ class SublocaleCoframe:
                      if (c := pos[q | 1 << j]) is not None)
 
     @cached_property
-    def holding(self) -> tuple[int, ...]:
-        """For each prime ``j``, the mask of the indices whose prime set holds it."""
-        out = [0] * self.all_primes.bit_length()
-        for i, q in enumerate(self.points):
-            for j in bits(q):
-                out[j] |= 1 << i
+    def tops(self) -> tuple[int, ...]:
+        """For each prime ``j``, the mask of the indices whose prime set has
+        ``j`` among its maximal primes: the ``c`` with ``points[c] - {j}``
+        a prime set of the host.  For a down-set ``D`` holding ``j``, ``D -
+        {j}`` is down-closed iff ``j`` is maximal in ``D``: the primes below
+        a prime of ``D - {j}`` lie in ``D``, and only ``j`` can miss ``D -
+        {j}``.  On the full host every prime of a set counts as maximal.
+        """
+        pos, k = self.point_index, self.size
+        out = []
+        for j in range(self.all_primes.bit_length()):
+            row, b = bytearray(b"0") * k, 1 << j
+            for q in self.points:
+                if not q & b and (c := pos[q | b]) is not None:
+                    row[c] = 49
+            out.append(int(row[::-1], 2))
         return tuple(out)
 
-    def below(self, i: int) -> int:
-        """The mask of the indices below ``i``: those holding no prime outside
-        ``points[i]``."""
-        holding, out = self.holding, 0
-        for j in bits(self.all_primes & ~self.points[i]):
-            out |= holding[j]
+    def tops_in(self, r: int) -> int:
+        """The mask of the indices whose maximal primes (:attr:`tops`) all
+        lie in the set of primes ``r``."""
+        tops, out = self.tops, 0
+        for j in bits(self.all_primes & ~r):
+            out |= tops[j]
         return ((1 << self.size) - 1) ^ out
+
+    def below(self, i: int) -> int:
+        """The mask of the indices below ``i``: a set of the host lies inside
+        the down-set ``points[i]`` iff its maximal primes do."""
+        return self.tops_in(self.points[i])
 
     @cached_property
     def as_lattice(self) -> Lattice:
         """The host as a :class:`Lattice`, from the host's own formulas: row
-        ``up[i]`` holds every index whose prime set holds every prime of
-        ``points[i]``, ``dn[i]`` is :meth:`below`, and the meet and join
-        tables are ``&`` and ``|``."""
-        pts, pos, holding = self.points, self.point_index, self.holding
+        ``dn[i]`` is :meth:`below`, ``up`` its transpose, and the meet and
+        join tables are ``&`` and ``|``."""
+        pts, pos = self.points, self.point_index
         k = len(pts)
-        up = []
-        for q in pts:
-            row = (1 << k) - 1
-            for j in bits(q):
-                row &= holding[j]
-            up.append(row)
-        return Lattice(k, tuple(up), tuple(self.below(i) for i in range(k)), 0, k - 1,
+        dn = tuple(self.below(i) for i in range(k))
+        up = tuple(mask_of(j for j, row in enumerate(dn) if row >> i & 1) for i in range(k))
+        return Lattice(k, up, dn, 0, k - 1,
                        tuple(tuple([pos[q & r] for r in pts]) for q in pts),
                        tuple(tuple([pos[q | r] for r in pts]) for q in pts))
 
@@ -283,9 +295,7 @@ def _prime_sets(lat: Lattice, primes: int) -> tuple[tuple[int, ...], ...]:
     ``x`` that are the meet of the primes of ``Q`` above them,
     ``meet_of[Q & above[x]] == x``.  The first three tuples are indexed by
     ``Q`` and filled by the subset recurrence: ``Q`` extends ``Q & (Q -
-    1)`` by its lowest prime.  On a frame's primes this builds ``S(L)``;
-    on the dual of a coframe, with its join-irreducibles as the primes, it
-    builds the subcolocales.
+    1)`` by its lowest prime.  On a frame's primes this builds ``S(L)``.
     """
     meet = lat.meet_table
     pts = tuple(bits(primes))
@@ -333,14 +343,6 @@ def fitted_subcoframe(sl: SublocaleCoframe) -> SublocaleCoframe:
 # filters
 
 
-@dataclass(frozen=True)
-class FilterSet:
-    """A deterministic collection of filters, each a bitmask over the frame."""
-
-    frame: FrameWitness
-    filters: tuple[int, ...]
-
-
 def all_filters(fw: FrameWitness) -> tuple[int, ...]:
     """Every filter of the frame, sorted by (size, mask).
 
@@ -351,19 +353,19 @@ def all_filters(fw: FrameWitness) -> tuple[int, ...]:
     return tuple(sorted(fw.lattice.up, key=lambda m: (bin(m).count("1"), m)))
 
 
-def strongly_exact_filters(fw: FrameWitness) -> FilterSet:
+def strongly_exact_filters(fw: FrameWitness) -> tuple[int, ...]:
     """Filters closed under strongly exact meets of their members.
 
     Every filter of a finite lattice is principal, so it holds the meet of
     every subset of its members, exact or not: these are all the filters.
     """
-    return FilterSet(fw, all_filters(fw))
+    return all_filters(fw)
 
 
-def exact_filters(fw: FrameWitness) -> FilterSet:
+def exact_filters(fw: FrameWitness) -> tuple[int, ...]:
     """Filters closed under exact meets of their members: all the filters,
     for the reason given in :func:`strongly_exact_filters`."""
-    return FilterSet(fw, all_filters(fw))
+    return all_filters(fw)
 
 
 def ker(sl: SublocaleCoframe, i: int) -> int:

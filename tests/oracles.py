@@ -22,7 +22,9 @@ element for ``sigma``, one identity of the frame for the exactness of
 every sublocale) or, on ``S(L)``, by tests on the covers of the
 powerset of the primes (all pairs here).  Subcolocales
 and down-sets are found by testing every subset where the package
-generates them.  At the very end, subcolocales and quotient frames become
+generates them, and a subcolocale is tested and generated by closing
+under joins and differences where the package reads the closed form
+``C_R`` off one mask per prime.  At the very end, subcolocales and quotient frames become
 lattices through ``Lattice.from_up`` (the frames then through
 ``FrameWitness.of``) where the package retracts the host by a conucleus
 or a nucleus, and the determined lifts face a scan of every map, their
@@ -42,7 +44,8 @@ from subloc.errors import InternalInconsistency, SizeLimit
 from subloc.config import DEFAULT_LIMITS
 from subloc.correspondence import LiftVerdict, extend_to_coframe_map, subcolocale_lattice
 from subloc.lattice import CoframeWitness, FrameWitness, Lattice, covers
-from subloc.subcolocales import closed_trims, _trims, is_proper, leq_f, point_sublocales, sb
+from subloc.subcolocales import (_trims, closed_trims, is_proper, join_closure, leq_f,
+                                 point_sublocales, sb)
 from subloc.sublocales import (SublocaleCoframe, b_mask, closed_mask, is_exact_sublocale,
                                is_precongruence, is_sublocale, nucleus_element, open_mask)
 
@@ -848,6 +851,49 @@ def scan_generated_subcolocale(lat, diff, members: int) -> int:
         new = scan_join_closure(lat, m)
         for d in list(bits(new)):
             new |= mask_of(diff[d])
+        if new == m:
+            return m
+        m = new
+
+
+def meet_irreducibles(host) -> tuple:
+    """The host indices with exactly one upper cover."""
+    ups = [0] * host.size
+    for i, _ in host.covers():
+        ups[i] += 1
+    return tuple(i for i, u in enumerate(ups) if u == 1)
+
+
+def closure_is_subcolocale(host, members: int) -> bool:
+    """Bottom membership, then closure under binary joins and under the
+    differences with the meet-irreducibles, which suffice by
+    :func:`fixpoint_generated_subcolocale`; on the host's prime sets."""
+    if join_closure(host, members) != members:
+        return False
+    irr = meet_irreducibles(host)
+    return all((members >> host.diff(d, c)) & 1 for d in bits(members) for c in irr)
+
+
+def fixpoint_generated_subcolocale(host, members: int) -> int:
+    """The smallest subcolocale containing ``members``, by alternating the
+    join closure with the differences to a fixpoint, on the host's prime
+    sets.
+
+    The differences ``d - c`` are taken with the meet-irreducibles ``c``
+    only.  A join-closed set closed under those is closed under every
+    difference: each ``c`` is the meet of the meet-irreducibles above it,
+    the top being the empty meet, and in a coframe ``d - (a ^ b) = (d - a)
+    v (d - b)`` and ``d - top`` is the bottom.  (For every ``z``,
+    ``(d - a) v (d - b) <= z`` iff ``d <= a v z`` and ``d <= b v z`` iff
+    ``d <= (a ^ b) v z`` by distributivity, iff ``d - (a ^ b) <= z``.)
+    """
+    irr = meet_irreducibles(host)
+    m = members | 1
+    while True:
+        new = join_closure(host, m)
+        for d in list(bits(new)):
+            for c in irr:
+                new |= bit(host.diff(d, c))
         if new == m:
             return m
         m = new

@@ -41,7 +41,7 @@ def planted(module, name, fake, call):
 
 raised = {
     "is_subcolocale": planted(sc, "_is_subcolocale_characterized",
-                              lambda host, m: not sc._is_subcolocale_raw(host, m),
+                              lambda host, m: sc.generated_subcolocale(host, m) != m,
                               lambda: sc.is_subcolocale(sl, 1)),
     "se": planted(sc, "is_exact_sublocale", lambda fw, m, **kw: False,
                   lambda: sc.se(enumerate_sublocales(FrameWitness.of(gen_chain(4))))),

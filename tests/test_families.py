@@ -104,9 +104,9 @@ def test_meet_stable_filters_match_the_subset_scan(corpus):
     frames = [cf.frame for cf in corpus] + non_frames()
     for fw in frames:
         lat = fw.lattice
-        assert exact_filters(fw).filters == scan_meet_stable_filters(
+        assert exact_filters(fw) == scan_meet_stable_filters(
             lat, lambda f: is_exact_meet(lat, f))
-        assert strongly_exact_filters(fw).filters == scan_meet_stable_filters(
+        assert strongly_exact_filters(fw) == scan_meet_stable_filters(
             lat, lambda f: is_strongly_exact_meet(fw, f))
 
 

@@ -1,15 +1,36 @@
+import random
+
 import pytest
 
 from subloc import (CoframeWitness, FrameWitness, Lattice, NotACoframe,
                     NotAFrame, covered_primes, covers, join_irreducibles,
                     primes)
-from subloc.bits import bits, mask_of
+from subloc.bits import bits, bits_above, mask_of
 from subloc.corpus import gen_boolean, gen_chain, gen_product
 from subloc.lattice import prime_mask
 
 from oracles import (is_exact_meet, is_strongly_exact_meet, naive_difference,
                      naive_heyting, naive_is_exact_meet,
                      naive_join_irreducibles, naive_meet, naive_join, naive_primes)
+
+
+def test_bits_of_short_and_long_masks():
+    """``bits`` peels masks of up to 1,024 bits and reads longer ones off
+    their binary digits; both give every set bit in increasing order, at
+    the ends of the mask and around the switch, dense and sparse."""
+    rng = random.Random(26)
+    masks = [0, 1, 1 << 1024, (1 << 1025) - 1, (1 << 3000) | 1]
+    for length in (1, 63, 1023, 1024, 1025, 1100, 4000):
+        masks += [rng.getrandbits(length) | 1 << (length - 1) for _ in range(3)]
+        masks += [1 << rng.randrange(length) | 1 << (length - 1), 1 << (length - 1) | 1]
+    long_ = 0
+    for m in masks:
+        want = [i for i in range(m.bit_length()) if m >> i & 1]
+        assert list(bits(m)) == want and mask_of(bits(m)) == m
+        cut = rng.randrange(m.bit_length() + 1)
+        assert list(bits_above(m, cut)) == [i for i in want if i > cut]
+        long_ += m.bit_length() > 1024
+    assert long_ == 18
 
 
 def test_chain_tables_are_min_max(c3):

@@ -18,9 +18,9 @@ from subloc.config import DEFAULT_LIMITS
 from subloc.corpus import gen_boolean, gen_chain, gen_product, standard_corpus
 from subloc import report
 from subloc.report import adjunction_suite, correspondence_suite
-from subloc.subcolocales import _meet_irreducibles
 
-from oracles import (NaiveOps, fresh_sublocales, generated_closed_form, host_read_mismatches,
+from oracles import (NaiveOps, closure_is_subcolocale, fixpoint_generated_subcolocale,
+                     fresh_sublocales, generated_closed_form, host_read_mismatches,
                      scan_conucleus, scan_generated_subcolocale, scan_is_subcolocale,
                      scan_join_closure, scan_se, scan_sigma, scan_subcolocales)
 
@@ -154,7 +154,7 @@ def test_distinguished_subcolocales_fill_everything(corpus, hosts):
         host = hosts[cf.name]
         full = (1 << host.size) - 1
         assert sb(host) == full
-        assert ssp(host) == full
+        assert ssp(host) == join_closure(host, subcolocales.point_sublocales(host)) == full
         assert se(host) == full
 
 
@@ -453,8 +453,7 @@ def test_memoised_functions_return_their_bodies_on_a_fresh_host(corpus):
         for held, new in ((kept, fresh), (kept_o, fresh_o)):
             subs = enumerate_subcolocales(held)
             masks = subs + tuple(rng.randrange(1 << held.size) for _ in range(4))
-            calls = [(_meet_irreducibles, ())]
-            calls += [(fn, (m,)) for m in masks
+            calls = [(fn, (m,)) for m in masks
                       for fn in (conuclei, generated_subcolocale, is_subcolocale)]
             if held.fitted:
                 calls += [(is_proper, (m,)) for m in masks]
@@ -473,7 +472,7 @@ def test_memoised_functions_return_their_bodies_on_a_fresh_host(corpus):
                 if fn is is_proper:
                     proper.add(want)
     assert {name for name, _ in outcomes} == {
-        "_meet_irreducibles", "conuclei", "generated_subcolocale", "is_subcolocale",
+        "conuclei", "generated_subcolocale", "is_subcolocale",
         "is_proper", "sb", "ssp", "se", "is_essential", "delta", "sigma"}
     # sigma and delta both raised and returned, and is_proper gave both verdicts
     assert all(outcomes[name, raised] for name in ("sigma", "delta") for raised in (False, True))
@@ -556,25 +555,99 @@ def test_adjunction_suite_generates_each_subcolocale_once(monkeypatch):
 
 
 def test_suites_decide_each_subcolocale_once(monkeypatch):
-    """Both characterizations inside ``is_subcolocale`` run once per
-    distinct ``(host, members)``, though the adjunction suite asks for
-    ``sb``, ``ssp`` and ``se``, one full mask on a finite frame, and the
-    correspondence suite asks for it twice more through ``Subcolocale``:
-    ``sb`` itself, and the codense subcolocale of its round trip."""
+    """Every mask that the adjunction and correspondence suites hand to
+    ``is_subcolocale`` on chain6 is a whole host, full or fitted: ``sb``,
+    ``ssp`` and ``se``, one full mask on a finite frame, then ``sb`` twice
+    more through ``Subcolocale`` (itself, and the codense subcolocale of
+    its round trip), and whole hosts of the quotients.  Neither side of the
+    double entry runs for those.  Asked twice about other masks, the
+    closed form and the characterization each run once per distinct
+    ``(host, members)``."""
     fw = FrameWitness.of(gen_chain(6))
-    asked, raw, characterized = [], [], []
+    asked, closed, characterized = [], [], []
 
     def logged(log, fn):
         return lambda host, m: log.append((id(host), m)) or fn(host, m)
 
-    monkeypatch.setattr(subcolocales, "_is_subcolocale_raw",
-                        logged(raw, subcolocales._is_subcolocale_raw))
+    monkeypatch.setattr(subcolocales, "generated_subcolocale",
+                        logged(closed, generated_subcolocale))
     monkeypatch.setattr(subcolocales, "_is_subcolocale_characterized",
                         logged(characterized, subcolocales._is_subcolocale_characterized))
+    whole = []
+
+    def asking(host, m):
+        asked.append((id(host), m))
+        whole.append(m == (1 << host.size) - 1)
+        return is_subcolocale(host, m)
+
     for module in (subcolocales, report):
-        monkeypatch.setattr(module, "is_subcolocale", logged(asked, is_subcolocale))
+        monkeypatch.setattr(module, "is_subcolocale", asking)
     assert adjunction_suite("chain6", fw)["ok"]
     assert correspondence_suite("chain6", fw)["ok"]
     sl = enumerate_sublocales(fw)
     assert asked.count((id(sl), (1 << sl.size) - 1)) == 5
-    assert sorted(raw) == sorted(characterized) == sorted(set(asked))
+    assert len(whole) > 5 and all(whole) and characterized == []
+
+    rng = random.Random(26)
+    others = [(host, m) for host in (sl, sl.fitted_subcoframe())
+              for m in enumerate_subcolocales(host)[:-1:3] + tuple(
+                  rng.getrandbits(host.size) for _ in range(4))]
+    closed.clear()
+    verdicts = [subcolocales.is_subcolocale(host, m) for host, m in others + others]
+    assert verdicts[:len(others)] == verdicts[len(others):] and len(set(verdicts)) == 2
+    distinct = sorted({(id(host), m) for host, m in others})
+    assert sorted(closed) == sorted(characterized) == distinct
+
+
+def test_closed_form_matches_the_generic_closures():
+    """``is_subcolocale``, ``generated_subcolocale`` and
+    ``enumerate_subcolocales`` read ``C_R`` off the host's ``tops``; here
+    they face the scans on the host's lattice and its ``CoframeWitness``
+    difference table and the join/difference closures on prime sets, on
+    both hosts of every distinct frame of the standard corpus and of 20
+    sampled 4-point topologies.  The masks are random, every subcolocale,
+    and every subcolocale with one index toggled; the enumeration faces the
+    2^k scan on hosts of at most 16 indices and the closure test above."""
+    rng = random.Random(26)
+    seen, verdicts, listed = set(), Counter(), 0
+    for cf in standard_corpus(20, 0):
+        if cf.frame.lattice.up in seen:
+            continue
+        seen.add(cf.frame.lattice.up)
+        sl = enumerate_sublocales(cf.frame)
+        for host in (sl, sl.fitted_subcoframe()):
+            lat = host.as_lattice
+            diff = CoframeWitness.of(lat).difference_table
+            subs = enumerate_subcolocales(host)
+            p = len(host.tops)
+            assert len(subs) == len(set(subs)) == 2 ** p
+            if host.size <= 16:
+                assert subs == scan_subcolocales(host)
+            else:
+                assert all(closure_is_subcolocale(host, m) for m in subs)
+            listed += len(subs)
+            masks = [rng.getrandbits(host.size) for _ in range(8)]
+            masks += [m ^ 1 << rng.randrange(host.size) for m in subs[:8]] + list(subs[:8])
+            for m in masks:
+                ok = is_subcolocale(host, m)
+                assert ok == scan_is_subcolocale(lat, diff, m) == closure_is_subcolocale(host, m)
+                gen = generated_subcolocale(host, m)
+                assert gen == scan_generated_subcolocale(lat, diff, m)
+                assert gen == fixpoint_generated_subcolocale(host, m)
+                verdicts[host.fitted, ok] += 1
+    assert len(seen) == 28 and listed == 662
+    # (fitted host, verdict): both verdicts on both hosts, 1,260 masks
+    assert verdicts == {(False, False): 397, (False, True): 233,
+                        (True, False): 313, (True, True): 317}
+
+
+def test_adjunction_suite_leaves_both_host_lattices_unbuilt():
+    """The adjunction suite decides, generates and lists subcolocales from
+    ``tops`` and reads properness on prime sets: neither host builds
+    ``as_lattice``, on chain6 (no enumeration) and bool3 (enumerated)."""
+    for lat in (gen_chain(6), gen_boolean(3)):
+        fw = FrameWitness.of(lat)
+        assert adjunction_suite("", fw)["ok"]
+        sl = enumerate_sublocales(fw)
+        for host in (sl, sl.fitted_subcoframe()):
+            assert "as_lattice" not in vars(host)

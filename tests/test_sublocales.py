@@ -199,8 +199,8 @@ def test_exact_and_strongly_exact_filters_collapse(corpus):
     # finite scale: every meet is (strongly) exact, so no filter is excluded
     for cf in corpus:
         allf = set(all_filters(cf.frame))
-        assert set(strongly_exact_filters(cf.frame).filters) == allf
-        assert set(exact_filters(cf.frame).filters) == allf
+        assert set(strongly_exact_filters(cf.frame)) == allf
+        assert set(exact_filters(cf.frame)) == allf
 
 
 def test_phi_sends_opens_to_principal_filters(corpus, hosts):
@@ -216,7 +216,7 @@ def test_phi_is_a_bijection_onto_strongly_exact_filters(corpus, hosts):
         slo = hosts[cf.name].fitted_subcoframe()
         phis = [phi(slo, i) for i in range(slo.size)]
         assert len(set(phis)) == slo.size
-        assert sorted(phis) == sorted(strongly_exact_filters(cf.frame).filters)
+        assert sorted(phis) == sorted(strongly_exact_filters(cf.frame))
         for i in range(slo.size):
             for j in range(slo.size):
                 assert slo.leq(i, j) == (phis[j] & ~phis[i] == 0)
@@ -235,7 +235,7 @@ def test_kernels_of_smallest_codense_are_exact_filters(corpus, hosts):
     for cf in corpus:
         sl = hosts[cf.name]
         kers = {ker(sl, i) for i in bits(sb(sl))}
-        assert kers == set(exact_filters(cf.frame).filters)
+        assert kers == set(exact_filters(cf.frame))
 
 
 def test_precongruence_roundtrip_is_identity(corpus, hosts):
