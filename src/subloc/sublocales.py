@@ -228,10 +228,11 @@ class SublocaleCoframe:
         pos, k = self.point_index, self.size
         out = []
         for j in range(self.all_primes.bit_length()):
+            # the mask's binary digits, index 0 first
             row, b = bytearray(b"0") * k, 1 << j
             for q in self.points:
                 if not q & b and (c := pos[q | b]) is not None:
-                    row[c] = 49
+                    row[c] = 49  # ord("1")
             out.append(int(row[::-1], 2))
         return tuple(out)
 

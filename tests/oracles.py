@@ -24,11 +24,12 @@ powerset of the primes (all pairs here).  Subcolocales
 and down-sets are found by testing every subset where the package
 generates them, and a subcolocale is tested and generated by closing
 under joins and differences where the package reads the closed form
-``C_R`` off one mask per prime.  At the very end, subcolocales and quotient frames become
-lattices through ``Lattice.from_up`` (the frames then through
-``FrameWitness.of``) where the package retracts the host by a conucleus
-or a nucleus, and the determined lifts face a scan of every map, their
-check a scan of every pair and their density test the fold over every pin.
+``C_R`` off one mask per prime.  At the very end, subcolocales and
+quotient frames become lattices through ``Lattice.from_up`` (the frames
+then through ``FrameWitness.of``) where the package retracts the host by
+a conucleus or a nucleus, and the determined lifts face a scan of every
+map, their check a scan of every pair and their density test the fold
+over every pin.
 Both lifts, which the package decides on prime sets and on the frames'
 own tables, are also decided here by the generic lift between the two
 subcolocale lattices: with the closeds and the coatoms of ``S(L)``
