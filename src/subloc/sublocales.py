@@ -19,7 +19,7 @@ existing :class:`SublocaleCoframe`, by the same formulas.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 from .bits import bit, bits, bits_above, mask_of
@@ -252,13 +252,15 @@ class SublocaleCoframe:
     @cached_property
     def as_lattice(self) -> Lattice:
         """The host as a :class:`Lattice`, from the host's own formulas: row
-        ``dn[i]`` is :meth:`below`, ``up`` its transpose, and the meet and
-        join tables are ``&`` and ``|``."""
+        ``up[i]`` holds every index whose prime set holds every prime of
+        ``points[i]``, ``dn[i]`` is :meth:`below`, and the meet and join
+        tables are ``&`` and ``|``."""
         pts, pos = self.points, self.point_index
         k = len(pts)
-        dn = tuple(self.below(i) for i in range(k))
-        up = tuple(mask_of(j for j, row in enumerate(dn) if row >> i & 1) for i in range(k))
-        return Lattice(k, up, dn, 0, k - 1,
+        holding = [mask_of(c for c, q in enumerate(pts) if q >> j & 1)
+                   for j in range(self.all_primes.bit_length())]
+        up = tuple(reduce(int.__and__, (holding[j] for j in bits(q)), (1 << k) - 1) for q in pts)
+        return Lattice(k, up, tuple(self.below(i) for i in range(k)), 0, k - 1,
                        tuple(tuple([pos[q & r] for r in pts]) for q in pts),
                        tuple(tuple([pos[q | r] for r in pts]) for q in pts))
 
