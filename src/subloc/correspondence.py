@@ -7,40 +7,38 @@ codense subcolocale of its full sublocale coframe.  ``to_raney`` and
 latter requires the fitted collection to be proper).
 
 The quotient map onto a sublocale reads its nucleus off the prime-set
-tables of ``S(L)`` (:meth:`SublocaleCoframe.nucleus`).  Its target is
-fixed by the sublocale's order (:func:`quotient_order`), so the target is
-built once per order (:func:`surjection_of`) and every other quotient of
-that order maps onto it (:func:`quotient_map`).
+tables of ``S(L)`` (:meth:`SublocaleCoframe.nucleus`).  The quotient is
+``L``'s own nucleus: its meets are ``L``'s, its joins the nucleus of
+``L``'s, and its points the sublocale's primes.  So the suite decides the
+three checks of every quotient in ``L``'s index space, in one pass over
+``S(L)`` that builds no target frame (:func:`quotient_verdicts`).  The
+per-quotient path, which builds each target (:func:`surjection_of`) and
+checks the map and its lifts on it, is the tests' oracle.
 
 Morphism checks decide whether a frame map lifts to a coframe map between
-the chosen subcolocales that extends its action on opens (Raney side) or on
-closeds (zero-dimensional side).  Both are decided on tables the frames
-and hosts already hold, and no subcolocale is built as a lattice.  On the
-Raney side every fitted sublocale of a finite frame is open, so ``F`` is
-the whole fitted host and ``x -> open(x)`` is a lattice isomorphism
-``L = S_o(L)``; each extension checks that once and keeps the way back
-from a fitted index to its element (:attr:`RaneyExtension.element_of`).
-The pins are then every member, and the lift exists iff the frame map
-keeps bounds, meets and joins (:func:`raney_lift_check`).  On the
-zero-dimensional side the one codense subcolocale of ``S(L) = 2^P`` is
-``S(L)`` itself, so a lift is a map of powersets, fixed by the images of
-the atoms.  It exists iff those images partition the target's primes and
-the map keeps the closeds, each closed read as the union of the atom
-images over its primes (:func:`szdbf_lift_check`).  Either check hands
-back its witness, the lift itself, but the zero-dimensional one builds it
-only when it is read (:class:`LiftVerdict`).  The generic constructions,
-a subcolocale's lattice (:func:`subcolocale_lattice`) and the lift fixed
-by meet-dense pins (:func:`extend_to_coframe_map`), stay here for the
-tests that hold both checks to them.  Smoothness of a sublocale
-(membership in the smallest codense subcolocale) is equivalent to the
-zero-dimensional lift existing, and exactness to the Raney lift existing.
+the chosen subcolocales that extends its action on opens (Raney side) or
+on closeds (zero-dimensional side), on tables the frames and hosts
+already hold.  Every fitted sublocale of a finite frame is open, so ``x ->
+open(x)`` is a lattice isomorphism ``L = S_o(L)``
+(:attr:`RaneyExtension.element_of`), and the Raney lift exists iff the
+frame map keeps bounds, meets and joins (:func:`raney_lift_check`).  The
+one codense subcolocale of ``S(L) = 2^P`` is ``S(L)``, so a
+zero-dimensional lift is a map of powersets fixed by the images of the
+atoms; it exists iff they partition the target's primes and the map keeps
+the closeds (:func:`szdbf_lift_check`), whose witness is built when read
+(:class:`LiftVerdict`).  The generic constructions, a subcolocale's
+lattice (:func:`subcolocale_lattice`) and the lift fixed by meet-dense
+pins (:func:`extend_to_coframe_map`), stay for the tests that hold both
+checks to them.  Smoothness of a sublocale (membership in the smallest
+codense subcolocale) is equivalent to the zero-dimensional lift existing,
+and exactness to the Raney lift existing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bits import bit, bits, bits_above, mask_of
 from .config import DEFAULT_LIMITS, Limits
@@ -117,60 +115,24 @@ def is_exact_map(f: FrameMap) -> bool:
     return True
 
 
-def quotient_order(sl: SublocaleCoframe, i: int) -> tuple[int, ...]:
-    """The order of sublocale ``i``: the ambient up-rows of its members,
-    restricted to them and compressed to local positions (the ``p``-th
-    member in element order is ``p``).
-
-    It is the ``up`` of the target lattice that :func:`surjection_of`
-    builds, and it fixes the whole target witness: the retract's meet and
-    join tables are those of the order, its Heyting rows are the
-    sublocale's own arrow (the ambient arrows it is closed under), and its
-    primes are its own.  So quotients of equal order have equal targets,
-    and one target serves them all (:func:`quotient_map`).
-    """
-    members = sl.elems[i]
-    up = sl.ambient.lattice.up
-    elems = tuple(bits(members))
-    order = []
-    for e in elems:
-        row, local, b = up[e] & members, 0, 1
-        for x in elems:
-            if row >> x & 1:
-                local |= b
-            b <<= 1
-        order.append(local)
-    return tuple(order)
-
-
-def quotient_map(sl: SublocaleCoframe, i: int,
-                 target: FrameWitness | None = None) -> FrameMap:
+def surjection_of(sl: SublocaleCoframe, i: int) -> FrameMap:
     """The quotient map of the frame onto sublocale ``i``: its nucleus
     (:meth:`SublocaleCoframe.nucleus`) read in local positions.
 
-    With no ``target`` the target is built: a sublocale is closed under
-    the ambient meets and Heyting arrows, so it is the ambient retract by
-    the nucleus, with the ambient Heyting rows restricted and the ambient
-    primes it contains as its primes (Picado & Pultr, *Frames and
-    Locales*, 2012).  A ``target`` given is one built for a sublocale of
-    the same :func:`quotient_order`, hence equal to the one built here.
-    :meth:`FrameMap.of` validates the map either way.
+    A sublocale is closed under the ambient meets and Heyting arrows, so
+    the target is the ambient retract by the nucleus, with the ambient
+    Heyting rows restricted and the ambient primes it contains as its
+    primes (Picado & Pultr, *Frames and Locales*, 2012).
+    :meth:`FrameMap.of` validates the map.
     """
     fw, members = sl.ambient, sl.elems[i]
     nu = sl.nucleus(i)
     pos = {e: p for p, e in enumerate(bits(members))}
-    if target is None:
-        hey = fw.heyting_table
-        target = FrameWitness(fw.lattice.retract(nu),
-                              tuple(tuple(pos[hey[a][b]] for b in pos) for a in pos),
-                              mask_of(pos[p] for p in bits(fw.primes & members)))
+    hey = fw.heyting_table
+    target = FrameWitness(fw.lattice.retract(nu),
+                          tuple(tuple(pos[hey[a][b]] for b in pos) for a in pos),
+                          mask_of(pos[p] for p in bits(fw.primes & members)))
     return FrameMap.of(fw, target, tuple([pos[v] for v in nu]))
-
-
-def surjection_of(sl: SublocaleCoframe, i: int) -> FrameMap:
-    """The quotient map of the frame onto sublocale ``i``, its target built
-    (:func:`quotient_map`)."""
-    return quotient_map(sl, i)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +486,77 @@ def _powerset_witness(src: SublocaleCoframe, dst: SublocaleCoframe,
         image += [q | a for q in image]
     pos = dst.point_index
     return (tuple([pos[image[q]] for q in src.points]),)
+
+
+def quotient_verdicts(b: SZDBF) -> Iterator[tuple[bool, bool, bool]]:
+    """For each sublocale ``i`` of ``b``'s frame ``L``, in host order, the
+    verdicts of :func:`is_exact_map`, :func:`szdbf_lift_check` and
+    :func:`raney_lift_check` on the quotient map onto it, decided on
+    ``L``'s tables: no target frame, host or structure is built.
+
+    Let ``Q = points[i]``, ``nu = nucleus(i)`` and ``rho(y) = Q &
+    above[y]``.  The target ``T`` is ``nu``'s image with ``L``'s top, the
+    bottom ``nu(bottom)`` and ``nu`` of ``L``'s meets and joins
+    (:meth:`Lattice.retract`).  Its primes are ``Q``, as a prime ``p`` not
+    in ``Q`` is not ``nu(p)``, a meet of primes strictly above it; so
+    ``T``'s closed and open of ``y`` have the prime sets ``rho(y)`` and
+    ``Q - rho(y)``.  Each quotient is checked for (a) ``nu(top) = top``,
+    (b) ``rho(nu(x)) = rho(x)`` for every ``x``, ``n`` lookups
+    (:meth:`SublocaleCoframe.nucleus` proves it), and (c) ``nu(a ^ b) =
+    nu(a) ^ nu(b)`` for every exact pair ``a < b``.
+
+    - *Raney.*  The lift is ``is_coframe_map(L, T, nu, ())``
+      (:func:`raney_lift_check`).  Read on ``L``, that is (a) and, for
+      every ``a``, ``nu(a v j) = nu(nu(a) v nu(j))`` for each
+      join-irreducible ``j`` and ``nu(a ^ m) = nu(nu(a) ^ nu(m))`` for
+      each meet-irreducible ``m``, ``n (|J| + |M|)`` lookups: the one
+      validation of the map.
+    - *Zero-dimensional.*  The lift sends the atom ``{p}`` to ``A_p =
+      rho(nu(p)) - rho(nu(x_p))``, ``x_p`` as in :attr:`SZDBF.coatom_pins`
+      (:func:`szdbf_lift_check`), which is ``Q & above[p] & ~above[x_p]``
+      by (b).  ``above[p] & ~above[x_p] = {p}`` on a frame, as ``p < x_p``
+      and every prime strictly above ``p`` is above ``x_p``; checked once
+      per frame, it makes the ``A_p`` the ``Q & {p}``, a partition of
+      ``Q``, and the lift ``R -> R & Q``, which sends the closed
+      ``above[x]`` to ``rho(x) = rho(nu(x))``, the closed of ``nu(x)``.
+      So the lift exists iff those singletons and (b) hold.
+    - *Exact map.*  :func:`is_exact_map` asks (a), (c) and exact image
+      pairs.  By (b), ``rho`` is one to one on ``T`` (``nu(x) =
+      meet_of[rho(x)] = meet_of[rho(nu(x))]``) and sends ``T``'s join
+      ``nu(y v z)`` to ``rho(y) & rho(z)``, a prime being above ``y v z``
+      iff above both.  It sends ``y ^ z`` to ``rho(y) | rho(z)``
+      (:meth:`SublocaleCoframe.meets_split_primes`, which ``se`` checks
+      per host), so ``y ^ z = meet_of[rho(y) | rho(z)]`` is in ``T`` and
+      is ``T``'s meet.  So ``T`` is a ring of sets on ``Q``, distributive,
+      and each of its pairs is exact.
+
+    All of these hold on a frame, so every verdict is true;
+    ``tests/test_correspondence.py`` holds them to the per-quotient path.
+    """
+    sl, fw = b.d_sub.host, b.frame
+    if b.d_sub.members != (1 << sl.size) - 1:
+        raise InternalInconsistency("a codense subcolocale of S(L) is not all of S(L)")
+    lat = fw.lattice
+    meet, join, top = lat.meet_table, lat.join_table, lat.top
+    above = sl._prime_tables[3]
+    # the rows of is_coframe_map's induction and the exact pairs a < b, each
+    # with its left side's lookups laid out flat
+    irr = [(op, y) for op, m in zip((join, meet), lat.irreducibles) for y in bits(m)]
+    irr_flat = [x for op, y in irr for x in op[y]]
+    exact = fw.exact_pairs[0]
+    pairs = [tuple(bits_above(exact[a], a)) for a in range(lat.n)]
+    pairs_flat = [meet[a][x] for a, bs in enumerate(pairs) for x in bs]
+    points = [above[p] & ~above[xp] for xp, p in b.coatom_pins]
+    singletons = points == [1 << j for j in range(len(points))]
+    for i, q in enumerate(sl.points):
+        nu = sl.nucleus(i)
+        kept = nu[top] == top
+        identity = [q & above[v] for v in nu] == [q & r for r in above]
+        exact_map = kept and identity and [nu[x] for x in pairs_flat] == \
+            [meet[v][nu[x]] for v, bs in zip(nu, pairs) for x in bs]
+        raney = kept and [nu[x] for x in irr_flat] == \
+            [nu[r[v]] for r in [op[nu[y]] for op, y in irr] for v in nu]
+        yield exact_map, singletons and identity, raney
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,8 @@ from typing import Any
 
 from .bits import bit, bits, bits_above, mask_of
 from .config import DEFAULT_LIMITS, Limits
-from .correspondence import (SZDBF, RaneyExtension, downset_frame, is_exact_map,
-                             quotient_map, quotient_order, raney_lift_check,
-                             right_adjoint_image, surjection_of, szdbf_lift_check,
-                             to_raney, to_szdbf)
+from .correspondence import (SZDBF, downset_frame, is_exact_map, quotient_verdicts,
+                             right_adjoint_image, to_raney, to_szdbf)
 from .errors import NotProper
 from .lattice import (CoframeWitness, FrameWitness, adjunction_violations,
                       covered_primes, covers, distributivity_violations,
@@ -488,8 +486,9 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
                      f"{MAX_ENUMERATED_HOST}; distinguished subcolocales "
                      f"checked, brute-force enumeration skipped")
 
+    # sb and ssp are one mask on every finite frame; each distinct one is walked once
     bad = []
-    for dm in (sb_m, ssp_m):
+    for dm in dict.fromkeys((sb_m, ssp_m)):
         fm = fit_image(sl, sl_o, dm)
         sigma_at = {f: sigma(sl, sl_o, fm, f) for f in bits(fm)}
         for d in bits(dm):
@@ -510,24 +509,13 @@ def adjunction_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMIT
             "ok": checks.ok, "checks": checks.items, "notes": notes}
 
 
-Targets = dict[tuple[int, ...], tuple[SZDBF, RaneyExtension]]
-
-
 def correspondence_suite(name: str, fw: FrameWitness,
-                         limits: Limits = DEFAULT_LIMITS,
-                         targets: Targets | None = None) -> dict:
+                         limits: Limits = DEFAULT_LIMITS) -> dict:
     """The correspondence checks.
 
-    Each quotient is keyed by its order (:func:`quotient_order`) before
-    anything is built for it.  ``targets`` maps an order to the target
-    structures built for it; a run over many frames passes one dict to
-    every call, and without one the call makes its own.  The frame's own
-    structures go in first under its order, which is that of its top
-    quotient.  A quotient of a new order builds the target witness
-    (:func:`surjection_of`) and its target structures; every other one maps
-    onto the stored witness (:func:`quotient_map`), still validated as a
-    frame map, so a witness of another order fails loudly, and put through
-    all three checks.  The down-set frame is built first, so that an
+    The three checks of every quotient are decided in one pass over
+    ``S(L)`` on the frame's own tables (:func:`quotient_verdicts`), with no
+    target frame built.  The down-set frame is built first, so that an
     oversized one fails before any lift is checked."""
     checks = _Checks()
     notes = [FINITE_NOTE]
@@ -547,28 +535,13 @@ def correspondence_suite(name: str, fw: FrameWitness,
         bad.append("round trip through the fitted side moved the subcolocale")
     checks.add("raney-szdbf-round-trip", bad)
 
-    if targets is None:
-        targets = {}
-    targets[fw.lattice.up] = b1, r1
-    smooth_bad = []
-    exact_bad = []
-    surj_bad = []
-    for i in range(sl.size):
-        key = quotient_order(sl, i)
-        pair = targets.get(key)
-        if pair is None:
-            f = surjection_of(sl, i)
-            sub_sl = enumerate_sublocales(f.target, limits)
-            b2 = SZDBF(f.target, Subcolocale(sub_sl, sb(sub_sl)))
-            pair = targets[key] = b2, to_raney(b2)
-        else:
-            f = quotient_map(sl, i, pair[0].frame)
-        b2, r2 = pair
-        if not is_exact_map(f):
+    surj_bad, smooth_bad, exact_bad = [], [], []
+    for i, (exact_map, smooth, raney) in enumerate(quotient_verdicts(b1)):
+        if not exact_map:
             surj_bad.append(i)
-        if szdbf_lift_check(f, b1, b2).exists != bool((sb_m >> i) & 1):
+        if smooth != bool((sb_m >> i) & 1):
             smooth_bad.append(i)
-        if raney_lift_check(f, r1, r2).exists != bool((se_m >> i) & 1):
+        if raney != bool((se_m >> i) & 1):
             exact_bad.append(i)
     checks.add("surjections-are-exact-maps", surj_bad)
     checks.add("szdbf-lift-iff-smooth", smooth_bad)
@@ -595,14 +568,14 @@ def correspondence_suite(name: str, fw: FrameWitness,
 
 
 def run_suite(suite: str, name: str, fw: FrameWitness,
-              limits: Limits = DEFAULT_LIMITS, targets: Targets | None = None) -> dict:
-    """Run one suite; ``targets`` reaches :func:`correspondence_suite`."""
+              limits: Limits = DEFAULT_LIMITS) -> dict:
+    """Run one suite."""
     if suite == "laws":
         return laws_suite(name, fw, limits)
     if suite == "adjunction":
         return adjunction_suite(name, fw, limits)
     if suite == "correspondence":
-        return correspondence_suite(name, fw, limits, targets)
+        return correspondence_suite(name, fw, limits)
     raise ValueError(f"unknown suite {suite!r}")
 
 

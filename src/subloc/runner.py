@@ -7,14 +7,10 @@ into each result's ``"frame"`` field afterwards), so each distinct text
 runs once and frames with the same text share its results.
 
 The distinct texts are sorted by element count (ties by text) and dealt
-round-robin into one chunk per worker; a serial run is one chunk.  A
-chunk runs smallest frame first and keeps one map from quotient order to
-target structures for all its frames (see
-:func:`~subloc.report.correspondence_suite`): a frame stores its own
-structures under its order, and a quotient of a later, larger frame with
-that order maps onto them instead of building them again.  Results come
-back as plain dicts and are reassembled in frame-name order, so the report
-is the same for any worker count.
+round-robin into one chunk per worker, so the chunks cost about the same;
+a serial run is one chunk.  Nothing is kept from one frame to the next.
+Results come back as plain dicts and are reassembled in frame-name order,
+so the report is the same for any worker count.
 """
 
 from __future__ import annotations
@@ -33,14 +29,12 @@ ALL_SUITES = ("laws", "adjunction", "correspondence")
 
 
 def _run_chunk(payload) -> list[list[dict]]:
-    """Each text's suite results, in the chunk's order, with one target map
-    shared by the whole chunk."""
+    """Each text's suite results, in the chunk's order."""
     texts, suites, limits = payload
-    targets: dict = {}
     runs = []
     for text in texts:
         fw = FrameWitness.of(parse_lattice(text))
-        runs.append([run_suite(suite, "", fw, limits, targets) for suite in suites])
+        runs.append([run_suite(suite, "", fw, limits) for suite in suites])
     return runs
 
 

@@ -43,12 +43,15 @@ from typing import Sequence
 from subloc.bits import bit, bits, mask_of
 from subloc.errors import InternalInconsistency, SizeLimit
 from subloc.config import DEFAULT_LIMITS
-from subloc.correspondence import LiftVerdict, extend_to_coframe_map, subcolocale_lattice
+from subloc.correspondence import (SZDBF, FrameMap, LiftVerdict, extend_to_coframe_map,
+                                   is_exact_map, raney_lift_check, subcolocale_lattice,
+                                   surjection_of, szdbf_lift_check, to_raney)
 from subloc.lattice import CoframeWitness, FrameWitness, Lattice, covers
-from subloc.subcolocales import (_trims, closed_trims, is_proper, join_closure, leq_f,
-                                 point_sublocales, sb)
-from subloc.sublocales import (SublocaleCoframe, b_mask, closed_mask, is_exact_sublocale,
-                               is_precongruence, is_sublocale, nucleus_element, open_mask)
+from subloc.subcolocales import (Subcolocale, _trims, closed_trims, is_proper, join_closure,
+                                 leq_f, point_sublocales, sb)
+from subloc.sublocales import (SublocaleCoframe, b_mask, closed_mask, enumerate_sublocales,
+                               is_exact_sublocale, is_precongruence, is_sublocale,
+                               nucleus_element, open_mask)
 
 
 def submasks(mask: int):
@@ -970,6 +973,72 @@ def verdict_json(v) -> dict:
             "witnesses": [list(w) for w in v.witnesses],
             "nodes_explored": v.nodes_explored,
             "exhausted": v.exhausted}
+
+
+def quotient_order(sl, i: int) -> tuple:
+    """The order of sublocale ``i``: the ambient up-rows of its members,
+    restricted to them and compressed to local positions (the ``p``-th
+    member in element order is ``p``).
+
+    It is the ``up`` of the target lattice that ``surjection_of`` builds,
+    and it fixes the whole target witness: the retract's meet and join
+    tables are those of the order, its Heyting rows are the sublocale's
+    own arrow (the ambient arrows it is closed under), and its primes are
+    its own.  So quotients of equal order have equal targets, and one
+    target serves them all (:func:`quotient_map`).
+    """
+    members = sl.elems[i]
+    up = sl.ambient.lattice.up
+    elems = tuple(bits(members))
+    order = []
+    for e in elems:
+        row, local, b = up[e] & members, 0, 1
+        for x in elems:
+            if row >> x & 1:
+                local |= b
+            b <<= 1
+        order.append(local)
+    return tuple(order)
+
+
+def quotient_map(sl, i: int, target) -> FrameMap:
+    """The quotient map onto sublocale ``i``, onto a ``target`` that
+    ``surjection_of`` built for a sublocale of the same
+    :func:`quotient_order`, hence equal to the one it would build here.
+    ``FrameMap.of`` validates it, so a target of another order raises."""
+    pos = {e: p for p, e in enumerate(bits(sl.elems[i]))}
+    return FrameMap.of(sl.ambient, target, tuple([pos[v] for v in sl.nucleus(i)]))
+
+
+def per_quotient_verdicts(sl) -> list:
+    """For each sublocale ``i`` of the full host ``sl``, the verdicts of
+    ``is_exact_map``, ``szdbf_lift_check`` and ``raney_lift_check`` on the
+    quotient map onto it, each quotient mapped onto a target frame with its
+    own ``S(.)``, ``SZDBF`` and ``RaneyExtension``, where the package
+    decides all three in the frame's own index space
+    (``quotient_verdicts``).  Targets are shared by order: a quotient of a
+    new order builds its target (``surjection_of``), every other one maps
+    onto the stored witness (:func:`quotient_map`), validated by
+    ``FrameMap.of``; the frame itself is its own top quotient."""
+    fw = sl.ambient
+    b1 = SZDBF(fw, Subcolocale(sl, sb(sl)))
+    r1 = to_raney(b1)
+    targets = {fw.lattice.up: (b1, r1)}
+    out = []
+    for i in range(sl.size):
+        key = quotient_order(sl, i)
+        pair = targets.get(key)
+        if pair is None:
+            f = surjection_of(sl, i)
+            sub = enumerate_sublocales(f.target)
+            b2 = SZDBF(f.target, Subcolocale(sub, sb(sub)))
+            pair = targets[key] = b2, to_raney(b2)
+        else:
+            f = quotient_map(sl, i, pair[0].frame)
+        b2, r2 = pair
+        out.append((is_exact_map(f), szdbf_lift_check(f, b1, b2).exists,
+                    raney_lift_check(f, r1, r2).exists))
+    return out
 
 
 def table_sublocale_frame(sl, i: int) -> tuple:

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from subloc import (CoframeWitness, FrameWitness, enumerate_sublocales,
                     is_sublocale, parse_lattice, serialize_lattice)
 from subloc.bits import mask_of
-from subloc.correspondence import (quotient_map, quotient_order, subcolocale_lattice,
-                                   surjection_of)
+from subloc.correspondence import subcolocale_lattice, surjection_of
 from subloc.corpus import gen_downsets_of_poset
 from subloc.subcolocales import (enumerate_subcolocales, generated_subcolocale,
                                  is_subcolocale)
@@ -22,7 +21,8 @@ from oracles import (fit_mask, generated_closed_form, host_mismatches, host_read
                      is_exact_meet, precongruence_to_sublocale, sublocale_closure,
                      sublocale_to_precongruence,
                      is_strongly_exact_meet, naive_difference,
-                     naive_heyting, naive_primes, scan_subcolocales, table_hosts,
+                     naive_heyting, naive_primes, quotient_map, quotient_order,
+                     scan_subcolocales, table_hosts,
                      table_sublocale_frame, table_subcolocale_lattice)
 
 

@@ -10,14 +10,14 @@ import pytest
 from subloc import DEFAULT_LIMITS, correspondence, report, runner
 from subloc.cli import main
 from subloc.corpus import gen_boolean, gen_chain, gen_diamond, standard_corpus
-from subloc.correspondence import surjection_of
+from subloc.bits import bits
 from subloc.errors import SizeLimit
-from subloc.lattice import FrameWitness
+from subloc.lattice import FrameWitness, Lattice
 from subloc.latfile import parse_lattice, serialize_lattice
 from subloc.report import (FINITE_NOTE, SCHEMA_VERSION, correspondence_suite,
                            frame_report, host_law_violations, laws_suite,
                            render_suite_text, run_suite)
-from subloc.sublocales import enumerate_sublocales
+from subloc.sublocales import SublocaleCoframe, enumerate_sublocales
 from subloc.runner import corpus_report
 
 C3_TEXT = "lattice 3\nbottom 0\ntop 2\n0 < 1\n1 < 2\n"
@@ -211,8 +211,7 @@ def test_oversized_downset_frame_fails_before_any_lift(tmp_path, monkeypatch, ca
     def reached(*args):
         pytest.fail("a lift was checked before the down-set frame was bounded")
 
-    monkeypatch.setattr(correspondence, "is_coframe_map", reached)
-    monkeypatch.setattr(correspondence, "powerset_lift", reached)
+    monkeypatch.setattr(report, "quotient_verdicts", reached)
     with pytest.raises(SizeLimit, match="max_downsets=4096"):
         run_suite("correspondence", "bool6", FrameWitness.of(gen_boolean(6)))
     path = tmp_path / "bool6.lat"
@@ -222,54 +221,87 @@ def test_oversized_downset_frame_fails_before_any_lift(tmp_path, monkeypatch, ca
     assert "max_downsets=4096" in err and "--limit max_downsets=N" in err
 
 
-def test_correspondence_suite_builds_one_target_per_distinct_quotient(monkeypatch):
+def _no_quotient_target(monkeypatch):
+    """Fail the test if a quotient map or its target is built.  The package
+    builds both in ``surjection_of`` only, through the retract behind every
+    target frame; ``quotient_map`` and ``quotient_order``, which shared the
+    targets, are test oracles and bound nowhere in the package."""
+    def reached(*args, **kwargs):
+        pytest.fail("a quotient map or its target frame was built")
+
+    modules = (correspondence, report, runner)
+    assert not any(hasattr(m, name) for m in modules
+                   for name in ("quotient_map", "quotient_order"))
+    monkeypatch.setattr(correspondence, "surjection_of", reached)
+    monkeypatch.setattr(Lattice, "retract", reached)
+
+
+def _counting_verdicts(monkeypatch):
+    """Record every quotient verdict that the suite reads."""
+    decided, real = [], report.quotient_verdicts
+    monkeypatch.setattr(report, "quotient_verdicts",
+                        lambda b: [decided.append(v) or v for v in real(b)])
+    return decided
+
+
+def test_correspondence_suite_builds_no_quotient_target(monkeypatch):
+    want = correspondence_suite("chain6", FrameWitness.of(gen_chain(6)))
+    _no_quotient_target(monkeypatch)
+    decided = _counting_verdicts(monkeypatch)
+    hosts, real_init = [], SublocaleCoframe.__init__
+    monkeypatch.setattr(SublocaleCoframe, "__init__",
+                        lambda self, *args, **kw: hosts.append(args[0]) or
+                        real_init(self, *args, **kw))
     fw = FrameWitness.of(gen_chain(6))
-    sl = enumerate_sublocales(fw)
-    top = sl.size - 1
-    assert report.quotient_order(sl, top) == fw.lattice.up
-    distinct = {surjection_of(sl, i).target for i in range(sl.size)}
-    misses, built = [], []
-    real_surjection, real_enumerate = report.surjection_of, report.enumerate_sublocales
-    monkeypatch.setattr(report, "surjection_of",
-                        lambda sl, i: misses.append(i) or real_surjection(sl, i))
-    monkeypatch.setattr(report, "enumerate_sublocales",
-                        lambda frame, limits: built.append(frame) or real_enumerate(frame, limits))
-    targets = {}
-    shared = correspondence_suite("chain6", fw, targets=targets)
-    # the frame is its own top quotient, stored before the loop, so the top
-    # never misses; every other distinct quotient misses once and builds one
-    # target witness and one target host
-    assert len(misses) == len(distinct) - 1 == 5 and top not in misses
-    assert len(built) == 1 + len(misses)
-    assert len(targets) == len(distinct) and targets[fw.lattice.up][0].frame is fw
-    # a key that never repeats builds a fresh target for every quotient; the
-    # result is the same
-    misses.clear()
-    built.clear()
-    monkeypatch.setattr(report, "quotient_order", lambda sl, i: i)
-    fresh = correspondence_suite("chain6", fw)
-    assert len(misses) == sl.size == 32
-    assert len(built) == 1 + sl.size
-    assert shared == fresh and shared["ok"]
+    got = correspondence_suite("chain6", fw)
+    # the frame's own S(L) and fitted host, and its 32 quotients decided on them
+    assert hosts == [fw, fw] and len(decided) == 32
+    assert got == want and got["ok"]
 
 
-def test_correspondence_suite_on_a_wrong_stored_target_fails_loudly(monkeypatch):
-    texts = [serialize_lattice(gen_chain(4)), serialize_lattice(gen_boolean(2))]
-    ups = [parse_lattice(t).up for t in texts]
-    payload = (texts, ("correspondence",), DEFAULT_LIMITS)
-    assert all(run[0]["ok"] for run in runner._run_chunk(payload))
-    # the two 4-element frames swap keys: the frame run second maps its top
-    # quotient onto the first frame's witness, which is no quotient of it
-    real = report.quotient_order
-    swap = {ups[0]: ups[1], ups[1]: ups[0]}
+def _nucleus_drops_prime_0_at_the_top(real):
+    def planted(self, i):
+        if self.fitted or i != self.size - 1:
+            return real(self, i)
+        _, _, meet_of, above = self._prime_tables
+        q = self.points[i] & ~1
+        return tuple([meet_of[q & r] for r in above])
+    return planted
 
-    def swapped(sl, i):
-        key = real(sl, i)
-        return swap.get(key, key)
 
-    monkeypatch.setattr(report, "quotient_order", swapped)
-    with pytest.raises(ValueError, match="does not preserve"):
-        runner._run_chunk(payload)
+def _nucleus_steps_up_at_the_bottom(real):
+    # on a chain, x -> x + 1 below the top: it keeps the top and every meet,
+    # and its image is the prime-free bottom sublocale's, but it is not
+    # idempotent, so it breaks nu(a ^ m) = nu(nu(a) ^ nu(m)) at a = m = 0
+    def planted(self, i):
+        if self.fitted or i != 0:
+            return real(self, i)
+        top = self.ambient.lattice.top
+        return tuple([min(x + 1, top) for x in range(top + 1)])
+    return planted
+
+
+def test_each_quotient_check_fails_through_the_suite_under_its_plant(monkeypatch):
+    fw = FrameWitness.of(gen_chain(4))
+    assert correspondence_suite("chain4", fw)["ok"]
+    real_nucleus = SublocaleCoframe.nucleus
+    pins_to_self = property(lambda b: tuple((p, p) for p in bits(b.frame.primes)))
+    plants = [
+        # the identity rho(nu(x)) = rho(x) fails at x = 0 on the whole frame
+        (SublocaleCoframe, "nucleus", _nucleus_drops_prime_0_at_the_top(real_nucleus),
+         {"surjections-are-exact-maps": [7], "szdbf-lift-iff-smooth": [7]}),
+        # x_p = p makes every atom empty, so no zero-dimensional lift exists
+        (correspondence.SZDBF, "coatom_pins", pins_to_self,
+         {"szdbf-lift-iff-smooth": [0, 1, 2, 3, 4]}),
+        (SublocaleCoframe, "nucleus", _nucleus_steps_up_at_the_bottom(real_nucleus),
+         {"raney-lift-iff-exact": [0]}),
+    ]
+    for owner, name, plant, failing in plants:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, plant)
+            result = correspondence_suite("chain4", FrameWitness.of(gen_chain(4)))
+        got = {c["check"]: c["counterexamples"] for c in result["checks"] if not c["ok"]}
+        assert got == failing and not result["ok"], name
 
 
 def test_downset_join_map_check_catches_a_wrong_right_adjoint(monkeypatch):
@@ -330,9 +362,9 @@ def test_sigma_of_each_fit_is_read_once_and_every_failing_d_listed(monkeypatch):
     assert sl_o.size < sl.size
     # sb and ssp are the whole host, so sb's fit image is the full fitted
     # collection: the two checks before read each fitted index once on it,
-    # and the Galois-connection check once for each of sb and ssp
-    assert len([c for c in calls if isinstance(c, int)]) == 5 * sl_o.size
-    assert read_by("fit-sigma-galois-connection") == 2 * list(range(sl_o.size))
+    # and the Galois-connection check once for the one mask sb and ssp share
+    assert len([c for c in calls if isinstance(c, int)]) == 4 * sl_o.size
+    assert read_by("fit-sigma-galois-connection") == list(range(sl_o.size))
 
 
 def test_galois_connection_check_lists_every_failing_pair_d_first(monkeypatch):
@@ -375,9 +407,9 @@ def sampled_report():
 def test_corpus_report_runs_each_distinct_text_once(monkeypatch):
     calls = []
 
-    def counted(suite, name, fw, limits, targets):
+    def counted(suite, name, fw, limits):
         calls.append(suite)
-        return run_suite(suite, name, fw, limits, targets)
+        return run_suite(suite, name, fw, limits)
 
     monkeypatch.setattr(runner, "run_suite", counted)
     rep = corpus_report(("laws",), jobs=1)
@@ -385,17 +417,13 @@ def test_corpus_report_runs_each_distinct_text_once(monkeypatch):
 
 
 def test_sampled_corpus_serial_run_builds_no_target(monkeypatch):
-    # every quotient order of the sampled corpus is the order of one of its
-    # frames, which a serial run holds in its one chunk, smallest first
-    built, mapped = [], []
-    real_map = report.quotient_map
-    monkeypatch.setattr(report, "surjection_of", lambda sl, i: built.append(i))
-    monkeypatch.setattr(report, "quotient_map",
-                        lambda sl, i, target: mapped.append(i) or real_map(sl, i, target))
+    # every quotient is decided on its own frame's tables, so no run reads
+    # what an earlier frame left behind
+    _no_quotient_target(monkeypatch)
+    decided = _counting_verdicts(monkeypatch)
     rep = corpus_report(("correspondence",), points4=20, seed=0, jobs=1)
-    # the 331 quotients of the 28 distinct texts all map onto stored targets
-    assert rep["ok"] and built == []
-    assert len(mapped) == 331
+    # the 331 quotients of the 28 distinct texts
+    assert rep["ok"] and len(decided) == 331
 
 
 def test_corpus_report_equals_a_fresh_run_for_every_frame(sampled_report):
