@@ -92,10 +92,6 @@ def cmd_sublocales(args, limits: Limits) -> int:
 def cmd_subcolocales(args, limits: Limits) -> int:
     fw = _load_frame(args.file, limits)
     host = _host_of(fw, args.host, limits)
-    if args.filter == "proper" and args.host != "SoL":
-        print("proper filtering needs the fitted host (--host SoL)",
-              file=sys.stderr)
-        return 2
     found = enumerate_subcolocales(host, args.filter)
     for mask in found:
         print("{" + ", ".join(map(str, sorted(bits(mask)))) + "}")

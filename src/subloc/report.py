@@ -18,8 +18,7 @@ from .correspondence import (SZDBF, downset_frame, is_exact_map, quotient_verdic
                              right_adjoint_image, to_raney, to_szdbf)
 from .errors import NotProper
 from .lattice import (CoframeWitness, FrameWitness, adjunction_violations,
-                      covered_primes, covers, distributivity_violations,
-                      primes)
+                      covered_primes, covers, primes)
 from .subcolocales import (Subcolocale, adjunction_check, conuclei, delta,
                            enumerate_subcolocales, fit_image, is_codense,
                            is_essential, is_proper, is_subcolocale,
@@ -104,86 +103,70 @@ def _prime_part_violations(sl: SublocaleCoframe) -> list:
 
 
 def host_law_violations(host: SublocaleCoframe) -> list:
-    """Where a host's operations differ from intersection and from the
-    (fitted) join of sublocales, and where they break distributivity.
+    """Where ``m: Q -> members(Q)`` fails to carry the prime sets of a host
+    onto its sublocales, labelled ``"SL"`` on ``S(L)`` and ``"SoL"`` on
+    ``S_o(L)``: ``(label, "primes", i)`` when the primes among the members
+    of ``i`` are not ``points[i]``; ``(label, "bottom", 0)`` when the empty
+    set gives other members than the top; ``(label, "join", i, c)`` on a
+    cover ``points[c] = points[i] | {j}`` (:meth:`SublocaleCoframe.covers`)
+    where ``m(points[c])`` is not the join of ``m(points[i])`` and ``{p,
+    top}``, for ``p`` the ``j``-th prime; and, on the fitted host,
+    ``(label, "fitted", i)`` when the members of ``i`` are not the meet of
+    the open masks above them.  The join of sublocales ``S`` and ``T`` is
+    ``{a ^ b : a in S, b in T}`` (Picado & Pultr, *Frames and Locales*,
+    2012, III.3): it is the set of meets of subsets of ``S | T``, and each
+    such meet splits into a meet from ``S`` and one from ``T``, both
+    meet-closed.  So the join with ``{p, top}`` is ``m(points[i])`` and
+    its members' meets with ``p``.
 
-    The join of sublocales ``S`` and ``T`` is ``{a ^ b : a in S, b in T}``
-    (Picado & Pultr, *Frames and Locales*, 2012, III.3): it is the set of
-    meets of subsets of ``S | T``, and each such meet splits into a meet
-    from ``S`` and one from ``T``, both meet-closed.
-
-    On ``S(L)`` the map ``m: Q -> members(Q)`` is checked on the covers of
-    the powerset of the primes (:func:`_full_host_law_violations`).  On
-    ``S_o(L)``, of ``n`` elements, the host's lattice is compared pair by
-    pair: with ``meets[j][a]``, the mask of ``a ^ b`` over the members
-    ``b`` of ``j``, the join of ``i`` and ``j`` is the union of
-    ``meets[j][a]`` over the members ``a`` of ``i``, then fitted by the
-    ``n`` open masks, computed once.  ``tests/oracles.py`` takes the
-    closure of the union instead.
-    """
-    if not host.fitted:
-        return _full_host_law_violations(host)
-    fw = host.ambient
-    meet, n = fw.lattice.meet_table, fw.lattice.n
-    lat = host.as_lattice
-    elems = host.elems
-    meets = [[mask_of(meet[a][b] for b in bits(m)) for a in range(n)] for m in elems]
-    opens = [open_mask(fw, a) for a in range(n)]
-    bad = []
-    for i, mi in enumerate(elems):
-        members = tuple(bits(mi))
-        for j in range(i, host.size):
-            if lat.meet_table[i][j] != host.index.get(mi & elems[j]):
-                bad.append(("SoL", "meet", i, j))
-            row, u = meets[j], 0
-            for a in members:
-                u |= row[a]
-            fit = fw.lattice.full_mask
-            for o in opens:
-                if u & ~o == 0:
-                    fit &= o
-            if lat.join_table[i][j] != host.index.get(fit):
-                bad.append(("SoL", "join", i, j))
-    bad.extend(("SoL", "distributive") + v for v in distributivity_violations(lat))
-    return bad
-
-
-def _full_host_law_violations(sl: SublocaleCoframe) -> list:
-    """Where ``m: Q -> members(Q)`` fails to carry the powerset ``2^P`` of
-    the primes onto ``S(L)``: ``("SL", "primes", i)`` when the primes
-    among the members of ``i`` are not ``points[i]``; ``("SL", "point",
-    i)`` when the empty set or a singleton gives a member other than the
-    top that is not prime, so not ``{top}`` or the point sublocale ``{p,
-    top}``; and ``("SL", "join", i, c)`` on a cover ``points[c] =
-    points[i] | {j}`` where ``m(points[c])`` is not the join of
-    ``m(points[i])`` and ``{p, top}``, for ``p`` the ``j``-th prime: the
-    members of ``m(points[i])`` and their meets with ``p``.
-
-    Proof that this checks the host's laws.  By induction along covers
-    from the empty set, ``m(Q)`` is the join of the point sublocales of
-    the primes in ``Q``, so it is a sublocale and ``m`` sends unions to
-    joins.  ``m`` is one-to-one, since ``m(Q)`` holds exactly the primes
-    of ``Q``, and onto: a sublocale of a finite frame is a finite frame,
-    hence spatial, so it is the join of the point sublocales of the primes
-    it holds (Picado & Pultr, 2012).  A bijection of lattices that
+    Proof that this checks the host's laws.  The prime sets of ``S(L)``
+    are all the subsets of the primes ``P``, those of ``S_o(L)`` the
+    down-sets, and each family is reached from the empty set along its
+    covers: a down-set minus one of its maximal primes is a down-set.  By
+    induction along covers from the empty set, ``m(Q)`` is the join of the
+    point sublocales of the primes in ``Q``, so it is a sublocale and
+    ``m`` sends unions to joins of sublocales.  ``m`` is one-to-one, since
+    ``m(Q)`` holds exactly the primes of ``Q``.  A sublocale of a finite
+    frame is a finite frame, hence spatial, so it is the join of the point
+    sublocales of the primes it holds (Picado & Pultr, 2012): ``m`` is
+    onto ``S(L)``.  On ``S_o(L)``, every ``m(Q)`` is fitted by the last
+    test, and a fitted sublocale, an intersection of opens, holds a
+    down-set of primes (the primes in the open of ``a`` are those not
+    above ``a``), so it is ``m`` of that down-set: ``m`` is onto the
+    fitted sublocales, and a join of sublocales that is fitted is their
+    join among the fitted ones too.  A bijection of lattices that
     preserves binary joins is an order isomorphism (``m(Q) <= m(R)`` gives
     ``m(Q | R) = m(R)``, hence ``Q <= R``), so it preserves meets, and
-    meets of sublocales are intersections.  The host's ``&``, ``|`` and
-    ``& ~`` are therefore the meet, join and difference of ``S(L)``, which
-    is distributive, as ``2^P`` is.  That is ``k p / 2`` covers at one
-    meet per member, where comparing tables costs ``k^2`` joins.
+    meets of sublocales, fitted or not, are intersections.  The host's
+    ``&``, ``|`` and ``& ~`` (down-closed on ``S_o(L)``) are therefore the
+    meet, join and difference of its coframe, which is distributive, as a
+    ring of sets is (G. Birkhoff, "Rings of sets", 1937).  That is ``k p /
+    2`` covers at one meet per member, plus ``k n`` mask tests on the
+    fitted host, where ``tests/oracles.py::scan_host_laws`` compares
+    ``k^2`` pairs of table entries with closures of unions.
     """
-    fw = sl.ambient
-    meet, top = fw.lattice.meet_table, fw.lattice.top
-    pts, elems, pos = sl.points, sl.elems, sl.point_index
+    fw = host.ambient
+    lat = fw.lattice
+    meet = lat.meet_table
+    label = "SoL" if host.fitted else "SL"
+    pts, elems = host.points, host.elems
     prime_elems = tuple(bits(fw.primes))
-    bad = [("SL", "primes", i) for i in _prime_part_violations(sl)]
-    bad += [("SL", "point", pos[q]) for q in (0, *(1 << j for j in range(len(prime_elems))))
-            if elems[pos[q]] & ~fw.primes != bit(top)]
-    for i, c in sl.covers():
+    bad = [(label, "primes", i) for i in _prime_part_violations(host)]
+    if elems[0] != bit(lat.top):
+        bad.append((label, "bottom", 0))
+    for i, c in host.covers():
         row = meet[prime_elems[(pts[c] ^ pts[i]).bit_length() - 1]]
         if elems[i] | mask_of(row[a] for a in bits(elems[i])) != elems[c]:
-            bad.append(("SL", "join", i, c))
+            bad.append((label, "join", i, c))
+    if host.fitted:
+        opens = {open_mask(fw, a) for a in range(lat.n)}
+        for i, m in enumerate(elems):
+            fit = lat.full_mask
+            for o in opens:
+                if not m & ~o:
+                    fit &= o
+            if fit != m:
+                bad.append((label, "fitted", i))
     return bad
 
 
@@ -199,9 +182,9 @@ def difference_adjunction_violations(sl: SublocaleCoframe) -> list:
     sublocales follows once ``m: Q -> members(Q)`` is an order isomorphism
     onto ``S(L)``, for the order fixes the join (the least upper bound)
     and the difference (the least ``u`` with ``s <= t v u``).  Its image
-    is ``S(L)``, as :func:`_full_host_law_violations` proves from its
-    checks; it reflects the order, and so is one-to-one, when
-    ``members(Q)`` holds exactly the primes of ``Q``; and it is monotone
+    is ``S(L)``, as :func:`host_law_violations` proves from its checks;
+    it reflects the order, and so is one-to-one, when ``members(Q)``
+    holds exactly the primes of ``Q``; and it is monotone
     when it is monotone on covers, which generate inclusion (``Q <= R``
     adds the primes of ``R - Q`` one at a time).
     ``k + k p / 2`` mask tests, where the adjunction over the host's

@@ -89,14 +89,15 @@ class SublocaleCoframe:
     tables.  :attr:`tops`, one mask per prime, fixes every subcolocale of
     the host (:func:`subloc.subcolocales.enumerate_subcolocales`) and the
     down-set of every index (:meth:`below`).  ``as_lattice``, the host as a
-    generic :class:`Lattice` for the constructions that need one (a
-    retract), is built on first read, like ``tops``, ``opens_above`` and
+    generic :class:`Lattice`, is read by no suite, only by
+    :func:`subloc.correspondence.subcolocale_lattice` (a retract).  It is
+    built on first read, like ``tops``, ``opens_above`` and
     ``least_open_above``; each is kept in the instance and dies with it.
     So does ``memo``, where the subcolocale calculus keeps what it derives
     from the host (:func:`subloc.subcolocales._memoised`).
     ``tests/oracles.py`` builds the same lattice from the member masks by
-    the generic constructions, and the laws suite checks the map from
-    prime sets to member masks on the covers
+    the generic constructions, and the laws suite checks both hosts
+    through the map from prime sets to member masks, on their covers
     (:func:`subloc.report.host_law_violations`).
     """
 

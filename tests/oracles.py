@@ -791,8 +791,10 @@ def scan_inclusion_identity(sl) -> list:
 
 
 def scan_host_laws(host) -> list:
-    """``host_law_violations`` with each join the (fitted) closure of the
-    union and distributivity tested on every triple."""
+    """What ``host_law_violations`` checks on the covers, checked on the
+    host's lattice instead: every meet against the intersection, every join
+    against the (fitted) closure of the union, and distributivity on every
+    triple."""
     fw = host.ambient
     label = "SoL" if host.fitted else "SL"
     lat = host.as_lattice

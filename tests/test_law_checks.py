@@ -4,20 +4,21 @@ Each check is compared with its oracle in ``tests/oracles.py`` on the
 frames of ``standard_corpus(20, 0)`` and on chain6, grid 3x3 and chain7
 (hosts of up to 64 sublocales), where every law holds, and on planted
 broken tables or member masks, where it fails; each test asserts that
-both verdicts occur.  The checks on ``S(L)`` read its member masks, so
-their slips are planted there: two swapped entries, or one member bit
-dropped.  The difference adjunction is checked on the frames and the
-fitted hosts by their tables, as ``frame-coframe-duality``, and on
-``S(L)`` by its member masks, as ``difference-adjunction``.
+both verdicts occur.  The host checks read the member masks of both
+hosts, so their slips are planted there: two swapped entries, or one
+member bit dropped.  The difference adjunction is checked on the frames
+and the fitted hosts by their tables, as ``frame-coframe-duality``, and
+on ``S(L)`` by its member masks, as ``difference-adjunction``.
 """
 
 import copy
-import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
 from subloc import CoframeWitness, FrameWitness, enumerate_sublocales
+from subloc.sublocales import SublocaleCoframe
 from subloc.corpus import gen_chain, gen_diamond, gen_product, standard_corpus
 from subloc.lattice import Lattice, adjunction_violations, distributivity_violations
 from subloc import report
@@ -164,11 +165,9 @@ def test_difference_adjunction_on_sl_is_the_order_embedding(hosts):
     assert seen == {True, False}
 
 
-def _entries(bad, kinds):
-    return sorted(v for v in bad if v[1] in kinds)
-
-
 def test_pairwise_meet_joins_match_the_closure_of_union(hosts):
+    """Both hosts pass the cover check and the oracle's tables; one dropped
+    member fails both, and the check names its index."""
     rng = random.Random(0)
     seen = set()
     for host in hosts:
@@ -177,48 +176,51 @@ def test_pairwise_meet_joins_match_the_closure_of_union(hosts):
         seen.add(True)
         if host.size < 3:
             continue
-        if not host.fitted:
-            # S(L) is checked through its member masks: drop one member
-            i = rng.randrange(host.size)
-            broken = _dropped(host, i, rng.choice(list(bits(host.elems[i]))))
-            got, want = host_law_violations(broken), scan_host_laws(broken)
-            assert got != [] and want != []
-            assert any(i in v[2:] for v in got)
-            seen.add(False)
-            continue
-        # bump one join entry of the fitted host's table, on both sides of the diagonal
-        broken = copy.copy(host)
-        lat = host.as_lattice
-        i, j = sorted(rng.sample(range(host.size), 2))
-        rows = [list(row) for row in lat.join_table]
-        rows[i][j] = rows[j][i] = (rows[i][j] + 1) % host.size
-        broken.as_lattice = dataclasses.replace(lat, join_table=tuple(map(tuple, rows)))
+        i = rng.randrange(host.size)
+        broken = _dropped(host, i, rng.choice(list(bits(host.elems[i]))))
         got, want = host_law_violations(broken), scan_host_laws(broken)
-        assert _entries(got, {"meet", "join"}) == _entries(want, {"meet", "join"})
-        assert _entries(got, {"join"}) == [("SoL", "join", i, j)]
+        assert got != [] and want != []
+        assert any(i in v[2:] for v in got)
+        assert {v[0] for v in got} == {"SoL" if host.fitted else "SL"}
         seen.add(False)
     assert seen == {True, False}
 
 
 def test_full_host_laws_catch_every_member_slip(hosts):
-    """Every single dropped member and every swap of two member masks of
-    ``S(L)`` on the smaller hosts is caught, and named by its index."""
+    """Every single dropped member of either host, on every fitted host and
+    on the full hosts of at most 16 sublocales, and one swap of two member
+    masks per host, is caught and named by its index."""
     rng = random.Random(5)
-    cases = 0
+    cases = Counter()
     for host in hosts:
-        if host.fitted or host.size > 16:
+        if not host.fitted and host.size > 16:
             continue
         for i, m in enumerate(host.elems):
             for t in bits(m):
                 got = host_law_violations(_dropped(host, i, t))
                 assert any(i in v[2:] for v in got), (i, t)
-                cases += 1
+                cases[host.fitted] += 1
         if host.size > 1:
             broken, (i, j) = _swapped(host, rng)
             got = host_law_violations(broken)
-            assert ("SL", "primes", i) in got and ("SL", "primes", j) in got
-            cases += 1
-    assert cases > 500
+            label = "SoL" if host.fitted else "SL"
+            assert (label, "primes", i) in got and (label, "primes", j) in got
+            cases[host.fitted] += 1
+    assert cases[False] > 500 and cases[True] > 1000
+
+
+def test_only_the_fittedness_test_catches_an_unfitted_index():
+    """A fitted host on chain3 that also holds the prime set ``{1}``, not
+    down-closed: its members are a true sublocale, ``{1, 2}``, so the prime
+    parts and the covers hold, and only the fittedness test names it; the
+    oracle's fitted join of it with itself fails too."""
+    sl = enumerate_sublocales(FrameWitness.of(gen_chain(3)))
+    planted = SublocaleCoframe(sl.ambient, sl.points, fitted=True, parent=sl)
+    i = planted.point_index[0b10]
+    assert planted.elems[i] == 0b110 and sl.fit(sl.point_index[0b10]) != sl.point_index[0b10]
+    assert host_law_violations(planted) == [("SoL", "fitted", i)]
+    assert scan_host_laws(planted) != []
+    assert host_law_violations(sl) == []
 
 
 def test_inclusion_identity_matches_the_triple_scan(hosts):
@@ -264,15 +266,15 @@ def test_fit_monotone_on_covers_matches_every_pair(hosts):
 
 
 def test_laws_checks_build_no_table_on_sl(monkeypatch):
-    """The laws suite and its ``S(L)`` checks leave ``as_lattice`` unbuilt
-    on the full host: nothing of size ``k^2`` enters its ``__dict__``."""
+    """The laws suite and its host checks leave ``as_lattice`` unbuilt on
+    both hosts: nothing of size ``k^2`` enters either ``__dict__``."""
     fw = FrameWitness.of(gen_chain(8))
     sl = enumerate_sublocales(fw)
     sl_o = sl.fitted_subcoframe()
     assert host_law_violations(sl) == host_law_violations(sl_o) == []
     assert difference_adjunction_violations(sl) == fit_closure_violations(sl) == []
     assert inclusion_identity_violations(sl) == []
-    assert not {"as_lattice", "coframe"} & set(vars(sl))
+    assert not {"as_lattice", "coframe"} & (set(vars(sl)) | set(vars(sl_o)))
     assert not hasattr(sl, "coframe")
     built = []
 
@@ -282,4 +284,6 @@ def test_laws_checks_build_no_table_on_sl(monkeypatch):
 
     monkeypatch.setattr(report, "enumerate_sublocales", build)
     assert laws_suite("chain8", fw)["ok"]
-    assert len(built) == 1 and not {"as_lattice", "coframe"} & set(vars(built[0]))
+    assert len(built) == 1
+    for host in (built[0], built[0].fitted_subcoframe()):
+        assert not {"as_lattice", "coframe"} & set(vars(host))

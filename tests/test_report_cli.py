@@ -9,7 +9,7 @@ import pytest
 
 from subloc import DEFAULT_LIMITS, correspondence, report, runner
 from subloc.cli import main
-from subloc.corpus import gen_boolean, gen_chain, gen_diamond, standard_corpus
+from subloc.corpus import gen_boolean, gen_chain, standard_corpus
 from subloc.bits import bits
 from subloc.errors import SizeLimit
 from subloc.lattice import FrameWitness, Lattice
@@ -19,6 +19,8 @@ from subloc.report import (FINITE_NOTE, SCHEMA_VERSION, correspondence_suite,
                            render_suite_text, run_suite)
 from subloc.sublocales import SublocaleCoframe, enumerate_sublocales
 from subloc.runner import corpus_report
+
+from oracles import scan_host_laws
 
 C3_TEXT = "lattice 3\nbottom 0\ntop 2\n0 < 1\n1 < 2\n"
 
@@ -112,6 +114,7 @@ def test_cli_subcolocales(c3_file, capsys):
     assert capsys.readouterr().out.strip() == "{0, 1, 2}"
     # proper filtering is only defined on the fitted host
     assert main(["subcolocales", c3_file, "--filter", "proper"]) == 2
+    assert "fitted" in capsys.readouterr().err
 
 
 def test_cli_subcolocales_above_sixteen(tmp_path, capsys):
@@ -498,16 +501,50 @@ def test_corpus_report_bytes_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_REPORT_SHA256
 
 
+def _with_elems(host, elems):
+    """A copy of ``host`` whose member masks are ``elems``."""
+    broken = copy.copy(host)
+    broken.elems = tuple(elems)
+    broken.index = {m: i for i, m in enumerate(broken.elems)}
+    return broken
+
+
 def test_host_law_violations_are_reported_not_raised(hosts):
     sl = hosts["chain5"]
     slo = sl.fitted_subcoframe()
     assert host_law_violations(sl) == [] and host_law_violations(slo) == []
-    # the fitted host of chain5 is a 5-element chain; give it M3's tables
-    broken = copy.copy(slo)
-    broken.as_lattice = gen_diamond()
+    # the fitted host of chain5 is the down-sets of its four primes 0 < 1 < 2
+    # < 3; drop the bottom from {0, 1, 4}, the sublocale of {0, 1}
+    elems = list(slo.elems)
+    assert elems[2] == 0b10011
+    elems[2] = 0b10010
+    broken = _with_elems(slo, elems)
     found = host_law_violations(broken)
-    assert {v[0] for v in found} == {"SoL"}
-    assert {v[1] for v in found} == {"meet", "join", "distributive"}
+    assert found == [("SoL", "primes", 2), ("SoL", "join", 1, 2),
+                     ("SoL", "join", 2, 3), ("SoL", "fitted", 2)]
+    assert scan_host_laws(broken) != []
+
+
+def test_host_law_check_fails_through_the_suite_on_a_fitted_member_slip(monkeypatch):
+    """Swapping the member masks of indices 1 and 2 of chain5's fitted host,
+    ``{0, 4}`` and ``{0, 1, 4}``, fails ``coframe-law-of-sublocales``
+    through the laws suite, at both indices and the covers they meet."""
+    assert laws_suite("chain5", FrameWitness.of(gen_chain(5)))["ok"]
+    real = SublocaleCoframe.fitted_subcoframe
+
+    def swapped(self):
+        host = real(self)
+        elems = list(host.elems)
+        elems[1], elems[2] = elems[2], elems[1]
+        return _with_elems(host, elems)
+
+    monkeypatch.setattr(SublocaleCoframe, "fitted_subcoframe", swapped)
+    result = laws_suite("chain5", FrameWitness.of(gen_chain(5)))
+    check = next(c for c in result["checks"] if c["check"] == "coframe-law-of-sublocales")
+    assert not check["ok"] and not result["ok"]
+    assert check["counterexamples"] == [("SoL", "primes", 1), ("SoL", "primes", 2),
+                                        ("SoL", "join", 0, 1), ("SoL", "join", 1, 2),
+                                        ("SoL", "join", 2, 3)]
 
 
 def test_lattice_is_freed_after_the_laws_suite():
