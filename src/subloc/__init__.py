@@ -11,17 +11,16 @@ from .corpus import (CorpusFrame, CorpusSpec, all_topologies, gen_boolean,
                      gen_opens_of_topology, gen_product, sample_topologies,
                      standard_corpus)
 from .sublocales import (SublocaleCoframe, enumerate_sublocales, exact_filters,
-                         fitted_subcoframe, is_exact_sublocale, is_precongruence,
-                         is_sublocale, ker, phi, strongly_exact_filters)
+                         fitted_subcoframe, is_exact_sublocale, is_precongruence, ker,
+                         phi, strongly_exact_filters)
 from .subcolocales import (Subcolocale, adjunction_check, conuclei, delta,
                            enumerate_subcolocales, fit_image,
                            generated_subcolocale, is_codense, is_essential,
                            is_proper, is_subcolocale, join_closure, leq_f,
                            saturated_elements, sb, se, sigma, ssp)
 from .correspondence import (FrameMap, LiftVerdict, RaneyExtension, SZDBF,
-                             downset_frame, extend_to_coframe_map,
-                             is_exact_map, raney_lift_check,
-                             right_adjoint_image, subcolocale_lattice,
+                             downset_join_map_violations, extend_to_coframe_map,
+                             is_exact_map, raney_lift_check, subcolocale_lattice,
                              surjection_of, szdbf_lift_check, to_raney, to_szdbf)
 from .report import (adjunction_suite, correspondence_suite, frame_report,
                      laws_suite, run_suite)

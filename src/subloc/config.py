@@ -17,9 +17,9 @@ class Limits:
     # on command-line input: a larger S(L) is refused before it is built.
     # Each host of S(L) or S_o(L) has 2^p subcolocales, so it bounds them too.
     max_sublocales: int = 2048
-    # Cap on the number of down-sets a down-set lattice may have; they are
-    # built point by point and refused once they pass it.
-    max_downsets: int = 4096
+    # Cap on the number of down-sets a down-set lattice may have, built point
+    # by point and refused once past it: bool5's 7,581 fit, bool6's do not.
+    max_downsets: int = 8192
     # Not a limit (families are always pairs, see FrameWitness.exact_pairs):
     # only perfbench/spans.py's family counters read it; goes with ROADMAP item 3.
     exhaustive_family_elements: ClassVar[int] = 0

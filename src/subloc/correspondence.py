@@ -41,11 +41,9 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bits import bit, bits, bits_above, mask_of
-from .config import DEFAULT_LIMITS, Limits
-from .corpus import downset_masks, inclusion_lattice
 from .errors import InternalInconsistency, NotProper
 from .lattice import FrameWitness, Lattice
-from .sublocales import SublocaleCoframe, is_sublocale
+from .sublocales import SublocaleCoframe
 from .subcolocales import (Subcolocale, conuclei, delta, fit_image, is_codense,
                            is_essential, is_proper)
 
@@ -563,25 +561,57 @@ def quotient_verdicts(b: SZDBF) -> Iterator[tuple[bool, bool, bool]]:
 # the down-set frame
 
 
-def downset_frame(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS
-                  ) -> tuple[FrameWitness, FrameMap, tuple[int, ...]]:
-    """The frame of down-sets of the underlying order, with the join map and
-    the down-sets themselves, as masks of frame elements in the order of
-    the down-set frame's elements (:func:`~subloc.corpus.downset_masks`).
+def _right_adjoint(lat: Lattice, masks: Sequence[int], eps: Sequence[int]) -> list[int]:
+    """``r(a)``, the union of the down-sets that ``eps`` sends below ``a``."""
+    r = [0] * lat.n
+    for m, e in zip(masks, eps):
+        for a in bits(lat.up[e]):
+            r[a] |= m
+    return r
 
-    The map sends a down-set to its join; it is a surjective frame map
-    whose right adjoint picks out principal down-sets.
+
+def downset_join_map_violations(fw: FrameWitness, masks: Sequence[int],
+                                eps: Sequence[int]) -> list:
+    """Why ``eps``, a map into ``L`` of its down-sets ``masks`` (listed by
+    :func:`~subloc.corpus.downset_masks`, ``{}`` first and ``L`` last), is
+    not an exact frame surjection whose right adjoint's image is the
+    principal down-sets.  Read on the masks at ``n |D|`` lookups.
+
+    ``D(L)`` is a ring of sets (Birkhoff, "Rings of sets", 1937) whose
+    join-irreducibles are the ``dn[x]`` and meet-irreducibles the ``L -
+    up[x]``, so by :func:`is_coframe_map`'s induction ``eps`` is a frame map
+    iff it keeps the bounds, each join with a ``dn[x]`` and each meet with
+    an ``L - up[x]``.  The image of its right adjoint ``r`` is a sublocale
+    iff ``k = r . eps`` is a nucleus: ``D <= k(D) = k(k(D))``, and ``k``
+    keeps each meet with a meet-irreducible ``M``, by the same induction;
+    as ``eps`` keeps meets, that is ``r(a ^ eps(M)) = r(a) & r(eps(M))`` on
+    its image.  A failure there raises :class:`InternalInconsistency`.  All
+    pairs of a ring of sets are exact, so :func:`is_exact_map` asks only
+    for exact image pairs (:attr:`FrameWitness.exact_pairs`).
+    ``tests/oracles.py::table_downset_join_map`` builds ``D(L)``'s tables.
     """
-    masks = downset_masks(fw.lattice.up, limits)
-    dl = FrameWitness.of(inclusion_lattice(masks))
-    eps = FrameMap.of(dl, fw, tuple(fw.lattice.big_join(m) for m in masks))
-    return dl, eps, masks
-
-
-def right_adjoint_image(f: FrameMap) -> int:
-    """The sublocale of the source induced by a frame map: the image of its
-    right adjoint, as a bitmask of source elements."""
-    out = mask_of(f.right_adjoint(a) for a in range(f.target.lattice.n))
-    if not is_sublocale(f.source, out):
-        raise InternalInconsistency("right adjoint image is not a sublocale")
-    return out
+    lat = fw.lattice
+    meet, join = lat.meet_table, lat.join_table
+    eps_of = dict(zip(masks, eps))
+    co_up = [lat.full_mask & ~u for u in lat.up]
+    irr = [(j, eps_of[j], m, eps_of[m]) for j, m in zip(lat.dn, co_up)]
+    if eps[0] != lat.bottom or eps[-1] != lat.top or any(
+            eps_of[d | j] != join[e][ej] or eps_of[d & m] != meet[e][em]
+            for d, e in zip(masks, eps) for j, ej, m, em in irr):
+        return ["downset join map not a frame map"]
+    r, image = _right_adjoint(lat, masks, eps), mask_of(eps)
+    if any(d & ~r[e] for d, e in zip(masks, eps)) or any(
+            r[eps_of[r[a]]] != r[a] or any(r[meet[a][em]] != r[a] & r[em] for *_, em in irr)
+            for a in bits(image)):
+        raise InternalInconsistency("r . eps is not a nucleus: the right adjoint's "
+                                    "image is not a sublocale")
+    index = {m: d for d, m in enumerate(masks)}
+    induced, expect = mask_of(index[m] for m in r), mask_of(index[m] for m in lat.dn)
+    exact, bad = fw.exact_pairs[0], []
+    if induced != expect:
+        bad.append({"induced": sorted(bits(induced)), "principal": sorted(bits(expect))})
+    if any(image & ~exact[a] for a in bits(image)):
+        bad.append("downset join map not exact")
+    if image != lat.full_mask:
+        bad.append("downset join map not surjective")
+    return bad

@@ -43,26 +43,6 @@ def b_mask(fw: FrameWitness, a: int) -> int:
     return mask_of(row[a] for row in fw.heyting_table)
 
 
-def is_sublocale(fw: FrameWitness, members: int) -> bool:
-    lat = fw.lattice
-    if not (members >> lat.top) & 1:
-        return False
-    elems = list(bits(members))
-    meet = lat.meet_table
-    for pos, s in enumerate(elems):
-        ms = meet[s]
-        for t in elems[pos:]:
-            if not (members >> ms[t]) & 1:
-                return False
-    hey = fw.heyting_table
-    for a in range(lat.n):
-        ha = hey[a]
-        for s in elems:
-            if not (members >> ha[s]) & 1:
-                return False
-    return True
-
-
 def nucleus_element(fw: FrameWitness, members: int, a: int) -> int:
     """Least member of a sublocale above ``a``."""
     return fw.lattice.big_meet(members & fw.lattice.up[a])

@@ -27,9 +27,10 @@ under joins and differences where the package reads the closed form
 ``C_R`` off one mask per prime.  At the very end, subcolocales and
 quotient frames become lattices through ``Lattice.from_up`` (the frames
 then through ``FrameWitness.of``) where the package retracts the host by
-a conucleus or a nucleus, and the determined lifts face a scan of every
-map, their check a scan of every pair and their density test the fold
-over every pin.
+a conucleus or a nucleus, the down-set frame ``D(L)`` becomes a table
+lattice where the package checks the join map on masks, and the
+determined lifts face a scan of every map, their check a scan of every
+pair and their density test the fold over every pin.
 Both lifts, which the package decides on prime sets and on the frames'
 own tables, are also decided here by the generic lift between the two
 subcolocale lattices: with the closeds and the coatoms of ``S(L)``
@@ -43,6 +44,7 @@ from typing import Sequence
 from subloc.bits import bit, bits, mask_of
 from subloc.errors import InternalInconsistency, SizeLimit
 from subloc.config import DEFAULT_LIMITS
+from subloc.corpus import downset_masks, inclusion_lattice
 from subloc.correspondence import (SZDBF, FrameMap, LiftVerdict, extend_to_coframe_map,
                                    is_exact_map, raney_lift_check, subcolocale_lattice,
                                    surjection_of, szdbf_lift_check, to_raney)
@@ -50,7 +52,7 @@ from subloc.lattice import CoframeWitness, FrameWitness, Lattice, covers
 from subloc.subcolocales import (Subcolocale, _trims, closed_trims, is_proper, join_closure,
                                  leq_f, point_sublocales, sb)
 from subloc.sublocales import (SublocaleCoframe, b_mask, closed_mask, enumerate_sublocales,
-                               is_exact_sublocale, is_precongruence, is_sublocale,
+                               is_exact_sublocale, is_precongruence,
                                nucleus_element, open_mask)
 
 
@@ -497,6 +499,28 @@ def sublocale_join(sl, idxs) -> int:
     if got != acc_idx:
         raise InternalInconsistency("join table disagrees with closure of union")
     return got
+
+
+def is_sublocale(fw, members: int) -> bool:
+    """``naive_is_sublocale`` on the frame's meet and Heyting tables: the top,
+    and closure under binary meets and arrows from every element."""
+    lat = fw.lattice
+    if not (members >> lat.top) & 1:
+        return False
+    elems = list(bits(members))
+    meet = lat.meet_table
+    for pos, s in enumerate(elems):
+        ms = meet[s]
+        for t in elems[pos:]:
+            if not (members >> ms[t]) & 1:
+                return False
+    hey = fw.heyting_table
+    for a in range(lat.n):
+        ha = hey[a]
+        for s in elems:
+            if not (members >> ha[s]) & 1:
+                return False
+    return True
 
 
 def scan_sublocales(fw) -> list:
@@ -1071,6 +1095,52 @@ def table_subcolocale_lattice(host, members: int) -> tuple:
             raise ValueError("subcolocale meet is not the conucleus of the host's")
     return lat, idxs
 
+
+
+def downset_frame(fw, limits=DEFAULT_LIMITS) -> tuple:
+    """The frame of down-sets of the underlying order, with the join map and
+    the down-sets themselves, as masks of frame elements in the order of
+    the down-set frame's elements (``downset_masks``).
+
+    The map sends a down-set to its join; it is a surjective frame map
+    whose right adjoint picks out principal down-sets.
+    """
+    masks = downset_masks(fw.lattice.up, limits)
+    dl = FrameWitness.of(inclusion_lattice(masks))
+    eps = FrameMap.of(dl, fw, tuple(fw.lattice.big_join(m) for m in masks))
+    return dl, eps, masks
+
+
+def right_adjoint_image(f: FrameMap) -> int:
+    """The sublocale of the source induced by a frame map: the image of its
+    right adjoint, as a bitmask of source elements."""
+    out = mask_of(f.right_adjoint(a) for a in range(f.target.lattice.n))
+    if not is_sublocale(f.source, out):
+        raise InternalInconsistency("right adjoint image is not a sublocale")
+    return out
+
+
+def table_downset_join_map(fw, masks, eps) -> list:
+    """``downset_join_map_violations`` on ``D(L)`` built as a table lattice:
+    ``FrameMap.of`` checks ``eps`` on every pair of down-sets,
+    :func:`right_adjoint_image` runs ``is_sublocale`` on ``D(L)``, and
+    ``is_exact_map`` walks its exact pairs."""
+    dl = FrameWitness.of(inclusion_lattice(masks))
+    try:
+        f = FrameMap.of(dl, fw, eps)
+    except ValueError:
+        return ["downset join map not a frame map"]
+    bad = []
+    induced = right_adjoint_image(f)
+    index = {m: d for d, m in enumerate(masks)}
+    expect = mask_of(index[dn] for dn in fw.lattice.dn)
+    if induced != expect:
+        bad.append({"induced": sorted(bits(induced)), "principal": sorted(bits(expect))})
+    if not is_exact_map(f):
+        bad.append("downset join map not exact")
+    if sorted(set(eps)) != list(range(fw.lattice.n)):
+        bad.append("downset join map not surjective")
+    return bad
 
 def scan_coframe_maps(src, dst, fixed) -> list:
     """Every map ``src -> dst`` that keeps the pins ``fixed``, the bounds,

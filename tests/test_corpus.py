@@ -5,14 +5,13 @@ import pytest
 from subloc import FrameWitness, NotAFrame, SizeLimit
 from subloc.bits import bits, mask_of
 from subloc.config import DEFAULT_LIMITS
-from subloc.correspondence import downset_frame
 from subloc.corpus import (CorpusSpec, all_topologies, downset_masks,
                            gen_boolean, gen_chain, gen_diamond,
                            gen_downsets_of_poset,
                            gen_opens_of_topology, gen_product,
                            sample_topologies, standard_corpus)
 
-from oracles import scan_downset_masks, scan_topologies
+from oracles import downset_frame, scan_downset_masks, scan_topologies
 
 
 def test_chain_sizes_and_validation():

@@ -1,19 +1,24 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from subloc import correspondence
+import subloc
+from subloc import corpus as subloc_corpus, correspondence
 from subloc import (FrameMap, FrameWitness, LiftVerdict, NotProper, SZDBF, Subcolocale,
-                    SublocaleCoframe, RaneyExtension, downset_frame,
-                    enumerate_sublocales, extend_to_coframe_map,
-                    is_exact_map, raney_lift_check, serialize_lattice,
-                    right_adjoint_image, sb, subcolocale_lattice,
+                    SublocaleCoframe, RaneyExtension, downset_join_map_violations,
+                    enumerate_sublocales, extend_to_coframe_map, is_exact_map, raney_lift_check,
+                    serialize_lattice, sb, subcolocale_lattice,
                     surjection_of, szdbf_lift_check, to_raney, to_szdbf)
 from subloc.bits import bit, bits
-from subloc.corpus import (gen_boolean, gen_chain, gen_diamond, gen_downsets_of_poset,
+from subloc.corpus import (downset_masks, gen_boolean, gen_chain, gen_diamond,
+                           gen_downsets_of_poset,
                            gen_product, standard_corpus)
 from subloc.correspondence import quotient_verdicts
 from subloc.errors import InternalInconsistency
@@ -22,8 +27,9 @@ from subloc.report import correspondence_suite
 from subloc.subcolocales import enumerate_subcolocales, se
 from subloc.sublocales import nucleus_element
 
-from oracles import (fold_meet_dense, generic_raney_lift, generic_szdbf_lift, is_smooth,
-                     per_quotient_verdicts, scan_coframe_map, scan_coframe_maps, szdbf_pins,
+from oracles import (downset_frame, fold_meet_dense, generic_raney_lift, generic_szdbf_lift,
+                     is_smooth, per_quotient_verdicts, right_adjoint_image, scan_coframe_map,
+                     scan_coframe_maps, szdbf_pins, table_downset_join_map,
                      table_sublocale_frame, table_subcolocale_lattice, verdict_json)
 
 N5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
@@ -675,3 +681,149 @@ def test_downset_frame_right_adjoint_is_principal(corpus):
             assert eps(down) == a
             assert masks[down] == cf.frame.lattice.dn[a]
             assert (image >> down) & 1
+
+
+def test_downset_join_map_check_matches_the_table_path():
+    """The mask check against ``D(L)`` built as a table lattice, on every
+    distinct frame of the standard and ``--points4 20`` corpora (at most 21
+    down-sets), on bool4 (168) and on chain17, whose down-sets the subset
+    scan could not list."""
+    frames = {serialize_lattice(cf.frame.lattice): cf.frame for cf in standard_corpus(20, 0)}
+    frames["bool4"] = FrameWitness.of(gen_boolean(4))
+    frames["chain17"] = FrameWitness.of(gen_chain(17))
+    sizes = []
+    for fw in frames.values():
+        masks = downset_masks(fw.lattice.up)
+        eps = [fw.lattice.big_join(m) for m in masks]
+        assert downset_join_map_violations(fw, masks, eps) == \
+            table_downset_join_map(fw, masks, eps) == []
+        sizes.append(len(masks))
+    assert len(frames) == 30 and sorted(sizes)[-2:] == [21, 168]
+
+
+# Each plant runs both paths under python -O and prints their verdicts:
+# the violations, or "raised" for InternalInconsistency.  A planted right
+# adjoint r, given as a down-set per element, replaces the mask path's
+# _right_adjoint and the table path's FrameMap.right_adjoint; the join map
+# and the exact pairs are planted for both.
+DOWNSET_PLANTS = r'''
+import json
+import oracles
+import subloc.correspondence as co
+from subloc import FrameMap, FrameWitness, InternalInconsistency
+from subloc.corpus import downset_masks, gen_boolean, gen_chain
+
+def verdict(check, fw, masks, eps):
+    try:
+        return check(fw, masks, eps)
+    except InternalInconsistency:
+        return "raised"
+
+out = {}
+for name, lat in (("chain4", gen_chain(4)), ("bool2", gen_boolean(2))):
+    masks = downset_masks(lat.up)
+    index = {m: d for d, m in enumerate(masks)}
+    eps = [lat.big_join(m) for m in masks]
+    join, meet, c = lat.join_table, lat.meet_table, 1
+    plants = {
+        "none": (None, eps),
+        # every r(a) is L: the constant nucleus, not the principal down-sets
+        "wrong right adjoint": (lambda a: lat.full_mask, eps),
+        # every r(a) is empty: r . eps is not inflationary
+        "not inflationary": (lambda a: 0, eps),
+        # r(a) one step up: on chain4 r . eps is inflationary and keeps meets,
+        # but is not idempotent
+        "not idempotent": (lambda a: lat.dn[min(a + 1, lat.top)], eps),
+        # r(bottom) = {bottom}, every other r(a) = L: on bool2 a closure that
+        # breaks the meet of the atoms' down-sets
+        "not meet-preserving": (lambda a: lat.dn[a] if a == lat.bottom else lat.full_mask, eps),
+        # joins with c: keeps joins and meets, moves the bottom
+        "bottom moved": (None, [join[c][e] for e in eps]),
+        # meets with c: keeps joins and meets, moves the top
+        "top moved": (None, [meet[c][e] for e in eps]),
+        # every join below the top sent to the bottom: keeps meets, and on
+        # bool2 breaks the join of the atoms
+        "not a join": (None, [e if e == lat.top else lat.bottom for e in eps]),
+        # every join above the bottom sent to the top: keeps joins, and on
+        # bool2 breaks the meet of the atoms
+        "not a meet": (None, [e if e == lat.bottom else lat.top for e in eps]),
+        # on chain4 a frame map onto {bottom, top}, as every non-empty down-set
+        # holds the bottom
+        "not onto": (None, [lat.top if m else lat.bottom for m in masks]),
+        # the join map, with the pair {1, 2} of L tabled as not exact
+        "inexact pair": (None, eps),
+    }
+    for plant, (r, e) in plants.items():
+        fw = FrameWitness.of(lat)
+        if plant == "inexact pair":
+            rows = list(fw.exact_pairs[0])
+            rows[1] &= ~(1 << 2)
+            rows[2] &= ~(1 << 1)
+            fw.__dict__["exact_pairs"] = (tuple(rows), fw.exact_pairs[1])
+        real_mask, real_table = co._right_adjoint, FrameMap.right_adjoint
+        if r is not None:
+            co._right_adjoint = lambda lat, masks, eps: [r(a) for a in range(lat.n)]
+            FrameMap.right_adjoint = lambda self, a: index[r(a)]
+        try:
+            out[f"{name}: {plant}"] = [verdict(co.downset_join_map_violations, fw, masks, e),
+                                       verdict(oracles.table_downset_join_map, fw, masks, e)]
+        finally:
+            co._right_adjoint, FrameMap.right_adjoint = real_mask, real_table
+print(json.dumps({"debug": __debug__, "verdicts": out}))
+'''
+
+
+def test_downset_join_map_plants_fail_both_paths_under_python_O():
+    src = str(Path(subloc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")))))
+    out = json.loads(subprocess.run([sys.executable, "-O", "-c", DOWNSET_PLANTS], env=env,
+                                    check=True, capture_output=True, text=True).stdout)
+    assert out["debug"] is False
+    got = out["verdicts"]
+    assert len(got) == 22
+    # the one plant on which the paths part: r . eps is not idempotent, yet the
+    # image of the planted r, a subset of the chain D(chain4) holding its top,
+    # is a sublocale there
+    assert got.pop("chain4: not idempotent") == [
+        "raised", [{"induced": [2, 3, 4], "principal": [1, 2, 3, 4]}]]
+    for key, (mask, table) in got.items():
+        assert mask == table, key
+    frame_map, onto = ["downset join map not a frame map"], "downset join map not surjective"
+
+    def induced(name, *ds):
+        return {"induced": list(ds), "principal": {"chain4": [1, 2, 3, 4],
+                                                   "bool2": [1, 2, 3, 5]}[name]}
+
+    assert {key: mask for key, (mask, _) in got.items()} == {
+        "chain4: none": [], "bool2: none": [],
+        "chain4: wrong right adjoint": [induced("chain4", 4)],
+        "bool2: wrong right adjoint": [induced("bool2", 5)],
+        "chain4: not inflationary": "raised", "bool2: not inflationary": "raised",
+        "bool2: not idempotent": "raised",
+        "chain4: not meet-preserving": [induced("chain4", 1, 4)],
+        "bool2: not meet-preserving": "raised",
+        "chain4: bottom moved": frame_map, "bool2: bottom moved": frame_map,
+        "chain4: top moved": frame_map, "bool2: top moved": frame_map,
+        "chain4: not a join": [induced("chain4", 3, 4), onto], "bool2: not a join": frame_map,
+        "chain4: not a meet": [induced("chain4", 1, 4), onto], "bool2: not a meet": frame_map,
+        "chain4: not onto": [induced("chain4", 0, 4), onto],
+        "bool2: not onto": [induced("bool2", 0, 5), onto],
+        "chain4: inexact pair": ["downset join map not exact"],
+        "bool2: inexact pair": ["downset join map not exact"],
+    }
+
+
+def test_correspondence_suite_builds_no_downset_lattice(monkeypatch):
+    """No ``Lattice`` or ``FrameWitness`` is built for ``D(L)``, or for
+    anything else, once the frame's witness is given; bool5's 7,581
+    down-sets fit the default limits."""
+    def reached(*args, **kwargs):
+        pytest.fail("the correspondence suite built a lattice")
+
+    frames = [FrameWitness.of(gen_boolean(4)), FrameWitness.of(gen_boolean(5))]
+    monkeypatch.setattr(subloc_corpus, "inclusion_lattice", reached)
+    monkeypatch.setattr(Lattice, "from_up", reached)
+    monkeypatch.setattr(FrameWitness, "of", reached)
+    for fw in frames:
+        assert correspondence_suite("bool", fw)["ok"]

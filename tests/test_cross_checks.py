@@ -12,7 +12,9 @@ from subloc.corpus import gen_chain
 from subloc.latfile import serialize_lattice
 
 # Plants one disagreement per cross-check by replacing one side (for the
-# Raney lift, a fitted host whose open misses the top's index), and prints
+# Raney lift, a fitted host whose open misses the top's index; for the
+# down-set join map, a right adjoint that sends everything to the empty
+# down-set, so that r . eps is not inflationary), and prints
 # the names of the checks that raised.
 PLANTS = r'''
 import json
@@ -20,9 +22,10 @@ import oracles
 import subloc.correspondence as co
 import subloc.subcolocales as sc
 from subloc import FrameWitness, InternalInconsistency, enumerate_sublocales
-from subloc.corpus import gen_chain
+from subloc.corpus import downset_masks, gen_chain
 
 fw = FrameWitness.of(gen_chain(3))
+downsets = downset_masks(fw.lattice.up)
 sl = enumerate_sublocales(fw)
 sl_o = sl.fitted_subcoframe()
 full_o = (1 << sl_o.size) - 1
@@ -55,8 +58,9 @@ raised = {
                             lambda: sc.is_essential(sl, sc.sb(sl), sl_o)),
     "sublocale_join": planted(oracles, "sublocale_closure", lambda fw, m: fw.lattice.full_mask,
                               lambda: oracles.sublocale_join(sl, [0, 0])),
-    "right_adjoint_image": planted(co, "is_sublocale", lambda fw, m: False,
-                                   lambda: co.right_adjoint_image(co.downset_frame(fw)[1])),
+    "downset_nucleus": planted(co, "_right_adjoint", lambda lat, masks, eps: [0] * lat.n,
+                               lambda: co.downset_join_map_violations(
+                                   fw, downsets, [fw.lattice.big_join(m) for m in downsets])),
     "szdbf_lift_check": planted(co, "is_codense", lambda host, m: True,
                                 lambda: co.szdbf_lift_check(
                                     ident, co.SZDBF(fw, co.Subcolocale(sl, 1)),

@@ -287,3 +287,35 @@ def test_laws_checks_build_no_table_on_sl(monkeypatch):
     assert len(built) == 1
     for host in (built[0], built[0].fitted_subcoframe()):
         assert not {"as_lattice", "coframe"} & set(vars(host))
+
+
+def test_laws_suite_lists_each_hosts_covers_once(monkeypatch):
+    """Three checks walk the covers of ``S(L)`` and two its prime parts; the
+    suite lists each once per host and hands them on, keeping nothing on
+    the host."""
+    calls, listed = Counter(), []
+    real_covers, real_primes = SublocaleCoframe.covers, report._prime_part_violations
+
+    def covers(host):
+        calls["covers", host.fitted] += 1
+        listed.append(real_covers(host))
+        return listed[-1]
+
+    def prime_parts(host):
+        calls["primes", host.fitted] += 1
+        return real_primes(host)
+
+    monkeypatch.setattr(SublocaleCoframe, "covers", covers)
+    monkeypatch.setattr(report, "_prime_part_violations", prime_parts)
+    built = []
+
+    def build(*args):
+        built.append(enumerate_sublocales(*args))
+        return built[-1]
+
+    monkeypatch.setattr(report, "enumerate_sublocales", build)
+    assert laws_suite("chain6", FrameWitness.of(gen_chain(6)))["ok"]
+    assert calls == Counter({("covers", False): 1, ("covers", True): 1,
+                             ("primes", False): 1, ("primes", True): 1})
+    for host in (built[0], built[0].fitted_subcoframe()):
+        assert not any(v is c for v in vars(host).values() for c in listed)

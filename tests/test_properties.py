@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from subloc import (CoframeWitness, FrameWitness, enumerate_sublocales,
-                    is_sublocale, parse_lattice, serialize_lattice)
+                    parse_lattice, serialize_lattice)
 from subloc.bits import mask_of
 from subloc.correspondence import subcolocale_lattice, surjection_of
 from subloc.corpus import gen_downsets_of_poset
@@ -18,7 +18,7 @@ from subloc.subcolocales import (enumerate_subcolocales, generated_subcolocale,
 from subloc.sublocales import nucleus_element
 
 from oracles import (fit_mask, generated_closed_form, host_mismatches, host_read_mismatches,
-                     is_exact_meet, precongruence_to_sublocale, sublocale_closure,
+                     is_exact_meet, is_sublocale, precongruence_to_sublocale, sublocale_closure,
                      sublocale_to_precongruence,
                      is_strongly_exact_meet, naive_difference,
                      naive_heyting, naive_primes, quotient_map, quotient_order,

@@ -210,18 +210,18 @@ def test_cli_refuses_more_elements_than_sublocales_before_the_witness(
 
 
 def test_oversized_downset_frame_fails_before_any_lift(tmp_path, monkeypatch, capsys):
-    # bool6's 64 elements have far more than 4096 down-sets
+    # bool6's 64 elements have far more than 8192 down-sets
     def reached(*args):
         pytest.fail("a lift was checked before the down-set frame was bounded")
 
     monkeypatch.setattr(report, "quotient_verdicts", reached)
-    with pytest.raises(SizeLimit, match="max_downsets=4096"):
+    with pytest.raises(SizeLimit, match="max_downsets=8192"):
         run_suite("correspondence", "bool6", FrameWitness.of(gen_boolean(6)))
     path = tmp_path / "bool6.lat"
     path.write_text(serialize_lattice(gen_boolean(6)))
     assert main(["check", str(path), "--suite", "correspondence"]) == 2
     err = capsys.readouterr().err
-    assert "max_downsets=4096" in err and "--limit max_downsets=N" in err
+    assert "max_downsets=8192" in err and "--limit max_downsets=N" in err
 
 
 def _no_quotient_target(monkeypatch):
@@ -311,12 +311,12 @@ def test_downset_join_map_check_catches_a_wrong_right_adjoint(monkeypatch):
     fw = FrameWitness.of(gen_chain(3))
     assert correspondence_suite("chain3", fw)["ok"]
 
-    # every element to the top: its image {top} is a sublocale, but not the
-    # principal down-sets, and the right adjoint's own image cannot tell
-    def wrong(self, m):
-        return self.source.lattice.top
+    # every element to the top down-set: its image {L} is a sublocale (r . eps
+    # is the constant nucleus), but not the principal down-sets
+    def wrong(lat, masks, eps):
+        return [lat.full_mask] * lat.n
 
-    monkeypatch.setattr(correspondence.FrameMap, "right_adjoint", wrong)
+    monkeypatch.setattr(correspondence, "_right_adjoint", wrong)
     result = correspondence_suite("chain3", fw)
     check = next(c for c in result["checks"] if c["check"] == "downset-frame-join-map")
     assert not check["ok"] and not result["ok"]
