@@ -21,7 +21,7 @@ class Limits:
     # by point and refused once past it: bool5's 7,581 fit, bool6's do not.
     max_downsets: int = 8192
     # Not a limit (families are always pairs, see FrameWitness.exact_pairs):
-    # only perfbench/spans.py's family counters read it; goes with ROADMAP item 3.
+    # only perfbench/spans.py's family counters read it; goes with ROADMAP item 1.
     exhaustive_family_elements: ClassVar[int] = 0
 
     def with_(self, **kw) -> "Limits":

@@ -156,33 +156,28 @@ class RaneyExtension:
 
     @cached_property
     def element_of(self) -> tuple[int, ...]:
-        """For each fitted-host index, the frame element whose open it is.
-
-        Built on first read, once per structure, and checked on the way:
-        ``F`` must be the whole fitted host, ``open_index`` a bijection onto
-        it, and ``open`` must keep binary meets, ``n^2 / 2`` lookups.  Each
-        is a theorem of finite frames, so a failure raises
-        :class:`InternalInconsistency`.  Every fitted sublocale (a meet of
-        opens) is open, as ``open`` keeps finite meets (Picado & Pultr,
-        *Frames and Locales*, 2012), and ``open`` is one to one; so ``F``,
-        which holds every open, is the whole host.  A bijection that keeps
-        binary meets is an order isomorphism, ``x <= y`` iff ``x = x ^ y``,
-        so ``x -> open(x)`` is a lattice isomorphism ``L = F``, and this
-        table is its inverse (:func:`raney_lift_check`).
+        """For each fitted-host index, the frame element whose open it is:
+        the host's :attr:`SublocaleCoframe.element_of`, checked on first
+        read, once per structure: ``F`` must be the whole fitted host,
+        ``open_index`` a bijection onto it, and ``open`` must keep binary
+        meets, ``n^2 / 2`` lookups.  Each is a theorem of finite frames, so
+        a failure raises :class:`InternalInconsistency`.  Every fitted
+        sublocale (a meet of opens) is open, as ``open`` keeps finite meets
+        (Picado & Pultr, *Frames and Locales*, 2012), and ``open`` is one to
+        one; so ``F``, which holds every open, is the whole host.  A
+        bijection that keeps binary meets is an order isomorphism, ``x <=
+        y`` iff ``x = x ^ y``, so ``x -> open(x)`` is a lattice isomorphism
+        ``L = F``, and this table is its inverse (:func:`raney_lift_check`).
         """
         host, opens = self.f_sub.host, self.f_sub.host.open_index
         if self.f_sub.members != (1 << host.size) - 1:
             raise InternalInconsistency("a Raney extension of a finite frame is not all of S_o(L)")
-        back: list[int | None] = [None] * host.size
-        for x, o in enumerate(opens):
-            back[o] = x
-        if len(opens) != host.size or None in back:
-            raise InternalInconsistency("open is not a bijection onto the fitted sublocales")
+        back = host.element_of
         meet = self.frame.lattice.meet_table
         if any(opens[m] != host.meet(oa, ob) for a, oa in enumerate(opens)
                for m, ob in zip(meet[a][a + 1:], opens[a + 1:])):
             raise InternalInconsistency("open does not keep a binary meet")
-        return tuple(back)
+        return back
 
 
 class SZDBF:

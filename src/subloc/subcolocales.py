@@ -12,12 +12,12 @@ of either is ``C_R``, the indices whose maximal primes lie in a set
 ``R`` of primes (proved at :func:`generated_subcolocale`): deciding,
 generating and listing subcolocales read ``C_R`` off the host's
 per-prime table ``tops``, and the generic closures are test oracles.
-Trimming a sublocale by an open or a closed is a host meet with an entry
-of ``open_index`` or ``closed_index``; :func:`closed_trims` joins up the
-closed trims of a set of members, which gives ``sb``, ``delta`` and the
-essentiality test.  Crossing from ``S(L)`` to ``S_o(L)`` and back is a
-lookup in the fitted host's translation table ``fit_of`` /
-``full_index``.  Exactness, a property of the quotient onto a sublocale,
+Trimming a sublocale by an open or a closed meets the prime sets, and
+down-closes the meet on ``S_o(L)`` to take its fit; :func:`closed_trims`
+joins up the closed trims of a set of members, which gives ``sb``,
+``delta`` and the essentiality test.  Crossing from ``S(L)`` to ``S_o(L)`` is a lookup in
+the fitted host's table ``fit_of``, and from ``S_o(L)`` to ``L`` one in
+``element_of``.  Exactness, a property of the quotient onto a sublocale,
 holds for all of them by one identity of the frame's prime sets, checked
 once per host (``se``); its cross-check on the point sublocales is the
 only place a sublocale is read as a set of frame elements.  The
@@ -112,27 +112,22 @@ def _is_subcolocale_characterized(sl: SublocaleCoframe, members: int) -> bool:
     """
     if not all((members >> c) & 1 for c in conuclei(sl, members)):
         return False
-    if sl.fitted:
-        full = sl.parent
-        trimmed = _trims(full, mask_of(sl.full_index[i] for i in bits(members)),
-                         full.closed_index)
-        probes = mask_of(sl.fit_of[t] for t in bits(trimmed))
-    else:
-        probes = _trims(sl, members, sl.open_index + sl.closed_index)
-    return probes & ~members == 0
+    rows = (sl._prime_tables[3] if sl.fitted
+            else [sl.points[t] for t in sl.open_index + sl.closed_index])
+    return _trims(sl, members, rows) & ~members == 0
 
 
-def _trims(sl: SublocaleCoframe, members: int, by: Sequence[int]) -> int:
-    """Host meets of every member with every index in ``by``: intersections
-    of prime sets."""
-    pts, pos = sl.points, sl.point_index
-    trims = [pts[t] for t in by]
-    return mask_of(pos[pts[i] & r] for i in bits(members) for r in trims)
+def _trims(sl: SublocaleCoframe, members: int, rows: Sequence[int]) -> int:
+    """Meets of every member with every set of primes in ``rows``:
+    intersections, down-closed on the fitted host, which is the fit there
+    (its rows are ``above[x]``, the prime sets of the closeds)."""
+    pts, pos, close = sl.points, sl.point_index, sl._close
+    return mask_of(pos[close[pts[i] & r]] for i in bits(members) for r in rows)
 
 
 def closed_trims(sl: SublocaleCoframe, members: int) -> int:
     """Join closure of the members' meets with every closed of the full host."""
-    return join_closure(sl, _trims(sl, members, sl.closed_index))
+    return join_closure(sl, _trims(sl, members, [sl.points[c] for c in sl.closed_index]))
 
 
 @_memoised("conuclei")
@@ -332,28 +327,18 @@ def fit_image(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int) -> int
 
 def leq_f(sl_o: SublocaleCoframe, members: int, f: int) -> tuple[int, ...]:
     """The relation ``x R y`` iff meeting ``f`` with the open of ``x`` inside
-    the subcolocale lands below the open of ``y``: row ``x`` is the host's
-    ``opens_above`` entry of that conucleus."""
-    above, con = sl_o.opens_above, conuclei(sl_o, members)
-    return tuple(above[con[sl_o.meet(f, o)]] for o in sl_o.open_index)
+    the subcolocale lands below the open of ``y``: row ``x`` is the up-set
+    of its :func:`least_related` entry."""
+    up = sl_o.ambient.lattice.up
+    return tuple(up[g] for g in least_related(sl_o, members, f))
 
 
 def least_related(sl_o: SublocaleCoframe, members: int, f: int) -> tuple[int, ...]:
     """For each frame element ``x``, the least ``y`` with ``x`` related to
-    ``y`` by :func:`leq_f`: ``least_open_above`` of the conucleus of ``f ^
-    open(x)``, the meet of row ``x``."""
-    least, con = sl_o.least_open_above, conuclei(sl_o, members)
-    return tuple([least[con[sl_o.meet(f, o)]] for o in sl_o.open_index])
-
-
-@_memoised("principal_rows", keyed=0)
-def _principal_rows(sl_o: SublocaleCoframe) -> bool:
-    """Whether every ``opens_above`` row of the fitted host is the principal
-    up-set of its ``least_open_above`` entry, as
-    :attr:`SublocaleCoframe.least_open_above` proves it is; then row ``x``
-    of :func:`leq_f` is the up-set of ``least_open_above[c]``."""
-    up = sl_o.ambient.lattice.up
-    return all(row == up[g] for row, g in zip(sl_o.opens_above, sl_o.least_open_above))
+    ``y`` by :func:`leq_f`: the element whose open is the conucleus of ``f
+    ^ open(x)`` (:attr:`SublocaleCoframe.element_of`)."""
+    back, con = sl_o.element_of, conuclei(sl_o, members)
+    return tuple([back[con[sl_o.meet(f, o)]] for o in sl_o.open_index])
 
 
 @_memoised("proper")
@@ -362,19 +347,17 @@ def is_proper(sl_o: SublocaleCoframe, members: int) -> bool:
 
     Cross-checked against the precongruence criterion: every member's
     induced relation (:func:`leq_f`) must be a precongruence of the ambient
-    frame.  Row ``x`` of that relation is the ``opens_above`` row of ``c``,
-    the conucleus of ``f ^ open(x)``, which is the principal up-set of
-    ``g(x) = least_open_above[c]`` (:func:`_principal_rows`, checked once
-    per host), so the relation is decided on ``g`` (:func:`least_related`)
-    by :func:`~subloc.sublocales.is_principal_precongruence`, at ``n |J|``
+    frame.  Row ``x`` of that relation, the ``y`` whose open is above ``c``,
+    the conucleus of ``f ^ open(x)``, is the up-set of ``g(x) =
+    element_of[c]`` (:attr:`SublocaleCoframe.element_of`), so the relation
+    is decided on ``g`` (:func:`least_related`) by
+    :func:`~subloc.sublocales.is_principal_precongruence`, at ``n |J|``
     lookups per member where the generic check walks ``n^2`` row bits.
     """
     opens = mask_of(sl_o.open_index)
     if opens & ~members:
         return False
     exact = _open_joins_exact(sl_o, members)
-    if not _principal_rows(sl_o):
-        raise InternalInconsistency("an opens_above row is not a principal up-set")
     via_precongruence = all(
         is_principal_precongruence(sl_o.ambient, least_related(sl_o, members, f))
         for f in bits(members))
@@ -424,9 +407,9 @@ def sigma(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int, f: int) ->
     included (``open(top)`` is the top), so ``meet(open(y) for y in
     rel[x]) = open(big_meet(rel[x]))``.  Hence, for each ``x``, the meet
     over ``y`` of ``closed(x) v open(y)`` is ``closed(x) v
-    open(big_meet(rel[x]))``.  Row ``x`` of the relation is the
-    ``opens_above`` row of ``c``, the conucleus of ``f ^ open(x)``
-    (:func:`leq_f`), so its meet is the host's ``least_open_above[c]``, a
+    open(big_meet(rel[x]))``.  Row ``x`` of the relation is the up-set of
+    the element whose open is ``c``, the conucleus of ``f ^ open(x)``
+    (:func:`leq_f`), so its meet is the host's ``element_of[c]``, a
     lookup.  Meets and joins in ``S(L)`` are ``&`` and ``|`` of prime sets.
     ``tests/oracles.py::scan_sigma`` keeps the meet over every pair.
 
@@ -438,7 +421,7 @@ def sigma(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int, f: int) ->
         raise ValueError("f is not a member of the subcolocale")
     con = conuclei(sl_o, members)
     cons = [con[sl_o.meet(f, o)] for o in sl_o.open_index]
-    least = sl_o.least_open_above
+    least = sl_o.element_of
     pts, pos = sl.points, sl.point_index
     opens = [pts[o] for o in sl.open_index]
     s = sl.all_primes

@@ -13,8 +13,8 @@ every operation on them, with dense indices sorted by (size, mask), so
 index 0 is the bottom ``{top}`` and the last index is the whole frame.
 
 The fitted sublocales (intersections of opens) are the down-closed sets
-of primes; :func:`fitted_subcoframe` builds their coframe from an
-existing :class:`SublocaleCoframe`, by the same formulas.
+of primes, the prime sets of the ``n`` opens; :func:`fitted_subcoframe`
+builds their coframe from those, by the same formulas.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .bits import bit, bits, bits_above, mask_of
 from .config import DEFAULT_LIMITS, Limits
-from .errors import SizeLimit
+from .errors import InternalInconsistency, SizeLimit
 from .lattice import FrameWitness, Lattice
 
 
@@ -61,9 +61,8 @@ class SublocaleCoframe:
     with the same formulas on both hosts: meet is ``&``, join is ``|``, the
     difference is ``& ~`` (down-closed on the fitted host, whose members
     are the down-closed sets), and ``i <= j`` is ``points[i] & ~points[j]
-    == 0``.  No table is built.  A fitted host also carries ``fit_of`` and
-    ``full_index``, which translate indices from and to its parent, the
-    full host.
+    == 0``.  No table is built.  A fitted host also carries ``fit_of``, the
+    index of the fit of each index of its parent, the full host.
 
     :meth:`nucleus` reads a sublocale's nucleus off the same prime-set
     tables.  :attr:`tops`, one mask per prime, fixes every subcolocale of
@@ -71,13 +70,13 @@ class SublocaleCoframe:
     down-set of every index (:meth:`below`).  ``as_lattice``, the host as a
     generic :class:`Lattice`, is read by no suite, only by
     :func:`subloc.correspondence.subcolocale_lattice` (a retract).  It is
-    built on first read, like ``tops``, ``opens_above`` and
-    ``least_open_above``; each is kept in the instance and dies with it.
-    So does ``memo``, where the subcolocale calculus keeps what it derives
-    from the host (:func:`subloc.subcolocales._memoised`).
-    ``tests/oracles.py`` builds the same lattice from the member masks by
-    the generic constructions, and the laws suite checks both hosts
-    through the map from prime sets to member masks, on their covers
+    built on first read, like ``tops`` and :attr:`element_of`; each is kept
+    in the instance and dies with it.  So does ``memo``, where the
+    subcolocale calculus keeps what it derives from the host
+    (:func:`subloc.subcolocales._memoised`).  ``tests/oracles.py`` builds
+    the same lattice from the member masks by the generic constructions,
+    and the laws suite checks both hosts through the map from prime sets
+    to member masks, on their covers
     (:func:`subloc.report.host_law_violations`).
     """
 
@@ -105,12 +104,7 @@ class SublocaleCoframe:
         self.open_index = tuple(self.index[open_mask(ambient, a)] for a in range(n))
         self.closed_index = tuple(self.index.get(ambient.lattice.up[a]) for a in range(n))
         self.fit_index = tuple(pos[down[q]] for q in pts)
-        # the translation table of a fitted host: fit_of[i] is the index here
-        # of the fit of parent index i, full_index[j] the parent index of j
-        self.fit_of = self.full_index = None
-        if parent is not None:
-            self.fit_of = tuple(pos[down[q]] for q in parent.points)
-            self.full_index = tuple(parent.point_index[q] for q in pts)
+        self.fit_of = None if parent is None else tuple(pos[down[q]] for q in parent.points)
         self._fitted_sub: SublocaleCoframe | None = None
         self.memo: dict[tuple, object] = {}
 
@@ -246,22 +240,22 @@ class SublocaleCoframe:
                        tuple(tuple([pos[q | r] for r in pts]) for q in pts))
 
     @cached_property
-    def opens_above(self) -> tuple[int, ...]:
-        """For each index, the mask of the frame elements whose open is above it."""
-        opens = [self.points[o] for o in self.open_index]
-        return tuple(mask_of(y for y, r in enumerate(opens) if not q & ~r)
-                     for q in self.points)
+    def element_of(self) -> tuple[int, ...]:
+        """The inverse of ``open_index`` on the fitted host, which must be a
+        bijection (:func:`fitted_subcoframe`), or
+        :class:`InternalInconsistency` is raised.
 
-    @cached_property
-    def least_open_above(self) -> tuple[int, ...]:
-        """For each index, the least frame element whose open is above it.
-
-        It is the meet of the ``opens_above`` row, and the row holds it:
-        ``open`` preserves finite meets, the empty one included, so the row
-        is closed under them.
+        Entry ``c`` is the least element whose open is above ``c``: the
+        opens above ``open(a)`` are those of ``up(a)``, as ``open`` is an
+        order embedding (the primes not above ``a`` lie among those not
+        above ``b`` iff ``a <= b``, each element being the meet of the
+        primes above it).  So every row of the relation
+        :func:`subloc.subcolocales.leq_f` is principal by construction.
         """
-        lat = self.ambient.lattice
-        return tuple(lat.big_meet(row) for row in self.opens_above)
+        opens = self.open_index
+        if sorted(opens) != list(range(self.size)):
+            raise InternalInconsistency("open is not a bijection onto the fitted sublocales")
+        return tuple(sorted(range(self.size), key=opens.__getitem__))
 
     def fitted_subcoframe(self) -> "SublocaleCoframe":
         if self.fitted:
@@ -318,9 +312,17 @@ def enumerate_sublocales(fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> S
 
 
 def fitted_subcoframe(sl: SublocaleCoframe) -> SublocaleCoframe:
-    """The coframe of fitted sublocales: those with down-closed sets of primes."""
-    return SublocaleCoframe(sl.ambient, (q for i, q in enumerate(sl.points) if sl.fit(i) == i),
-                            fitted=True, parent=sl)
+    """The coframe of fitted sublocales: those with down-closed sets of
+    primes, which are the sets ``P - above[a]``, those of the opens (``a ->
+    p`` is ``p`` iff ``a`` is not below the prime ``p``).
+
+    ``P - above[a]`` is down-closed, and for an up-set ``U`` of primes, a
+    prime above the meet of ``U`` is above some member of ``U``, so it lies
+    in ``U``: ``U = above[meet(U)]``.  ``tests/oracles.py`` keeps the filter
+    of the ``2^p`` prime sets of ``S(L)`` for fixpoints of ``fit``.
+    """
+    above, every = sl._prime_tables[3], sl.all_primes
+    return SublocaleCoframe(sl.ambient, {every & ~row for row in above}, fitted=True, parent=sl)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ pinned, or with the opens pinned.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 from typing import Sequence
 
@@ -609,6 +610,30 @@ def fresh_sublocales(fw):
     return SublocaleCoframe(fw, range(1 << bin(fw.primes).count("1")), fitted=False)
 
 
+def filtered_fitted_host(sl) -> SublocaleCoframe:
+    """``S_o(L)`` as the ``2^p`` prime sets of ``S(L)`` filtered for the
+    fixpoints of ``fit``, the build that
+    :func:`subloc.sublocales.fitted_subcoframe` replaced."""
+    return SublocaleCoframe(sl.ambient, (q for i, q in enumerate(sl.points) if sl.fit(i) == i),
+                            fitted=True, parent=sl)
+
+
+def scan_fit_of(sl, sl_o) -> tuple:
+    """For each index of ``sl``, the index in ``sl_o`` of the intersection
+    of the fitted prime sets holding its prime set."""
+    return tuple(sl_o.point_index[reduce(int.__and__, (r for r in sl_o.points if not q & ~r),
+                                         sl.all_primes)]
+                 for q in sl.points)
+
+
+def scan_least_open_above(sl_o) -> tuple:
+    """For each fitted index, the meet of the elements whose open is above
+    it: the scan that :attr:`SublocaleCoframe.element_of` replaced."""
+    lat = sl_o.ambient.lattice
+    return tuple(lat.big_meet(mask_of(y for y, o in enumerate(sl_o.open_index) if sl_o.leq(i, o)))
+                 for i in range(sl_o.size))
+
+
 def table_hosts(fw, limits=DEFAULT_LIMITS) -> tuple:
     """``S(L)`` and ``S_o(L)`` as :class:`TableHost` s: subsets scanned up
     to 12 elements, rectangles closed above."""
@@ -647,10 +672,11 @@ def host_read_mismatches(sl) -> tuple:
     the member-mask operations they stand for, and how many were compared.
 
     On the full host ``sl`` and its fitted host: ``fit_of`` against
-    ``fit_mask``, ``full_index`` against the fitted members, the open and
-    closed trims (host meets) against ``& open_mask`` and ``& closed_mask``,
-    the fitted closed probe against the fit of ``& closed_mask``, and the
-    point sublocales against ``b_mask`` of the primes.
+    ``fit_mask``, the open and closed trims (host meets) against ``&
+    open_mask`` and ``& closed_mask``, the fitted closed probe (``_trims``
+    by the primes above an element) against ``fit_mask`` of ``&
+    closed_mask``, and the point sublocales against ``b_mask`` of the
+    primes.
     """
     fw = sl.ambient
     n = fw.lattice.n
@@ -671,11 +697,11 @@ def host_read_mismatches(sl) -> tuple:
                     "open trim", i, x)
             compare(sl.meet(i, sl.closed_index[x]), sl.index[m & closed_mask(fw, x)],
                     "closed trim", i, x)
+    above = sl_o._prime_tables[3]
     for j, m in enumerate(sl_o.elems):
-        compare(sl_o.full_index[j], sl.index[m], "full_index", j)
         for x in range(n):
-            compare(sl_o.fit_of[sl.meet(sl_o.full_index[j], sl.closed_index[x])],
-                    sl_o.index[fit_mask(fw, m & closed_mask(fw, x))], "fitted probe", j, x)
+            compare(_trims(sl_o, bit(j), above[x:x + 1]),
+                    bit(sl_o.index[fit_mask(fw, m & closed_mask(fw, x))]), "fitted probe", j, x)
     compare(point_sublocales(sl), mask_of(sl.index[b_mask(fw, p)] for p in bits(fw.primes)),
             "point sublocales")
     return bad, cases
@@ -933,7 +959,7 @@ def generated_closed_form(sl, members: int) -> int:
     """On a full sublocale host, the generated subcolocale in closed form:
     joins of open-and-closed trims of the generators."""
     assert not sl.fitted
-    return closed_trims(sl, _trims(sl, members, sl.open_index))
+    return closed_trims(sl, _trims(sl, members, [sl.points[o] for o in sl.open_index]))
 
 
 def scan_subcolocales(host, which: str = "all") -> tuple:

@@ -27,8 +27,9 @@ from subloc.report import correspondence_suite
 from subloc.subcolocales import enumerate_subcolocales, se
 from subloc.sublocales import nucleus_element
 
-from oracles import (downset_frame, fold_meet_dense, generic_raney_lift, generic_szdbf_lift,
-                     is_smooth, per_quotient_verdicts, right_adjoint_image, scan_coframe_map,
+from oracles import (downset_frame, fold_meet_dense, fresh_sublocales, generic_raney_lift,
+                     generic_szdbf_lift, is_smooth, per_quotient_verdicts,
+                     right_adjoint_image, scan_coframe_map,
                      scan_coframe_maps, szdbf_pins, table_downset_join_map,
                      table_sublocale_frame, table_subcolocale_lattice, verdict_json)
 
@@ -479,8 +480,10 @@ def test_a_suite_pass_builds_no_zero_dimensional_image(monkeypatch):
 
 
 def test_raney_extension_checks_open_once_per_structure(monkeypatch):
-    # element_of inverts open and is checked on first read only; a host whose
-    # open is no bijection, or keeps no meet, or an F short of the host raises
+    # element_of is the host's inverse of open, and the structure checks it on
+    # first read only: a host whose open is no bijection raises on the host's
+    # first read, and one whose open keeps no meet, or an F short of the
+    # host, on the structure's
     sl = enumerate_sublocales(FrameWitness.of(gen_chain(3)))
     sl_o = sl.fitted_subcoframe()
     full = Subcolocale(sl_o, (1 << sl_o.size) - 1)
@@ -495,12 +498,18 @@ def test_raney_extension_checks_open_once_per_structure(monkeypatch):
     assert meets == []
     monkeypatch.undo()
     assert sl_o.open_index == (0, 1, 2)
-    for opens, match in (((0, 0, 2), "bijection"), ((2, 1, 0), "meet")):
-        planted = RaneyExtension(sl.ambient, full)
-        monkeypatch.setattr(sl_o, "open_index", opens)
-        with pytest.raises(InternalInconsistency, match=match):
-            raney_lift_check(ident, planted, r)
-        monkeypatch.undo()
+    fresh = fresh_sublocales(sl.ambient).fitted_subcoframe()
+    monkeypatch.setattr(fresh, "open_index", (0, 0, 2))
+    planted = RaneyExtension(sl.ambient, Subcolocale(fresh, full.members))
+    with pytest.raises(InternalInconsistency, match="bijection"):
+        raney_lift_check(ident, planted, r)
+    assert "element_of" not in vars(fresh)
+    monkeypatch.undo()
+    planted = RaneyExtension(sl.ambient, full)
+    monkeypatch.setattr(sl_o, "open_index", (2, 1, 0))
+    with pytest.raises(InternalInconsistency, match="meet"):
+        raney_lift_check(ident, planted, r)
+    monkeypatch.undo()
     planted = RaneyExtension(sl.ambient, full)
     planted.f_sub = Subcolocale(sl_o, full.members & ~1, validate=False)
     with pytest.raises(InternalInconsistency, match="not all of"):

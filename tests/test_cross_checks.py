@@ -13,9 +13,10 @@ from subloc.latfile import serialize_lattice
 
 # Plants one disagreement per cross-check by replacing one side (for the
 # Raney lift, a fitted host whose open misses the top's index; for the
-# down-set join map, a right adjoint that sends everything to the empty
-# down-set, so that r . eps is not inflationary), and prints
-# the names of the checks that raised.
+# inverse of open, the same plant on a fresh fitted host, read through
+# properness; for the down-set join map, a right adjoint that sends
+# everything to the empty down-set, so that r . eps is not inflationary),
+# and prints the names of the checks that raised.
 PLANTS = r'''
 import json
 import oracles
@@ -30,6 +31,7 @@ sl = enumerate_sublocales(fw)
 sl_o = sl.fitted_subcoframe()
 full_o = (1 << sl_o.size) - 1
 ident = co.FrameMap.of(fw, fw, range(fw.lattice.n))
+fresh_o = oracles.fresh_sublocales(fw).fitted_subcoframe()
 
 def planted(module, name, fake, call):
     real = getattr(module, name)
@@ -69,6 +71,9 @@ raised = {
                                 lambda: co.raney_lift_check(
                                     ident, co.RaneyExtension(fw, co.Subcolocale(sl_o, full_o)),
                                     co.RaneyExtension(fw, co.Subcolocale(sl_o, full_o)))),
+    "element_of": planted(fresh_o, "open_index",
+                          fresh_o.open_index[:-1] + fresh_o.open_index[:1],
+                          lambda: sc.is_proper(fresh_o, full_o)),
 }
 print(json.dumps({"debug": __debug__, "raised": raised}))
 '''
@@ -83,7 +88,7 @@ def test_planted_disagreements_raise_under_python_O():
     got = json.loads(out)
     assert got["debug"] is False
     assert got["raised"] == dict.fromkeys(got["raised"], True)
-    assert len(got["raised"]) == 10
+    assert len(got["raised"]) == 11
 
 
 def test_cli_exits_1_on_an_internal_inconsistency(tmp_path, monkeypatch, capsys):

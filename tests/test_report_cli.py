@@ -11,7 +11,7 @@ from subloc import DEFAULT_LIMITS, correspondence, report, runner
 from subloc.cli import main
 from subloc.corpus import gen_boolean, gen_chain, standard_corpus
 from subloc.bits import bits
-from subloc.errors import SizeLimit
+from subloc.errors import NotProper, SizeLimit
 from subloc.lattice import FrameWitness, Lattice
 from subloc.latfile import parse_lattice, serialize_lattice
 from subloc.report import (FINITE_NOTE, SCHEMA_VERSION, correspondence_suite,
@@ -115,6 +115,24 @@ def test_cli_subcolocales(c3_file, capsys):
     # proper filtering is only defined on the fitted host
     assert main(["subcolocales", c3_file, "--filter", "proper"]) == 2
     assert "fitted" in capsys.readouterr().err
+
+
+def test_cli_fitted_host_output_is_pinned(tmp_path, capsys):
+    # the fitted host's numbering, opens and closeds, and its proper
+    # collections, as `subloc sublocales --host SoL` and `subloc subcolocales
+    # --host SoL --filter proper` print them for each of the 59 frames of
+    # the standard corpus with 20 sampled 4-point topologies
+    digest = hashlib.sha256()
+    frames = standard_corpus(20, 0)
+    for cf in frames:
+        p = tmp_path / f"{cf.name}.lat"
+        p.write_text(serialize_lattice(cf.frame.lattice))
+        for argv in (["sublocales", str(p), "--host", "SoL"],
+                     ["subcolocales", str(p), "--host", "SoL", "--filter", "proper"]):
+            assert main(argv) == 0
+            digest.update(f"{cf.name}\n{capsys.readouterr().out}".encode())
+    assert len(frames) == 59
+    assert digest.hexdigest() == "ea11f20cae73b109398660c461c657ee2935abaabf39c98825e14d597049d43f"
 
 
 def test_cli_subcolocales_above_sixteen(tmp_path, capsys):
@@ -382,6 +400,60 @@ def test_galois_connection_check_lists_every_failing_pair_d_first(monkeypatch):
               if sl_o.leq(sl_o.fit_of[d], f) != sl.leq(d, 0)]
     assert len({f for _, f in expect[:5]}) > 1 and len({d for d, _ in expect[:5]}) > 1
     assert check["counterexamples"] == expect[:5]
+
+
+def test_full_fitted_collection_fails_when_both_properness_criteria_do(monkeypatch):
+    # the two criteria agree, so is_proper raises nothing and returns false
+    fw = FrameWitness.of(gen_chain(3))
+    monkeypatch.setattr("subloc.subcolocales._open_joins_exact", lambda sl_o, m: False)
+    monkeypatch.setattr("subloc.subcolocales.is_principal_precongruence", lambda fw, g: False)
+    result = report.adjunction_suite("chain3", fw)
+    check = next(c for c in result["checks"] if c["check"] == "full-fitted-collection-proper")
+    assert not check["ok"] and not result["ok"]
+    assert check["counterexamples"] == ["full fitted coframe not proper"]
+
+
+def test_sigma_checks_fail_on_a_wrong_sigma_of_one_open(monkeypatch):
+    fw = FrameWitness.of(gen_chain(3))
+    sl = enumerate_sublocales(fw)
+    sl_o = sl.fitted_subcoframe()
+    full_o, real = (1 << sl_o.size) - 1, report.sigma
+
+    def planted_at(f0, wrong):
+        def fake(sl, sl_o, fm, f):
+            return wrong if fm == full_o and f == f0 else real(sl, sl_o, fm, f)
+        return fake
+
+    def failing():
+        result = report.adjunction_suite("chain3", fw)
+        return {c["check"]: c["counterexamples"] for c in result["checks"] if not c["ok"]}
+
+    # the top's open is the whole frame; chain3's one sublocale that is not
+    # fitted has the whole frame as its fit, so of the two checks on the
+    # full fitted collection only the first sees it
+    top, unfitted = fw.lattice.top, sl.fit_index.index(sl.size - 1)
+    assert unfitted != sl.size - 1 and sl.open_of(top) == sl.size - 1
+    monkeypatch.setattr(report, "sigma", planted_at(sl_o.open_of(top), unfitted))
+    got = failing()
+    assert got["sigma-fixes-opens"] == [top] and "fit-after-sigma-is-identity" not in got
+    # the open of 1 realized as the open of the bottom: its fit is another
+    # fitted index, so both checks list it
+    monkeypatch.setattr(report, "sigma", planted_at(sl_o.open_of(1), sl.open_of(0)))
+    got = failing()
+    assert got["sigma-fixes-opens"] == [1]
+    assert got["fit-after-sigma-is-identity"] == [sl_o.open_of(1)]
+
+
+def test_a_swapped_pair_in_element_of_cannot_pass_the_adjunction_suite():
+    # sigma reads the element of each conucleus, so a wrong one builds a
+    # sublocale whose fit misses the meet identity: the suite raises
+    fw = FrameWitness.of(gen_chain(3))
+    sl_o = enumerate_sublocales(fw).fitted_subcoframe()
+    back = list(sl_o.element_of)
+    back[0], back[1] = back[1], back[0]
+    sl_o.element_of = tuple(back)
+    with pytest.raises(NotProper, match="meet identity"):
+        report.adjunction_suite("chain3", fw)
 
 
 def test_cli_rejects_unknown_command(c3_file):

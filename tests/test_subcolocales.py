@@ -16,13 +16,15 @@ from subloc import (CoframeWitness, FrameWitness, InternalInconsistency, NotProp
 from subloc.bits import bit, bits, mask_of
 from subloc.config import DEFAULT_LIMITS
 from subloc.corpus import gen_boolean, gen_chain, gen_product, standard_corpus
+from subloc.latfile import serialize_lattice
 from subloc import report
 from subloc.report import adjunction_suite, correspondence_suite
 
-from oracles import (NaiveOps, closure_is_subcolocale, fixpoint_generated_subcolocale,
-                     fresh_sublocales, generated_closed_form, host_read_mismatches,
-                     scan_conucleus, scan_generated_subcolocale, scan_is_subcolocale,
-                     scan_join_closure, scan_se, scan_sigma, scan_subcolocales)
+from oracles import (NaiveOps, closure_is_subcolocale, filtered_fitted_host,
+                     fixpoint_generated_subcolocale, fresh_sublocales, generated_closed_form,
+                     host_read_mismatches, scan_conucleus, scan_fit_of,
+                     scan_generated_subcolocale, scan_is_subcolocale, scan_join_closure,
+                     scan_least_open_above, scan_se, scan_sigma, scan_subcolocales)
 
 
 def host_naive_ops(host):
@@ -236,12 +238,12 @@ def test_leq_f_matches_the_pairwise_definition(corpus, hosts):
     assert cases > 1000
 
 
-def test_opens_above_dies_with_its_host():
+def test_element_of_dies_with_its_host():
     slo = enumerate_sublocales(FrameWitness.of(gen_product(gen_chain(2), gen_chain(3)))
                                ).fitted_subcoframe()
     assert is_proper(slo, (1 << slo.size) - 1)
-    table = slo.opens_above
-    assert table is slo.opens_above
+    table = slo.element_of
+    assert table is slo.element_of
     host = weakref.ref(slo)
     held = sys.getrefcount(table)
     del slo
@@ -258,21 +260,44 @@ def test_full_fitted_collection_is_proper(corpus, hosts):
         assert is_proper(slo, (1 << slo.size) - 1)
 
 
-def test_a_non_principal_opens_above_row_raises(hosts):
-    # every row of opens_above is principal on a frame; a row without the
-    # top is not, wherever it is planted
+def test_a_non_bijective_open_index_raises(hosts):
+    # open is a bijection onto the fitted host on a frame; an open_index
+    # that sends one element to another's open misses an index, wherever it
+    # is planted, and properness reads its inverse
     planted = 0
     for name in ("chain3", "bool2", "top3-00"):
         fw = hosts[name].ambient
-        for c in range(hosts[name].fitted_subcoframe().size):
+        n = fw.lattice.n
+        for x in range(n):
             sl_o = fresh_sublocales(fw).fitted_subcoframe()
-            rows = list(sl_o.opens_above)
-            rows[c] &= ~bit(fw.lattice.top)
-            sl_o.opens_above = tuple(rows)
-            with pytest.raises(InternalInconsistency):
+            opens = list(sl_o.open_index)
+            opens[x] = opens[(x + 1) % n]
+            sl_o.open_index = tuple(opens)
+            with pytest.raises(InternalInconsistency, match="bijection"):
                 is_proper(sl_o, (1 << sl_o.size) - 1)
             planted += 1
     assert planted > 3
+
+
+def test_fitted_host_matches_the_filtered_build(hosts):
+    """The fitted host built from the frame's opens has the prime sets,
+    member masks, index order and ``fit_of`` of the host filtered from the
+    ``2^p`` prime sets of ``S(L)`` for fixpoints of ``fit``, whose ``fit_of``
+    is scanned as the least fitted prime set above each one; and its
+    ``element_of`` is the meet of the elements whose opens lie above each
+    index.  On every distinct frame of the standard and ``--points4 20``
+    corpora, and on chain12."""
+    frames = {serialize_lattice(cf.frame.lattice): cf.frame for cf in standard_corpus(20, 0)}
+    checked = 0
+    for fw in [*frames.values(), FrameWitness.of(gen_chain(12))]:
+        sl = fresh_sublocales(fw)
+        sl_o, oracle = sl.fitted_subcoframe(), filtered_fitted_host(sl)
+        assert sl_o.points == oracle.points and sl_o.elems == oracle.elems
+        assert sl_o.index == oracle.index and sl_o.point_index == oracle.point_index
+        assert sl_o.fit_of == oracle.fit_of == scan_fit_of(sl, oracle)
+        assert sl_o.element_of == scan_least_open_above(oracle)
+        checked += sl_o.size
+    assert len(frames) == 28 and checked == 186
 
 
 def test_improper_collection_detected():
