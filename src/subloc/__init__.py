@@ -11,8 +11,8 @@ from .corpus import (CorpusFrame, CorpusSpec, all_topologies, gen_boolean,
                      gen_opens_of_topology, gen_product, sample_topologies,
                      standard_corpus)
 from .sublocales import (SublocaleCoframe, enumerate_sublocales, exact_filters,
-                         fitted_subcoframe, is_exact_sublocale, is_precongruence, ker,
-                         phi, strongly_exact_filters)
+                         fitted_subcoframe, is_exact_sublocale, ker, phi,
+                         strongly_exact_filters)
 from .subcolocales import (Subcolocale, adjunction_check, conuclei, delta,
                            enumerate_subcolocales, fit_image,
                            generated_subcolocale, is_codense, is_essential,

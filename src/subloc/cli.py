@@ -17,7 +17,8 @@ from .config import DEFAULT_LIMITS, Limits
 from .corpus import standard_corpus
 from .errors import InternalInconsistency, NotAFrame, NotACoframe, SizeLimit
 from .lattice import FrameWitness
-from .latfile import parse_lattice, serialize_lattice
+from .latfile import (build_lattice, longest_chain, parse_lattice, read_pairs,
+                      serialize_lattice)
 from .report import frame_report, render_suite_text, run_suite
 from .runner import ALL_SUITES, corpus_report
 from .subcolocales import enumerate_subcolocales
@@ -26,21 +27,28 @@ from .viz import hasse_dot
 
 
 def _load_frame(path: str, limits: Limits) -> FrameWitness:
-    """Parse a frame, refusing it before any table is built when it has
-    more elements than ``limits.max_sublocales``.
+    """Parse a frame, refusing it before any table is built when it must
+    have more than ``limits.max_sublocales`` sublocales.
 
-    A finite distributive lattice with ``p`` primes has at most ``2^p``
-    elements, so such a frame also has more than ``max_sublocales``
-    sublocales, and ``enumerate_sublocales`` would refuse it anyway, but
-    only after ``FrameWitness.of``, which costs ``n^2 p`` for ``p``
-    join-irreducibles.
+    A finite frame with ``p`` primes has ``2^p`` sublocales.  It has at
+    most ``2^p`` elements, each the meet of the primes above it.  And a
+    chain of ``l`` pairs of its file, ``x0 < ... < xl``, has ``l <= p``:
+    the sets ``J(xi)`` of join-irreducibles below each ``xi`` strictly
+    grow, as every element is the join of its own, and a frame has as many
+    join-irreducibles as primes.  So either count, read off the pairs in
+    ``O(n + pairs)`` (:func:`~subloc.latfile.longest_chain`), refuses it;
+    the tables cost ``n^2`` and ``FrameWitness.of`` ``n^2 p``.
     """
-    lat = parse_lattice(Path(path).read_text())
-    if lat.n > limits.max_sublocales:
-        raise SizeLimit(f"{lat.n} elements exceed max_sublocales={limits.max_sublocales} "
-                        f"(a frame has at least as many sublocales as elements); "
-                        f"override with --limit max_sublocales=N")
-    return FrameWitness.of(lat)
+    n, pairs, bottom, top = read_pairs(Path(path).read_text())
+    chain = longest_chain(n, pairs)
+    hint = "override with --limit max_sublocales=N"
+    if n > limits.max_sublocales:
+        raise SizeLimit(f"{n} elements exceed max_sublocales={limits.max_sublocales} "
+                        f"(a frame has at least as many sublocales as elements); {hint}")
+    if chain is not None and 1 << chain > limits.max_sublocales:
+        raise SizeLimit(f"a chain of {chain} pairs means at least 2^{chain} sublocales, "
+                        f"past max_sublocales={limits.max_sublocales}; {hint}")
+    return FrameWitness.of(build_lattice(n, pairs, bottom, top))
 
 
 def _apply_limit_overrides(pairs: list[str]) -> Limits:

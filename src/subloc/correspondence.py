@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .bits import bit, bits, bits_above, mask_of
 from .errors import InternalInconsistency, NotProper
-from .lattice import FrameWitness, Lattice
+from .lattice import FrameWitness, Lattice, intersection, join_violations, table_op
 from .sublocales import SublocaleCoframe
 from .subcolocales import (Subcolocale, conuclei, delta, fit_image, is_codense,
                            is_essential, is_proper)
@@ -54,6 +54,8 @@ class FrameMap:
 
     On finite frames preserving the binary operations and the two bounds
     is the full frame-map condition, since all meets and joins are folds.
+    :meth:`of` checks the binary ones against the source's irreducibles
+    (:func:`~subloc.lattice.join_violations`).
     """
 
     source: FrameWitness
@@ -71,12 +73,11 @@ class FrameMap:
             raise ValueError("map does not preserve the bottom")
         if mapping[ls.top] != lt.top:
             raise ValueError("map does not preserve the top")
-        for x in range(ls.n):
-            for y in range(x, ls.n):
-                if mapping[ls.meet_table[x][y]] != lt.meet_table[mapping[x]][mapping[y]]:
-                    raise ValueError(f"map does not preserve the meet of {x},{y}")
-                if mapping[ls.join_table[x][y]] != lt.join_table[mapping[x]][mapping[y]]:
-                    raise ValueError(f"map does not preserve the join of {x},{y}")
+        join_irr, meet_irr = ls.irreducibles
+        for name, table, irr, op in (("meet", ls.meet_table, meet_irr, lt.meet_table),
+                                     ("join", ls.join_table, join_irr, lt.join_table)):
+            for x, y in join_violations(table, irr, mapping, table_op(op)):
+                raise ValueError(f"map does not preserve the {name} of {x},{y}")
         return cls(source, target, mapping)
 
     def __call__(self, x: int) -> int:
@@ -160,11 +161,13 @@ class RaneyExtension:
         the host's :attr:`SublocaleCoframe.element_of`, checked on first
         read, once per structure: ``F`` must be the whole fitted host,
         ``open_index`` a bijection onto it, and ``open`` must keep binary
-        meets, ``n^2 / 2`` lookups.  Each is a theorem of finite frames, so
-        a failure raises :class:`InternalInconsistency`.  Every fitted
-        sublocale (a meet of opens) is open, as ``open`` keeps finite meets
-        (Picado & Pultr, *Frames and Locales*, 2012), and ``open`` is one to
-        one; so ``F``, which holds every open, is the whole host.  A
+        meets, ``&`` of prime sets, checked against the meet-irreducibles
+        (:func:`~subloc.lattice.join_violations`).  Each is a theorem of
+        finite frames, so a failure raises :class:`InternalInconsistency`.
+        Every fitted sublocale (a meet of opens) is open, as ``open`` keeps
+        finite meets (Picado & Pultr, *Frames and Locales*, 2012), and
+        ``open`` is one to one; so ``F``, which holds every open, is the
+        whole host.  A
         bijection that keeps binary meets is an order isomorphism, ``x <=
         y`` iff ``x = x ^ y``, so ``x -> open(x)`` is a lattice isomorphism
         ``L = F``, and this table is its inverse (:func:`raney_lift_check`).
@@ -173,9 +176,9 @@ class RaneyExtension:
         if self.f_sub.members != (1 << host.size) - 1:
             raise InternalInconsistency("a Raney extension of a finite frame is not all of S_o(L)")
         back = host.element_of
-        meet = self.frame.lattice.meet_table
-        if any(opens[m] != host.meet(oa, ob) for a, oa in enumerate(opens)
-               for m, ob in zip(meet[a][a + 1:], opens[a + 1:])):
+        lat = self.frame.lattice
+        if any(join_violations(lat.meet_table, lat.irreducibles[1],
+                               [host.points[o] for o in opens], intersection)):
             raise InternalInconsistency("open does not keep a binary meet")
         return back
 
@@ -298,15 +301,10 @@ def is_coframe_map(src: Lattice, dst: Lattice, h: Sequence[int],
     ``(s, t)`` and every binary meet and join (hence all finite ones).
 
     Joins are checked against the join-irreducibles ``j`` of ``src`` only,
-    and meets against its meet-irreducibles, at ``n (|J| + |M|)`` lookups.
-    That suffices.  Every ``b`` is a join ``j1 v ... v jk`` of
-    join-irreducibles, the bottom being the empty one.  If
-    ``h(a v j) = h(a) v h(j)`` for every ``a`` and ``j``, then
-    ``h(a v b) = h(a) v h(b)`` by induction on ``k``: ``k = 0`` is
-    ``h(bottom) = bottom``, and with ``b' = j1 v ... v j(k-1)``,
-    ``h(a v b' v jk) = h(a v b') v h(jk) = h(a) v h(b') v h(jk)``, where
-    ``h(b') v h(jk) = h(b' v jk)`` is the case ``a = b'``.  Meets are dual.
-    No distributivity is used, so this holds on any finite lattice;
+    and meets against its meet-irreducibles, at ``n (|J| + |M|)`` lookups,
+    which suffices by the proof of :func:`~subloc.lattice.join_violations`:
+    ``dst``'s join and meet are semilattice operations.  No distributivity
+    is used, so this holds on any finite lattice;
     ``tests/oracles.py::scan_coframe_map`` checks every pair.  Every left
     argument ``a`` is needed: on ``2^4``, whose rank-2 elements are neither
     join- nor meet-irreducible, a map into a non-distributive target can
@@ -321,18 +319,8 @@ def is_coframe_map(src: Lattice, dst: Lattice, h: Sequence[int],
     if any(h[s] != t for s, t in pins):
         return False
     join_irr, meet_irr = src.irreducibles
-    hj = [(j, h[j]) for j in bits(join_irr)]
-    hm = [(m, h[m]) for m in bits(meet_irr)]
-    for a in range(src.n):
-        ma, ja = dst.meet_table[h[a]], dst.join_table[h[a]]
-        smeet, sjoin = src.meet_table[a], src.join_table[a]
-        for j, v in hj:
-            if h[sjoin[j]] != ja[v]:
-                return False
-        for m, v in hm:
-            if h[smeet[m]] != ma[v]:
-                return False
-    return True
+    return not (any(join_violations(src.join_table, join_irr, h, table_op(dst.join_table)))
+                or any(join_violations(src.meet_table, meet_irr, h, table_op(dst.meet_table))))
 
 
 def extend_to_coframe_map(src: Lattice, dst: Lattice,
@@ -499,11 +487,14 @@ def quotient_verdicts(b: SZDBF) -> Iterator[tuple[bool, bool, bool]]:
     nu(a) ^ nu(b)`` for every exact pair ``a < b``.
 
     - *Raney.*  The lift is ``is_coframe_map(L, T, nu, ())``
-      (:func:`raney_lift_check`).  Read on ``L``, that is (a) and, for
-      every ``a``, ``nu(a v j) = nu(nu(a) v nu(j))`` for each
-      join-irreducible ``j`` and ``nu(a ^ m) = nu(nu(a) ^ nu(m))`` for
-      each meet-irreducible ``m``, ``n (|J| + |M|)`` lookups: the one
-      validation of the map.
+      (:func:`raney_lift_check`), which the proof of
+      :func:`~subloc.lattice.join_violations` decides on the irreducibles.
+      Read on ``L``, that is (a) and, for every ``a``, ``nu(a v j) =
+      nu(nu(a) v nu(j))`` for each join-irreducible ``j`` and ``nu(a ^ m)
+      = nu(nu(a) ^ nu(m))`` for each meet-irreducible ``m``, ``n (|J| +
+      |M|)`` lookups: the one validation of the map.  These rows, laid out
+      flat for every quotient at once, keep their own loop, as this pass
+      decides every sublocale of ``S(L)``.
     - *Zero-dimensional.*  The lift sends the atom ``{p}`` to ``A_p =
       rho(nu(p)) - rho(nu(x_p))``, ``x_p`` as in :attr:`SZDBF.coatom_pins`
       (:func:`szdbf_lift_check`), which is ``Q & above[p] & ~above[x_p]``
@@ -574,15 +565,17 @@ def downset_join_map_violations(fw: FrameWitness, masks: Sequence[int],
 
     ``D(L)`` is a ring of sets (Birkhoff, "Rings of sets", 1937) whose
     join-irreducibles are the ``dn[x]`` and meet-irreducibles the ``L -
-    up[x]``, so by :func:`is_coframe_map`'s induction ``eps`` is a frame map
-    iff it keeps the bounds, each join with a ``dn[x]`` and each meet with
-    an ``L - up[x]``.  The image of its right adjoint ``r`` is a sublocale
-    iff ``k = r . eps`` is a nucleus: ``D <= k(D) = k(k(D))``, and ``k``
-    keeps each meet with a meet-irreducible ``M``, by the same induction;
-    as ``eps`` keeps meets, that is ``r(a ^ eps(M)) = r(a) & r(eps(M))`` on
-    its image.  A failure there raises :class:`InternalInconsistency`.  All
-    pairs of a ring of sets are exact, so :func:`is_exact_map` asks only
-    for exact image pairs (:attr:`FrameWitness.exact_pairs`).
+    up[x]``, so by the proof of :func:`~subloc.lattice.join_violations`
+    ``eps`` is a frame map iff it keeps the bounds, each join with a
+    ``dn[x]`` and each meet with an ``L - up[x]``; ``D(L)`` is held as
+    masks, not as a :class:`Lattice`, so the loop is written here.  The
+    image of its right adjoint ``r`` is a sublocale iff ``k = r . eps`` is
+    a nucleus: ``D <= k(D) = k(k(D))``, and ``k`` keeps each meet with a
+    meet-irreducible ``M``, by the same induction; as ``eps`` keeps meets,
+    that is ``r(a ^ eps(M)) = r(a) & r(eps(M))`` on its image.  A failure
+    there raises :class:`InternalInconsistency`.  All pairs of a ring of
+    sets are exact, so :func:`is_exact_map` asks only for exact image
+    pairs (:attr:`FrameWitness.exact_pairs`).
     ``tests/oracles.py::table_downset_join_map`` builds ``D(L)``'s tables.
     """
     lat = fw.lattice

@@ -23,11 +23,20 @@ from __future__ import annotations
 from .lattice import Lattice, covers
 
 
+Pairs = dict[tuple[int, int], int]   # each order pair with its first line
+
+
 def parse_lattice(text: str, strict: bool = False) -> Lattice:
+    return build_lattice(*read_pairs(text), strict=strict)
+
+
+def read_pairs(text: str) -> tuple[int, Pairs, int | None, int | None]:
+    """The element count, the order pairs and the declared bottom and top
+    (``None`` where absent) of a lattice text; nothing is built."""
     n = None
     declared_bottom = None
     declared_top = None
-    pairs: dict[tuple[int, int], int] = {}   # each pair with its first line
+    pairs: Pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -53,6 +62,13 @@ def parse_lattice(text: str, strict: bool = False) -> Lattice:
             raise ValueError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
         raise ValueError("missing 'lattice <n>' header")
+    return n, pairs, declared_bottom, declared_top
+
+
+def build_lattice(n: int, pairs: Pairs, declared_bottom: int | None,
+                  declared_top: int | None, strict: bool = False) -> Lattice:
+    """The lattice of :func:`read_pairs`' output, checked as the module
+    docstring describes."""
     if strict and (declared_bottom is None or declared_top is None):
         raise ValueError("strict mode requires explicit bottom and top lines")
     try:
@@ -69,6 +85,30 @@ def parse_lattice(text: str, strict: bool = False) -> Lattice:
             if (i, j) not in cover:
                 raise ValueError(f"line {lineno}: {i} < {j} is not a covering pair")
     return lat
+
+
+def longest_chain(n: int, pairs: Pairs) -> int | None:
+    """The number of pairs on the longest chain ``x0 < x1 < ...`` of
+    ``pairs``, or ``None`` when a pair leaves ``0..n-1`` or the pairs
+    close a cycle, which :func:`build_lattice` reports.  ``O(n + pairs)``:
+    each element is taken once all the pairs below it are (Kahn's
+    topological order), so its depth is final by then."""
+    above: list[list[int]] = [[] for _ in range(n)]
+    waiting = [0] * n
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            return None
+        above[i].append(j)
+        waiting[j] += 1
+    depth = [0] * n
+    taken = [i for i in range(n) if not waiting[i]]
+    for i in taken:   # grows as the loop runs
+        for j in above[i]:
+            depth[j] = max(depth[j], depth[i] + 1)
+            waiting[j] -= 1
+            if not waiting[j]:
+                taken.append(j)
+    return max(depth) if len(taken) == n else None
 
 
 def _int(tok: str, lineno: int) -> int:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from operator import ne
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .bits import bit, bits, mask_of
 from .errors import NotACoframe, NotAFrame
@@ -173,8 +174,63 @@ class Lattice:
         return mask_of(join_irreducibles(self)), mask_of(join_irreducibles(self.dual()))
 
 
+def join_violations(table: Sequence[Sequence[int]], irr: int, t: Sequence,
+                    op: Callable[[Any], Callable[[Any], Any]]) -> Iterator[tuple[int, int]]:
+    """Every ``(x, j)``, ``j`` in the mask ``irr``, with ``t[table[x][j]] !=
+    t[x] . t[j]``, in order of ``j`` and then ``x``.
+
+    ``table`` is a finite lattice's join table and ``irr`` its
+    join-irreducibles; ``t`` maps each element to a value, and ``op(a)`` is
+    ``b -> a . b`` for a semilattice operation ``.`` (associative,
+    commutative, idempotent) on the values: a lattice's join or meet
+    (:func:`table_op`), ``|`` or ``&`` of masks (:func:`union`,
+    :func:`intersection`), or one of these elementwise.  The table and
+    ``.`` are commutative, so each ``j`` costs one call of ``op``, and its
+    ``n`` pairs are compared by ``map`` over ``table[j]`` and ``t``, with
+    no row built.
+
+    If nothing is yielded, ``t`` keeps every binary join: ``t(x v y) = t(x)
+    . t(y)`` for all ``x`` and ``y``.  Proof.  An element ``y`` other than
+    the bottom is the join ``j1 v ... v jk``, ``k >= 1``, of the
+    join-irreducibles below it.  By induction on ``k``, ``t(x v j1 v ... v
+    jk) = t(x v j1 v ... v j(k-1)) . t(jk) = t(x) . t(j1) . ... . t(jk)``,
+    and the case ``x = j1`` gives ``t(y) = t(j1) . ... . t(jk)``, so ``t(x v
+    y) = t(x) . t(y)`` by associativity.  The bottom needs ``t(x) .
+    t(bottom) = t(x)``.  That holds when ``t(bottom)`` is the identity of
+    ``.``, and otherwise too: at ``x = bottom`` by idempotence, and for any
+    other ``x``, written as above, because the pairs ``(bottom, j)`` give
+    ``t(bottom) . t(j) = t(j)`` and ``.`` is commutative.  No distributivity
+    is used, so this holds on any finite lattice (G. Birkhoff, "Rings of
+    sets", 1937, for the join-irreducibles).  Meets are the same call on
+    the meet table and the meet-irreducibles (:attr:`Lattice.irreducibles`),
+    by duality.  That is ``n |J|`` comparisons where the pairs cost ``n^2 /
+    2``; ``tests/oracles.py`` keeps the all-pairs scans.
+    """
+    at = t.__getitem__
+    for j in bits(irr):
+        col, tj = table[j], op(t[j])
+        if any(map(ne, map(at, col), map(tj, t))):
+            yield from ((x, j) for x, y in enumerate(col) if t[y] != tj(t[x]))
+
+
+def table_op(table: Sequence[Sequence[int]]) -> Callable[[int], Callable[[int], int]]:
+    """The binary table ``table`` curried for :func:`join_violations`."""
+    return lambda a: table[a].__getitem__
+
+
+def union(a: int) -> Callable[[int], int]:
+    """``|`` of masks, curried for :func:`join_violations`."""
+    return a.__or__
+
+
+def intersection(a: int) -> Callable[[int], int]:
+    """``&`` of masks, curried for :func:`join_violations`."""
+    return a.__and__
+
+
 def distributivity_violations(lat: Lattice) -> Iterator[tuple[int, int]]:
-    """Every ``(x, y)``, ``x < y`` as indices, with ``J(x v y) != J(x) | J(y)``.
+    """Every ``(x, j)``, ``j`` join-irreducible, with ``J(x v j) != J(x) |
+    J(j)`` (:func:`join_violations`).
 
     ``J(x)`` is the set of join-irreducibles below ``x``.  A finite lattice
     is distributive iff ``J`` sends binary joins to unions (Birkhoff,
@@ -183,18 +239,13 @@ def distributivity_violations(lat: Lattice) -> Iterator[tuple[int, int]]:
     hence below ``x`` or ``y``.  Conversely ``J`` always sends meets to
     intersections and is injective, since every element is the join of
     the join-irreducibles below it; if it also sends joins to unions it
-    embeds the lattice in a powerset, which is distributive.  Quadratic
-    in the elements; ``tests/oracles.py::scan_distributivity`` is the
-    cubic test of ``x ^ (y v z) = (x ^ y) v (x ^ z)``.
+    embeds the lattice in a powerset, which is distributive.  Unions are a
+    semilattice operation, so the pairs ``(x, j)`` decide, ``n |J|`` mask
+    comparisons; ``tests/oracles.py::scan_distributivity`` is the cubic
+    test of ``x ^ (y v z) = (x ^ y) v (x ^ z)``.
     """
-    irr = mask_of(join_irreducibles(lat))
-    below = [d & irr for d in lat.dn]
-    join = lat.join_table
-    for x in range(lat.n):
-        jx, row = below[x], join[x]
-        for y in range(x + 1, lat.n):
-            if below[row[y]] != jx | below[y]:
-                yield x, y
+    irr = lat.irreducibles[0]
+    return join_violations(lat.join_table, irr, [d & irr for d in lat.dn], union)
 
 
 def adjunction_violations(lat: Lattice, lower: Sequence[Sequence[int]],
@@ -262,7 +313,7 @@ def heyting_table(lat: Lattice) -> tuple[tuple[int, ...], ...]:
     join over every ``z`` costs ``n^3``.  On the dual lattice this gives
     the co-Heyting difference, transposed.
     """
-    irr = join_irreducibles(lat)
+    irr = tuple(bits(lat.irreducibles[0]))
     meet, join, dn = lat.meet_table, lat.join_table, lat.dn
     rows = []
     for x in range(lat.n):

@@ -19,7 +19,7 @@ from .correspondence import (SZDBF, downset_join_map_violations, quotient_verdic
                              to_raney, to_szdbf)
 from .errors import NotProper
 from .lattice import (CoframeWitness, FrameWitness, adjunction_violations,
-                      covered_primes, covers, primes)
+                      covered_primes, covers, intersection, join_violations, primes, union)
 from .subcolocales import (Subcolocale, adjunction_check, conuclei, delta,
                            enumerate_subcolocales, fit_image, is_codense,
                            is_essential, is_proper, is_subcolocale,
@@ -306,25 +306,20 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
     checks.add("open-closed-complement", bad)
 
     # joins of families, on the empty one and the pairs; the singletons hold
-    # outright, bot and top being the bottom and top of the host's tables
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    bad = [] if sl.open_of(lat.bottom) == bot else [[]]
-    bad += [[a, b] for a, b in pairs
-            if sl.join(sl.open_of(a), sl.open_of(b)) != sl.open_of(lat.join_table[a][b])]
-    for a in range(n):
-        for b in range(n):
-            if sl.meet(sl.open_of(a), sl.open_of(b)) != sl.open_of(lat.meet_table[a][b]):
-                bad.append((a, b))
-    checks.add("open-join-and-meet-laws", bad)
-
-    bad = [] if sl.closed_of(lat.bottom) == top else [[]]
-    bad += [[a, b] for a, b in pairs
-            if sl.meet(sl.closed_of(a), sl.closed_of(b)) != sl.closed_of(lat.join_table[a][b])]
-    for a in range(n):
-        for b in range(n):
-            if sl.join(sl.closed_of(a), sl.closed_of(b)) != sl.closed_of(lat.meet_table[a][b]):
-                bad.append((a, b))
-    checks.add("closed-meet-and-join-laws", bad)
+    # outright, bot and top being the bottom and top of the host's tables.
+    # Each map keeps binary joins and meets iff it keeps those with the
+    # irreducibles (join_violations), as prime sets, where join is | and
+    # meet is &; the join half lists [x, j], the meet half (x, m)
+    join_irr, meet_irr = lat.irreducibles
+    opens = [sl.points[sl.open_of(a)] for a in range(n)]
+    closeds = [sl.points[sl.closed_of(a)] for a in range(n)]
+    for check, t, bound, join_op, meet_op in (
+            ("open-join-and-meet-laws", opens, bot, union, intersection),
+            ("closed-meet-and-join-laws", closeds, top, intersection, union)):
+        bad = [] if t[lat.bottom] == sl.points[bound] else [[]]
+        bad += [[x, j] for x, j in join_violations(lat.join_table, join_irr, t, join_op)]
+        bad += join_violations(lat.meet_table, meet_irr, t, meet_op)
+        checks.add(check, bad)
 
     checks.add("difference-adjunction", difference_bad)
 

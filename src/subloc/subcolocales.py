@@ -44,10 +44,12 @@ run on one witness share it.
 from __future__ import annotations
 
 import functools
+from operator import or_
 from typing import Sequence
 
 from .bits import bits, mask_of
 from .errors import InternalInconsistency, NotProper
+from .lattice import join_violations, union
 from .sublocales import SublocaleCoframe, is_exact_sublocale, is_principal_precongruence
 
 
@@ -288,8 +290,8 @@ def se(sl: SublocaleCoframe) -> int:
     nucleus the host reads keeps every binary meet once the primes above
     ``a ^ b`` are those above ``a`` or ``b``
     (:meth:`SublocaleCoframe.meets_split_primes`).  That identity is
-    checked once per host, on every pair; it holds on every frame, so its
-    failure raises :class:`InternalInconsistency`.
+    checked once per host, on the pairs with a meet-irreducible; it holds
+    on every frame, so its failure raises :class:`InternalInconsistency`.
     ``tests/oracles.py::scan_se`` tests each sublocale on its own.
 
     Cross-checked on the point sublocales (:func:`point_sublocales`), by
@@ -371,24 +373,29 @@ def _open_joins_exact(sl_o: SublocaleCoframe, members: int) -> bool:
     and taking the conucleus gives the join of the trimmed opens' conuclei.
 
     The families are the empty one and the pairs, as for every family
-    quantifier (:attr:`FrameWitness.exact_pairs`).  The empty family and
-    the singletons hold outright: the empty join is the bottom, whose
-    conucleus (the join of the members below it) is the bottom again, and
-    one open is its own join.  So the pairs of opens decide, each against
-    a table of trimmed conuclei built once, as prime sets, where meet is
-    ``&`` and join is ``|``.
+    quantifier (:attr:`FrameWitness.exact_pairs`).  The empty family holds
+    outright: the empty join is the bottom, whose conucleus (the join of
+    the members below it) is the bottom again.  For the pairs, let ``t(x)``
+    be the row of the trimmed opens' conuclei, ``con(open(x) ^ g)`` for
+    each member ``g``, as prime sets, where meet is ``&`` and join is
+    ``|``.  ``open`` keeps binary joins on a frame, so the join of the opens
+    of ``x`` and ``y`` is ``open(x v y)``, and the pairs ask ``t(x v y) =
+    t(x) | t(y)``, elementwise.  Both are decided on the pairs ``(x, j)``
+    with ``j`` join-irreducible (:func:`~subloc.lattice.join_violations`),
+    ``n |J|`` rows where the pairs of opens cost ``n^2 / 2``; a failure of
+    the first raises :class:`InternalInconsistency`.
     """
+    lat = sl_o.ambient.lattice
+    join, irr = lat.join_table, lat.irreducibles[0]
     pts, pos = sl_o.points, sl_o.point_index
+    opens = [pts[o] for o in sl_o.open_index]
+    if any(join_violations(join, irr, opens, union)):
+        raise InternalInconsistency("open does not keep a binary join")
     con = [pts[c] for c in conuclei(sl_o, members)]
     gs = [pts[g] for g in bits(members)]
-    trimmed = [[con[pos[q & g]] for g in gs] for q in pts]
-    opens = sl_o.open_index
-    for a, oa in enumerate(opens):
-        qa, ta = pts[oa], trimmed[oa]
-        for ob in opens[a + 1:]:
-            if [x | y for x, y in zip(ta, trimmed[ob])] != trimmed[pos[qa | pts[ob]]]:
-                return False
-    return True
+    trimmed = [[con[pos[q & g]] for g in gs] for q in opens]
+    return not any(join_violations(join, irr, trimmed,
+                                   lambda a: lambda b: list(map(or_, a, b))))
 
 
 @_memoised("sigma", owner=1, keyed=2)

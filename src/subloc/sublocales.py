@@ -22,10 +22,10 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
-from .bits import bit, bits, bits_above, mask_of
+from .bits import bits, bits_above, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .errors import InternalInconsistency, SizeLimit
-from .lattice import FrameWitness, Lattice
+from .lattice import FrameWitness, Lattice, join_violations, table_op, union
 
 
 def open_mask(fw: FrameWitness, a: int) -> int:
@@ -148,9 +148,9 @@ class SublocaleCoframe:
         return tuple([meet_of[q & row] for row in above])
 
     def meets_split_primes(self) -> bool:
-        """Whether ``above[a ^ b] == above[a] | above[b]`` for every pair
-        ``a < b`` of frame elements, ``above[x]`` being the set of primes
-        above ``x`` (:func:`_prime_sets`).
+        """Whether ``above[a ^ b] == above[a] | above[b]`` for every pair of
+        frame elements, ``above[x]`` being the set of primes above ``x``
+        (:func:`_prime_sets`).
 
         It holds on every frame, since a prime is above ``a ^ b`` iff it is
         above ``a`` or above ``b``.  And it makes every nucleus that
@@ -159,13 +159,15 @@ class SublocaleCoframe:
         meet_of[(Q & above[a]) | (Q & above[b])] = nu(a) ^ nu(b)``, the meet
         of a union of prime sets being the meet of the two meets.  That
         equation on the exact pairs is all :func:`is_exact_sublocale` asks,
-        so once this holds every sublocale is exact.  ``n^2 / 2`` mask
-        comparisons for every sublocale at once, with no exact-pair table.
+        so once this holds every sublocale is exact.  ``above`` sends meets
+        to ``|``, a semilattice operation, so the pairs ``(a, m)`` with
+        ``m`` meet-irreducible decide (:func:`~subloc.lattice.join_violations`):
+        ``n |M|`` mask comparisons for every sublocale at once, with no
+        exact-pair table.
         """
-        above = self._prime_tables[3]
-        meet = self.ambient.lattice.meet_table
-        return all(above[m] == ua | ub for a, ua in enumerate(above)
-                   for m, ub in zip(meet[a][a + 1:], above[a + 1:]))
+        lat = self.ambient.lattice
+        return not any(join_violations(lat.meet_table, lat.irreducibles[1],
+                                       self._prime_tables[3], union))
 
     def closed_of(self, a: int) -> int:
         c = self.closed_index[a]
@@ -372,58 +374,14 @@ phi = ker
 # precongruences
 
 
-def is_precongruence(fw: FrameWitness, rel: Sequence[int]) -> bool:
-    """Whether ``rel`` is a precongruence: a relation on frame elements,
-    ``rel[x]`` the bitmask of the ``y`` with ``x R y``, that is reflexive
-    and transitive, stable under shrinking the left and growing the right
-    side, with left sides stable under all joins (the empty one included,
-    so the bottom relates to everything) and right sides under binary
-    meets.
-
-    Stability is tested by each row's and column's own extreme, at ``n^2``
-    per call where the pairwise test costs ``n^3``.  A row ``{y : x R y}``
-    that has passed the up-closure test is a finite non-empty up-set (it
-    holds ``x``), and such a set is closed under binary meets iff it holds
-    the meet of all its members: closure gives that meet by induction, and
-    conversely every meet of two members lies above it, hence in the set.
-    Dually a column ``{a : a R b}`` that has passed the down-closure test
-    (the left side may shrink) is a non-empty down-set (it holds ``b``),
-    closed under binary joins iff it holds its own join; the empty join is
-    the separate test on the bottom's row.  The pairwise form is kept as
-    ``tests/oracles.py::scan_precongruence``.
-    """
-    lat = fw.lattice
-    n = lat.n
-    if len(rel) != n or any(r & ~lat.full_mask for r in rel):
-        return False
-    cols = [0] * n
-    for x in range(n):
-        row, bx = rel[x], bit(x)
-        if not (row >> x) & 1:
-            return False
-        for y in bits(row):
-            if rel[y] & ~row:            # transitivity
-                return False
-            if lat.up[y] & ~row:         # right side may grow
-                return False
-            cols[y] |= bx
-        for x2 in bits(lat.dn[x]):       # left side may shrink
-            if row & ~rel[x2]:
-                return False
-        if not (row >> lat.big_meet(row)) & 1:  # right sides meet-stable
-            return False
-    if rel[lat.bottom] != lat.full_mask:  # empty join on the left
-        return False
-    for col in cols:                     # left sides join-stable
-        if not (col >> lat.big_join(col)) & 1:
-            return False
-    return True
-
-
 def is_principal_precongruence(fw: FrameWitness, g: Sequence[int]) -> bool:
-    """Whether the relation ``x R y`` iff ``g(x) <= y`` is a precongruence
-    (:func:`is_precongruence`): the relation whose row ``x`` is the
-    principal up-set of ``g(x)``, for a map ``g`` on the frame elements.
+    """Whether the relation ``x R y`` iff ``g(x) <= y`` is a precongruence:
+    the relation whose row ``x`` is the principal up-set of ``g(x)``, for a
+    map ``g`` on the frame elements.  A precongruence is a relation on frame
+    elements that is reflexive and transitive, stable under shrinking the
+    left and growing the right side, with left sides stable under all joins
+    (the empty one included, so the bottom relates to everything) and right
+    sides under binary meets (``tests/oracles.py::is_precongruence``).
 
     It is iff (i) ``g(x) <= x``, (ii) ``g(g(x)) >= g(x)`` and (iii) ``g(a
     v j) = g(a) v g(j)`` for every ``a`` and every join-irreducible ``j``:
@@ -440,12 +398,9 @@ def is_principal_precongruence(fw: FrameWitness, g: Sequence[int]) -> bool:
     left sides join-stable is ``g`` keeping binary joins: the column ``{a
     : g(a) <= b}`` of ``b = g(a1) v g(a2)`` holds ``a1`` and ``a2``, and it
     holds ``a1 v a2`` iff ``g(a1 v a2) <= g(a1) v g(a2)``, the other
-    inequality being monotonicity.  Last, a ``g`` with ``g(bottom) =
-    bottom`` keeps binary joins iff (iii): (iii) is a case, and conversely
-    (iii) gives ``g(a v j1 v ... v jm) = g(a) v g(j1) v ... v g(jm)`` by
-    induction on ``m``, while every ``b`` is the join of the
-    join-irreducibles ``j1 .. jm`` below it, so ``g(a v b)`` is that with
-    ``a`` and ``g(b)`` that with the bottom.  A ``g`` that keeps binary
+    inequality being monotonicity.  Last, ``g`` keeps binary joins iff
+    (iii), by the proof of :func:`~subloc.lattice.join_violations`, the
+    frame's join being a semilattice operation.  A ``g`` that keeps binary
     joins is monotone.
     ``tests/oracles.py::scan_precongruence`` tests the relation pair by
     pair.
@@ -458,13 +413,7 @@ def is_principal_precongruence(fw: FrameWitness, g: Sequence[int]) -> bool:
         row = up[gx]
         if not (row >> x) & 1 or not (row >> g[gx]) & 1:
             return False
-    irr = tuple(bits(lat.irreducibles[0]))
-    g_irr = [g[j] for j in irr]
-    for a, ga in enumerate(g):
-        row, ja = join[a], join[ga]
-        if [g[row[j]] for j in irr] != [ja[gj] for gj in g_irr]:
-            return False
-    return True
+    return not any(join_violations(join, lat.irreducibles[0], g, table_op(join)))
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,7 @@ from subloc.lattice import CoframeWitness, FrameWitness, Lattice, covers
 from subloc.subcolocales import (Subcolocale, _trims, closed_trims, is_proper, join_closure,
                                  leq_f, point_sublocales, sb)
 from subloc.sublocales import (SublocaleCoframe, b_mask, closed_mask, enumerate_sublocales,
-                               is_exact_sublocale, is_precongruence,
-                               nucleus_element, open_mask)
+                               is_exact_sublocale, nucleus_element, open_mask)
 
 
 def submasks(mask: int):
@@ -392,23 +391,28 @@ def scan_open_joins_exact(sl_o, members: int, fams) -> bool:
     return True
 
 
-def scan_open_closed_join_laws(sl, fams) -> tuple:
-    """The family halves of the laws suite's open and closed checks over the
-    families ``fams``: the families, as sorted lists, whose join's open is
-    not the join of their opens, and those whose join's closed is not the
-    meet of their closeds."""
+def scan_open_closed_laws(sl, fams) -> dict:
+    """The laws suite's open and closed checks over the families ``fams``,
+    by check name: the families, as sorted lists, whose join's open is not
+    the join of their opens (whose join's closed is not the meet of their
+    closeds), and the non-empty ones whose meet's open is not the meet of
+    their opens (whose meet's closed is not the join of their closeds).
+    The empty meet, the top, is ``open-closed-extremes``' to check."""
     lat = sl.ambient.lattice
-    opens, closeds = [], []
-    for fam in fams:
-        o, c = 0, sl.size - 1
-        for x in bits(fam):
-            o, c = sl.join(o, sl.open_of(x)), sl.meet(c, sl.closed_of(x))
-        j = lat.big_join(fam)
-        if o != sl.open_of(j):
-            opens.append(sorted(bits(fam)))
-        if c != sl.closed_of(j):
-            closeds.append(sorted(bits(fam)))
-    return opens, closeds
+    out = {}
+    for name, image, join, meet, empty in (
+            ("open-join-and-meet-laws", sl.open_of, sl.join, sl.meet, 0),
+            ("closed-meet-and-join-laws", sl.closed_of, sl.meet, sl.join, sl.size - 1)):
+        joins, meets = out[name] = [], []
+        for fam in fams:
+            j, m = empty, sl.size - 1 - empty
+            for x in bits(fam):
+                j, m = join(j, image(x)), meet(m, image(x))
+            if j != image(lat.big_join(fam)):
+                joins.append(sorted(bits(fam)))
+            if fam and m != image(lat.big_meet(fam)):
+                meets.append(sorted(bits(fam)))
+    return out
 
 
 def scan_exact_map(f, fams) -> bool:
@@ -730,6 +734,55 @@ def scan_difference_adjunction(lat, diff) -> list:
     with the difference read from the table ``diff``."""
     return [(s, t, u) for s in range(lat.n) for t in range(lat.n) for u in range(lat.n)
             if lat.leq(diff[s][t], u) != lat.leq(s, lat.join_table[t][u])]
+
+
+def is_precongruence(fw: FrameWitness, rel: Sequence[int]) -> bool:
+    """Whether ``rel`` is a precongruence: a relation on frame elements,
+    ``rel[x]`` the bitmask of the ``y`` with ``x R y``, that is reflexive
+    and transitive, stable under shrinking the left and growing the right
+    side, with left sides stable under all joins (the empty one included,
+    so the bottom relates to everything) and right sides under binary
+    meets.
+
+    Stability is tested by each row's and column's own extreme, at ``n^2``
+    per call where the pairwise test costs ``n^3``.  A row ``{y : x R y}``
+    that has passed the up-closure test is a finite non-empty up-set (it
+    holds ``x``), and such a set is closed under binary meets iff it holds
+    the meet of all its members: closure gives that meet by induction, and
+    conversely every meet of two members lies above it, hence in the set.
+    Dually a column ``{a : a R b}`` that has passed the down-closure test
+    (the left side may shrink) is a non-empty down-set (it holds ``b``),
+    closed under binary joins iff it holds its own join; the empty join is
+    the separate test on the bottom's row.  The pairwise form is
+    :func:`scan_precongruence`; the package reads only principal relations,
+    by :func:`subloc.sublocales.is_principal_precongruence`.
+    """
+    lat = fw.lattice
+    n = lat.n
+    if len(rel) != n or any(r & ~lat.full_mask for r in rel):
+        return False
+    cols = [0] * n
+    for x in range(n):
+        row, bx = rel[x], bit(x)
+        if not (row >> x) & 1:
+            return False
+        for y in bits(row):
+            if rel[y] & ~row:            # transitivity
+                return False
+            if lat.up[y] & ~row:         # right side may grow
+                return False
+            cols[y] |= bx
+        for x2 in bits(lat.dn[x]):       # left side may shrink
+            if row & ~rel[x2]:
+                return False
+        if not (row >> lat.big_meet(row)) & 1:  # right sides meet-stable
+            return False
+    if rel[lat.bottom] != lat.full_mask:  # empty join on the left
+        return False
+    for col in cols:                     # left sides join-stable
+        if not (col >> lat.big_join(col)) & 1:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

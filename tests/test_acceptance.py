@@ -11,8 +11,9 @@ import itertools
 import random
 import time
 
-from oracles import (NaiveOps, Precongruence, fit_mask, generated_closed_form, is_smooth,
-                     precongruence_to_sublocale, sublocale_to_precongruence)
+from oracles import (NaiveOps, Precongruence, fit_mask, generated_closed_form,
+                     is_precongruence, is_smooth, precongruence_to_sublocale,
+                     sublocale_to_precongruence)
 from subloc import (
     SZDBF,
     Subcolocale,
@@ -27,7 +28,6 @@ from subloc import (
     is_codense,
     is_essential,
     is_exact_sublocale,
-    is_precongruence,
     ker,
     phi,
     primes,

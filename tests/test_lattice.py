@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from operator import and_, or_
 
 import pytest
 
@@ -7,7 +9,7 @@ from subloc import (CoframeWitness, FrameWitness, Lattice, NotACoframe,
                     primes)
 from subloc.bits import bits, bits_above, mask_of
 from subloc.corpus import gen_boolean, gen_chain, gen_product
-from subloc.lattice import prime_mask
+from subloc.lattice import intersection, join_violations, prime_mask, table_op, union
 
 from oracles import (is_exact_meet, is_strongly_exact_meet, naive_difference,
                      naive_heyting, naive_is_exact_meet,
@@ -217,3 +219,48 @@ def test_one_element_frame_degenerate():
     assert fw.lattice.bottom == fw.lattice.top == 0
     assert primes(fw) == 0
     assert fw.heyting_table[0][0] == 0
+
+
+def test_join_violations_match_the_pair_scan(m3):
+    """:func:`join_violations` against the scan of every pair, for joins
+    and, on the meet table and the meet-irreducibles, for meets: each pair
+    it yields fails, and it yields none iff no pair fails.  Sources are
+    chains, bool3, a product and the non-distributive M3 and N5; targets
+    are lattice tables, masks under ``|`` and ``&``, and pairs of masks
+    elementwise.  Maps are random, constant (which keep every semilattice
+    operation), the identity, ``x -> x ^ c`` and the down-set and up-set
+    masks, so that both verdicts occur for every kind of target."""
+    rng = random.Random(31)
+    n5 = Lattice.from_up([0b11111, 0b10110, 0b10100, 0b11000, 0b10000])
+    sources = [gen_chain(1), gen_chain(4), gen_boolean(3), gen_product(gen_chain(2), gen_chain(3)),
+               m3, n5]
+    verdicts = Counter()
+    for src in sources:
+        n = src.n
+        join_irr, meet_irr = src.irreducibles
+        for table, irr, side in ((src.join_table, join_irr, 0), (src.meet_table, meet_irr, 1)):
+            cases = []
+            for dst in sources:
+                dst_table = (dst.join_table, dst.meet_table)[side]
+                maps = [[rng.randrange(dst.n) for _ in range(n)] for _ in range(4)]
+                maps += [[c] * n for c in range(dst.n)]
+                if dst is src:
+                    maps += [list(range(n))] + [list(src.meet_table[c]) for c in range(n)]
+                cases += [("table", h, table_op(dst_table), lambda a, b, d=dst_table: d[a][b])
+                          for h in maps]
+            masks = [src.dn, src.up, [rng.getrandbits(n) for _ in range(n)], [5] * n]
+            for curried, binary in ((union, or_), (intersection, and_)):
+                cases += [("set", list(t), curried, binary) for t in masks]
+                cases += [("elementwise", [[a, b] for a, b in zip(s, t)],
+                           lambda a, f=binary: lambda b: list(map(f, a, b)),
+                           lambda a, b, f=binary: list(map(f, a, b)))
+                          for s in masks for t in masks]
+            for kind, t, op, binary in cases:
+                failing = {(x, y) for x in range(n) for y in range(n)
+                           if t[table[x][y]] != binary(t[x], t[y])}
+                got = list(join_violations(table, irr, t, op))
+                assert set(got) <= failing and all(irr >> j & 1 for _, j in got), (src, kind, t)
+                assert (not got) == (not failing), (src, kind, t)
+                verdicts[kind, not failing] += 1
+    assert set(verdicts) == {(kind, ok) for kind in ("table", "set", "elementwise")
+                             for ok in (True, False)}, verdicts

@@ -227,6 +227,31 @@ def test_cli_refuses_more_elements_than_sublocales_before_the_witness(
     assert "--limit max_sublocales=N" in err
 
 
+def test_cli_refuses_a_long_chain_before_any_table(tmp_path, monkeypatch, capsys):
+    # chain1500 has fewer elements than max_sublocales but 1,499 primes; the
+    # chain of its pairs refuses it before the order is even closed
+    path = tmp_path / "chain1500.lat"
+    path.write_text("lattice 1500\n" + "".join(f"{i} < {i + 1}\n" for i in range(1499)))
+
+    def reached(*args):
+        pytest.fail("a lattice table was built for input past the sublocale bound")
+
+    monkeypatch.setattr(Lattice, "from_relation", classmethod(reached))
+    monkeypatch.setattr(Lattice, "from_up", classmethod(reached))
+    assert main(["check", str(path), "--suite", "laws"]) == 2
+    err = capsys.readouterr().err
+    assert "a chain of 1499 pairs" in err and "max_sublocales=2048" in err
+    # past 3 sublocales: chain3 by its chain of 2 pairs, not by its 3
+    # elements; a cycle or an out-of-range pair is left to the builder
+    monkeypatch.undo()
+    for text, message in (("lattice 3\n0 < 1\n1 < 2\n", "a chain of 2 pairs"),
+                          ("lattice 3\n0 < 1\n1 < 2\n2 < 0\n", "antisymmetric"),
+                          ("lattice 3\n0 < 1\n1 < 5\n", "outside")):
+        path.write_text(text)
+        assert main(["--limit", "max_sublocales=3", "check", str(path), "--suite", "laws"]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_oversized_downset_frame_fails_before_any_lift(tmp_path, monkeypatch, capsys):
     # bool6's 64 elements have far more than 8192 down-sets
     def reached(*args):

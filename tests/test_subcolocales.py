@@ -263,20 +263,28 @@ def test_full_fitted_collection_is_proper(corpus, hosts):
 def test_a_non_bijective_open_index_raises(hosts):
     # open is a bijection onto the fitted host on a frame; an open_index
     # that sends one element to another's open misses an index, wherever it
-    # is planted, and properness reads its inverse
-    planted = 0
+    # is planted.  Properness first checks that open keeps binary joins,
+    # then reads the inverse, as least_related does
+    planted, messages = 0, Counter()
     for name in ("chain3", "bool2", "top3-00"):
         fw = hosts[name].ambient
-        n = fw.lattice.n
+        n, join = fw.lattice.n, fw.lattice.join_table
         for x in range(n):
             sl_o = fresh_sublocales(fw).fitted_subcoframe()
             opens = list(sl_o.open_index)
             opens[x] = opens[(x + 1) % n]
             sl_o.open_index = tuple(opens)
+            full = (1 << sl_o.size) - 1
+            keeps_joins = all(sl_o.join(opens[a], opens[b]) == opens[join[a][b]]
+                              for a in range(n) for b in range(n))
+            message = "bijection" if keeps_joins else "binary join"
+            with pytest.raises(InternalInconsistency, match=message):
+                is_proper(sl_o, full)
             with pytest.raises(InternalInconsistency, match="bijection"):
-                is_proper(sl_o, (1 << sl_o.size) - 1)
+                subcolocales.least_related(sl_o, full, 0)
             planted += 1
-    assert planted > 3
+            messages[message] += 1
+    assert planted > 3 and messages["binary join"] and messages["bijection"], messages
 
 
 def test_fitted_host_matches_the_filtered_build(hosts):

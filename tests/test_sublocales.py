@@ -3,8 +3,7 @@ import random
 import pytest
 
 from subloc import (DEFAULT_LIMITS, SizeLimit, enumerate_sublocales,
-                    exact_filters, is_exact_sublocale, is_precongruence,
-                    ker, phi, strongly_exact_filters)
+                    exact_filters, is_exact_sublocale, ker, phi, strongly_exact_filters)
 from subloc.bits import bit, bits
 from subloc import sublocales
 from subloc.corpus import gen_boolean, gen_chain, gen_opens_of_topology, gen_product
@@ -15,7 +14,8 @@ from subloc.sublocales import (all_filters, b_mask, closed_mask, is_principal_pr
                                nucleus_element, open_mask)
 
 from oracles import (NaiveOps, Precongruence, fit_mask, generate_sublocales, host_mismatches,
-                     is_sublocale, precongruence_to_sublocale, scan_filters, sublocale_closure,
+                     is_precongruence, is_sublocale, precongruence_to_sublocale, scan_filters,
+                     sublocale_closure,
                      sublocale_join, sublocale_to_precongruence,
                      scan_precongruence, scan_sublocales, table_hosts)
 
