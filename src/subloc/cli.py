@@ -159,7 +159,7 @@ def main(argv=None) -> int:
     parser.add_argument("--limit", action="append", default=[],
                         metavar="NAME=VALUE",
                         help="override a size limit, e.g. "
-                             "--limit max_sublocales=4096; "
+                             "--limit max_sublocales=32768; "
                              "unknown names exit 2")
     sub = parser.add_subparsers(dest="command", required=True)
 

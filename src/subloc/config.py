@@ -16,7 +16,7 @@ class Limits:
     # Cap on the number of sublocales, 2^p for a frame with p primes, and so
     # on command-line input: a larger S(L) is refused before it is built.
     # Each host of S(L) or S_o(L) has 2^p subcolocales, so it bounds them too.
-    max_sublocales: int = 2048
+    max_sublocales: int = 16384
     # Cap on the number of down-sets a down-set lattice may have, built point
     # by point and refused once past it: bool5's 7,581 fit, bool6's do not.
     max_downsets: int = 8192

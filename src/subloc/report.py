@@ -10,6 +10,9 @@ dict with one entry per check and counterexamples capped to a few items.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import reduce
+from operator import ne, or_
 from typing import Any, Sequence
 
 from .bits import bit, bits, bits_above, mask_of
@@ -25,8 +28,8 @@ from .subcolocales import (Subcolocale, adjunction_check, conuclei, delta,
                            is_essential, is_proper, is_subcolocale,
                            saturated_elements, sb, se, sigma, ssp)
 from .sublocales import (SublocaleCoframe, b_mask, closed_mask,
-                         enumerate_sublocales, exact_filters, ker,
-                         open_mask, phi, strongly_exact_filters)
+                         enumerate_sublocales, exact_filters, open_mask, phi,
+                         strongly_exact_filters)
 
 SCHEMA_VERSION = 1
 
@@ -96,11 +99,19 @@ def frame_report(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -
 
 
 def _prime_part_violations(sl: SublocaleCoframe) -> list:
-    """The indices whose members hold other primes than their prime set."""
-    fw = sl.ambient
-    prime_elems = tuple(bits(fw.primes))
-    return [i for i, (q, m) in enumerate(zip(sl.points, sl.elems))
-            if m & fw.primes != mask_of(prime_elems[j] for j in bits(q))]
+    """The indices whose members hold other primes than their prime set.
+
+    ``parts[Q]``, the mask of the primes of ``Q`` among the elements, comes
+    from the subset recurrence, one doubling of the table per prime: ``2^p``
+    ORs per host, where ``tests/oracles.py::scan_prime_parts`` folds each
+    index's primes."""
+    primes = sl.ambient.primes
+    parts = [0]
+    for p in bits(primes):
+        b = 1 << p
+        parts += [m | b for m in parts]
+    return [i for i, (m, want) in enumerate(zip(sl.elems, map(parts.__getitem__, sl.points)))
+            if m & primes != want]
 
 
 def host_law_violations(host: SublocaleCoframe, cover_pairs: Sequence = (),
@@ -142,26 +153,37 @@ def host_law_violations(host: SublocaleCoframe, cover_pairs: Sequence = (),
     meets of sublocales, fitted or not, are intersections.  The host's
     ``&``, ``|`` and ``& ~`` (down-closed on ``S_o(L)``) are therefore the
     meet, join and difference of its coframe, which is distributive, as a
-    ring of sets is (G. Birkhoff, "Rings of sets", 1937).  That is ``k p /
-    2`` covers at one meet per member, plus ``k n`` mask tests on the
-    fitted host, where ``tests/oracles.py::scan_host_laws`` compares
-    ``k^2`` pairs of table entries with closures of unions.  A caller may
-    pass ``host.covers()`` and :func:`_prime_part_violations` in, to list
-    them once.
+    ring of sets is (G. Birkhoff, "Rings of sets", 1937).  Each element's
+    meets with the ``p`` primes are packed one-hot in one int, a lane of
+    ``n`` bits per prime, so one OR over an index's members gives its
+    images under every prime, and each of the ``k p / 2`` covers reads its
+    lane with one shift and mask; plus ``k n`` mask tests on the fitted
+    host.  ``tests/oracles.py::scan_host_laws`` compares ``k^2`` pairs of
+    table entries with closures of unions, and ``scan_cover_joins`` folds
+    the meets per cover and member.  A caller may pass ``host.covers()``
+    and :func:`_prime_part_violations` in, to list them once.
     """
     fw = host.ambient
     lat = fw.lattice
-    meet = lat.meet_table
     label = "SoL" if host.fitted else "SL"
     pts, elems = host.points, host.elems
-    prime_elems = tuple(bits(fw.primes))
+    n, full = lat.n, lat.full_mask
+    # each element's meets with the primes, one-hot and side by side: its
+    # meet with the j-th prime is a bit of the j-th lane of n bits
+    lanes = [0] * n
+    for j, p in enumerate(bits(fw.primes)):
+        for a, x in enumerate(lat.meet_table[p]):
+            lanes[a] |= 1 << (x + j * n)
     prime_bad = _prime_part_violations(host) if prime_bad is None else prime_bad
     bad = [(label, "primes", i) for i in prime_bad]
     if elems[0] != bit(lat.top):
         bad.append((label, "bottom", 0))
+    last = None
     for i, c in cover_pairs or host.covers():
-        row = meet[prime_elems[(pts[c] ^ pts[i]).bit_length() - 1]]
-        if elems[i] | mask_of(row[a] for a in bits(elems[i])) != elems[c]:
+        if i != last:  # the covers come in order of i: one OR over its members
+            last, m = i, elems[i]
+            images = reduce(or_, map(lanes.__getitem__, bits(m)), 0)
+        if m | (images >> n * ((pts[c] ^ pts[i]).bit_length() - 1) & full) != elems[c]:
             bad.append((label, "join", i, c))
     if host.fitted:
         opens = {open_mask(fw, a) for a in range(lat.n)}
@@ -209,12 +231,9 @@ def fit_closure_violations(sl: SublocaleCoframe, cover_pairs: Sequence = ()) -> 
     ``(s, t)`` with ``fit(s) > fit(t)``, and the opens moved.  Monotone on
     covers is monotone, since covers generate a finite order (see
     :func:`subloc.lattice.adjunction_violations`)."""
-    bad = []
-    for s in range(sl.size):
-        f = sl.fit(s)
-        if not sl.leq(s, f) or sl.fit(f) != f:
-            bad.append(s)
-    bad += [(s, t) for s, t in cover_pairs or sl.covers() if not sl.leq(sl.fit(s), sl.fit(t))]
+    pts, fit = sl.points, sl.fit_index
+    bad = [s for s, f in enumerate(fit) if pts[s] & ~pts[f] or fit[f] != f]
+    bad += [(s, t) for s, t in cover_pairs or sl.covers() if pts[fit[s]] & ~pts[fit[t]]]
     bad += [f"open({a})" for a, o in enumerate(sl.open_index) if sl.fit(o) != o]
     return bad
 
@@ -233,8 +252,10 @@ def inclusion_identity_violations(sl: SublocaleCoframe) -> list:
     fw = sl.ambient
     n = fw.lattice.n
     opens = [open_mask(fw, a) for a in range(n)]
-    missing = [mask_of(s for s, ms in enumerate(sl.elems) if not (ms >> t) & 1)
-               for t in range(n)]
+    # the member masks' digits, transposed: row t holds, index 0 first,
+    # whether each sublocale has the member t (the rows come from t = n - 1)
+    rows = zip(*[format(m, f"0{n}b") for m in sl.elems])
+    missing = [((1 << sl.size) - 1) ^ int("".join(row)[::-1], 2) for row in rows][::-1]
     missing_gap: dict[int, int] = {}
     bad = []
     for x in range(n):
@@ -252,6 +273,89 @@ def inclusion_identity_violations(sl: SublocaleCoframe) -> list:
     return sorted(bad)
 
 
+def fit_closed_trim_violations(sl: SublocaleCoframe) -> list:
+    """Every ``(s, x)``, in order, with ``fit(s ^ closed(x)) != fit(fit(s) ^
+    closed(x))`` on ``S(L)``.
+
+    A meet of sublocales is their intersection, so the trim of ``s`` by
+    ``closed(x)`` has the prime set ``points[s] & C``, ``C`` that of
+    ``closed(x)``.  Each ``x`` costs one row ``trim`` of ``k`` lookups,
+    ``trim[s]`` the fit of the trim of ``s``, and ``s`` fails where
+    ``trim[s] != trim[fit(s)]``.  ``tests/oracles.py::scan_fit_closed_trim``
+    meets the member masks and reads them back through ``index``.
+    """
+    pts, pos, fit = sl.points, sl.point_index, sl.fit_index
+    bad = []
+    for x in range(sl.ambient.lattice.n):
+        c = pts[sl.closed_of(x)]
+        trim = list(map(fit.__getitem__, map(pos.__getitem__, map(c.__and__, pts))))
+        if any(map(ne, trim, map(trim.__getitem__, fit))):
+            bad += [(s, x) for s, f in enumerate(fit) if trim[s] != trim[f]]
+    return sorted(bad)
+
+
+def phi_order_violations(sl_o: SublocaleCoframe, phis: Sequence[int],
+                         cover_pairs: Sequence = ()) -> list:
+    """Why ``phi`` might fail to reverse inclusion both ways on ``S_o(L)``:
+    ``"phi not injective"``, then every ``(x, j)``, ``j`` join-irreducible,
+    with ``phi(x v j) != phi(x) & phi(j)``, in order of ``j`` and then
+    ``x``.
+
+    Proof.  An injective ``phi`` that sends joins to intersections is an
+    order-reversing embedding: ``a <= b`` gives ``a v b = b``, so ``phi(b)
+    = phi(a) & phi(b)`` lies inside ``phi(a)``; and ``phi(b) <= phi(a)``
+    gives ``phi(a v b) = phi(b)``, so ``a v b = b`` by injectivity.
+    Conversely, an order-reversing embedding whose image is closed under
+    ``&`` sends joins to intersections: ``phi(a) & phi(b)`` is some
+    ``phi(c)``, inside ``phi(a)`` and ``phi(b)``, so ``c`` is above ``a v
+    b``, and ``phi(a v b)``, inside ``phi(a) & phi(b)``, contains ``phi(c)``.
+    The image the check also asks for, the filters of ``L``, is closed
+    under ``&`` (``up(a) & up(b) = up(a v b)``), so once it holds the two
+    readings agree.  The host's join is ``|`` of prime sets, and the pairs
+    with a join-irreducible decide (:func:`~subloc.lattice.join_violations`),
+    these being the principal down-sets, the indices with one lower cover
+    (:meth:`SublocaleCoframe.covers`): ``n |J|`` comparisons where
+    ``tests/oracles.py::scan_phi_order`` compares every pair.
+    """
+    bad = [] if len(set(phis)) == sl_o.size else ["phi not injective"]
+    pts, pos = sl_o.points, sl_o.point_index
+    lower = Counter(c for _, c in cover_pairs or sl_o.covers())
+    irr = mask_of(c for c, m in lower.items() if m == 1)
+    # the columns of the host's join table at its join-irreducibles
+    cols = {j: [pos[q | pts[j]] for q in pts] for j in bits(irr)}
+    return bad + list(join_violations(cols, irr, phis, intersection))
+
+
+def ker_violations(sl: SublocaleCoframe, sl_o: SublocaleCoframe, phis: Sequence[int]) -> list:
+    """Every index ``s`` of ``S(L)`` with ``ker(s) != phi(fit(s))``, then the
+    kernels of the smallest codense subcolocale if they are not the exact
+    filters.
+
+    The kernels are read on prime sets: ``x`` is in the kernel of the
+    sublocale with prime set ``Q`` iff ``Q`` lies inside the prime set of
+    ``open(x)``, inclusion of sublocales being inclusion of prime sets.  So
+    the kernel of ``Q`` is the AND, over the primes ``j`` of ``Q``, of the
+    ``x`` whose open holds ``j``: one table by the subset recurrence, ``2^p``
+    ANDs, where :func:`~subloc.sublocales.ker` tests ``n`` member masks per
+    index (``tests/oracles.py::scan_ker_phi``).
+    """
+    fw = sl.ambient
+    opens = [sl.points[o] for o in sl.open_index]
+    kernel = [fw.lattice.full_mask]
+    for j in range(sl.all_primes.bit_length()):
+        holding = mask_of(x for x, o in enumerate(opens) if o >> j & 1)
+        kernel += [m & holding for m in kernel]
+    kers = list(map(kernel.__getitem__, sl.points))
+    fit = sl.fit_index
+    phi_of = {f: phis[sl_o.index[sl.elems[f]]] for f in set(fit)}
+    bad = [s for s, (m, want) in enumerate(zip(kers, map(phi_of.__getitem__, fit)))
+           if m != want]
+    image, ef = sorted({kers[s] for s in bits(sb(sl))}), sorted(exact_filters(fw))
+    if image != ef:
+        bad.append({"ker_of_smallest_codense": image, "exact_filters": ef})
+    return bad
+
+
 def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> dict:
     lat = fw.lattice
     n = lat.n
@@ -262,8 +366,10 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
     k = sl.size
     # S(L)'s covers and prime parts, listed once for three checks; then dropped
     cover_pairs, prime_bad = sl.covers(), _prime_part_violations(sl)
+    # S_o(L)'s covers also give its join-irreducibles to the phi check
+    cover_pairs_o = sl_o.covers()
     checks.add("coframe-law-of-sublocales", host_law_violations(sl, cover_pairs, prime_bad)
-               + host_law_violations(sl_o))
+               + host_law_violations(sl_o, cover_pairs_o))
     difference_bad = difference_adjunction_violations(sl, cover_pairs, prime_bad)
     fit_bad = fit_closure_violations(sl, cover_pairs)
     del cover_pairs
@@ -327,10 +433,7 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
 
     checks.add("fit-is-a-closure-operator", fit_bad)
 
-    bad = [(s, x) for s in range(k) for x in range(n)
-           if sl.fit(sl.index[sl.elems[s] & closed_mask(fw, x)])
-           != sl.fit(sl.index[sl.elems[sl.fit(s)] & closed_mask(fw, x)])]
-    checks.add("fit-of-closed-trim-depends-only-on-fit", bad)
+    checks.add("fit-of-closed-trim-depends-only-on-fit", fit_closed_trim_violations(sl))
 
     bad = []
     for fi, fm in enumerate(sl_o.elems):
@@ -351,20 +454,10 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
     bad = []
     if sorted(phis) != sorted(sef):
         bad.append({"phi_image": sorted(phis), "strongly_exact": sorted(sef)})
-    if len(set(phis)) != sl_o.size:
-        bad.append("phi not injective")
-    for i in range(sl_o.size):
-        for j in range(sl_o.size):
-            if sl_o.leq(i, j) != (phis[j] & ~phis[i] == 0):
-                bad.append((i, j))
-    checks.add("phi-bijection-reversing-inclusion", bad)
+    checks.add("phi-bijection-reversing-inclusion",
+               bad + phi_order_violations(sl_o, phis, cover_pairs_o))
 
-    ef = exact_filters(fw)
-    bad = [s for s in range(k) if ker(sl, s) != phis[sl_o.index[sl.elems[sl.fit(s)]]]]
-    kers = sorted({ker(sl, s) for s in bits(sb(sl))})
-    if kers != sorted(ef):
-        bad.append({"ker_of_smallest_codense": kers, "exact_filters": sorted(ef)})
-    checks.add("ker-is-phi-after-fit-and-hits-exact-filters", bad)
+    checks.add("ker-is-phi-after-fit-and-hits-exact-filters", ker_violations(sl, sl_o, phis))
 
     return {"schema_version": SCHEMA_VERSION, "suite": "laws", "frame": name,
             "sublocales": k, "fitted_sublocales": sl_o.size,

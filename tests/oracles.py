@@ -20,7 +20,10 @@ distributivity, pairwise meets for joins of sublocales, each row's meet and
 each column's join for the stability of a precongruence, one join per
 element for ``sigma``, one identity of the frame for the exactness of
 every sublocale) or, on ``S(L)``, by tests on the covers of the
-powerset of the primes (all pairs here).  Subcolocales
+powerset of the primes (all pairs here).  Where the laws suite reads
+prime-set tables (prime parts, cover joins, trims by closeds, kernels),
+the member-mask forms are kept here, and ``phi``'s order is scanned on
+every pair.  Subcolocales
 and down-sets are found by testing every subset where the package
 generates them, and a subcolocale is tested and generated by closing
 under joins and differences where the package reads the closed form
@@ -53,7 +56,8 @@ from subloc.lattice import CoframeWitness, FrameWitness, Lattice, covers
 from subloc.subcolocales import (Subcolocale, _trims, closed_trims, is_proper, join_closure,
                                  leq_f, point_sublocales, sb)
 from subloc.sublocales import (SublocaleCoframe, b_mask, closed_mask, enumerate_sublocales,
-                               is_exact_sublocale, nucleus_element, open_mask)
+                               exact_filters, is_exact_sublocale, ker, nucleus_element,
+                               open_mask)
 
 
 def submasks(mask: int):
@@ -868,12 +872,62 @@ def scan_prime_set_order(sl) -> list:
     ``points[i]``, and every pair ``(s, t)`` on which the host's order and
     inclusion of member masks differ: ``Q -> members(Q)`` as an order
     embedding, tested on all ``k^2`` pairs."""
-    fw = sl.ambient
-    prime_elems = tuple(bits(fw.primes))
-    bad = [("primes", i) for i, q in enumerate(sl.points)
-           if sl.elems[i] & fw.primes != mask_of(prime_elems[j] for j in bits(q))]
+    bad = [("primes", i) for i in scan_prime_parts(sl)]
     return bad + [(s, t) for s, ms in enumerate(sl.elems) for t, mt in enumerate(sl.elems)
                   if sl.leq(s, t) != (ms & ~mt == 0)]
+
+
+def scan_prime_parts(sl) -> list:
+    """The indices whose members hold other primes than their prime set,
+    each index's primes folded from ``points[i]`` one prime at a time."""
+    fw = sl.ambient
+    prime_elems = tuple(bits(fw.primes))
+    return [i for i, (q, m) in enumerate(zip(sl.points, sl.elems))
+            if m & fw.primes != mask_of(prime_elems[j] for j in bits(q))]
+
+
+def scan_cover_joins(host) -> list:
+    """The ``("join", i, c)`` rows of ``host_law_violations``, each cover's
+    image ``{p ^ a : a in members(i)}`` folded from the meet table."""
+    fw = host.ambient
+    meet = fw.lattice.meet_table
+    label = "SoL" if host.fitted else "SL"
+    pts, elems = host.points, host.elems
+    prime_elems = tuple(bits(fw.primes))
+    bad = []
+    for i, c in host.covers():
+        row = meet[prime_elems[(pts[c] ^ pts[i]).bit_length() - 1]]
+        if elems[i] | mask_of(row[a] for a in bits(elems[i])) != elems[c]:
+            bad.append((label, "join", i, c))
+    return bad
+
+
+def scan_fit_closed_trim(sl) -> list:
+    """``fit-of-closed-trim-depends-only-on-fit`` on member masks: each
+    trim by ``closed(x)`` is an intersection of members, read back through
+    ``index``."""
+    fw = sl.ambient
+    return [(s, x) for s in range(sl.size) for x in range(fw.lattice.n)
+            if sl.fit(sl.index[sl.elems[s] & closed_mask(fw, x)])
+            != sl.fit(sl.index[sl.elems[sl.fit(s)] & closed_mask(fw, x)])]
+
+
+def scan_ker_phi(sl, sl_o, phis) -> list:
+    """``ker-is-phi-after-fit-and-hits-exact-filters`` with ``ker`` tested
+    on the member masks of each index and of every open."""
+    bad = [s for s in range(sl.size) if ker(sl, s) != phis[sl_o.index[sl.elems[sl.fit(s)]]]]
+    kers = sorted({ker(sl, s) for s in bits(sb(sl))})
+    if kers != sorted(exact_filters(sl.ambient)):
+        bad.append({"ker_of_smallest_codense": kers,
+                    "exact_filters": sorted(exact_filters(sl.ambient))})
+    return bad
+
+
+def scan_phi_order(sl_o, phis) -> list:
+    """Every pair ``(i, j)`` of the fitted host on which ``i <= j`` and
+    ``phis[j] <= phis[i]`` differ."""
+    return [(i, j) for i in range(sl_o.size) for j in range(sl_o.size)
+            if sl_o.leq(i, j) != (phis[j] & ~phis[i] == 0)]
 
 
 def scan_fit_monotone(sl) -> list:

@@ -22,14 +22,17 @@ from subloc.sublocales import SublocaleCoframe
 from subloc.corpus import gen_chain, gen_diamond, gen_product, standard_corpus
 from subloc.lattice import Lattice, adjunction_violations, distributivity_violations
 from subloc import report
-from subloc.report import (difference_adjunction_violations, fit_closure_violations,
+from subloc.report import (_prime_part_violations, difference_adjunction_violations,
+                           fit_closed_trim_violations, fit_closure_violations,
                            host_law_violations, inclusion_identity_violations,
-                           laws_suite)
+                           ker_violations, laws_suite, phi_order_violations)
+from subloc.sublocales import b_mask, phi
 from subloc.bits import bits
 
-from oracles import (scan_difference_adjunction, scan_distributivity, scan_fit_monotone,
+from oracles import (fresh_sublocales, scan_cover_joins, scan_difference_adjunction,
+                     scan_distributivity, scan_fit_closed_trim, scan_fit_monotone,
                      scan_heyting_adjunction, scan_host_laws, scan_inclusion_identity,
-                     scan_prime_set_order)
+                     scan_ker_phi, scan_phi_order, scan_prime_parts, scan_prime_set_order)
 
 
 @pytest.fixture(scope="module")
@@ -241,28 +244,204 @@ def test_inclusion_identity_matches_the_triple_scan(hosts):
     assert seen == {True, False}
 
 
+def _moved_fit(host, s, to):
+    """A copy of the host, with a memo of its own, whose fit sends ``s`` to
+    ``to``."""
+    broken = copy.copy(host)
+    broken.memo = {}
+    fit = list(host.fit_index)
+    fit[s] = to
+    broken.fit_index = tuple(fit)
+    return broken
+
+
+def _fit_plants(hosts, rng, onto_fitted=False):
+    """Each full host, and a copy with one fit entry moved to another index,
+    or to another fitted one."""
+    for host in hosts:
+        if host.fitted:
+            continue
+        yield host
+        if host.size > 1:
+            s = rng.randrange(host.size)
+            targets = set(host.fit_index) if onto_fitted else range(host.size)
+            others = sorted(i for i in targets if i != host.fit_index[s])
+            if others:
+                yield _moved_fit(host, s, rng.choice(others))
+
+
 def test_fit_monotone_on_covers_matches_every_pair(hosts):
     """The covers half of ``fit-is-a-closure-operator`` against all ``k^2``
     pairs, on the hosts and with one fit entry moved to another index."""
     rng = random.Random(7)
     seen = set()
+    for sl in _fit_plants(hosts, rng):
+        covers_bad = [v for v in fit_closure_violations(sl) if isinstance(v, tuple)]
+        ok = not covers_bad
+        assert ok == (not scan_fit_monotone(sl))
+        seen.add(ok)
+    assert seen == {True, False}
+
+
+def test_fit_closure_rows_match_the_definition(hosts):
+    """The index rows of ``fit-is-a-closure-operator`` are the ``s`` with
+    ``s <= fit(s)`` or ``fit(fit(s)) = fit(s)`` failing, on the hosts and
+    with one fit entry moved."""
+    rng = random.Random(13)
+    seen = set()
+    for sl in _fit_plants(hosts, rng):
+        got = [v for v in fit_closure_violations(sl) if isinstance(v, int)]
+        assert got == [s for s in range(sl.size)
+                       if not sl.leq(s, sl.fit(s)) or sl.fit(sl.fit(s)) != sl.fit(s)]
+        seen.add(not got)
+    assert seen == {True, False}
+
+
+def test_fit_of_closed_trim_on_prime_sets_matches_the_member_masks(hosts):
+    """``fit-of-closed-trim-depends-only-on-fit`` read on prime sets lists
+    the same pairs as on member masks, on the hosts and with one fit entry
+    moved."""
+    rng = random.Random(8)
+    seen = set()
+    for sl in _fit_plants(hosts, rng):
+        got = fit_closed_trim_violations(sl)
+        assert got == scan_fit_closed_trim(sl)
+        seen.add(not got)
+    assert seen == {True, False}
+
+
+def test_kernels_on_prime_sets_match_ker_on_member_masks(hosts):
+    """``ker-is-phi-after-fit-and-hits-exact-filters`` with the kernels read
+    on prime sets lists the same rows as with ``ker`` on member masks, on
+    the hosts and with one fit entry moved to another fitted index."""
+    rng = random.Random(9)
+    seen = set()
+    for sl in _fit_plants(hosts, rng, onto_fitted=True):
+        sl_o = sl.fitted_subcoframe()
+        phis = [phi(sl_o, i) for i in range(sl_o.size)]
+        got = ker_violations(sl, sl_o, phis)
+        assert got == scan_ker_phi(sl, sl_o, phis)
+        seen.add(not got)
+    assert seen == {True, False}
+
+
+def test_prime_parts_match_the_fold(hosts):
+    """The subset-recurrence table of prime parts names the same indices as
+    a fold of each index's primes, on both hosts and with two member masks
+    swapped or one member dropped."""
+    rng = random.Random(10)
+    seen = set()
     for host in hosts:
-        if host.fitted:
-            continue
         plants = [host]
         if host.size > 1:
-            broken = copy.copy(host)
-            fit = list(host.fit_index)
-            s = rng.randrange(host.size)
-            fit[s] = rng.choice([i for i in range(host.size) if i != fit[s]])
-            broken.fit_index = tuple(fit)
-            plants.append(broken)
-        for sl in plants:
-            covers_bad = [v for v in fit_closure_violations(sl) if isinstance(v, tuple)]
-            ok = not covers_bad
-            assert ok == (not scan_fit_monotone(sl))
-            seen.add(ok)
+            plants.append(_swapped(host, rng)[0])
+            i = rng.randrange(host.size)
+            plants.append(_dropped(host, i, rng.choice(list(bits(host.elems[i])))))
+        for h in plants:
+            got = _prime_part_violations(h)
+            assert got == scan_prime_parts(h)
+            seen.add(not got)
     assert seen == {True, False}
+
+
+def test_cover_joins_on_lanes_match_the_member_fold(hosts):
+    """The join rows of ``host_law_violations``, one OR per index over its
+    members' packed meets, are the rows of a fold per cover, on both hosts
+    and with one member dropped."""
+    rng = random.Random(11)
+    seen = set()
+    for host in hosts:
+        plants = [host]
+        if host.size > 1:
+            i = rng.randrange(host.size)
+            plants.append(_dropped(host, i, rng.choice(list(bits(host.elems[i])))))
+        for h in plants:
+            got = [v for v in host_law_violations(h) if v[1] == "join"]
+            assert got == scan_cover_joins(h)
+            seen.add(not got)
+    assert seen == {True, False}
+
+
+def test_phi_order_on_irreducibles_matches_every_pair(hosts):
+    """``phi`` injective and sending joins with the join-irreducibles to
+    intersections, against ``phi`` reversing inclusion on every pair, on
+    each fitted host's ``phi`` and with two of its values swapped or one
+    repeated.  Every ``(x, j)`` named fails the join law."""
+    rng = random.Random(12)
+    seen = set()
+    for sl_o in hosts:
+        if not sl_o.fitted:
+            continue
+        phis = [phi(sl_o, i) for i in range(sl_o.size)]
+        plants = [phis]
+        if sl_o.size > 1:
+            i, j = rng.sample(range(sl_o.size), 2)
+            swapped, repeated = list(phis), list(phis)
+            swapped[i], swapped[j] = phis[j], phis[i]
+            repeated[i] = phis[j]
+            plants += [swapped, repeated]
+        for t in plants:
+            got = phi_order_violations(sl_o, t)
+            injective = len(set(t)) == len(t)
+            assert (not got) == (injective and not scan_phi_order(sl_o, t))
+            assert ("phi not injective" in got) == (not injective)
+            for x, j in got[not injective:]:
+                assert t[sl_o.join(x, j)] != t[x] & t[j]
+            seen.add(not got)
+    assert seen == {True, False}
+
+
+def _plant_point_fit(sl, monkeypatch):
+    # b(p) = {p, top}; the prime with the largest up-set has more above it
+    fw = sl.ambient
+    p = max(bits(fw.primes), key=lambda q: bin(fw.lattice.up[q]).count("1"))
+    assert fw.lattice.up[p] != b_mask(fw, p)
+    return _moved_fit(sl, sl.index[b_mask(fw, p)], sl.size - 1)
+
+
+def _plant_swapped_opens(sl, monkeypatch):
+    lat = sl.ambient.lattice
+    opens = list(sl.open_index)
+    opens[lat.bottom], opens[lat.top] = opens[lat.top], opens[lat.bottom]
+    sl.open_index = tuple(opens)
+    return sl
+
+
+def _plant_open_difference(sl, monkeypatch):
+    # the fitted host forgets to down-close a difference
+    sl_o = sl.fitted_subcoframe()
+    sl_o._close = range(len(sl_o._close))
+    return sl
+
+
+def _plant_covered_primes(sl, monkeypatch):
+    monkeypatch.setattr(report, "covered_primes", lambda fw: fw.primes & (fw.primes - 1))
+    return sl
+
+
+# for each laws check no other test plants, a fault under which it must fail
+LAWS_PLANTS = {
+    "fit-of-closed-trim-depends-only-on-fit": lambda sl, mp: _moved_fit(sl, sl.size - 1, 0),
+    "fitted-difference-is-fit-of-closed-trim": _plant_open_difference,
+    "ker-is-phi-after-fit-and-hits-exact-filters": _plant_swapped_opens,
+    "point-sublocale-identity": _plant_point_fit,
+    "covered-primes-equal-primes": _plant_covered_primes,
+}
+
+
+@pytest.mark.parametrize("lat", [gen_chain(4), gen_product(gen_chain(2), gen_chain(3))],
+                         ids=["chain4", "c2xc3"])
+def test_each_planted_fault_fails_its_laws_check(lat, monkeypatch):
+    """The laws suite passes unplanted, and each plant of ``LAWS_PLANTS``
+    fails the check it is listed under."""
+    fw = FrameWitness.of(lat)
+    assert laws_suite("", fw)["ok"]
+    for name, plant in LAWS_PLANTS.items():
+        with monkeypatch.context() as mp:
+            sl = plant(fresh_sublocales(fw), mp)
+            mp.setattr(report, "enumerate_sublocales", lambda fw, limits: sl)
+            checks = {c["check"]: c for c in laws_suite("", fw)["checks"]}
+            assert not checks[name]["ok"], name
 
 
 def test_laws_checks_build_no_table_on_sl(monkeypatch):

@@ -177,7 +177,7 @@ def test_cli_input_errors(tmp_path, capsys):
     bad.write_text("lattice 3\n0 < 1\n")
     assert main(["analyze", str(bad)]) == 2
     big = tmp_path / "big.lat"
-    big.write_text(serialize_lattice(gen_chain(13)))
+    big.write_text(serialize_lattice(gen_chain(16)))
     assert main(["analyze", str(big)]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -240,7 +240,7 @@ def test_cli_refuses_a_long_chain_before_any_table(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(Lattice, "from_up", classmethod(reached))
     assert main(["check", str(path), "--suite", "laws"]) == 2
     err = capsys.readouterr().err
-    assert "a chain of 1499 pairs" in err and "max_sublocales=2048" in err
+    assert "a chain of 1499 pairs" in err and "max_sublocales=16384" in err
     # past 3 sublocales: chain3 by its chain of 2 pairs, not by its 3
     # elements; a cycle or an out-of-range pair is left to the builder
     monkeypatch.undo()
