@@ -200,7 +200,7 @@ def main(argv=None) -> int:
                    help="also sample COUNT topologies on four points")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes; default is the CPU count")
+                   help="processes, this one included; default the CPU count")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_report)
 

@@ -231,10 +231,21 @@ STANDARD_SPEC = CorpusSpec(
 )
 
 
-def standard_corpus(points4: int = 0, seed: int = 0) -> tuple[CorpusFrame, ...]:
-    """The standard frames, plus ``points4`` topologies on four points
-    sampled with ``seed`` and named ``top4s<seed>-<index>``."""
+def standard_spec(points4: int = 0, seed: int = 0) -> CorpusSpec:
+    """The standard spec, plus ``points4`` topologies on four points
+    sampled with ``seed`` and named ``top4s<seed>-<index>``.
+
+    Every lattice it yields is a frame: chains and Boolean algebras are
+    distributive, and so is every topology's lattice of opens, its joins
+    and meets being unions and intersections.  So its ``lattices()`` and
+    its ``frames()`` list the same names.
+    """
     gens = STANDARD_SPEC.generators
     if points4:
         gens += (("topology_sample", 4, points4, seed),)
-    return tuple(CorpusSpec(gens).frames())
+    return CorpusSpec(gens)
+
+
+def standard_corpus(points4: int = 0, seed: int = 0) -> tuple[CorpusFrame, ...]:
+    """The frames of :func:`standard_spec`."""
+    return tuple(standard_spec(points4, seed).frames())

@@ -346,9 +346,10 @@ def ker_violations(sl: SublocaleCoframe, sl_o: SublocaleCoframe, phis: Sequence[
         holding = mask_of(x for x, o in enumerate(opens) if o >> j & 1)
         kernel += [m & holding for m in kernel]
     kers = list(map(kernel.__getitem__, sl.points))
-    fit = sl.fit_index
-    phi_of = {f: phis[sl_o.index[sl.elems[f]]] for f in set(fit)}
-    bad = [s for s, (m, want) in enumerate(zip(kers, map(phi_of.__getitem__, fit)))
+    # a fit outside the fitted host has no phi, and fails the check
+    fit, fitted = sl.fit_index, sl_o.index
+    phi_of = {f: phis[fitted[sl.elems[f]]] for f in set(fit) if sl.elems[f] in fitted}
+    bad = [s for s, (m, want) in enumerate(zip(kers, map(phi_of.get, fit)))
            if m != want]
     image, ef = sorted({kers[s] for s in bits(sb(sl))}), sorted(exact_filters(fw))
     if image != ef:
@@ -439,7 +440,8 @@ def laws_suite(name: str, fw: FrameWitness, limits: Limits = DEFAULT_LIMITS) -> 
     for fi, fm in enumerate(sl_o.elems):
         for x in range(n):
             fitted = sl.fit(sl.index[fm & closed_mask(fw, x)])
-            lhs = sl_o.index[sl.elems[fitted]]
+            # None, a violation, when the fit is outside the fitted host
+            lhs = sl_o.index.get(sl.elems[fitted])
             if sl_o.diff(fi, sl_o.open_of(x)) != lhs:
                 bad.append((fi, x))
     checks.add("fitted-difference-is-fit-of-closed-trim", bad)

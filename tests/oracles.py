@@ -914,8 +914,10 @@ def scan_fit_closed_trim(sl) -> list:
 
 def scan_ker_phi(sl, sl_o, phis) -> list:
     """``ker-is-phi-after-fit-and-hits-exact-filters`` with ``ker`` tested
-    on the member masks of each index and of every open."""
-    bad = [s for s in range(sl.size) if ker(sl, s) != phis[sl_o.index[sl.elems[sl.fit(s)]]]]
+    on the member masks of each index and of every open; an index whose fit
+    is not in the fitted host has no ``phi`` to match."""
+    fitted = [sl_o.index.get(sl.elems[sl.fit(s)]) for s in range(sl.size)]
+    bad = [s for s, f in enumerate(fitted) if f is None or ker(sl, s) != phis[f]]
     kers = sorted({ker(sl, s) for s in bits(sb(sl))})
     if kers != sorted(exact_filters(sl.ambient)):
         bad.append({"ker_of_smallest_codense": kers,

@@ -9,7 +9,7 @@ from subloc.corpus import (CorpusSpec, all_topologies, downset_masks,
                            gen_boolean, gen_chain, gen_diamond,
                            gen_downsets_of_poset,
                            gen_opens_of_topology, gen_product,
-                           sample_topologies, standard_corpus)
+                           sample_topologies, standard_corpus, standard_spec)
 
 from oracles import downset_frame, scan_downset_masks, scan_topologies
 
@@ -139,6 +139,14 @@ def test_diamond_skipped_by_frames_but_listed():
     lats = dict(spec.lattices())
     assert "diamondM3" in lats and not lats["diamondM3"].is_distributive()
     assert [cf.name for cf in spec.frames()] == ["chain2"]
+
+
+@pytest.mark.parametrize("points4", [0, 20, 355])
+def test_standard_spec_lists_no_non_frame(points4):
+    """``subloc report`` reads the corpus as lattices, with no frame filter;
+    the standard spec yields frames only, so it drops nothing."""
+    names = [name for name, _ in standard_spec(points4, seed=3).lattices()]
+    assert names == [cf.name for cf in standard_corpus(points4, seed=3)]
 
 
 def test_spec_generator_dispatch():

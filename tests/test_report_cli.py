@@ -2,14 +2,16 @@ import copy
 import gc
 import hashlib
 import json
+import multiprocessing
+import os
 import weakref
 from collections import Counter
 
 import pytest
 
-from subloc import DEFAULT_LIMITS, correspondence, report, runner
+from subloc import DEFAULT_LIMITS, Limits, correspondence, report, runner
 from subloc.cli import main
-from subloc.corpus import gen_boolean, gen_chain, standard_corpus
+from subloc.corpus import gen_boolean, gen_chain, standard_corpus, standard_spec
 from subloc.bits import bits
 from subloc.errors import NotProper, SizeLimit
 from subloc.lattice import FrameWitness, Lattice
@@ -583,6 +585,58 @@ def test_corpus_report_three_workers_match_serial(sampled_report):
     # 28 distinct texts deal into chunks of 10, 9 and 9
     rep, _ = sampled_report
     assert corpus_report(points4=20, seed=0, jobs=3) == rep
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_corpus_report_size_limit_is_the_same_for_any_worker_count(jobs):
+    with pytest.raises(SizeLimit) as raised:
+        corpus_report(limits=Limits(max_sublocales=4), jobs=jobs)
+    assert str(raised.value) == ("8 sublocales exceed max_sublocales=4; "
+                                 "override with --limit max_sublocales=N")
+    assert not multiprocessing.active_children()
+
+
+def _chunk_plant(monkeypatch, fail, in_parent):
+    """Make ``_run_chunk`` call ``fail(texts)`` in every child, and in this
+    process too if ``in_parent``.  Children see the plant as forked copies
+    of this process."""
+    parent, real = os.getpid(), runner._run_chunk
+
+    def planted(texts, suites, limits):
+        if in_parent or os.getpid() != parent:
+            fail(texts)
+        return real(texts, suites, limits)
+
+    monkeypatch.setattr(runner, "_run_chunk", planted)
+
+
+@pytest.mark.parametrize("in_parent", [True, False], ids=["every-chunk", "children-only"])
+def test_corpus_report_raises_the_first_failing_chunk(monkeypatch, in_parent):
+    """Chunk 0, the calling process's own, comes first; then the children's
+    in chunk order.  Each chunk's first text is its rank in the deal."""
+    def fail(texts):
+        raise ValueError(texts[0])
+
+    _chunk_plant(monkeypatch, fail, in_parent)
+    size = {serialize_lattice(lat): lat.n for _, lat in standard_spec().lattices()}
+    asc = sorted(size, key=lambda text: (size[text], text))
+    with pytest.raises(ValueError) as raised:
+        corpus_report(("laws",), jobs=3)
+    assert str(raised.value) == asc[0 if in_parent else 1]
+    assert not multiprocessing.active_children()
+
+
+def test_corpus_report_raises_when_a_worker_dies(monkeypatch):
+    """A child that exits without sending is an error naming its chunk and
+    exit code, not a wait on a pipe that no process writes."""
+    def fail(texts):
+        os._exit(3)
+
+    _chunk_plant(monkeypatch, fail, in_parent=False)
+    with pytest.raises(RuntimeError, match="worker of chunk 1 exited with code 3 "):
+        corpus_report(("laws",), jobs=3)
+    assert not multiprocessing.active_children()
 
 
 def test_cli_report_command(capsys):
