@@ -6,10 +6,10 @@ from .errors import (InternalInconsistency, NotAFrame, NotACoframe, NotProper,
 from .lattice import (CoframeWitness, FrameWitness, Lattice, covered_primes,
                       covers, join_irreducibles, primes)
 from .latfile import parse_lattice, serialize_lattice
-from .corpus import (CorpusFrame, CorpusSpec, all_topologies, gen_boolean,
-                     gen_chain, gen_diamond, gen_downsets_of_poset,
-                     gen_opens_of_topology, gen_product, sample_topologies,
-                     standard_corpus)
+from .corpus import (CorpusFrame, all_topologies, gen_boolean, gen_chain,
+                     gen_diamond, gen_downsets_of_poset, gen_opens_of_topology,
+                     gen_product, sample_topologies, standard_corpus,
+                     standard_lattices)
 from .sublocales import (SublocaleCoframe, enumerate_sublocales, exact_filters,
                          fitted_subcoframe, is_exact_sublocale, ker, phi,
                          strongly_exact_filters)

@@ -14,13 +14,13 @@ from pathlib import Path
 
 from .bits import bits
 from .config import DEFAULT_LIMITS, Limits
-from .corpus import standard_corpus
+from .corpus import standard_lattices
 from .errors import InternalInconsistency, NotAFrame, NotACoframe, SizeLimit
 from .lattice import FrameWitness
 from .latfile import (build_lattice, longest_chain, parse_lattice, read_pairs,
                       serialize_lattice)
-from .report import frame_report, render_suite_text, run_suite
-from .runner import ALL_SUITES, corpus_report
+from .report import ALL_SUITES, frame_report, render_suite_text, run_suite
+from .runner import corpus_report
 from .subcolocales import enumerate_subcolocales
 from .sublocales import enumerate_sublocales
 from .viz import hasse_dot
@@ -144,9 +144,9 @@ def cmd_report(args, limits: Limits) -> int:
 def cmd_corpus(args, limits: Limits) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for cf in standard_corpus(args.points4, args.seed):
-        path = out / f"{cf.name}.lat"
-        path.write_text(serialize_lattice(cf.frame.lattice))
+    for name, lat in standard_lattices(args.points4, args.seed):
+        path = out / f"{name}.lat"
+        path.write_text(serialize_lattice(lat))
         print(path)
     return 0
 
@@ -184,8 +184,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("file")
-    p.add_argument("--suite", choices=("laws", "adjunction", "correspondence"),
-                   required=True)
+    p.add_argument("--suite", choices=ALL_SUITES, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_check)
 

@@ -1,23 +1,23 @@
 """Generators for the small test corpus of lattices and frames.
 
-The standard corpus is every chain up to six elements, every Boolean
-algebra up to eight elements, and the open-set frames of all 29 labeled
-topologies on three points.  The diamond M3 is available for
-lattice-level counterexamples but is not a frame, so frame-level suites
-never see it.  Topologies on four points can be sampled deterministically
-by seed.
+The standard corpus (:func:`standard_lattices`) is every chain up to six
+elements, every Boolean algebra up to eight elements, and the open-set
+frames of all 29 labeled topologies on three points, plus topologies on
+four points sampled deterministically by seed.  The diamond M3 is
+available for lattice-level counterexamples but is not a frame, and the
+standard corpus never yields it.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .bits import bit, bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
-from .errors import NotAFrame, SizeLimit
+from .errors import SizeLimit
 from .lattice import FrameWitness, Lattice
 
 
@@ -166,86 +166,29 @@ class CorpusFrame:
     frame: FrameWitness
 
 
-GeneratorCall = tuple
-
-
-@dataclass(frozen=True)
-class CorpusSpec:
-    """Declarative corpus: a list of generator calls plus size budgets.
-
-    Generator calls are tuples like ``("chain", 4)``, ``("boolean", 2)``,
-    ``("topologies", 3)``, ``("diamond",)``, ``("product", ("chain", 2),
-    ("chain", 3))``, ``("downsets", up_rows)``, or ``("topology", k,
-    opens)``.
-    """
-
-    generators: tuple[GeneratorCall, ...]
-    size_limits: Limits = field(default=DEFAULT_LIMITS)
-
-    def lattices(self) -> Iterator[tuple[str, Lattice]]:
-        for call in self.generators:
-            yield from self._expand(call)
-
-    def frames(self) -> Iterator[CorpusFrame]:
-        """Generator output wrapped as frames; non-frames (M3) are skipped."""
-        for name, lat in self.lattices():
-            try:
-                yield CorpusFrame(name, FrameWitness.of(lat))
-            except NotAFrame:
-                continue
-
-    def _expand(self, call: GeneratorCall) -> Iterator[tuple[str, Lattice]]:
-        kind = call[0]
-        if kind == "chain":
-            yield f"chain{call[1]}", gen_chain(call[1])
-        elif kind == "boolean":
-            yield f"bool{call[1]}", gen_boolean(call[1])
-        elif kind == "diamond":
-            yield "diamondM3", gen_diamond()
-        elif kind == "product":
-            (na, la), (nb, lb) = (next(self._expand(call[1])),
-                                  next(self._expand(call[2])))
-            yield f"prod({na},{nb})", gen_product(la, lb)
-        elif kind == "downsets":
-            yield f"downsets{len(call[1])}", gen_downsets_of_poset(call[1], self.size_limits)
-        elif kind == "topology":
-            yield f"top{call[1]}", gen_opens_of_topology(call[1], call[2])
-        elif kind == "topologies":
-            k = call[1]
-            for idx, opens in enumerate(all_topologies(k)):
-                yield f"top{k}-{idx:02d}", gen_opens_of_topology(k, opens)
-        elif kind == "topology_sample":
-            k, count, seed = call[1], call[2], call[3]
-            for idx, opens in enumerate(sample_topologies(k, count, seed)):
-                yield f"top{k}s{seed}-{idx:02d}", gen_opens_of_topology(k, opens)
-        else:
-            raise ValueError(f"unknown generator {kind!r}")
-
-
-STANDARD_SPEC = CorpusSpec(
-    generators=tuple(
-        [("chain", n) for n in range(1, 7)]
-        + [("boolean", k) for k in range(0, 4)]
-        + [("topologies", 3)]
-    )
-)
-
-
-def standard_spec(points4: int = 0, seed: int = 0) -> CorpusSpec:
-    """The standard spec, plus ``points4`` topologies on four points
-    sampled with ``seed`` and named ``top4s<seed>-<index>``.
+def standard_lattices(points4: int = 0, seed: int = 0) -> Iterator[tuple[str, Lattice]]:
+    """The standard corpus as ``(name, lattice)`` pairs: ``chain1`` to
+    ``chain6``, ``bool0`` to ``bool3``, ``top3-00`` to ``top3-28``, then
+    ``points4`` topologies on four points sampled with ``seed``, named
+    ``top4s<seed>-<index>``.
 
     Every lattice it yields is a frame: chains and Boolean algebras are
     distributive, and so is every topology's lattice of opens, its joins
-    and meets being unions and intersections.  So its ``lattices()`` and
-    its ``frames()`` list the same names.
+    and meets being unions and intersections.
     """
-    gens = STANDARD_SPEC.generators
+    for n in range(1, 7):
+        yield f"chain{n}", gen_chain(n)
+    for k in range(4):
+        yield f"bool{k}", gen_boolean(k)
+    for idx, opens in enumerate(all_topologies(3)):
+        yield f"top3-{idx:02d}", gen_opens_of_topology(3, opens)
     if points4:
-        gens += (("topology_sample", 4, points4, seed),)
-    return CorpusSpec(gens)
+        for idx, opens in enumerate(sample_topologies(4, points4, seed)):
+            yield f"top4s{seed}-{idx:02d}", gen_opens_of_topology(4, opens)
 
 
 def standard_corpus(points4: int = 0, seed: int = 0) -> tuple[CorpusFrame, ...]:
-    """The frames of :func:`standard_spec`."""
-    return tuple(standard_spec(points4, seed).frames())
+    """The frames of :func:`standard_lattices`; a non-frame raises
+    :class:`~subloc.errors.NotAFrame`."""
+    return tuple(CorpusFrame(name, FrameWitness.of(lat))
+                 for name, lat in standard_lattices(points4, seed))

@@ -2,8 +2,11 @@
 
 Elements are dense integer indices ``0..n-1``; subsets are int bitmasks
 (bit ``i`` set iff element ``i`` belongs).  A :class:`Lattice` stores one
-up-set bitmask per element plus cached binary meet/join tables, so every
-downstream computation is table lookup.  :class:`FrameWitness` and
+up-set and one down-set bitmask per element plus cached binary meet/join
+tables, so every downstream computation is table lookup.  The tables are
+themselves looked up: the meet of ``i`` and ``j`` is the element whose
+down-set is ``dn[i] & dn[j]``, and the join the one whose up-set is
+``up[i] & up[j]`` (:meth:`Lattice.from_up`).  :class:`FrameWitness` and
 :class:`CoframeWitness` wrap a lattice and cache the Heyting arrow and the
 primes, respectively the co-Heyting difference (the dual's arrow, both by
 :func:`heyting_table`); their ``of`` constructors refuse a lattice that is
@@ -22,19 +25,6 @@ from .bits import bit, bits, mask_of
 from .errors import NotACoframe, NotAFrame
 
 
-def _extreme(bound_rows: Sequence[int], common: int) -> int | None:
-    """The member of ``common`` that bounds all of ``common``, if any.
-
-    With ``bound_rows = dn`` this is the greatest element of ``common``;
-    with ``bound_rows = up`` the least.  Used for meets/joins, so a
-    ``None`` means the candidate poset is not a lattice.
-    """
-    for k in bits(common):
-        if common & ~bound_rows[k] == 0:
-            return k
-    return None
-
-
 @dataclass(frozen=True)
 class Lattice:
     """A finite bounded lattice given by its order relation."""
@@ -49,7 +39,20 @@ class Lattice:
 
     @classmethod
     def from_up(cls, up: Sequence[int]) -> "Lattice":
-        """Validate an up-set table as a lattice order and cache its tables."""
+        """Validate an up-set table as a lattice order and cache its tables.
+
+        Each meet and join is one dict lookup.  ``dn[i] & dn[j]`` is a lower
+        set, and a lower set with a greatest element ``m`` is ``dn[m]``:
+        everything in it is below ``m``, and everything below ``m`` is in it.
+        Conversely a lower set equal to ``dn[k]`` has ``k`` as its greatest
+        element.  So the meet of ``i`` and ``j`` is the ``k`` with ``dn[k] =
+        dn[i] & dn[j]``, and there is none when no row is that set.  By
+        antisymmetry the rows are distinct (``dn[a] = dn[b]`` puts each of
+        ``a`` and ``b`` below the other), so ``{dn[k]: k}`` finds ``k``.
+        Joins are the same on ``up``.  The pairs are visited in order, the
+        meet before the join, so a bounded order that is not a lattice is
+        refused at its first pair lacking one.
+        """
         up = tuple(up)
         n = len(up)
         if n == 0:
@@ -74,14 +77,16 @@ class Lattice:
             raise ValueError("order has no bottom element")
         if len(tops) != 1:
             raise ValueError("order has no top element")
+        greatest = {row: k for k, row in enumerate(dn)}
+        least = {row: k for k, row in enumerate(up)}
         meet = [[0] * n for _ in range(n)]
         join = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                m = _extreme(dn, dn[i] & dn[j])
+                m = greatest.get(dn[i] & dn[j])
                 if m is None:
                     raise ValueError(f"elements {i},{j} have no meet")
-                w = _extreme(up, up[i] & up[j])
+                w = least.get(up[i] & up[j])
                 if w is None:
                     raise ValueError(f"elements {i},{j} have no join")
                 meet[i][j] = meet[j][i] = m
@@ -297,9 +302,15 @@ def join_irreducibles(lat: Lattice) -> tuple[int, ...]:
 
     Those are the elements that are not the join of the elements strictly
     below them: one lower cover is that join, two lower covers already join
-    to the element, and the bottom is the empty join.
+    to the element, and the bottom is the empty join.  ``j`` has one lower
+    cover ``k`` iff its strict down-set ``dn[j] ^ bit(j)`` is the row
+    ``dn[k]``: a finite strict down-set is the union of the down-sets of
+    the lower covers, so it has a greatest element iff there is one lower
+    cover, and it is then that element's row (:meth:`Lattice.from_up`).
+    The bottom's is empty, and no row is, each holding its own element.
     """
-    return tuple(j for j in range(lat.n) if lat.big_join(lat.dn[j] & ~bit(j)) != j)
+    rows = set(lat.dn)
+    return tuple(j for j in range(lat.n) if lat.dn[j] ^ bit(j) in rows)
 
 
 def heyting_table(lat: Lattice) -> tuple[tuple[int, ...], ...]:

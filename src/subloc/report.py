@@ -642,6 +642,9 @@ def correspondence_suite(name: str, fw: FrameWitness,
             "ok": checks.ok, "checks": checks.items, "notes": notes}
 
 
+ALL_SUITES = ("laws", "adjunction", "correspondence")
+
+
 def run_suite(suite: str, name: str, fw: FrameWitness,
               limits: Limits = DEFAULT_LIMITS) -> dict:
     """Run one suite."""

@@ -29,12 +29,10 @@ import os
 import pickle
 
 from .config import DEFAULT_LIMITS, Limits
-from .corpus import standard_spec
+from .corpus import standard_lattices
 from .lattice import FrameWitness
 from .latfile import parse_lattice, serialize_lattice
-from .report import SCHEMA_VERSION, run_suite
-
-ALL_SUITES = ("laws", "adjunction", "correspondence")
+from .report import ALL_SUITES, SCHEMA_VERSION, run_suite
 
 
 def _run_chunk(texts, suites, limits) -> list[list[dict]]:
@@ -107,7 +105,7 @@ def corpus_report(suites=ALL_SUITES, limits: Limits = DEFAULT_LIMITS,
     and defaults to the machine's CPU count; 1 runs in-process only.
     """
     frames = sorted(((name, serialize_lattice(lat), lat.n)
-                     for name, lat in standard_spec(points4, seed).lattices()),
+                     for name, lat in standard_lattices(points4, seed)),
                     key=lambda frame: frame[0])
     size = {text: n for _, text, n in frames}
     asc = sorted(size, key=lambda text: (size[text], text))

@@ -134,69 +134,6 @@ def naive_difference(up, x: int, y: int) -> int:
     return out
 
 
-def naive_open_members(up, a: int) -> frozenset:
-    n = len(up)
-    return frozenset(naive_heyting(up, a, x) for x in range(n))
-
-
-def naive_closed_members(up, a: int) -> frozenset:
-    n = len(up)
-    return frozenset(x for x in range(n) if leq(up, a, x))
-
-
-def naive_is_sublocale(up, subset: frozenset) -> bool:
-    """Meet-closed (including the empty meet) and arrow-closed from the left."""
-    n = len(up)
-    if naive_top(up) not in subset:
-        return False
-    for s in subset:
-        for t in subset:
-            if naive_meet(up, s, t) not in subset:
-                return False
-    for a in range(n):
-        for s in subset:
-            if naive_heyting(up, a, s) not in subset:
-                return False
-    return True
-
-
-def naive_sublocales(up) -> set:
-    n = len(up)
-    out = set()
-    for m in range(1 << n):
-        subset = frozenset(i for i in range(n) if (m >> i) & 1)
-        if naive_is_sublocale(up, subset):
-            out.add(subset)
-    return out
-
-
-def naive_fit(up, subset: frozenset) -> frozenset:
-    n = len(up)
-    acc = frozenset(range(n))
-    for a in range(n):
-        o = naive_open_members(up, a)
-        if subset <= o:
-            acc &= o
-    return acc
-
-
-def naive_is_subcolocale(up, subset: frozenset) -> bool:
-    """Join-closed (including the empty join) and difference-closed on the
-    right against arbitrary elements."""
-    n = len(up)
-    if naive_bottom(up) not in subset:
-        return False
-    for s in subset:
-        for t in subset:
-            if naive_join(up, s, t) not in subset:
-                return False
-    for s in subset:
-        for c in range(n):
-            if naive_difference(up, s, c) not in subset:
-                return False
-    return True
-
-
 class NaiveOps:
     """Scanning oracle with its tables precomputed once per order.
 
@@ -511,8 +448,8 @@ def sublocale_join(sl, idxs) -> int:
 
 
 def is_sublocale(fw, members: int) -> bool:
-    """``naive_is_sublocale`` on the frame's meet and Heyting tables: the top,
-    and closure under binary meets and arrows from every element."""
+    """A sublocale on the frame's meet and Heyting tables: the top, and
+    closure under binary meets and arrows from every element."""
     lat = fw.lattice
     if not (members >> lat.top) & 1:
         return False

@@ -5,11 +5,12 @@ import pytest
 from subloc import FrameWitness, NotAFrame, SizeLimit
 from subloc.bits import bits, mask_of
 from subloc.config import DEFAULT_LIMITS
-from subloc.corpus import (CorpusSpec, all_topologies, downset_masks,
-                           gen_boolean, gen_chain, gen_diamond,
-                           gen_downsets_of_poset,
+from subloc import corpus as corpus_module
+from subloc.corpus import (all_topologies, downset_masks, gen_boolean,
+                           gen_chain, gen_diamond, gen_downsets_of_poset,
                            gen_opens_of_topology, gen_product,
-                           sample_topologies, standard_corpus, standard_spec)
+                           sample_topologies, standard_corpus,
+                           standard_lattices)
 
 from oracles import downset_frame, scan_downset_masks, scan_topologies
 
@@ -129,38 +130,28 @@ def test_sampling_is_deterministic():
 
 def test_standard_corpus_composition(corpus):
     names = [cf.name for cf in corpus]
-    assert len(names) == 6 + 4 + 29
-    assert len(set(names)) == len(names)
-    assert "chain6" in names and "bool3" in names and "top3-00" in names
-
-
-def test_diamond_skipped_by_frames_but_listed():
-    spec = CorpusSpec(generators=(("diamond",), ("chain", 2)))
-    lats = dict(spec.lattices())
-    assert "diamondM3" in lats and not lats["diamondM3"].is_distributive()
-    assert [cf.name for cf in spec.frames()] == ["chain2"]
+    assert names == ([f"chain{n}" for n in range(1, 7)] + [f"bool{k}" for k in range(4)]
+                     + [f"top3-{i:02d}" for i in range(29)])
+    sampled = [name for name, _ in standard_lattices(3, seed=5)]
+    assert sampled == names + ["top4s5-00", "top4s5-01", "top4s5-02"]
 
 
 @pytest.mark.parametrize("points4", [0, 20, 355])
 def test_standard_spec_lists_no_non_frame(points4):
-    """``subloc report`` reads the corpus as lattices, with no frame filter;
-    the standard spec yields frames only, so it drops nothing."""
-    names = [name for name, _ in standard_spec(points4, seed=3).lattices()]
+    """``subloc report`` and ``subloc corpus`` read the standard lattices
+    with no frame filter; ``standard_corpus`` builds a witness of each, so
+    it raising nothing shows they are all frames."""
+    names = [name for name, _ in standard_lattices(points4, seed=3)]
     assert names == [cf.name for cf in standard_corpus(points4, seed=3)]
 
 
-def test_spec_generator_dispatch():
-    spec = CorpusSpec(generators=(
-        ("product", ("chain", 2), ("chain", 2)),
-        ("downsets", (0b01, 0b10)),
-        ("topology", 2, (0, 1, 3)),
-        ("topology_sample", 3, 2, 5),
-    ))
-    names = [name for name, _ in spec.lattices()]
-    assert names[:3] == ["prod(chain2,chain2)", "downsets2", "top2"]
-    assert len(names) == 5
-    with pytest.raises(ValueError, match="unknown generator"):
-        list(CorpusSpec(generators=(("nope",),)).lattices())
+def test_standard_corpus_refuses_a_non_frame(monkeypatch):
+    """A non-frame among the standard lattices is an error, not skipped."""
+    monkeypatch.setattr(corpus_module, "standard_lattices",
+                        lambda points4, seed: iter([("chain2", gen_chain(2)),
+                                                    ("diamondM3", gen_diamond())]))
+    with pytest.raises(NotAFrame):
+        standard_corpus()
 
 
 def test_corpus_frames_are_validated():

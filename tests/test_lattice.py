@@ -7,8 +7,8 @@ import pytest
 from subloc import (CoframeWitness, FrameWitness, Lattice, NotACoframe,
                     NotAFrame, covered_primes, covers, join_irreducibles,
                     primes)
-from subloc.bits import bits, bits_above, mask_of
-from subloc.corpus import gen_boolean, gen_chain, gen_product
+from subloc.bits import bit, bits, bits_above, mask_of
+from subloc.corpus import gen_boolean, gen_chain, gen_downsets_of_poset, gen_product
 from subloc.lattice import intersection, join_violations, prime_mask, table_op, union
 
 from oracles import (is_exact_meet, is_strongly_exact_meet, naive_difference,
@@ -73,9 +73,28 @@ def test_heyting_against_naive_oracle(corpus):
                 assert cf.frame.heyting_table[x][y] == naive_heyting(up, x, y)
 
 
-def test_meet_join_tables_against_naive_oracle(corpus):
-    for cf in corpus:
-        lat = cf.frame.lattice
+def test_meet_join_tables_against_naive_oracle(corpus, m3):
+    """The corpus, the non-distributive M3 and N5, and the down-set
+    lattices of random posets relabeled at random, so that index order is
+    not a linear extension of the order the tables are looked up in."""
+    rng = random.Random(34)
+    n5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    lats = [cf.frame.lattice for cf in corpus] + [m3, n5]
+    for points in (3, 4, 5, 5, 6):
+        below = [0] * points
+        for j in range(points):
+            for i in range(j):
+                if rng.random() < 0.4:
+                    below[j] |= bit(i) | below[i]
+        ds = gen_downsets_of_poset([bit(i) | mask_of(j for j in range(points) if below[j] >> i & 1)
+                                    for i in range(points)])
+        perm = list(range(ds.n))
+        rng.shuffle(perm)
+        up = [0] * ds.n
+        for i, row in enumerate(ds.up):
+            up[perm[i]] = mask_of(perm[j] for j in bits(row))
+        lats += [ds, Lattice.from_up(up)]
+    for lat in lats:
         for x in range(lat.n):
             for y in range(lat.n):
                 assert lat.meet_table[x][y] == naive_meet(lat.up, x, y)
@@ -212,6 +231,23 @@ def test_from_up_rejects_order_without_meets():
     # four-element "bowtie" fragment: two bottoms
     with pytest.raises(ValueError):
         Lattice.from_up([0b0101, 0b0110, 0b0100, 0b1100])
+
+
+def test_from_up_names_the_first_pair_without_a_meet_or_join():
+    """The bounded bowtie 0 < a, b < c, d < 1 has a top and a bottom, so it
+    passes those checks; a and b (1 and 2) have two least upper bounds, and
+    in its dual two greatest lower bounds.  Stacking two bowties, a and b
+    lack both, and the meet is checked first."""
+    pairs = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+    with pytest.raises(ValueError, match="^elements 1,2 have no join$"):
+        Lattice.from_relation(6, pairs)
+    with pytest.raises(ValueError, match="^elements 1,2 have no meet$"):
+        Lattice.from_relation(6, [(j, i) for i, j in pairs])
+    # 0 < 3, 4 < 1, 2 < 5, 6 < 7
+    stacked = [(0, 3), (0, 4), (5, 7), (6, 7)] + [(x, y) for x in (3, 4) for y in (1, 2)]
+    stacked += [(x, y) for x in (1, 2) for y in (5, 6)]
+    with pytest.raises(ValueError, match="^elements 1,2 have no meet$"):
+        Lattice.from_relation(8, stacked)
 
 
 def test_one_element_frame_degenerate():

@@ -11,7 +11,7 @@ import pytest
 
 from subloc import DEFAULT_LIMITS, Limits, correspondence, report, runner
 from subloc.cli import main
-from subloc.corpus import gen_boolean, gen_chain, standard_corpus, standard_spec
+from subloc.corpus import gen_boolean, gen_chain, standard_corpus, standard_lattices
 from subloc.bits import bits
 from subloc.errors import NotProper, SizeLimit
 from subloc.lattice import FrameWitness, Lattice
@@ -619,7 +619,7 @@ def test_corpus_report_raises_the_first_failing_chunk(monkeypatch, in_parent):
         raise ValueError(texts[0])
 
     _chunk_plant(monkeypatch, fail, in_parent)
-    size = {serialize_lattice(lat): lat.n for _, lat in standard_spec().lattices()}
+    size = {serialize_lattice(lat): lat.n for _, lat in standard_lattices()}
     asc = sorted(size, key=lambda text: (size[text], text))
     with pytest.raises(ValueError) as raised:
         corpus_report(("laws",), jobs=3)
