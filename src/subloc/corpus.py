@@ -122,9 +122,13 @@ def all_topologies(num_points: int) -> tuple[tuple[int, ...], ...]:
     and extends it by the down-closed set ``D`` of points below ``k`` and
     the up-closed set ``U`` above it, where every ``d`` in ``D`` is
     already below every ``u`` in ``U`` (transitivity through ``k``).
-    Each pair is a new preorder, so each topology is built once; its
-    opens are the unions of the principal up-sets.  The counts are 1, 1,
-    4, 29, 355 on 0..4 points (OEIS A000798).
+    Each pair is a new preorder, so each topology is built once.  The
+    closed sets are read off the preorder's closure tables
+    (:func:`_unions`): a set is up-closed iff its up-closure is itself,
+    down-closed likewise, and ``U`` lies above all of ``D`` iff it misses
+    the union of the complements of their up-sets.  The opens are the
+    up-closed sets, listed in (size, mask) order.  The counts are 1, 1, 4,
+    29, 355 on 0..4 points (OEIS A000798).
     """
     if num_points < 0 or num_points > 4:
         raise ValueError("topology enumeration supports 0..4 points")
@@ -133,22 +137,32 @@ def all_topologies(num_points: int) -> tuple[tuple[int, ...], ...]:
         grown = []
         for up in preorders:
             dn = [mask_of(i for i in range(k) if (up[i] >> j) & 1) for j in range(k)]
-            downs = [d for d in range(1 << k) if all(dn[i] & ~d == 0 for i in bits(d))]
-            ups = [u for u in range(1 << k) if all(up[i] & ~u == 0 for i in bits(u))]
-            for d in downs:
-                for u in ups:
-                    if all(u & ~up[i] == 0 for i in bits(d)):
-                        grown.append(tuple(r | bit(k) if (d >> i) & 1 else r
-                                           for i, r in enumerate(up)) + (u | bit(k),))
+            # the points outside some up-set of d are those not above all of d
+            outside = _unions([~r for r in up])
+            ups = [u for u, c in enumerate(_unions(up)) if c == u]
+            for d, c in enumerate(_unions(dn)):
+                if c == d:
+                    grown += [tuple(r | bit(k) if (d >> i) & 1 else r for i, r in enumerate(up))
+                              + (u | bit(k),) for u in ups if not u & outside[d]]
         preorders = grown
+    order = sorted(range(1 << num_points), key=lambda m: (bin(m).count("1"), m))
     found = []
     for up in preorders:
-        opens = {0}
-        for r in up:
-            opens |= {m | r for m in opens}
-        found.append(tuple(sorted(opens, key=lambda m: (bin(m).count("1"), m))))
+        up_of = _unions(up)
+        found.append(tuple(m for m in order if up_of[m] == m))
     found.sort(key=lambda f: (len(f), f))
     return tuple(found)
+
+
+def _unions(rows: Sequence[int]) -> list[int]:
+    """For every subset ``s`` of the indices of ``rows``, the union of the
+    ``rows[i]`` with ``i`` in ``s``, by the subset recurrence: ``s`` adds
+    its lowest index to ``s`` without it."""
+    out = [0]
+    for s in range(1, 1 << len(rows)):
+        low = s & -s
+        out.append(out[s ^ low] | rows[low.bit_length() - 1])
+    return out
 
 
 def sample_topologies(num_points: int, count: int, seed: int) -> tuple[tuple[int, ...], ...]:

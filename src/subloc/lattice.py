@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import ne
+from operator import getitem, ne
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .bits import bit, bits, mask_of
@@ -189,10 +189,10 @@ def join_violations(table: Sequence[Sequence[int]], irr: int, t: Sequence,
     ``b -> a . b`` for a semilattice operation ``.`` (associative,
     commutative, idempotent) on the values: a lattice's join or meet
     (:func:`table_op`), ``|`` or ``&`` of masks (:func:`union`,
-    :func:`intersection`), or one of these elementwise.  The table and
-    ``.`` are commutative, so each ``j`` costs one call of ``op``, and its
-    ``n`` pairs are compared by ``map`` over ``table[j]`` and ``t``, with
-    no row built.
+    :func:`intersection`), or one of these elementwise on lists
+    (:func:`table_rows_op`).  The table and ``.`` are commutative, so each
+    ``j`` costs one call of ``op``, and its ``n`` pairs are compared by
+    ``map`` over ``table[j]`` and ``t``, with no row built.
 
     If nothing is yielded, ``t`` keeps every binary join: ``t(x v y) = t(x)
     . t(y)`` for all ``x`` and ``y``.  Proof.  An element ``y`` other than
@@ -221,6 +221,16 @@ def join_violations(table: Sequence[Sequence[int]], irr: int, t: Sequence,
 def table_op(table: Sequence[Sequence[int]]) -> Callable[[int], Callable[[int], int]]:
     """The binary table ``table`` curried for :func:`join_violations`."""
     return lambda a: table[a].__getitem__
+
+
+def table_rows_op(table: Sequence[Sequence[int]]) -> Callable[[list], Callable[[list], list]]:
+    """The binary table ``table`` elementwise on lists of elements, curried
+    for :func:`join_violations`: ``a`` and ``b`` give the list of
+    ``table[a[k]][b[k]]``."""
+    def op(a: list) -> Callable[[list], list]:
+        rows = [table[x] for x in a]
+        return lambda b: list(map(getitem, rows, b))
+    return op
 
 
 def union(a: int) -> Callable[[int], int]:

@@ -19,10 +19,13 @@ joins up the closed trims of a set of members, which gives ``sb``,
 the fitted host's table ``fit_of``, and from ``S_o(L)`` to ``L`` one in
 ``element_of``.  Exactness, a property of the quotient onto a sublocale,
 holds for all of them by one identity of the frame's prime sets, checked
-once per host (``se``); its cross-check on the point sublocales is the
-only place a sublocale is read as a set of frame elements.  The
-precongruence cross-check of ``is_proper`` reads each member's relation
-as a map on the frame's elements, its rows being principal up-sets.
+once per host (``se``); its cross-check on the point sublocales, over the
+pairs with a meet-irreducible, is the only place a sublocale is read as a
+set of frame elements.  The precongruence cross-check of ``is_proper``
+reads each member's relation as a map on the frame's elements, its rows
+being principal up-sets, and decides every member in one pass over rows
+that list each element's value under every member's map.  Each double
+entry thus costs one pass per host or input, not one scan per member.
 
 The calculus connects two hosts: collections ``F`` of fitted sublocales
 that are *proper* (contain all opens, with exact joins of opens) and
@@ -45,12 +48,12 @@ from __future__ import annotations
 
 import functools
 from operator import or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bits import bits, mask_of
 from .errors import InternalInconsistency, NotProper
 from .lattice import join_violations, union
-from .sublocales import SublocaleCoframe, is_exact_sublocale, is_principal_precongruence
+from .sublocales import SublocaleCoframe, are_principal_precongruences, is_exact_sublocale
 
 
 _MISSING = object()
@@ -128,8 +131,17 @@ def _trims(sl: SublocaleCoframe, members: int, rows: Sequence[int]) -> int:
 
 
 def closed_trims(sl: SublocaleCoframe, members: int) -> int:
-    """Join closure of the members' meets with every closed of the full host."""
-    return join_closure(sl, _trims(sl, members, [sl.points[c] for c in sl.closed_index]))
+    """Join closure of the members' meets with every closed of the full host.
+
+    The meets are intersections of prime sets, and many members meet many
+    closeds in the same set, so the union closure (:func:`join_closure`)
+    runs over the distinct ones, a set, with no index mask between.
+    ``tests/test_subcolocales.py`` holds it to :func:`join_closure` of
+    :func:`_trims`.
+    """
+    pts, closeds = sl.points, [sl.points[c] for c in sl.closed_index]
+    closure = _union_closure({pts[i] & c for i in bits(members) for c in closeds})
+    return mask_of([sl.point_index[q] for q in closure])
 
 
 @_memoised("conuclei")
@@ -168,14 +180,17 @@ def join_closure(host: SublocaleCoframe, members: int) -> int:
     ``closure | {c | g for c in closure}``; a ``g`` already in the closure
     adds nothing, since the closure is union-closed at every step.
     """
-    pts = host.points
+    pts, pos = host.points, host.point_index
+    return mask_of([pos[q] for q in _union_closure([pts[i] for i in bits(members)])])
+
+
+def _union_closure(gens: Iterable[int]) -> set[int]:
+    """Every union of the prime sets ``gens``, the empty one included."""
     closure = {0}
-    for i in bits(members):
-        g = pts[i]
+    for g in gens:
         if g not in closure:
             closure |= {c | g for c in closure}
-    pos = host.point_index
-    return mask_of(pos[c] for c in closure)
+    return closure
 
 
 @_memoised("generated")
@@ -295,19 +310,33 @@ def se(sl: SublocaleCoframe) -> int:
     ``tests/oracles.py::scan_se`` tests each sublocale on its own.
 
     Cross-checked on the point sublocales (:func:`point_sublocales`), by
-    :func:`~subloc.sublocales.is_exact_sublocale` on every pair with the
-    nucleus read off the members: ``b(p) = {p, top}`` sends ``a`` to ``p``
-    when ``a <= p`` and to the top otherwise, so it keeps the meet of ``a``
-    and ``b`` iff ``p`` is above ``a ^ b`` only when it is above ``a`` or
-    ``b``, which is the identity at the prime ``p``.  Every prime has its
-    point sublocale, so the two verdicts agree, or
-    :class:`InternalInconsistency` is raised.  That is ``p`` scans of the
-    ``n^2 / 2`` pairs per host, and no exact-pair table.
+    :func:`~subloc.sublocales.is_exact_sublocale` with the nucleus read off
+    the members: ``b(p) = {p, top}`` sends ``a`` to ``p`` when ``a <= p``
+    and to the top otherwise, so it keeps the meet of ``a`` and ``b`` iff
+    ``p`` is above ``a ^ b`` only when it is above ``a`` or ``b``, which is
+    the identity at the prime ``p``.  Every prime has its point sublocale,
+    so the two verdicts agree, or :class:`InternalInconsistency` is raised.
+
+    Each point sublocale is tested on the pairs ``(a, m)`` with ``m``
+    meet-irreducible, in either order: row ``a`` of ``pairs`` is every
+    element when ``a`` is meet-irreducible and the meet-irreducibles
+    otherwise.  They decide whether a nucleus ``nu`` keeps every binary
+    meet, by the meet dual of the proof of
+    :func:`~subloc.lattice.join_violations`: an element ``y`` other than
+    the top is the meet ``m1 ^ ... ^ mk`` of the meet-irreducibles above
+    it, so ``nu(x ^ m1 ^ ... ^ mk) = nu(x) ^ nu(m1) ^ ... ^ nu(mk)`` by
+    induction on ``k``, and the case ``x = m1`` gives ``nu(y)``; the top
+    needs ``nu(x) ^ nu(top) = nu(x)``, which holds as ``nu(top)`` is the
+    top, the least member above it.  Pairs ``(a, a)`` hold outright.  That
+    is ``p`` scans of ``n |M|`` pairs per host, where every pair costs
+    ``n^2 / 2``, and no exact-pair table.
     """
     split = sl.meets_split_primes()
     fw = sl.ambient
-    every_pair = (fw.lattice.full_mask,) * fw.n
-    points_exact = all(is_exact_sublocale(fw, sl.elems[i], pairs=every_pair)
+    lat = fw.lattice
+    meet_irr = lat.irreducibles[1]
+    pairs = [lat.full_mask if meet_irr >> a & 1 else meet_irr for a in range(lat.n)]
+    points_exact = all(is_exact_sublocale(fw, sl.elems[i], pairs=pairs)
                        for i in bits(point_sublocales(sl)))
     if split != points_exact:
         raise InternalInconsistency("exactness criteria disagree")
@@ -324,7 +353,7 @@ def fit_image(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int) -> int
     """Fittings of the members of ``sl``, as a bitmask over its fitted host
     ``sl_o``."""
     fit_of = sl_o.fit_of
-    return mask_of(fit_of[i] for i in bits(members))
+    return mask_of([fit_of[i] for i in bits(members)])
 
 
 def leq_f(sl_o: SublocaleCoframe, members: int, f: int) -> tuple[int, ...]:
@@ -332,15 +361,19 @@ def leq_f(sl_o: SublocaleCoframe, members: int, f: int) -> tuple[int, ...]:
     the subcolocale lands below the open of ``y``: row ``x`` is the up-set
     of its :func:`least_related` entry."""
     up = sl_o.ambient.lattice.up
-    return tuple(up[g] for g in least_related(sl_o, members, f))
+    return tuple(up[row[0]] for row in least_related(sl_o, members, 1 << f))
 
 
-def least_related(sl_o: SublocaleCoframe, members: int, f: int) -> tuple[int, ...]:
-    """For each frame element ``x``, the least ``y`` with ``x`` related to
+def least_related(sl_o: SublocaleCoframe, members: int, fs: int) -> list[list[int]]:
+    """For each frame element ``x``, the list over the members ``f`` in the
+    mask ``fs``, in index order, of the least ``y`` with ``x`` related to
     ``y`` by :func:`leq_f`: the element whose open is the conucleus of ``f
-    ^ open(x)`` (:attr:`SublocaleCoframe.element_of`)."""
-    back, con = sl_o.element_of, conuclei(sl_o, members)
-    return tuple([back[con[sl_o.meet(f, o)]] for o in sl_o.open_index])
+    ^ open(x)`` (:attr:`SublocaleCoframe.element_of`), the meet read off
+    the prime sets as ``points[f] & points[open(x)]``."""
+    pts, pos, back = sl_o.points, sl_o.point_index, sl_o.element_of
+    con = conuclei(sl_o, members)
+    trims = [pts[f] for f in bits(fs)]
+    return [[back[con[pos[q & t]]] for t in trims] for q in map(pts.__getitem__, sl_o.open_index)]
 
 
 @_memoised("proper")
@@ -352,17 +385,20 @@ def is_proper(sl_o: SublocaleCoframe, members: int) -> bool:
     frame.  Row ``x`` of that relation, the ``y`` whose open is above ``c``,
     the conucleus of ``f ^ open(x)``, is the up-set of ``g(x) =
     element_of[c]`` (:attr:`SublocaleCoframe.element_of`), so the relation
-    is decided on ``g`` (:func:`least_related`) by
-    :func:`~subloc.sublocales.is_principal_precongruence`, at ``n |J|``
-    lookups per member where the generic check walks ``n^2`` row bits.
+    is decided on ``g``.  :func:`least_related` lists ``g(x)`` for every
+    member at once, and
+    :func:`~subloc.sublocales.are_principal_precongruences` decides all the
+    members in one pass: clauses (i) and (ii) per entry, and clause (iii)
+    on the rows, joined elementwise, in one ``n |J|`` check.  The rows are
+    built after :func:`_open_joins_exact` has dropped its own, so the two
+    sides never hold ``n |members|`` entries each at once.
     """
     opens = mask_of(sl_o.open_index)
     if opens & ~members:
         return False
     exact = _open_joins_exact(sl_o, members)
-    via_precongruence = all(
-        is_principal_precongruence(sl_o.ambient, least_related(sl_o, members, f))
-        for f in bits(members))
+    via_precongruence = are_principal_precongruences(sl_o.ambient,
+                                                     least_related(sl_o, members, members))
     if exact != via_precongruence:
         raise InternalInconsistency("properness criteria disagree")
     return exact
@@ -426,8 +462,8 @@ def sigma(sl: SublocaleCoframe, sl_o: SublocaleCoframe, members: int, f: int) ->
     """
     if not (members >> f) & 1:
         raise ValueError("f is not a member of the subcolocale")
-    con = conuclei(sl_o, members)
-    cons = [con[sl_o.meet(f, o)] for o in sl_o.open_index]
+    con, q, pos_o = conuclei(sl_o, members), sl_o.points[f], sl_o.point_index
+    cons = [con[pos_o[q & p]] for p in map(sl_o.points.__getitem__, sl_o.open_index)]
     least = sl_o.element_of
     pts, pos = sl.points, sl.point_index
     opens = [pts[o] for o in sl.open_index]

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 from .bits import bits, bits_above, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .errors import InternalInconsistency, SizeLimit
-from .lattice import FrameWitness, Lattice, join_violations, table_op, union
+from .lattice import FrameWitness, Lattice, join_violations, table_rows_op, union
 
 
 def open_mask(fw: FrameWitness, a: int) -> int:
@@ -374,18 +374,26 @@ phi = ker
 # precongruences
 
 
-def is_principal_precongruence(fw: FrameWitness, g: Sequence[int]) -> bool:
-    """Whether the relation ``x R y`` iff ``g(x) <= y`` is a precongruence:
-    the relation whose row ``x`` is the principal up-set of ``g(x)``, for a
-    map ``g`` on the frame elements.  A precongruence is a relation on frame
-    elements that is reflexive and transitive, stable under shrinking the
-    left and growing the right side, with left sides stable under all joins
-    (the empty one included, so the bottom relates to everything) and right
-    sides under binary meets (``tests/oracles.py::is_precongruence``).
+def are_principal_precongruences(fw: FrameWitness, rows: Sequence[list[int]]) -> bool:
+    """Whether each map ``g`` read down a column of ``rows``, ``rows[x][k] =
+    g_k(x)`` with one list per frame element, gives a precongruence ``x R y``
+    iff ``g(x) <= y``: the relation whose row ``x`` is the principal up-set
+    of ``g(x)``.  A precongruence is a relation on frame elements that is
+    reflexive and transitive, stable under shrinking the left and growing
+    the right side, with left sides stable under all joins (the empty one
+    included, so the bottom relates to everything) and right sides under
+    binary meets (``tests/oracles.py::is_precongruence``).
 
     It is iff (i) ``g(x) <= x``, (ii) ``g(g(x)) >= g(x)`` and (iii) ``g(a
-    v j) = g(a) v g(j)`` for every ``a`` and every join-irreducible ``j``:
-    ``n + n |J|`` lookups, where the generic check walks ``n^2`` row bits.
+    v j) = g(a) v g(j)`` for every ``a`` and every join-irreducible ``j``.
+    Clauses (i) and (ii) are read per entry, ``2 n`` lookups per map.
+    Clause (iii) is one :func:`~subloc.lattice.join_violations` call for
+    every map at once: a row's entries are joined elementwise through the
+    join table (:func:`~subloc.lattice.table_rows_op`), and the rows hold
+    ``g(a v j) = g(a) v g(j)`` for all ``a`` and ``j`` iff every column
+    does.  That is ``n |J|`` row comparisons where a call per map pays the
+    ``n |J|`` lookups in one loop each, and the generic check walks ``n^2``
+    row bits per map.
 
     Proof.  Row ``x`` is an up-set holding its least member ``g(x)``, so
     the right side may grow and every right side is meet-stable, whatever
@@ -400,20 +408,21 @@ def is_principal_precongruence(fw: FrameWitness, g: Sequence[int]) -> bool:
     holds ``a1 v a2`` iff ``g(a1 v a2) <= g(a1) v g(a2)``, the other
     inequality being monotonicity.  Last, ``g`` keeps binary joins iff
     (iii), by the proof of :func:`~subloc.lattice.join_violations`, the
-    frame's join being a semilattice operation.  A ``g`` that keeps binary
-    joins is monotone.
-    ``tests/oracles.py::scan_precongruence`` tests the relation pair by
+    frame's join being a semilattice operation, and so is its elementwise
+    join on rows.  A ``g`` that keeps binary joins is monotone.
+    ``tests/oracles.py::scan_precongruence`` tests each relation pair by
     pair.
     """
     lat = fw.lattice
     up, join = lat.up, lat.join_table
-    if len(g) != lat.n:
+    if len(rows) != lat.n:
         return False
-    for x, gx in enumerate(g):
-        row = up[gx]
-        if not (row >> x) & 1 or not (row >> g[gx]) & 1:
-            return False
-    return not any(join_violations(join, lat.irreducibles[0], g, table_op(join)))
+    for x, row in enumerate(rows):
+        for k, gx in enumerate(row):
+            above = up[gx]
+            if not (above >> x) & 1 or not (above >> rows[gx][k]) & 1:
+                return False
+    return not any(join_violations(join, lat.irreducibles[0], rows, table_rows_op(join)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +452,11 @@ def is_exact_sublocale(fw: FrameWitness, members: int, *,
     frame element, passes it; otherwise each entry is computed with
     :func:`nucleus_element`.  Row ``a`` of ``pairs`` masks the ``b`` to
     test with ``a``; it defaults to the exact pairs.  On a frame every pair
-    is exact, so a caller that has a frame may pass full rows and skip the
-    ``n^3`` table.
+    is exact, so a caller that has a frame may pass its own rows and skip
+    the ``n^3`` table: full rows test every pair, and rows that are full
+    at the meet-irreducibles and hold the meet-irreducibles elsewhere test
+    every pair with a meet-irreducible, in either order, which decides as
+    much (:func:`subloc.subcolocales.se`).
 
     On a frame every sublocale passes, as every nucleus keeps binary meets
     (:meth:`SublocaleCoframe.meets_split_primes`), so

@@ -696,7 +696,7 @@ def is_precongruence(fw: FrameWitness, rel: Sequence[int]) -> bool:
     closed under binary joins iff it holds its own join; the empty join is
     the separate test on the bottom's row.  The pairwise form is
     :func:`scan_precongruence`; the package reads only principal relations,
-    by :func:`subloc.sublocales.is_principal_precongruence`.
+    by :func:`subloc.sublocales.are_principal_precongruences`.
     """
     lat = fw.lattice
     n = lat.n

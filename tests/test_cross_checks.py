@@ -79,7 +79,7 @@ raised["is_subcolocale"] = planted(sc, "_is_subcolocale_characterized",
 fw, sl, sl_o, full_o = hosts(4)
 raised["se"] = planted(sc, "is_exact_sublocale", lambda fw, m, **kw: False, lambda: sc.se(sl))
 fw, sl, sl_o, full_o = hosts()
-raised["is_proper"] = planted(sc, "is_principal_precongruence", lambda fw, g: False,
+raised["is_proper"] = planted(sc, "are_principal_precongruences", lambda fw, rows: False,
                               lambda: sc.is_proper(sl_o, full_o))
 fw, sl, sl_o, full_o = hosts()
 raised["delta"] = planted(sc, "generated_subcolocale", lambda host, m: 0,

@@ -21,6 +21,7 @@ from subloc.corpus import gen_boolean, gen_chain, gen_product
 from subloc.lattice import prime_mask
 from subloc.report import MAX_COUNTEREXAMPLES, laws_suite
 from subloc.subcolocales import _open_joins_exact
+from subloc.sublocales import nucleus_element
 
 from oracles import (all_families, binary_families, fresh_sublocales, is_exact_meet,
                      is_strongly_exact_meet, scan_exact_map, scan_exact_sublocale,
@@ -130,6 +131,34 @@ def test_exact_sublocale_matches_the_scan_on_arbitrary_masks(corpus):
             if every_pair:
                 assert is_exact_sublocale(fw, members, pairs=every_pair) == got
             verdicts.append(got)
+    assert set(verdicts) == {True, False}
+
+
+def test_exactness_on_meet_irreducible_pairs_matches_every_pair(corpus):
+    # se's rows, full at the meet-irreducibles and the meet-irreducibles
+    # elsewhere, decide as much as full rows wherever nu(top) is the top: on
+    # every mask of frames and non-frames, and on planted nuclei, random ones
+    # and true ones with one entry moved
+    rng = random.Random(3511)
+    verdicts = []
+    for fw in [cf.frame for cf in corpus] + non_frames() + [strongly_inexact_bool2()]:
+        lat = fw.lattice
+        n, irr = lat.n, lat.irreducibles[1]
+        every_pair = (lat.full_mask,) * n
+        pairs = [lat.full_mask if irr >> a & 1 else irr for a in range(n)]
+        masks = range(1 << n) if n <= 5 else [rng.randrange(1 << n) for _ in range(8)]
+        for members in masks:
+            got = is_exact_sublocale(fw, members, pairs=pairs)
+            assert got == is_exact_sublocale(fw, members, pairs=every_pair), (fw, members)
+            verdicts.append(got)
+        for _ in range(8):
+            moved = [nucleus_element(fw, rng.randrange(1 << n), a) for a in range(n)]
+            moved[rng.randrange(n)] = rng.randrange(n)
+            for nu in (moved, [rng.randrange(n) for _ in range(n)]):
+                nu[lat.top] = lat.top
+                got = is_exact_sublocale(fw, 0, nucleus=nu, pairs=pairs)
+                assert got == is_exact_sublocale(fw, 0, nucleus=nu, pairs=every_pair), (fw, nu)
+                verdicts.append(got)
     assert set(verdicts) == {True, False}
 
 

@@ -12,7 +12,7 @@ import pytest
 from subloc import DEFAULT_LIMITS, Limits, correspondence, report, runner
 from subloc.cli import main
 from subloc.corpus import gen_boolean, gen_chain, standard_corpus, standard_lattices
-from subloc.bits import bits
+from subloc.bits import bits, mask_of
 from subloc.errors import NotProper, SizeLimit
 from subloc.lattice import FrameWitness, Lattice
 from subloc.latfile import parse_lattice, serialize_lattice
@@ -429,11 +429,40 @@ def test_galois_connection_check_lists_every_failing_pair_d_first(monkeypatch):
     assert check["counterexamples"] == expect[:5]
 
 
+def test_galois_connection_masks_match_the_pair_loop(monkeypatch):
+    # sigma planted wrong at one fitted index at a time: the masks list every
+    # pair that the loop over each (d, f) finds, in its order, and nothing
+    # when the plant is sigma's own value
+    fw = FrameWitness.of(gen_boolean(2))
+    sl = enumerate_sublocales(fw)
+    sl_o = sl.fitted_subcoframe()
+    full_o, real = (1 << sl_o.size) - 1, report.sigma
+    monkeypatch.setattr(report, "MAX_COUNTEREXAMPLES", sl.size * sl_o.size)
+    below = report.fit_fibres_below(sl, sl_o)
+    assert below == [mask_of(d for d in range(sl.size) if sl_o.leq(sl_o.fit_of[d], f))
+                     for f in range(sl_o.size)]
+    verdicts = []
+    for f0 in range(sl_o.size):
+        for wrong in range(sl.size):
+            def fake(sl_, sl_o_, fm, f):
+                return wrong if f == f0 else real(sl_, sl_o_, fm, f)
+            monkeypatch.setattr(report, "sigma", fake)
+            result = report.adjunction_suite("bool2", fw)
+            check = next(c for c in result["checks"] if c["check"] == "fit-sigma-galois-connection")
+            sig = [fake(sl, sl_o, full_o, f) for f in range(sl_o.size)]
+            expect = [(d, f) for d in range(sl.size) for f in range(sl_o.size)
+                      if sl_o.leq(sl_o.fit_of[d], f) != sl.leq(d, sig[f])]
+            assert check["counterexamples"] == expect and check["ok"] == (not expect), (f0, wrong)
+            verdicts.append(check["ok"])
+    assert set(verdicts) == {True, False}
+
+
 def test_full_fitted_collection_fails_when_both_properness_criteria_do(monkeypatch):
     # the two criteria agree, so is_proper raises nothing and returns false
     fw = FrameWitness.of(gen_chain(3))
     monkeypatch.setattr("subloc.subcolocales._open_joins_exact", lambda sl_o, m: False)
-    monkeypatch.setattr("subloc.subcolocales.is_principal_precongruence", lambda fw, g: False)
+    monkeypatch.setattr("subloc.subcolocales.are_principal_precongruences",
+                        lambda fw, rows: False)
     result = report.adjunction_suite("chain3", fw)
     check = next(c for c in result["checks"] if c["check"] == "full-fitted-collection-proper")
     assert not check["ok"] and not result["ok"]

@@ -13,6 +13,8 @@ from subloc import (CoframeWitness, FrameWitness, InternalInconsistency, NotProp
                     generated_subcolocale,
                     is_codense, is_essential, is_proper, is_subcolocale,
                     join_closure, leq_f, saturated_elements, sb, se, sigma, ssp)
+from subloc.subcolocales import closed_trims, point_sublocales
+from subloc.sublocales import is_exact_sublocale
 from subloc.bits import bit, bits, mask_of
 from subloc.config import DEFAULT_LIMITS
 from subloc.corpus import gen_boolean, gen_chain, gen_product, standard_corpus
@@ -195,6 +197,52 @@ def test_se_matches_the_per_sublocale_scan(corpus):
     assert verdicts == {True, False} and raised
 
 
+def test_se_cross_check_reads_every_pair_on_planted_point_sublocales(corpus):
+    # one point sublocale's members planted as a mask holding the top, so
+    # that its nucleus need not keep meets while the identity still holds:
+    # se must return every index iff each point sublocale keeps every pair's
+    # meet (full rows), and raise the disagreement otherwise
+    verdicts = []
+    for cf in corpus:
+        fw = cf.frame
+        lat = fw.lattice
+        if lat.n > 5:
+            continue
+        every_pair = (lat.full_mask,) * lat.n
+        for i in bits(point_sublocales(fresh_sublocales(fw))):
+            for m in range(1 << lat.n):
+                if not m >> lat.top & 1:
+                    continue
+                host = fresh_sublocales(fw)
+                host.elems = host.elems[:i] + (m,) + host.elems[i + 1:]
+                want = all(is_exact_sublocale(fw, host.elems[j], pairs=every_pair)
+                           for j in bits(point_sublocales(host)))
+                if want:
+                    assert se(host) == (1 << host.size) - 1, (cf.name, i, m)
+                else:
+                    with pytest.raises(InternalInconsistency, match="exactness criteria disagree"):
+                        se(host)
+                verdicts.append(want)
+    assert set(verdicts) == {True, False}
+
+
+def test_closed_trims_match_the_join_closure_of_the_trims(corpus, hosts):
+    # closed_trims closes the distinct prime sets of the trims; the mask
+    # form closes the trims' indices
+    rng = random.Random(5021)
+    results = set()
+    for cf in corpus:
+        sl = hosts[cf.name]
+        closeds = [sl.points[c] for c in sl.closed_index]
+        masks = [0, 1, sb(sl), mask_of(sl.open_index)]
+        masks += [rng.randrange(1 << sl.size) for _ in range(6)]
+        for m in masks:
+            got = closed_trims(sl, m)
+            assert got == join_closure(sl, subcolocales._trims(sl, m, closeds)), (cf.name, m)
+            results.add(got == (1 << sl.size) - 1)
+    assert results == {True, False}
+
+
 def test_sb_is_smallest_codense(hosts):
     for name in ("chain4", "bool2", "bool3"):
         host = hosts[name]
@@ -281,7 +329,7 @@ def test_a_non_bijective_open_index_raises(hosts):
             with pytest.raises(InternalInconsistency, match=message):
                 is_proper(sl_o, full)
             with pytest.raises(InternalInconsistency, match="bijection"):
-                subcolocales.least_related(sl_o, full, 0)
+                subcolocales.least_related(sl_o, full, 1)
             planted += 1
             messages[message] += 1
     assert planted > 3 and messages["binary join"] and messages["bijection"], messages

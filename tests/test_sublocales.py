@@ -10,7 +10,7 @@ from subloc.corpus import gen_boolean, gen_chain, gen_opens_of_topology, gen_pro
 from subloc.report import laws_suite
 from subloc.subcolocales import enumerate_subcolocales, least_related, leq_f
 from subloc.lattice import FrameWitness
-from subloc.sublocales import (all_filters, b_mask, closed_mask, is_principal_precongruence,
+from subloc.sublocales import (all_filters, are_principal_precongruences, b_mask, closed_mask,
                                nucleus_element, open_mask)
 
 from oracles import (NaiveOps, Precongruence, fit_mask, generate_sublocales, host_mismatches,
@@ -270,9 +270,9 @@ def collapsed(lat, keep: int) -> tuple[int, ...]:
 def test_precongruence_matches_the_pairwise_scan(corpus):
     # leq_f of every subcolocale of a corpus fitted host is a precongruence;
     # random masks of the host, which need not be subcolocales, give the rest.
-    # Its rows are the up-sets of least_related, which the principal check
-    # reads; that check also meets random maps and maps x -> x ^ c (which
-    # pass) with one entry moved
+    # Its rows are the up-sets of least_related's entries, which the principal
+    # check reads, one map at a time here; that check also meets random maps
+    # and maps x -> x ^ c (which pass) with one entry moved
     rng = random.Random(3307)
     verdicts = {"row": [], "column": [], "leq_f": [], "map": []}
     for cf in corpus:
@@ -292,8 +292,9 @@ def test_precongruence_matches_the_pairwise_scan(corpus):
         masks += [rng.randrange(1 << sl_o.size) for _ in range(4)]
         maps = []
         for members in masks:
-            for f in bits(members):
-                g = least_related(sl_o, members, f)
+            rows = least_related(sl_o, members, members)
+            for k, f in enumerate(bits(members)):
+                g = [row[k] for row in rows]
                 assert leq_f(sl_o, members, f) == tuple(lat.up[y] for y in g)
                 maps.append(("leq_f", g))
         n = lat.n
@@ -305,10 +306,43 @@ def test_precongruence_matches_the_pairwise_scan(corpus):
         for kind, g in maps:
             rel = tuple(lat.up[y] for y in g)
             got = is_precongruence(fw, rel)
-            assert got == scan_precongruence(fw, rel) == is_principal_precongruence(fw, g), \
-                (cf.name, g)
+            assert got == scan_precongruence(fw, rel) == are_principal_precongruences(
+                fw, [[y] for y in g]), (cf.name, g)
             verdicts[kind].append(got)
     assert all(set(v) == {True, False} for v in verdicts.values())
+
+
+def test_batched_precongruence_matches_the_scan_of_each_map(corpus):
+    # are_principal_precongruences decides every column of its rows at once.
+    # The least_related maps of the full fitted collection all pass; one
+    # column replaced by a map that breaks that member only must fail the
+    # batch iff the scan fails that map.  The map that keeps every element
+    # but sends the top to the bottom meets clauses (i) and (ii), so on a
+    # frame of three or more elements it fails by clause (iii) alone
+    rng = random.Random(4409)
+    verdicts = []
+    for cf in corpus:
+        fw = cf.frame
+        lat = fw.lattice
+        n = lat.n
+        sl_o = enumerate_sublocales(fw).fitted_subcoframe()
+        full = (1 << sl_o.size) - 1
+        columns = [list(c) for c in zip(*least_related(sl_o, full, full))]
+        dropped = list(range(n))
+        dropped[lat.top] = lat.bottom
+        moved = columns[rng.randrange(len(columns))][:]
+        moved[rng.randrange(n)] = rng.randrange(n)
+        for g in (columns[0], dropped, moved):
+            k = rng.randrange(len(columns))
+            batch = columns[:k] + [g] + columns[k + 1:]
+            got = are_principal_precongruences(fw, [list(r) for r in zip(*batch)])
+            assert got == all(scan_precongruence(fw, tuple(lat.up[y] for y in c))
+                              for c in batch), (cf.name, g)
+            assert got == scan_precongruence(fw, tuple(lat.up[y] for y in g)), (cf.name, g)
+            verdicts.append(got)
+        if n >= 3:
+            assert not are_principal_precongruences(fw, [[y] for y in dropped])
+    assert set(verdicts) == {True, False}
 
 
 def test_precongruence_matches_the_pairwise_scan_on_every_relation_of_bool2():
