@@ -16,12 +16,10 @@ from .sublocales import (SublocaleCoframe, enumerate_sublocales, exact_filters,
 from .subcolocales import (Subcolocale, adjunction_check, conuclei, delta,
                            enumerate_subcolocales, fit_image,
                            generated_subcolocale, is_codense, is_essential,
-                           is_proper, is_subcolocale, join_closure, leq_f,
-                           saturated_elements, sb, se, sigma, ssp)
-from .correspondence import (FrameMap, LiftVerdict, RaneyExtension, SZDBF,
-                             downset_join_map_violations, extend_to_coframe_map,
-                             is_exact_map, raney_lift_check, subcolocale_lattice,
-                             surjection_of, szdbf_lift_check, to_raney, to_szdbf)
+                           is_proper, is_subcolocale, saturated_elements, sb,
+                           se, sigma, ssp)
+from .correspondence import (RaneyExtension, SZDBF, downset_join_map_violations,
+                             to_raney, to_szdbf)
 from .report import (adjunction_suite, correspondence_suite, frame_report,
                      laws_suite, run_suite)
 

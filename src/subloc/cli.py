@@ -66,6 +66,17 @@ def _apply_limit_overrides(pairs: list[str]) -> Limits:
     return DEFAULT_LIMITS.with_(**overrides)
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``, so that a bad
+    count exits 2 naming its flag before any work is done."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return count
+
+
 def _host_of(fw: FrameWitness, which: str, limits: Limits):
     sl = enumerate_sublocales(fw, limits)
     return sl if which == "SL" else sl.fitted_subcoframe()
@@ -195,17 +206,17 @@ def main(argv=None) -> int:
     p = sub.add_parser("report", help="run suites over the whole corpus, "
                                       "in parallel, ordered by frame name")
     p.add_argument("--suite", choices=("all",) + ALL_SUITES, default="all")
-    p.add_argument("--points4", type=int, default=0, metavar="COUNT",
+    p.add_argument("--points4", type=_at_least(0), default=0, metavar="COUNT",
                    help="also sample COUNT topologies on four points")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_at_least(1), default=None,
                    help="processes, this one included; default the CPU count")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("corpus", help="write the built-in corpus as .lat files")
     p.add_argument("--out", default="corpus")
-    p.add_argument("--points4", type=int, default=0, metavar="COUNT",
+    p.add_argument("--points4", type=_at_least(0), default=0, metavar="COUNT",
                    help="also sample COUNT topologies on four points")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_corpus)

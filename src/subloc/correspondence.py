@@ -13,7 +13,9 @@ tables of ``S(L)`` (:meth:`SublocaleCoframe.nucleus`).  The quotient is
 three checks of every quotient in ``L``'s index space, in one pass over
 ``S(L)`` that builds no target frame (:func:`quotient_verdicts`).  The
 per-quotient path, which builds each target (:func:`surjection_of`) and
-checks the map and its lifts on it, is the tests' oracle.
+checks the map and its lifts on it, is the tests' oracle.  That target,
+like a subcolocale's lattice (:func:`subcolocale_lattice`), is
+:meth:`Lattice.from_up` over the order restricted to the members.
 
 Morphism checks decide whether a frame map lifts to a coframe map between
 the chosen subcolocales that extends its action on opens (Raney side) or
@@ -25,27 +27,25 @@ frame map keeps bounds, meets and joins (:func:`raney_lift_check`).  The
 one codense subcolocale of ``S(L) = 2^P`` is ``S(L)``, so a
 zero-dimensional lift is a map of powersets fixed by the images of the
 atoms; it exists iff they partition the target's primes and the map keeps
-the closeds (:func:`szdbf_lift_check`), whose witness is built when read
-(:class:`LiftVerdict`).  The generic constructions, a subcolocale's
-lattice (:func:`subcolocale_lattice`) and the lift fixed by meet-dense
-pins (:func:`extend_to_coframe_map`), stay for the tests that hold both
-checks to them.  Smoothness of a sublocale (membership in the smallest
-codense subcolocale) is equivalent to the zero-dimensional lift existing,
-and exactness to the Raney lift existing.
+the closeds (:func:`szdbf_lift_check`).  The generic constructions, a
+subcolocale's lattice (:func:`subcolocale_lattice`) and the lift fixed by
+meet-dense pins (:func:`extend_to_coframe_map`), stay for the tests that
+hold both checks to them.  Smoothness of a sublocale (membership in the
+smallest codense subcolocale) is equivalent to the zero-dimensional lift
+existing, and exactness to the Raney lift existing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bits import bit, bits, bits_above, mask_of
 from .errors import InternalInconsistency, NotProper
 from .lattice import FrameWitness, Lattice, intersection, join_violations, table_op
 from .sublocales import SublocaleCoframe
-from .subcolocales import (Subcolocale, conuclei, delta, fit_image, is_codense,
-                           is_essential, is_proper)
+from .subcolocales import Subcolocale, delta, fit_image, is_codense, is_proper
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ class FrameMap:
 
     On finite frames preserving the binary operations and the two bounds
     is the full frame-map condition, since all meets and joins are folds.
-    :meth:`of` checks the binary ones against the source's irreducibles
-    (:func:`~subloc.lattice.join_violations`).
+    :meth:`of` refuses the first law the map breaks
+    (:func:`coframe_map_violations`).
     """
 
     source: FrameWitness
@@ -66,22 +66,9 @@ class FrameMap:
     def of(cls, source: FrameWitness, target: FrameWitness,
            mapping: Sequence[int]) -> "FrameMap":
         mapping = tuple(mapping)
-        ls, lt = source.lattice, target.lattice
-        if len(mapping) != ls.n or any(not 0 <= v < lt.n for v in mapping):
-            raise ValueError("mapping is not a function into the target")
-        if mapping[ls.bottom] != lt.bottom:
-            raise ValueError("map does not preserve the bottom")
-        if mapping[ls.top] != lt.top:
-            raise ValueError("map does not preserve the top")
-        join_irr, meet_irr = ls.irreducibles
-        for name, table, irr, op in (("meet", ls.meet_table, meet_irr, lt.meet_table),
-                                     ("join", ls.join_table, join_irr, lt.join_table)):
-            for x, y in join_violations(table, irr, mapping, table_op(op)):
-                raise ValueError(f"map does not preserve the {name} of {x},{y}")
+        for why in coframe_map_violations(source.lattice, target.lattice, mapping):
+            raise ValueError(f"map {why}")
         return cls(source, target, mapping)
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
 
     def right_adjoint(self, m: int) -> int:
         """Largest source element mapping below ``m``."""
@@ -118,20 +105,21 @@ def surjection_of(sl: SublocaleCoframe, i: int) -> FrameMap:
     """The quotient map of the frame onto sublocale ``i``: its nucleus
     (:meth:`SublocaleCoframe.nucleus`) read in local positions.
 
-    A sublocale is closed under the ambient meets and Heyting arrows, so
-    the target is the ambient retract by the nucleus, with the ambient
-    Heyting rows restricted and the ambient primes it contains as its
-    primes (Picado & Pultr, *Frames and Locales*, 2012).
-    :meth:`FrameMap.of` validates the map.
+    The target is the sublocale as a frame, :meth:`Lattice.from_up` over
+    the ambient order on its members and :meth:`FrameWitness.of`.  A
+    sublocale is closed under the ambient meets and Heyting arrows, so the
+    target's Heyting table is the ambient one restricted to the members,
+    and its primes are the ambient primes among them (Picado & Pultr,
+    *Frames and Locales*, 2012); ``tests/test_correspondence.py`` checks
+    both on every quotient of the corpus.  :meth:`FrameMap.of` validates
+    the map.
     """
     fw, members = sl.ambient, sl.elems[i]
-    nu = sl.nucleus(i)
     pos = {e: p for p, e in enumerate(bits(members))}
-    hey = fw.heyting_table
-    target = FrameWitness(fw.lattice.retract(nu),
-                          tuple(tuple(pos[hey[a][b]] for b in pos) for a in pos),
-                          mask_of(pos[p] for p in bits(fw.primes & members)))
-    return FrameMap.of(fw, target, tuple([pos[v] for v in nu]))
+    up = fw.lattice.up
+    target = FrameWitness.of(Lattice.from_up(
+        [mask_of(pos[y] for y in bits(up[x] & members)) for x in pos]))
+    return FrameMap.of(fw, target, tuple([pos[v] for v in sl.nucleus(i)]))
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +183,6 @@ class SZDBF:
         self.frame = frame
         self.d_sub = d_sub
 
-    def is_essential(self) -> bool:
-        return is_essential(self.d_sub.host, self.d_sub.members)
-
     @cached_property
     def coatom_pins(self) -> tuple[tuple[int, int], ...]:
         """For each prime ``p``, the pair ``(x_p, p)`` with ``x_p`` the meet
@@ -239,69 +224,41 @@ def to_szdbf(r: RaneyExtension) -> SZDBF:
 # lifts
 
 
-Witnesses = tuple[tuple[int, ...], ...]
-
-
+@dataclass(frozen=True)
 class LiftVerdict:
     """Outcome of a lift check.
 
     ``witnesses`` holds the lift, if it exists: the source subcolocale
     members (in increasing host-index order) mapped to target host indices.
-    A check may pass a function of no arguments in its place, which builds
-    the witness when it is first read: the suites read only ``exists``,
-    and a lift's witness can cost far more than its verdict
-    (:func:`powerset_lift`).  A lift is determined by its pins, so nothing
-    is searched: ``nodes_explored`` is always 0 and ``exhausted`` always
-    ``True``.  Verdicts are equal when all four fields are.
+    A lift is determined by its pins, so nothing is searched:
+    ``nodes_explored`` is always 0 and ``exhausted`` always ``True``.
     """
 
-    __slots__ = ("exists", "_witnesses", "nodes_explored", "exhausted")
-
-    def __init__(self, exists: bool, witnesses: Witnesses | Callable[[], Witnesses],
-                 nodes_explored: int, exhausted: bool):
-        self.exists = exists
-        self._witnesses = witnesses
-        self.nodes_explored = nodes_explored
-        self.exhausted = exhausted
-
-    @property
-    def witnesses(self) -> Witnesses:
-        if callable(self._witnesses):
-            self._witnesses = self._witnesses()
-        return self._witnesses
-
-    def _fields(self) -> tuple:
-        return self.exists, self.witnesses, self.nodes_explored, self.exhausted
-
-    def __eq__(self, other):
-        if not isinstance(other, LiftVerdict):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "LiftVerdict(exists={!r}, witnesses={!r}, nodes_explored={!r}, exhausted={!r})" \
-            .format(*self._fields())
+    exists: bool
+    witnesses: tuple[tuple[int, ...], ...]
+    nodes_explored: int
+    exhausted: bool
 
 
 _NO_LIFT = LiftVerdict(False, (), 0, True)
 
 
 def subcolocale_lattice(host: SublocaleCoframe, members: int) -> tuple[Lattice, tuple[int, ...]]:
-    """A subcolocale as a lattice, the host's retract by the conucleus, plus its
-    host indices."""
-    return host.as_lattice.retract(conuclei(host, members)), tuple(bits(members))
+    """A subcolocale as a lattice, :meth:`Lattice.from_up` over the host order
+    on its members, plus its host indices."""
+    idxs = tuple(bits(members))
+    return Lattice.from_up([mask_of(p for p, j in enumerate(idxs) if host.leq(i, j))
+                            for i in idxs]), idxs
 
 
-def is_coframe_map(src: Lattice, dst: Lattice, h: Sequence[int],
-                   pins: Iterable[tuple[int, int]]) -> bool:
-    """Whether ``h`` is a map ``src -> dst`` keeping the bounds, the pins
-    ``(s, t)`` and every binary meet and join (hence all finite ones).
+def coframe_map_violations(src: Lattice, dst: Lattice, h: Sequence[int],
+                           pins: Iterable[tuple[int, int]] = ()) -> Iterator[str]:
+    """Why ``h`` is not a map ``src -> dst`` keeping the bounds, the pins
+    ``(s, t)`` and every binary meet and join (hence all finite ones), in
+    that order, one phrase per broken law; nothing when it is one.
 
-    Joins are checked against the join-irreducibles ``j`` of ``src`` only,
-    and meets against its meet-irreducibles, at ``n (|J| + |M|)`` lookups,
+    Meets are checked against the meet-irreducibles ``m`` of ``src`` only,
+    and joins against its join-irreducibles, at ``n (|J| + |M|)`` lookups,
     which suffices by the proof of :func:`~subloc.lattice.join_violations`:
     ``dst``'s join and meet are semilattice operations.  No distributivity
     is used, so this holds on any finite lattice;
@@ -312,15 +269,18 @@ def is_coframe_map(src: Lattice, dst: Lattice, h: Sequence[int],
     one with a rank-2 ``a``
     (``test_coframe_map_check_needs_every_left_argument``).
     """
-    if len(h) != src.n or min(h) < 0 or max(h) >= dst.n:
-        return False
-    if h[src.top] != dst.top or h[src.bottom] != dst.bottom:
-        return False
-    if any(h[s] != t for s, t in pins):
-        return False
+    if len(h) != src.n or any(not 0 <= v < dst.n for v in h):
+        yield "is not a function into the target"
+        return
+    bounds = [("bottom", src.bottom, dst.bottom), ("top", src.top, dst.top)]
+    for name, s, t in bounds + [("pin", s, t) for s, t in pins]:
+        if h[s] != t:
+            yield f"does not preserve the {name} {s}"
     join_irr, meet_irr = src.irreducibles
-    return not (any(join_violations(src.join_table, join_irr, h, table_op(dst.join_table)))
-                or any(join_violations(src.meet_table, meet_irr, h, table_op(dst.meet_table))))
+    for name, table, irr, op in (("meet", src.meet_table, meet_irr, dst.meet_table),
+                                 ("join", src.join_table, join_irr, dst.join_table)):
+        for x, y in join_violations(table, irr, h, table_op(op)):
+            yield f"does not preserve the {name} of {x},{y}"
 
 
 def extend_to_coframe_map(src: Lattice, dst: Lattice,
@@ -336,7 +296,7 @@ def extend_to_coframe_map(src: Lattice, dst: Lattice,
     keeping the top and binary meets keeps those meets, so one keeping the
     pins sends ``g`` to the meet of the pinned targets of the
     meet-irreducibles above ``g``.  That map is the only candidate, and
-    :func:`is_coframe_map` decides it.
+    :func:`coframe_map_violations` decides it.
     """
     pins = tuple(pins)
     target = dict(pins)
@@ -351,8 +311,9 @@ def extend_to_coframe_map(src: Lattice, dst: Lattice,
             if above >> m & 1:
                 acc = t_meet[acc]
         h.append(acc)
-    ok = is_coframe_map(src, dst, h, pins)
-    return LiftVerdict(ok, (tuple(h),) if ok else (), 0, True)
+    if any(coframe_map_violations(src, dst, h, pins)):
+        return _NO_LIFT
+    return LiftVerdict(True, (tuple(h),), 0, True)
 
 
 def raney_lift_check(f: FrameMap, r1: RaneyExtension, r2: RaneyExtension) -> LiftVerdict:
@@ -365,7 +326,7 @@ def raney_lift_check(f: FrameMap, r1: RaneyExtension, r2: RaneyExtension) -> Lif
     candidate is ``h = open2 . f . open1^-1``.  It keeps the bounds and
     binary meets and joins of ``F1`` iff ``f`` keeps those of the frames,
     since ``open1`` and ``open2`` are isomorphisms, and
-    :func:`is_coframe_map` decides that on the frames' own tables at
+    :func:`coframe_map_violations` decides that on the frames' own tables at
     ``n (|J| + |M|)`` lookups.  The witness is ``open_index2[f(x)]`` for
     the element ``x`` of each index of ``F1``, in host order.
     ``tests/oracles.py::generic_raney_lift`` keeps the generic check,
@@ -376,7 +337,7 @@ def raney_lift_check(f: FrameMap, r1: RaneyExtension, r2: RaneyExtension) -> Lif
         raise ValueError("the map's frames must match the structures")
     back, _ = r1.element_of, r2.element_of   # the target's is read for its check
     mp = f.mapping
-    if not is_coframe_map(f.source.lattice, f.target.lattice, mp, ()):
+    if any(coframe_map_violations(f.source.lattice, f.target.lattice, mp)):
         return _NO_LIFT
     opens = r2.f_sub.host.open_index
     return LiftVerdict(True, (tuple([opens[mp[x]] for x in back]),), 0, True)
@@ -437,9 +398,10 @@ def powerset_lift(src: SublocaleCoframe, dst: SublocaleCoframe, atoms: Sequence[
     ``h(Q)``, the union of the ``atoms[j]`` for ``j`` in ``Q``, keeps the
     pins; :func:`szdbf_lift_check` proves it.  Each pin is that union over
     its own ``Q``, ``O(p)`` unions, so the verdict costs ``O(p)`` per pin.
-    The witness, ``h`` on every prime set of ``src`` read back through
-    ``dst.point_index``, costs ``2^p`` and is built only when read
-    (:func:`_powerset_witness`).
+    The witness is ``h`` on every prime set of ``src``, filled by the
+    subset recurrence on the highest prime, ``h(Q) = h(Q - {j}) |
+    atoms[j]``, one union per prime set, and read back through
+    ``dst.point_index``.
     """
     union = 0
     for a in atoms:
@@ -454,19 +416,11 @@ def powerset_lift(src: SublocaleCoframe, dst: SublocaleCoframe, atoms: Sequence[
             image |= atoms[j]
         if image != r:
             return _NO_LIFT
-    return LiftVerdict(True, lambda: _powerset_witness(src, dst, atoms), 0, True)
-
-
-def _powerset_witness(src: SublocaleCoframe, dst: SublocaleCoframe,
-                      atoms: Sequence[int]) -> Witnesses:
-    """The witness of :func:`powerset_lift`: ``h`` filled by the subset
-    recurrence on the highest prime, ``h(Q) = h(Q - {j}) | atoms[j]``, one
-    union per prime set, and read back through ``point_index``."""
     image = [0]
     for a in atoms:
         image += [q | a for q in image]
     pos = dst.point_index
-    return (tuple([pos[image[q]] for q in src.points]),)
+    return LiftVerdict(True, (tuple([pos[image[q]] for q in src.points]),), 0, True)
 
 
 def quotient_verdicts(b: SZDBF) -> Iterator[tuple[bool, bool, bool]]:
@@ -476,9 +430,12 @@ def quotient_verdicts(b: SZDBF) -> Iterator[tuple[bool, bool, bool]]:
     ``L``'s tables: no target frame, host or structure is built.
 
     Let ``Q = points[i]``, ``nu = nucleus(i)`` and ``rho(y) = Q &
-    above[y]``.  The target ``T`` is ``nu``'s image with ``L``'s top, the
-    bottom ``nu(bottom)`` and ``nu`` of ``L``'s meets and joins
-    (:meth:`Lattice.retract`).  Its primes are ``Q``, as a prime ``p`` not
+    above[y]``.  The target ``T`` (:func:`surjection_of`) is ``nu``'s
+    image in ``L``'s order, with ``L``'s top, the bottom ``nu(bottom)``
+    and ``nu`` of ``L``'s meets and joins: a member is its own ``nu``, the
+    members are closed under ``L``'s meets, and the least member above
+    the members ``y`` and ``z`` is the least one above ``y v z``, which
+    is ``nu(y v z)``.  Its primes are ``Q``, as a prime ``p`` not
     in ``Q`` is not ``nu(p)``, a meet of primes strictly above it; so
     ``T``'s closed and open of ``y`` have the prime sets ``rho(y)`` and
     ``Q - rho(y)``.  Each quotient is checked for (a) ``nu(top) = top``,
@@ -486,8 +443,8 @@ def quotient_verdicts(b: SZDBF) -> Iterator[tuple[bool, bool, bool]]:
     (:meth:`SublocaleCoframe.nucleus` proves it), and (c) ``nu(a ^ b) =
     nu(a) ^ nu(b)`` for every exact pair ``a < b``.
 
-    - *Raney.*  The lift is ``is_coframe_map(L, T, nu, ())``
-      (:func:`raney_lift_check`), which the proof of
+    - *Raney.*  The lift exists iff ``coframe_map_violations(L, T, nu)``
+      yields nothing (:func:`raney_lift_check`), which the proof of
       :func:`~subloc.lattice.join_violations` decides on the irreducibles.
       Read on ``L``, that is (a) and, for every ``a``, ``nu(a v j) =
       nu(nu(a) v nu(j))`` for each join-irreducible ``j`` and ``nu(a ^ m)
@@ -523,7 +480,7 @@ def quotient_verdicts(b: SZDBF) -> Iterator[tuple[bool, bool, bool]]:
     lat = fw.lattice
     meet, join, top = lat.meet_table, lat.join_table, lat.top
     above = sl._prime_tables[3]
-    # the rows of is_coframe_map's induction and the exact pairs a < b, each
+    # the rows of coframe_map_violations' induction and the exact pairs a < b, each
     # with its left side's lookups laid out flat
     irr = [(op, y) for op, m in zip((join, meet), lat.irreducibles) for y in bits(m)]
     irr_flat = [x for op, y in irr for x in op[y]]

@@ -6,12 +6,15 @@ up-set and one down-set bitmask per element plus cached binary meet/join
 tables, so every downstream computation is table lookup.  The tables are
 themselves looked up: the meet of ``i`` and ``j`` is the element whose
 down-set is ``dn[i] & dn[j]``, and the join the one whose up-set is
-``up[i] & up[j]`` (:meth:`Lattice.from_up`).  :class:`FrameWitness` and
-:class:`CoframeWitness` wrap a lattice and cache the Heyting arrow and the
-primes, respectively the co-Heyting difference (the dual's arrow, both by
-:func:`heyting_table`); their ``of`` constructors refuse a lattice that is
-not distributive.  On a finite lattice binary distributivity already
-implies the complete frame and coframe laws.
+``up[i] & up[j]`` (:meth:`Lattice.from_up`).  Every lattice of the
+package, a frame's, a quotient's or a subcolocale's, is built that way
+from its order, and :meth:`Lattice.dual` only swaps the tables.
+:class:`FrameWitness` and :class:`CoframeWitness` wrap a lattice and
+cache the Heyting arrow and the primes, respectively the co-Heyting
+difference (the dual's arrow, both by :func:`heyting_table`); their
+``of`` constructors refuse a lattice that is not distributive.  On a
+finite lattice binary distributivity already implies the complete frame
+and coframe laws.
 """
 
 from __future__ import annotations
@@ -121,12 +124,6 @@ class Lattice:
     def leq(self, i: int, j: int) -> bool:
         return bool((self.up[i] >> j) & 1)
 
-    def meet(self, i: int, j: int) -> int:
-        return self.meet_table[i][j]
-
-    def join(self, i: int, j: int) -> int:
-        return self.join_table[i][j]
-
     def big_meet(self, mask: int) -> int:
         """Meet of a subset; the empty meet is the top."""
         acc = self.top
@@ -147,24 +144,6 @@ class Lattice:
         """The order-reversed lattice, sharing this one's tables swapped."""
         return Lattice(self.n, self.dn, self.up, self.top, self.bottom,
                        self.join_table, self.meet_table)
-
-    def retract(self, r: Sequence[int]) -> "Lattice":
-        """The image of the nucleus or conucleus with table ``r``, as a lattice.
-
-        A nucleus image is closed under meets and a conucleus image under
-        joins; in both, meets and joins are ``r`` of this lattice's.  Local
-        indices follow this lattice's, and the identity gives this lattice.
-        """
-        idxs = [x for x in range(self.n) if r[x] == x]
-        if len(idxs) == self.n:
-            return self
-        pos = {e: p for p, e in enumerate(idxs)}
-        rp, members = [pos[r[x]] for x in range(self.n)], mask_of(idxs)
-        up, dn = (tuple(mask_of(rp[j] for j in bits(rows[i] & members)) for i in idxs)
-                  for rows in (self.up, self.dn))
-        meet, join = (tuple(tuple(rp[op[i][j]] for j in idxs) for i in idxs)
-                      for op in (self.meet_table, self.join_table))
-        return Lattice(len(idxs), up, dn, rp[self.bottom], rp[self.top], meet, join)
 
     def is_distributive(self) -> bool:
         return next(distributivity_violations(self), None) is None
@@ -369,10 +348,6 @@ class FrameWitness:
             raise NotAFrame("lattice is not distributive")
         return cls(lat, heyting_table(lat), prime_mask(lat))
 
-    @property
-    def n(self) -> int:
-        return self.lattice.n
-
     @cached_property
     def exact_pairs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Row ``a`` of the first table masks the ``b`` with ``{a, b}``
@@ -468,8 +443,3 @@ class CoframeWitness:
             raise NotACoframe("lattice is not distributive")
         # x - y is the least z with x <= y v z, which is y -> x in the dual
         return cls(lat, tuple(zip(*heyting_table(lat.dual()))))
-
-    @property
-    def n(self) -> int:
-        return self.lattice.n
-

@@ -248,27 +248,11 @@ def enumerate_subcolocales(host: SublocaleCoframe, which: str = "all") -> tuple[
 class Subcolocale:
     """A validated subcolocale of a sublocale coframe host."""
 
-    def __init__(self, host: SublocaleCoframe, members: int, validate: bool = True):
-        if validate and not is_subcolocale(host, members):
+    def __init__(self, host: SublocaleCoframe, members: int):
+        if not is_subcolocale(host, members):
             raise ValueError("not a subcolocale: fails join or difference closure")
         self.host = host
         self.members = members
-
-    def __eq__(self, other):
-        return (isinstance(other, Subcolocale) and other.host is self.host
-                and other.members == self.members)
-
-    def __hash__(self):
-        return hash((id(self.host), self.members))
-
-    def __repr__(self):
-        return f"Subcolocale(indices={sorted(bits(self.members))})"
-
-    def conucleus(self, c: int) -> int:
-        return conuclei(self.host, self.members)[c]
-
-    def contains(self, i: int) -> bool:
-        return bool((self.members >> i) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +486,14 @@ def saturated_elements(sl: SublocaleCoframe, members: int) -> int:
 
 
 @_memoised("essential")
-def is_essential(sl: SublocaleCoframe, members: int,
-                 sl_o: SublocaleCoframe | None = None) -> bool:
+def is_essential(sl: SublocaleCoframe, members: int, sl_o: SublocaleCoframe) -> bool:
     """Whether the subcolocale is generated by its saturated elements.
 
     Checked both directly (joins of closed trims of saturated elements
     recover the subcolocale) and through the adjunction (the subcolocale
-    embeds in ``delta`` of its fit image); the two must agree.
+    embeds in ``delta`` of its fit image, ``sl_o`` being ``sl``'s fitted
+    host); the two must agree.
     """
-    if sl_o is None:
-        sl_o = sl.fitted_subcoframe()
     sat = saturated_elements(sl, members)
     regenerated = closed_trims(sl, sat)
     if regenerated != generated_subcolocale(sl, sat):

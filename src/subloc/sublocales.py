@@ -19,7 +19,7 @@ builds their coframe from those, by the same formulas.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .bits import bits, bits_above, mask_of
@@ -67,16 +67,17 @@ class SublocaleCoframe:
     :meth:`nucleus` reads a sublocale's nucleus off the same prime-set
     tables.  :attr:`tops`, one mask per prime, fixes every subcolocale of
     the host (:func:`subloc.subcolocales.enumerate_subcolocales`) and the
-    down-set of every index (:meth:`below`).  ``as_lattice``, the host as a
-    generic :class:`Lattice`, is read by no suite, only by
-    :func:`subloc.correspondence.subcolocale_lattice` (a retract).  It is
-    built on first read, like ``tops`` and :attr:`element_of`; each is kept
-    in the instance and dies with it.  So does ``memo``, where the
-    subcolocale calculus keeps what it derives from the host
-    (:func:`subloc.subcolocales._memoised`).  ``tests/oracles.py`` builds
-    the same lattice from the member masks by the generic constructions,
-    and the laws suite checks both hosts through the map from prime sets
-    to member masks, on their covers
+    down-set of every index (:meth:`below`).  It is built on first read,
+    like :attr:`element_of`; each is kept in the instance and dies with
+    it.  So does ``memo``, where the subcolocale calculus keeps what it
+    derives from the host (:func:`subloc.subcolocales._memoised`).  No
+    suite keeps a :class:`~subloc.lattice.Lattice` on the host: a
+    subcolocale's lattice is :meth:`~subloc.lattice.Lattice.from_up` over
+    :meth:`leq` on its members (:func:`subloc.correspondence.subcolocale_lattice`,
+    which builds the host's ``k x k`` tables only on the whole host).
+    ``tests/oracles.py`` builds the host from the member masks by the
+    generic constructions, and the laws suite checks both hosts through
+    the map from prime sets to member masks, on their covers
     (:func:`subloc.report.host_law_violations`).
     """
 
@@ -225,21 +226,6 @@ class SublocaleCoframe:
         """The mask of the indices below ``i``: a set of the host lies inside
         the down-set ``points[i]`` iff its maximal primes do."""
         return self.tops_in(self.points[i])
-
-    @cached_property
-    def as_lattice(self) -> Lattice:
-        """The host as a :class:`Lattice`, from the host's own formulas: row
-        ``up[i]`` holds every index whose prime set holds every prime of
-        ``points[i]``, ``dn[i]`` is :meth:`below`, and the meet and join
-        tables are ``&`` and ``|``."""
-        pts, pos = self.points, self.point_index
-        k = len(pts)
-        holding = [mask_of(c for c, q in enumerate(pts) if q >> j & 1)
-                   for j in range(self.all_primes.bit_length())]
-        up = tuple(reduce(int.__and__, (holding[j] for j in bits(q)), (1 << k) - 1) for q in pts)
-        return Lattice(k, up, tuple(self.below(i) for i in range(k)), 0, k - 1,
-                       tuple(tuple([pos[q & r] for r in pts]) for q in pts),
-                       tuple(tuple([pos[q | r] for r in pts]) for q in pts))
 
     @cached_property
     def element_of(self) -> tuple[int, ...]:

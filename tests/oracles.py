@@ -27,11 +27,10 @@ every pair.  Subcolocales
 and down-sets are found by testing every subset where the package
 generates them, and a subcolocale is tested and generated by closing
 under joins and differences where the package reads the closed form
-``C_R`` off one mask per prime.  At the very end, subcolocales and
-quotient frames become lattices through ``Lattice.from_up`` (the frames
-then through ``FrameWitness.of``) where the package retracts the host by
-a conucleus or a nucleus, the down-set frame ``D(L)`` becomes a table
-lattice where the package checks the join map on masks, and the
+``C_R`` off one mask per prime.  At the very end, the subcolocale
+lattices and quotient frames that the package builds are held to their
+host and to the ambient frame, the down-set frame ``D(L)`` becomes a
+table lattice where the package checks the join map on masks, and the
 determined lifts face a scan of every map, their check a scan of every
 pair and their density test the fold over every pin.
 Both lifts, which the package decides on prime sets and on the frames'
@@ -41,7 +40,7 @@ pinned, or with the opens pinned.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from typing import Sequence
 
@@ -526,11 +525,11 @@ class TableHost:
         self.index = {m: i for i, m in enumerate(self.elems)}
         if len(self.index) != len(self.elems):
             raise ValueError("duplicate sublocales")
-        self.as_lattice = Lattice.from_up(
+        self.lattice = Lattice.from_up(
             [mask_of(j for j, mj in enumerate(self.elems) if mi & ~mj == 0)
              for mi in self.elems])
         # explicit raises rather than asserts, so that this holds under -O
-        meet, join = self.as_lattice.meet_table, self.as_lattice.join_table
+        meet, join = self.lattice.meet_table, self.lattice.join_table
         for i, mi in enumerate(self.elems):
             for j in range(i, len(self.elems)):
                 mj = self.elems[j]
@@ -541,11 +540,41 @@ class TableHost:
                     u = fit_mask(fw, u)
                 if join[i][j] != self.index.get(u):
                     raise ValueError("sublocale collection not closed under join")
-        self.coframe = CoframeWitness.of(self.as_lattice)
+        self.coframe = CoframeWitness.of(self.lattice)
         n = fw.lattice.n
         self.open_index = tuple(self.index[open_mask(fw, a)] for a in range(n))
         self.closed_index = tuple(self.index.get(fw.lattice.up[a]) for a in range(n))
         self.fit_index = tuple(self.index[fit_mask(fw, m)] for m in self.elems)
+
+
+@lru_cache(maxsize=16)
+def host_lattice(host) -> Lattice:
+    """A sublocale host as a :class:`Lattice`: ``Lattice.from_up`` over
+    inclusion of prime sets, row ``i`` holding the indices whose prime set
+    holds every prime of ``points[i]``.  Kept for the last few hosts, as
+    the scans read it once per index."""
+    pts, full = host.points, (1 << host.size) - 1
+    holding = [mask_of(c for c, q in enumerate(pts) if q >> j & 1)
+               for j in range(host.all_primes.bit_length())]
+    return Lattice.from_up([reduce(int.__and__, (holding[j] for j in bits(q)), full)
+                            for q in pts])
+
+
+def kept_lattices(host) -> list:
+    """The attributes of a host that hold a :class:`Lattice`, a
+    :class:`CoframeWitness` or a :class:`FrameWitness` other than the
+    ambient frame ``host.ambient``, whose ``k x k`` tables no suite needs:
+    directly, or as an item or value of a tuple, list or dict attribute."""
+    def table(v):
+        return (isinstance(v, (Lattice, CoframeWitness))
+                or isinstance(v, FrameWitness) and v is not host.ambient)
+
+    kept = []
+    for name, v in vars(host).items():
+        items = v.values() if isinstance(v, dict) else v if isinstance(v, (tuple, list)) else ()
+        if name != "ambient" and (table(v) or any(table(x) for x in items)):
+            kept.append(name)
+    return kept
 
 
 def fresh_sublocales(fw):
@@ -590,16 +619,16 @@ def table_hosts(fw, limits=DEFAULT_LIMITS) -> tuple:
 
 def host_mismatches(host, oracle) -> list:
     """Names of the indices, tables and operations on which a host differs
-    from a :class:`TableHost`: the host's lazily built ``as_lattice``, its
-    covers, and its ``meet``, ``join``, ``diff`` and ``leq`` on every pair of
-    indices against the oracle's tables."""
+    from a :class:`TableHost`: its order as a lattice (:func:`host_lattice`),
+    its covers, and its ``meet``, ``join``, ``diff`` and ``leq`` on every
+    pair of indices against the oracle's tables."""
     names = [name for name in ("elems", "open_index", "closed_index", "fit_index")
              if getattr(host, name) != getattr(oracle, name)]
     if names:
         return names
-    lat, k = oracle.as_lattice, len(oracle.elems)
-    if host.as_lattice != lat:
-        names.append("as_lattice")
+    lat, k = oracle.lattice, len(oracle.elems)
+    if host_lattice(host) != lat:
+        names.append("order")
     if sorted(host.covers()) != sorted(covers(lat)):
         names.append("covers")
     for name, op, table in (("meet", host.meet, lat.meet_table),
@@ -794,9 +823,10 @@ def scan_precongruence(fw, rel) -> bool:
 def scan_sigma(sl, sl_o, members: int, f: int) -> int:
     """``sigma`` without its validation, as the meet of ``closed(x) v
     open(y)`` over every related pair ``x R y``: ``n^2`` host lookups."""
-    meet, join = sl.as_lattice.meet_table, sl.as_lattice.join_table
+    lat = host_lattice(sl)
+    meet, join = lat.meet_table, lat.join_table
     rel = leq_f(sl_o, members, f)
-    s = sl.as_lattice.top
+    s = lat.top
     for x in range(sl.ambient.lattice.n):
         jx = join[sl.closed_index[x]]
         for y in bits(rel[x]):
@@ -893,7 +923,7 @@ def scan_host_laws(host) -> list:
     triple."""
     fw = host.ambient
     label = "SoL" if host.fitted else "SL"
-    lat = host.as_lattice
+    lat = host_lattice(host)
     bad = []
     for i, mi in enumerate(host.elems):
         for j in range(i, host.size):
@@ -916,7 +946,7 @@ def scan_host_laws(host) -> list:
 def scan_conucleus(host, members: int, c: int) -> int:
     """The largest member below ``c``, the join in the host's lattice of the
     members below it."""
-    lat = host.as_lattice
+    lat = host_lattice(host)
     return lat.big_join(members & lat.dn[c])
 
 
@@ -1012,7 +1042,7 @@ def scan_subcolocales(host, which: str = "all") -> tuple:
     """``enumerate_subcolocales`` by testing all 2^k masks of a k-element
     host, pruned by bottom membership before :func:`scan_is_subcolocale`
     on the host's lattice and its ``CoframeWitness`` difference table."""
-    lat = host.as_lattice
+    lat = host_lattice(host)
     diff = CoframeWitness.of(lat).difference_table
     k = lat.n
     bottombit = bit(lat.bottom)
@@ -1079,11 +1109,9 @@ def quotient_order(sl, i: int) -> tuple:
     member in element order is ``p``).
 
     It is the ``up`` of the target lattice that ``surjection_of`` builds,
-    and it fixes the whole target witness: the retract's meet and join
-    tables are those of the order, its Heyting rows are the sublocale's
-    own arrow (the ambient arrows it is closed under), and its primes are
-    its own.  So quotients of equal order have equal targets, and one
-    target serves them all (:func:`quotient_map`).
+    and it fixes the whole target witness, which ``Lattice.from_up`` and
+    ``FrameWitness.of`` build from it.  So quotients of equal order have
+    equal targets, and one target serves them all (:func:`quotient_map`).
     """
     members = sl.elems[i]
     up = sl.ambient.lattice.up
@@ -1139,34 +1167,43 @@ def per_quotient_verdicts(sl) -> list:
     return out
 
 
-def table_sublocale_frame(sl, i: int) -> tuple:
-    """Sublocale ``i`` as a frame in its own right, by ``Lattice.from_up`` over
-    the ambient order on its members and ``FrameWitness.of``, plus the
-    ambient elements backing its indices, in increasing ambient order."""
-    fw = sl.ambient
-    members = sl.elems[i]
+def quotient_target_mismatches(sl, i: int, f) -> list:
+    """Where the quotient map ``f`` onto sublocale ``i`` of ``sl``, and its
+    target, differ from the ambient frame restricted to the members: the
+    map from the nucleus (:func:`nucleus_element`), the target's meets from
+    the ambient ones, its joins from the nucleus of the ambient ones, its
+    Heyting table from the ambient one, and its primes from the ambient
+    primes among the members."""
+    fw, members, t = sl.ambient, sl.elems[i], f.target
+    lat, hey = fw.lattice, fw.heyting_table
     elems = tuple(bits(members))
-    pos = {e: p for p, e in enumerate(elems)}
-    up_rows = [mask_of(pos[y] for y in bits(fw.lattice.up[x] & members)) for x in elems]
-    return FrameWitness.of(Lattice.from_up(up_rows)), elems
+    nu = [nucleus_element(fw, members, a) for a in range(lat.n)]
+    bad = [] if [elems[v] for v in f.mapping] == nu else ["map"]
+    for p, a in enumerate(elems):
+        for q, b in enumerate(elems):
+            for name, got, want in (("meet", t.lattice.meet_table[p][q], lat.meet_table[a][b]),
+                                    ("join", t.lattice.join_table[p][q], nu[lat.join_table[a][b]]),
+                                    ("heyting", t.heyting_table[p][q], hey[a][b])):
+                if elems[got] != want:
+                    bad.append((name, a, b))
+    if mask_of(elems[p] for p in bits(t.primes)) != fw.primes & members:
+        bad.append("primes")
+    return bad
 
 
-def table_subcolocale_lattice(host, members: int) -> tuple:
-    """A subcolocale as a lattice, plus its host indices, by ``Lattice.from_up``
-    over the host order on the members; its joins are checked against the
-    host's and its meets against conuclei of the host's meets."""
+def subcolocale_lattice_mismatches(host, members: int, lat) -> list:
+    """Where the lattice ``lat`` of a subcolocale, its members in host order,
+    differs from the host: each pair ``(a, b)`` of its elements whose join
+    is not the host's, or whose meet is not the conucleus of the host's."""
     idxs = tuple(bits(members))
-    pos = {e: p for p, e in enumerate(idxs)}
-    lat = Lattice.from_up([mask_of(pos[j] for j in idxs if host.leq(i, j)) for i in idxs])
-    # explicit raises rather than asserts, so that this holds under -O
+    bad = []
     for a, b in combinations(range(len(idxs)), 2):
         if idxs[lat.join_table[a][b]] != host.join(idxs[a], idxs[b]):
-            raise ValueError("subcolocale join is not the host's")
+            bad.append(("join", a, b))
         if idxs[lat.meet_table[a][b]] != scan_conucleus(host, members,
                                                         host.meet(idxs[a], idxs[b])):
-            raise ValueError("subcolocale meet is not the conucleus of the host's")
-    return lat, idxs
-
+            bad.append(("meet", a, b))
+    return bad
 
 
 def downset_frame(fw, limits=DEFAULT_LIMITS) -> tuple:
@@ -1260,12 +1297,13 @@ def szdbf_pins(f, h1, h2):
     ``closed(x_p) v open(p)`` of ``S(L)`` to ``closed(f x_p) v open(f p)``,
     with ``x_p`` the meet of the primes strictly above ``p``."""
     lat, primes = f.source.lattice, f.source.primes
+    mp = f.mapping
     for x in range(lat.n):
-        yield h1.closed_of(x), h2.closed_of(f(x))
+        yield h1.closed_of(x), h2.closed_of(mp[x])
     for p in bits(primes):
         xp = lat.big_meet(lat.up[p] & primes & ~bit(p))
         yield (h1.join(h1.closed_of(xp), h1.open_of(p)),
-               h2.join(h2.closed_of(f(xp)), h2.open_of(f(p))))
+               h2.join(h2.closed_of(mp[xp]), h2.open_of(mp[p])))
 
 
 def _generic_lift(src_sub, dst_sub, pins):
@@ -1293,7 +1331,7 @@ def generic_szdbf_lift(f, b1, b2):
 
 def generic_raney_lift(f, r1, r2):
     """The Raney lift of ``f`` by the generic construction: both fitted
-    collections as lattices, each the host's retract by its conucleus, and
+    collections as lattices (``subcolocale_lattice``), and
     ``extend_to_coframe_map`` with the open of each ``x`` pinned to the
     open of ``f(x)``, where ``raney_lift_check`` reads the lift off the
     frames' own tables.  The opens are meet-dense in any fitted

@@ -11,7 +11,7 @@ import itertools
 import random
 import time
 
-from oracles import (NaiveOps, Precongruence, fit_mask, generated_closed_form,
+from oracles import (NaiveOps, Precongruence, fit_mask, generated_closed_form, host_lattice,
                      is_precongruence, is_smooth, precongruence_to_sublocale,
                      sublocale_to_precongruence)
 from subloc import (
@@ -31,16 +31,14 @@ from subloc import (
     ker,
     phi,
     primes,
-    raney_lift_check,
     sb,
     se,
     sigma,
     ssp,
     strongly_exact_filters,
-    surjection_of,
-    szdbf_lift_check,
     to_raney,
 )
+from subloc.correspondence import raney_lift_check, surjection_of, szdbf_lift_check
 from subloc.bits import bit, bits, mask_of
 from subloc.report import FINITE_NOTE, correspondence_suite
 from subloc.sublocales import b_mask, closed_mask, open_mask
@@ -80,7 +78,7 @@ def test_criterion_1_coframe_laws(corpus, hosts):
         lat = fw.lattice
         n = lat.n
         k = sl.size
-        host = sl.as_lattice
+        host = host_lattice(sl)
 
         # coframe distributivity c | /\B = /\(c|b): all binary families, which
         # induction extends to every finite family, plus every family outright
@@ -164,7 +162,7 @@ def test_criterion_3_adjunction_at_desk_scale(corpus, hosts):
         k = sl.size
         if k <= 8:
             # independent scan with the frozenset oracle on its own tables
-            ops = NaiveOps(sl.as_lattice.up)
+            ops = NaiveOps(host_lattice(sl).up)
             found = set()
             for m in range(1 << k):
                 s = frozenset(i for i in range(k) if (m >> i) & 1)
@@ -173,7 +171,7 @@ def test_criterion_3_adjunction_at_desk_scale(corpus, hosts):
             if found != set(codense):
                 failures.append((name, "codense-enumeration"))
         n_o = sl_o.size
-        ops_o = NaiveOps(sl_o.as_lattice.up)
+        ops_o = NaiveOps(host_lattice(sl_o).up)
         for m in codense:
             if not (m >> (k - 1)) & 1:
                 failures.append((name, "codense-without-top", m))

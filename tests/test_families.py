@@ -12,10 +12,11 @@ dataclass without validation.
 
 import random
 
-from subloc import (FrameMap, FrameWitness, Lattice, enumerate_subcolocales,
-                    enumerate_sublocales, exact_filters, is_exact_map,
-                    is_exact_sublocale, is_proper, report, strongly_exact_filters,
-                    surjection_of)
+import subloc.subcolocales as subcolocales
+from subloc import (FrameWitness, Lattice, enumerate_subcolocales, enumerate_sublocales,
+                    exact_filters, is_exact_sublocale, is_proper, report,
+                    strongly_exact_filters)
+from subloc.correspondence import FrameMap, is_exact_map, surjection_of
 from subloc.bits import bit, mask_of
 from subloc.corpus import gen_boolean, gen_chain, gen_product
 from subloc.lattice import prime_mask
@@ -160,6 +161,42 @@ def test_exactness_on_meet_irreducible_pairs_matches_every_pair(corpus):
                 assert got == is_exact_sublocale(fw, 0, nucleus=nu, pairs=every_pair), (fw, nu)
                 verdicts.append(got)
     assert set(verdicts) == {True, False}
+
+
+def test_se_rows_refuse_a_plant_that_breaks_only_mixed_pairs(monkeypatch):
+    """``se`` checks each point sublocale on rows that pair every element
+    with every meet-irreducible, in either order.  On bool3 numbered with
+    its coatoms, the meet-irreducibles, before its atoms, the map that
+    keeps the bottom and the top and sends the rest to one atom breaks the
+    meets of the disjoint pairs only: two atoms, or a coatom and the atom
+    it misses.  The three of these with a meet-irreducible are mixed, the
+    coatom first in element order, so rows that hold only the
+    meet-irreducibles miss them (a row is read after its own element), and
+    so do rows without the mixed pairs; the rows ``se`` passes must refuse
+    the map, as full rows do.  No map that keeps the top breaks one such
+    pair alone, since the other pairs with a meet-irreducible decide its
+    meet by the induction of ``se``'s proof; so this plant breaks three."""
+    order = (0, 7, 3, 5, 6, 1, 2, 4)   # bool3's masks: bottom, top, coatoms, atoms
+    at = {m: i for i, m in enumerate(order)}
+    lat = Lattice.from_up([mask_of(at[y] for y in order if x & ~y == 0) for x in order])
+    fw = FrameWitness.of(lat)
+    irr, n = lat.irreducibles[1], lat.n
+    assert irr == 0b11100
+    nu = [x if x in (lat.bottom, lat.top) else at[1] for x in range(n)]
+    broken = [(a, b) for a in range(n) for b in range(a + 1, n)
+              if nu[lat.meet_table[a][b]] != lat.meet_table[nu[a]][nu[b]]]
+    mixed = [(a, b) for a, b in broken if (irr >> a | irr >> b) & 1]
+    assert len(broken) == 6 and len(mixed) == 3
+    assert all(irr >> a & 1 and not irr >> b & 1 for a, b in mixed)
+    rows, real = [], subcolocales.is_exact_sublocale
+    monkeypatch.setattr(subcolocales, "is_exact_sublocale",
+                        lambda *args, **kw: rows.append(kw["pairs"]) or real(*args, **kw))
+    subcolocales.se(fresh_sublocales(fw))
+    assert len(rows) == 3
+    for pairs in rows + [(lat.full_mask,) * n]:
+        assert not is_exact_sublocale(fw, 0, nucleus=nu, pairs=pairs)
+    for weak in ([irr] * n, [irr if irr >> a & 1 else 0 for a in range(n)]):
+        assert is_exact_sublocale(fw, 0, nucleus=nu, pairs=weak)
 
 
 def test_laws_open_and_closed_family_checks_match_the_scan(monkeypatch):

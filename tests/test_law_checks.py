@@ -29,10 +29,11 @@ from subloc.report import (_prime_part_violations, difference_adjunction_violati
 from subloc.sublocales import b_mask, phi
 from subloc.bits import bits
 
-from oracles import (fresh_sublocales, scan_cover_joins, scan_difference_adjunction,
-                     scan_distributivity, scan_fit_closed_trim, scan_fit_monotone,
-                     scan_heyting_adjunction, scan_host_laws, scan_inclusion_identity,
-                     scan_ker_phi, scan_phi_order, scan_prime_parts, scan_prime_set_order)
+from oracles import (fresh_sublocales, host_lattice, kept_lattices, scan_cover_joins,
+                     scan_difference_adjunction, scan_distributivity, scan_fit_closed_trim,
+                     scan_fit_monotone, scan_heyting_adjunction, scan_host_laws,
+                     scan_inclusion_identity, scan_ker_phi, scan_phi_order, scan_prime_parts,
+                     scan_prime_set_order)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +70,7 @@ def _planted(table, rng, swap):
 def test_birkhoff_distributivity_matches_the_triple_scan(frames, hosts):
     n5 = Lattice.from_relation(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
     m3 = gen_diamond()
-    lats = [fw.lattice for fw in frames] + [h.as_lattice for h in hosts]
+    lats = [fw.lattice for fw in frames] + [host_lattice(h) for h in hosts]
     lats += [m3, n5, gen_product(m3, gen_chain(2)), gen_product(n5, gen_chain(3))]
     seen = set()
     for lat in lats:
@@ -127,7 +128,7 @@ def test_difference_adjunction_matches_the_triple_scan(frames, hosts):
     seen = set()
     # the fitted hosts' differences are down-closed differences of prime
     # sets, the frames' the dual's arrow
-    pairs = [(host.as_lattice, _diff_table(host)) for host in hosts if host.fitted]
+    pairs = [(host_lattice(host), _diff_table(host)) for host in hosts if host.fitted]
     pairs += [(fw.lattice, CoframeWitness.of(fw.lattice).difference_table) for fw in frames]
     for lat, diff in pairs:
         tables = [diff]
@@ -153,7 +154,7 @@ def test_difference_adjunction_on_sl_is_the_order_embedding(hosts):
             continue
         assert difference_adjunction_violations(host) == scan_prime_set_order(host) == []
         if host.size <= 32:
-            assert scan_difference_adjunction(host.as_lattice, _diff_table(host)) == []
+            assert scan_difference_adjunction(host_lattice(host), _diff_table(host)) == []
         seen.add(True)
         if host.size < 2:
             continue
@@ -451,14 +452,16 @@ def test_each_planted_fault_fails_its_laws_check(lat, monkeypatch):
 
 
 def test_laws_checks_build_no_table_on_sl(monkeypatch):
-    """The laws suite and its host checks leave ``as_lattice`` unbuilt on
-    both hosts: nothing of size ``k^2`` enters either ``__dict__``."""
+    """The laws suite and its host checks keep no lattice, with its ``k x
+    k`` tables, on either host: nothing of size ``k^2`` enters either
+    ``__dict__``."""
     fw = FrameWitness.of(gen_chain(8))
     sl = enumerate_sublocales(fw)
     sl_o = sl.fitted_subcoframe()
     assert host_law_violations(sl) == host_law_violations(sl_o) == []
     assert difference_adjunction_violations(sl) == fit_closure_violations(sl) == []
     assert inclusion_identity_violations(sl) == []
+    assert kept_lattices(sl) == kept_lattices(sl_o) == []
     assert not {"as_lattice", "coframe"} & (set(vars(sl)) | set(vars(sl_o)))
     assert not hasattr(sl, "coframe")
     built = []
@@ -471,6 +474,7 @@ def test_laws_checks_build_no_table_on_sl(monkeypatch):
     assert laws_suite("chain8", fw)["ok"]
     assert len(built) == 1
     for host in (built[0], built[0].fitted_subcoframe()):
+        assert kept_lattices(host) == []
         assert not {"as_lattice", "coframe"} & set(vars(host))
 
 

@@ -173,6 +173,25 @@ def test_cli_corpus(tmp_path, capsys):
         assert (out / name).read_text() == (again / name).read_text()
 
 
+def test_bad_counts_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # --jobs below 1 and --points4 below 0 exit 2 while the arguments are
+    # parsed, naming the flag: no report runs and no corpus file is written
+    monkeypatch.setattr("subloc.cli.corpus_report",
+                        lambda *args, **kwargs: pytest.fail("the report ran"))
+    out = tmp_path / "D"
+    out.mkdir()
+    for argv, flag in ((["report", "--jobs", "0"], "--jobs"),
+                       (["report", "--jobs", "-3"], "--jobs"),
+                       (["report", "--points4", "-1"], "--points4"),
+                       (["corpus", "--points4", "-2", "--out", str(out)], "--points4")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        got = capsys.readouterr()
+        assert exc.value.code == 2 and got.out == "", argv
+        assert f"argument {flag}: must be at least" in got.err, argv
+    assert list(out.iterdir()) == []
+
+
 def test_cli_input_errors(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.lat")]) == 2
     bad = tmp_path / "bad.lat"
@@ -271,9 +290,9 @@ def test_oversized_downset_frame_fails_before_any_lift(tmp_path, monkeypatch, ca
 
 def _no_quotient_target(monkeypatch):
     """Fail the test if a quotient map or its target is built.  The package
-    builds both in ``surjection_of`` only, through the retract behind every
-    target frame; ``quotient_map`` and ``quotient_order``, which shared the
-    targets, are test oracles and bound nowhere in the package."""
+    builds both in ``surjection_of`` only, the map through ``FrameMap.of``;
+    ``quotient_map`` and ``quotient_order``, which shared the targets, are
+    test oracles and bound nowhere in the package."""
     def reached(*args, **kwargs):
         pytest.fail("a quotient map or its target frame was built")
 
@@ -281,7 +300,7 @@ def _no_quotient_target(monkeypatch):
     assert not any(hasattr(m, name) for m in modules
                    for name in ("quotient_map", "quotient_order"))
     monkeypatch.setattr(correspondence, "surjection_of", reached)
-    monkeypatch.setattr(Lattice, "retract", reached)
+    monkeypatch.setattr(correspondence.FrameMap, "of", reached)
 
 
 def _counting_verdicts(monkeypatch):

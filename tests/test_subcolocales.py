@@ -12,8 +12,8 @@ from subloc import (CoframeWitness, FrameWitness, InternalInconsistency, NotProp
                     enumerate_subcolocales, enumerate_sublocales, fit_image,
                     generated_subcolocale,
                     is_codense, is_essential, is_proper, is_subcolocale,
-                    join_closure, leq_f, saturated_elements, sb, se, sigma, ssp)
-from subloc.subcolocales import closed_trims, point_sublocales
+                    saturated_elements, sb, se, sigma, ssp)
+from subloc.subcolocales import closed_trims, join_closure, leq_f, point_sublocales
 from subloc.sublocales import is_exact_sublocale
 from subloc.bits import bit, bits, mask_of
 from subloc.config import DEFAULT_LIMITS
@@ -24,9 +24,10 @@ from subloc.report import adjunction_suite, correspondence_suite
 
 from oracles import (NaiveOps, closure_is_subcolocale, filtered_fitted_host,
                      fixpoint_generated_subcolocale, fresh_sublocales, generated_closed_form,
-                     host_read_mismatches, scan_conucleus, scan_fit_of,
-                     scan_generated_subcolocale, scan_is_subcolocale, scan_join_closure,
-                     scan_least_open_above, scan_se, scan_sigma, scan_subcolocales)
+                     host_lattice, host_read_mismatches, kept_lattices, scan_conucleus,
+                     scan_fit_of, scan_generated_subcolocale, scan_is_subcolocale,
+                     scan_join_closure, scan_least_open_above, scan_se, scan_sigma,
+                     scan_subcolocales)
 
 
 def host_naive_ops(host):
@@ -43,7 +44,7 @@ def idx_set(mask: int) -> frozenset:
 def test_subcolocales_of_chain_coframe(hosts):
     # the fitted host of chain3 is a 3-chain
     host = hosts["chain3"].fitted_subcoframe()
-    assert host.as_lattice == gen_chain(3)
+    assert host_lattice(host) == gen_chain(3)
     found = enumerate_subcolocales(host)
     # any subset containing the bottom works on a chain
     assert len(found) == 4
@@ -128,7 +129,7 @@ def test_prime_set_closures_match_the_table_scans(hosts):
     seen, cases = set(), 0
     for sl in list(hosts.values()) + [extra]:
         for host in (sl, sl.fitted_subcoframe()):
-            lat = host.as_lattice
+            lat = host_lattice(host)
             diff = CoframeWitness.of(lat).difference_table
             masks = list(enumerate_subcolocales(host))
             masks += [rng.getrandbits(host.size) for _ in range(12)]
@@ -464,7 +465,7 @@ def test_adjunction_check_bidirectional(hosts):
 def test_subcolocale_wrapper_validates(hosts):
     host = hosts["chain3"]
     d = Subcolocale(host, 0b1111)
-    assert d.contains(0) and d.conucleus(2) == 2
+    assert d.host is host and d.members == 0b1111
     with pytest.raises(ValueError):
         Subcolocale(host, 0b0110)
 
@@ -497,7 +498,7 @@ def test_enumeration_above_sixteen():
             found = enumerate_subcolocales(host)
             assert len(found) == 2 ** p
             assert all(is_subcolocale(host, m) for m in found)
-        assert enumerate_subcolocales(sl, "codense") == (sl.as_lattice.full_mask,)
+        assert enumerate_subcolocales(sl, "codense") == ((1 << sl.size) - 1,)
         assert enumerate_subcolocales(sl_o, "codense") == scan_subcolocales(sl_o, "codense")
 
 
@@ -544,10 +545,12 @@ def test_memoised_functions_return_their_bodies_on_a_fresh_host(corpus):
                 calls += [(fn, ()) for fn in (sb, ssp, se)]
                 calls += [(is_essential, (m,)) for m in subs]
             for fn, args in calls:
-                # sigma and delta are kept on the fitted host, their second argument
+                # sigma and delta are kept on the fitted host, their second
+                # argument, and is_essential reads the fitted host last
                 pre, pre_new = ((kept,), (fresh,)) if fn in (sigma, delta) else ((), ())
-                want = _outcome(fn.__wrapped__, *pre_new, new, *args)
-                got = [_outcome(fn, *pre, held, *args) for _ in range(2)]
+                post, post_new = ((kept_o,), (fresh_o,)) if fn is is_essential else ((), ())
+                want = _outcome(fn.__wrapped__, *pre_new, new, *args, *post_new)
+                got = [_outcome(fn, *pre, held, *args, *post) for _ in range(2)]
                 assert got == [want, want], (fn.__name__, args)
                 outcomes[fn.__name__, want is NotProper] += 1
                 if fn is is_proper:
@@ -697,7 +700,7 @@ def test_closed_form_matches_the_generic_closures():
         seen.add(cf.frame.lattice.up)
         sl = enumerate_sublocales(cf.frame)
         for host in (sl, sl.fitted_subcoframe()):
-            lat = host.as_lattice
+            lat = host_lattice(host)
             diff = CoframeWitness.of(lat).difference_table
             subs = enumerate_subcolocales(host)
             p = len(host.tops)
@@ -724,11 +727,12 @@ def test_closed_form_matches_the_generic_closures():
 
 def test_adjunction_suite_leaves_both_host_lattices_unbuilt():
     """The adjunction suite decides, generates and lists subcolocales from
-    ``tops`` and reads properness on prime sets: neither host builds
-    ``as_lattice``, on chain6 (no enumeration) and bool3 (enumerated)."""
+    ``tops`` and reads properness on prime sets: neither host keeps a
+    lattice, with its ``k x k`` tables, on chain6 (no enumeration) and
+    bool3 (enumerated)."""
     for lat in (gen_chain(6), gen_boolean(3)):
         fw = FrameWitness.of(lat)
         assert adjunction_suite("", fw)["ok"]
         sl = enumerate_sublocales(fw)
         for host in (sl, sl.fitted_subcoframe()):
-            assert "as_lattice" not in vars(host)
+            assert kept_lattices(host) == []
